@@ -116,19 +116,76 @@ class SmoothFunction:
 
 # -- discrete operator -------------------------------------------------------
 
+@dataclass(frozen=True)
+class _InteriorPattern:
+    """Fixed CSC sparsity of the interior Newton matrix and its scatter map.
+
+    The Newton matrix couples every pair of corners of every cell, so its
+    pattern depends only on the lattice.  scatter[e] is the CSC slot that the
+    e-th entry of the raveled (ncells, 2^n, 2^n) block array adds into; an
+    entry whose row or column is a boundary node goes to the sentinel slot
+    nnz, which is dropped after summation.
+    """
+
+    interior: np.ndarray  # flat node indices of the unknowns
+    indices: np.ndarray
+    indptr: np.ndarray
+    scatter: np.ndarray   # int32, one slot per block entry
+
+    @classmethod
+    def build(cls, geo: CellGeometry, boundary_mask: np.ndarray) -> "_InteriorPattern":
+        bmask = boundary_mask.reshape(-1)
+        interior = np.nonzero(~bmask)[0]
+        m = interior.size
+        pos = np.full(bmask.size, -1, dtype=np.int64)
+        pos[interior] = np.arange(m)
+        local = pos[geo.corner_idx]  # (ncells, 2^n)
+        nc = local.shape[1]
+        rows = np.repeat(local, nc, axis=1).ravel()
+        cols = np.tile(local, (1, nc)).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        # column-major keys sort straight into CSC order
+        slots, inverse = np.unique(cols[keep] * m + rows[keep], return_inverse=True)
+        scatter = np.full(rows.size, slots.size, dtype=np.int32)
+        scatter[keep] = inverse
+        indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(np.bincount(slots // m, minlength=m), out=indptr[1:])
+        return cls(interior, (slots % m).astype(np.int32), indptr, scatter)
+
+    def matrix(self, blocks: np.ndarray) -> sp.csc_matrix:
+        """Sum the (ncells, 2^n, 2^n) cell blocks into the interior CSC matrix."""
+        data = np.bincount(self.scatter, weights=blocks.reshape(-1),
+                           minlength=self.indices.size + 1)
+        m = self.interior.size
+        return sp.csc_matrix((data[:-1], self.indices, self.indptr), shape=(m, m))
+
+
 class _Discretization:
-    """Caches lattice geometry, nodal exponents and source weights."""
+    """Caches lattice geometry, nodal exponents and source weights.
+
+    geo and pattern may be passed in so one solve builds them once for all
+    its stages; otherwise they are built from the grid when first needed.
+    """
 
     def __init__(self, grid: GridFunction, field: ExponentField, f: GridFunction,
-                 reg_eps: float):
+                 reg_eps: float, geo: Optional[CellGeometry] = None,
+                 pattern: Optional[_InteriorPattern] = None):
         if not grid.same_lattice(f):
             raise ValueError("solution and source live on different lattices")
-        self.geo = CellGeometry.build(grid)
+        self.geo = CellGeometry.build(grid) if geo is None else geo
+        self._grid = grid
+        self._pattern = pattern
         self.p_node = field(grid.nodes())
         self.p_corner = self.p_node[self.geo.corner_idx]  # (ncells, 2^n)
         self.source_vec = self.geo.node_weights * f.values.reshape(-1)
         self.eps = float(reg_eps)
         self.nc = self.geo.corner_idx.shape[1]
+
+    @property
+    def pattern(self) -> _InteriorPattern:
+        if self._pattern is None:
+            self._pattern = _InteriorPattern.build(self.geo, self._grid.boundary_mask())
+        return self._pattern
 
     def _w(self, grads: np.ndarray, eps: float) -> np.ndarray:
         return np.sqrt(np.sum(grads**2, axis=2) + eps**2)
@@ -150,7 +207,14 @@ class _Discretization:
         np.add.at(g, self.geo.corner_idx.ravel(), (self.geo.cell_vol / self.nc) * per_corner.ravel())
         return g + self.source_vec
 
-    def hessian(self, u_flat: np.ndarray, eps_h: Optional[float] = None) -> sp.csr_matrix:
+    def hessian(self, u_flat: np.ndarray, eps_h: Optional[float] = None) -> sp.csc_matrix:
+        """Interior-interior block of the energy Hessian, as a CSC matrix.
+
+        Rows and columns follow ``self.pattern.interior``.  The pointwise
+        Hessian of w^p / p in the gradient g is c1 I + c2 g g^T, so each cell
+        block is sum_k c1_k G_k^T G_k + c2_k v_k v_k^T with v_k = G_k^T g_k:
+        a fixed per-corner matrix times c1 plus one batched outer product.
+        """
         # A tiny floor keeps w^(p-4) finite at degenerate corners; the matrix
         # stays positive definite so Newton directions remain descent ones.
         eps = max(self.eps, eps_h if eps_h is not None else 0.0, 1e-12)
@@ -158,18 +222,14 @@ class _Discretization:
         w = self._w(grads, eps)
         c1 = w ** (self.p_corner - 2.0)
         c2 = (self.p_corner - 2.0) * w ** (self.p_corner - 4.0)
-        n = self.geo.n_axes
-        eye = np.eye(n)
-        # (ncells, 2^n, n, n) pointwise Hessian of w^p / p in the gradient
-        M = c1[:, :, None, None] * eye + c2[:, :, None, None] * (
-            grads[:, :, :, None] * grads[:, :, None, :]
-        )
-        G = self.geo.grad_stencils
-        blocks = np.einsum("kaj,ckab,kbl->cjl", G, M, G) * (self.geo.cell_vol / self.nc)
-        rows = np.repeat(self.geo.corner_idx, self.nc, axis=1).ravel()
-        cols = np.tile(self.geo.corner_idx, (1, self.nc)).ravel()
-        nn = u_flat.size
-        return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
+        G = self.geo.grad_stencils  # (2^n k, n a, 2^n j)
+        nc = self.nc
+        K = np.einsum("kaj,kal->kjl", G, G).reshape(nc, nc * nc)
+        v = np.matmul(grads.transpose(1, 0, 2), G).transpose(1, 0, 2)  # (ncells, 2^n k, 2^n j)
+        blocks = (c1 @ K).reshape(-1, nc, nc)
+        blocks += np.matmul((c2[:, :, None] * v).transpose(0, 2, 1), v)
+        blocks *= self.geo.cell_vol / nc
+        return self.pattern.matrix(blocks)
 
     def hat_norms(self, interior_flat: np.ndarray, cfg: NormConfig = NormConfig()) -> np.ndarray:
         """Variable-exponent Sobolev norms of the hat functions phi_i.
@@ -252,6 +312,18 @@ def weak_residual(u: GridFunction, spec: ProblemSpec) -> float:
     return float(np.max(np.abs(g[interior]) / norms))
 
 
+def _solve_spd(H: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Direct solve with the symmetric positive definite Newton matrix.
+
+    Symmetric mode with a minimum-degree ordering of A^T + A and diagonal
+    pivots keeps the factor's fill well below that of COLAMD with partial
+    pivoting; SuperLU raises RuntimeError if the factor is singular.
+    """
+    lu = spla.splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    return lu.solve(rhs)
+
+
 def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray,
                     hat: np.ndarray, tol: float, max_iter: int, trace: list,
                     smooth0: float) -> tuple:
@@ -270,10 +342,10 @@ def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray
             return u, it - 1, residual, ""
 
         eps_h = max(disc.eps, smooth0 * 0.25 ** (it - 1))
-        H = disc.hessian(u, eps_h)[interior][:, interior].tocsc()
+        H = disc.hessian(u, eps_h)
         gi = g[interior]
         try:
-            delta = spla.spsolve(H, -gi)
+            delta = _solve_spd(H, -gi)
         except RuntimeError:
             delta = -gi
         if not np.all(np.isfinite(delta)) or float(delta @ gi) >= 0.0:
@@ -346,21 +418,23 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     trace is nonincreasing by the line-search contract.
     """
     grid = spec.rhs
-    bmask = grid.boundary_mask().reshape(-1)
-    interior = np.nonzero(~bmask)[0]
+    geo = CellGeometry.build(grid)
+    pattern = _InteriorPattern.build(geo, grid.boundary_mask())
+    interior = pattern.interior
 
     u = spec.dirichlet_values().reshape(-1).copy()
-    u[~bmask] = 0.0
+    u[interior] = 0.0
     # p = 2 warm start: one linear solve with the same boundary data.
-    lap = _Discretization(grid, _const2(spec.field), spec.rhs, 0.0)
-    H2 = lap.hessian(u)[interior][:, interior].tocsc()
-    g2 = lap.gradient(u)[interior]
-    u[interior] -= spla.spsolve(H2, g2)
+    lap = _Discretization(grid, _const2(spec.field), spec.rhs, 0.0, geo, pattern)
+    u[interior] -= _solve_spd(lap.hessian(u), lap.gradient(u)[interior])
     if not np.all(np.isfinite(u)):
         raise SolverError("warm start produced non-finite values")
 
-    smooth0 = 1e-2 * max(1.0, float(np.abs(np.diff(u.reshape(grid.dims), axis=0)).max()
-                                    / grid.spacing[0]))
+    # Newton-matrix smoothing scale from the steepest warm-start slope.
+    nodal = u.reshape(grid.dims)
+    slope = max(float(np.abs(np.diff(nodal, axis=a)).max()) / grid.spacing[a]
+                for a in range(grid.n_axes))
+    smooth0 = 1e-2 * max(1.0, slope)
     stages = _eps_schedule(spec)
     trace = []
     iterations = 0
@@ -369,7 +443,7 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     disc = None
     for k, eps in enumerate(stages):
         last = k == len(stages) - 1
-        disc = _Discretization(grid, spec.field, spec.rhs, eps)
+        disc = _Discretization(grid, spec.field, spec.rhs, eps, geo, pattern)
         if k == 0:
             hat = disc.hat_norms(interior)
         trace.append(disc.energy(u))
