@@ -174,13 +174,9 @@ def barrier_subsolution_scan(params: BarrierParams, field: ExponentField,
         ok = field.domain.contains(pts)
         if not np.all(ok):
             raise ValueError("annulus leaves the exponent field's domain")
-    w = barrier_smooth(params)
-    best, arg = np.inf, pts[0]
-    for x in pts:
-        v = p_laplacian_pointwise(w, field, x, reg_eps)
-        if v < best:
-            best, arg = v, x
-    return BarrierScan(params, float(best), np.asarray(arg), pts.shape[0])
+    vals = p_laplacian_pointwise(barrier_smooth(params), field, pts, reg_eps)
+    i = int(np.argmin(vals))
+    return BarrierScan(params, float(vals[i]), pts[i], pts.shape[0])
 
 
 def bracket_subsolution_mu(template: BarrierParams, field: ExponentField,
@@ -235,7 +231,8 @@ def gaussian_lower_bound_scan(M: float, mu: float, field: ExponentField,
     which the caller can fit from (mu, lhs_min, grad_p_sup, |log M|) across
     scans.  The annulus is centred at `center`, defaulting to the origin of
     the field's domain dimension (pass center explicitly for domain-free
-    fields in dimensions other than 2).
+    fields in dimensions other than 2).  Raises FloatingPointError when the
+    normalization overflows or divides by zero, rather than return inf or nan.
     """
     r2, r1 = float(annulus[0]), float(annulus[1])
     if not r2 > 0:
@@ -260,17 +257,15 @@ def gaussian_lower_bound_scan(M: float, mu: float, field: ExponentField,
 
     w = SmoothFunction(value, gradient, hessian)
     pts = annulus_samples(c, r2, r1, resolution, n_dir)
-    best, arg = np.inf, pts[0]
     grad_p_sup = float(np.max(np.linalg.norm(field.gradient_at(pts), axis=1)))
-    for x in pts:
-        op = p_laplacian_pointwise(w, field, x, reg_eps)
-        p = float(field(as_points(x))[0])
-        g = gradient(as_points(x))[0]
-        s = math.sqrt(float(g @ g) + reg_eps**2)
-        q = (1.0 / mu) * math.exp(mu * float(np.sum((x - c) ** 2))) / M * s ** (2.0 - p) * op
-        if q < best:
-            best, arg = q, x
-    return GaussianBoundScan(float(best), np.asarray(arg), float(mu), grad_p_sup,
+    op = p_laplacian_pointwise(w, field, pts, reg_eps)
+    g = gradient(pts)
+    s = np.sqrt(np.einsum("mi,mi->m", g, g) + reg_eps**2)
+    p, r_sq = field(pts), np.sum((pts - c) ** 2, axis=1)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        q = (1.0 / mu) * np.exp(mu * r_sq) / M * s ** (2.0 - p) * op
+    i = int(np.argmin(q))
+    return GaussianBoundScan(float(q[i]), pts[i], float(mu), grad_p_sup,
                              abs(math.log(M)), pts.shape[0])
 
 

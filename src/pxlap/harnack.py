@@ -118,9 +118,7 @@ def harnack_mu(f: GridFunction, ball: Ball, q0: float, field: ExponentField) -> 
     if R > 1.0 + 1e-12:
         raise ValueError(f"ball radius must be <= 1, got {R}")
     big = ball.dilate(4.0)
-    box = f.box
-    if not (np.all(big.center - big.radius >= box.lo - 1e-12)
-            and np.all(big.center + big.radius <= box.hi + 1e-12)):
+    if not f.box.contains_ball(big):
         raise ValueError(f"the 4R dilate of the ball (radius {big.radius}) escapes the grid box")
     nodes = f.nodes()
     inside = big.contains(nodes)
@@ -174,9 +172,7 @@ def weak_harnack_check(u: GridFunction, center, radius: float, t0: float = 1.0,
         raise ValueError(f"t0 must be positive, got {t0}")
     inner = Ball(center, radius)
     outer = inner.dilate(2.0)
-    box = u.box
-    if not (np.all(outer.center - outer.radius >= box.lo - 1e-12)
-            and np.all(outer.center + outer.radius <= box.hi + 1e-12)):
+    if not u.box.contains_ball(outer):
         raise ValueError("the 2r ball escapes the grid box")
     vals_outer = _ball_node_values(u, outer)
     work = u
@@ -305,10 +301,7 @@ def holder_estimate(u: GridFunction, center, radii) -> OscillationTrace:
         raise ValueError(f"need at least 4 radii, got {radii.size}")
     if np.any(np.diff(radii) >= 0):
         raise ValueError("radii must be strictly decreasing")
-    box = u.box
-    big = Ball(center, radii[0])
-    if not (np.all(big.center - big.radius >= box.lo - 1e-12)
-            and np.all(big.center + big.radius <= box.hi + 1e-12)):
+    if not u.box.contains_ball(Ball(center, radii[0])):
         raise ValueError("largest ball escapes the grid box")
     nodes = u.nodes()
     flat = u.values.reshape(-1)

@@ -97,8 +97,10 @@ class SolveResult:
 
     def __post_init__(self):
         tr = np.asarray(self.energy_trace, dtype=float)
-        if tr.size and np.any(np.diff(tr) > 1e-12 * np.maximum(1.0, np.abs(tr[:-1]))):
-            raise ValueError("energy trace must be nonincreasing")
+        up = np.flatnonzero(np.diff(tr) > 1e-12 * np.maximum(1.0, np.abs(tr[:-1]))) + 1
+        if up.size:
+            raise SolverError(f"energy trace must be nonincreasing: entry {up[0]} is "
+                              f"{float(tr[up[0]])!r} after {float(tr[up[0] - 1])!r}")
 
 
 @dataclass(frozen=True)
@@ -472,27 +474,31 @@ def _const2(like: ExponentField) -> ExponentField:
 # -- pointwise operator on closed forms ---------------------------------------
 
 def p_laplacian_pointwise(w: SmoothFunction, field: ExponentField, x,
-                          reg_eps: float = 0.0) -> float:
-    """Evaluate div(|grad w|^(p-2) grad w) at x for a closed-form w.
+                          reg_eps: float = 0.0) -> float | np.ndarray:
+    """Evaluate div(|grad w|^(p-2) grad w) at a point or a batch of points.
 
     Chain-rule expansion with s = |grad w| replaced by sqrt(s^2 + reg_eps^2):
 
         s^(p-2) [ Lap w + (p-2) (grad w . D2w grad w) / s^2
                   + (grad p . grad w) log s ].
 
-    For s = 0 with reg_eps = 0 the value is the continuous limit: 0 when
-    p > 2, Lap w when p = 2, and undefined (raises) when p < 2.
+    An (m, n) array of points gives an (m,) array, any other input one float.
+    Where s = 0 (reg_eps = 0) the value is the continuous limit: 0 when p > 2,
+    Lap w when p = 2; p < 2 is undefined and raises for the whole call.
     """
     pts = as_points(x)
-    p = float(field(pts)[0])
-    gp = field.gradient_at(pts)[0]
-    gw = np.asarray(w.gradient(pts), dtype=float).reshape(pts.shape[1])
-    Hw = np.asarray(w.hessian(pts), dtype=float).reshape(pts.shape[1], pts.shape[1])
-    lap = float(np.trace(Hw))
-    s = float(np.sqrt(gw @ gw + reg_eps**2))
-    if s == 0.0:
-        if p < 2.0:
-            raise ValueError("p(x)-Laplacian undefined: vanishing gradient, p < 2, reg_eps = 0")
-        return lap if p == 2.0 else 0.0
-    aniso = float(gw @ Hw @ gw) / s**2
-    return s ** (p - 2.0) * (lap + (p - 2.0) * aniso + float(gp @ gw) * np.log(s))
+    m, n = pts.shape
+    p = field(pts)
+    gp = field.gradient_at(pts)
+    gw = np.asarray(w.gradient(pts), dtype=float).reshape(m, n)
+    Hw = np.asarray(w.hessian(pts), dtype=float).reshape(m, n, n)
+    lap = np.trace(Hw, axis1=1, axis2=2)
+    s = np.sqrt(np.einsum("mi,mi->m", gw, gw) + reg_eps**2)
+    zero = s == 0.0
+    if np.any(zero & (p < 2.0)):
+        raise ValueError("p(x)-Laplacian undefined: vanishing gradient, p < 2, reg_eps = 0")
+    s = np.where(zero, 1.0, s)  # the limits below replace these entries
+    aniso = np.einsum("mi,mij,mj->m", gw, Hw, gw) / s**2
+    val = s ** (p - 2.0) * (lap + (p - 2.0) * aniso + np.einsum("mi,mi->m", gp, gw) * np.log(s))
+    val = np.where(zero, np.where(p == 2.0, lap, 0.0), val)
+    return val if np.ndim(x) == 2 else float(val[0])

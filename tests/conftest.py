@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 import pxlap as px
+
+# Property tests draw a fixed example sequence and have no per-example
+# deadline, so they are reproducible and do not flake on a loaded host.
+settings.register_profile("pxlap", derandomize=True, deadline=None, max_examples=30)
+settings.load_profile("pxlap")
 
 
 @pytest.fixture

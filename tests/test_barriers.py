@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pxlap as px
+from pxlap.barriers import annulus_samples
 
 
 def test_barrier_boundary_values_exact():
@@ -44,13 +45,12 @@ def test_barrier_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     pts = rng.random((20, 2))
     h = 1e-6
-    for x in pts:
-        _, g = px.barrier_eval(params, x)
-        for a in range(2):
-            e = np.zeros(2)
-            e[a] = h
-            fd = (px.barrier_eval(params, x + e)[0] - px.barrier_eval(params, x - e)[0]) / (2 * h)
-            assert g[a] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+    _, g = px.barrier_eval(params, pts)
+    for a in range(2):
+        e = np.zeros(2)
+        e[a] = h
+        fd = (px.barrier_eval(params, pts + e)[0] - px.barrier_eval(params, pts - e)[0]) / (2 * h)
+        assert g[:, a] == pytest.approx(fd, rel=1e-6, abs=1e-8)
     # Hessian against gradient differences
     H = w.hessian(pts[:1])[0]
     for a in range(2):
@@ -84,6 +84,90 @@ def test_bracket_threshold_2n():
     base2 = px.BarrierParams([0.0, 0.0], 0.25, 2.0, 1.0)
     lo2, hi2 = px.bracket_subsolution_mu(base2, f2, 2.0, 8.0, 0.0125)
     assert lo2 <= 4.0 <= hi2 and hi2 - lo2 <= 0.02
+    # the benchmark's bracket: resolution 0.02, width 0.004
+    lo3, hi3 = px.bracket_subsolution_mu(base, f2, 2.0, 8.0, 0.02, width=0.004)
+    assert lo3 <= 4.0 <= hi3 and hi3 - lo3 <= 0.008
+
+
+# -- scans against the per-point reference ----------------------------------------
+
+def barrier_scan_reference(params, field, resolution, reg_eps=0.0, n_dir=32):
+    """The barrier scan as a per-point loop: the first strict minimum."""
+    pts = annulus_samples(params.x0, params.delta / 2.0, params.delta, resolution, n_dir)
+    w = px.barrier_smooth(params)
+    best, arg = np.inf, pts[0]
+    for x in pts:
+        v = px.p_laplacian_pointwise(w, field, x, reg_eps)
+        if v < best:
+            best, arg = v, x
+    return best, arg, pts.shape[0]
+
+
+def gaussian_scan_reference(M, mu, field, annulus, resolution, center, reg_eps=0.0, n_dir=32):
+    """The normalized Gaussian scan as a per-point loop: the first strict minimum."""
+    c = np.asarray(center, dtype=float)
+    value = lambda pts: M * np.exp(-mu * np.sum((pts - c) ** 2, axis=1))
+    gradient = lambda pts: value(pts)[:, None] * (-2.0 * mu) * (pts - c)
+
+    def hessian(pts):
+        d = pts - c
+        return (-2.0 * mu * value(pts))[:, None, None] * (
+            np.eye(d.shape[1]) - 2.0 * mu * d[:, :, None] * d[:, None, :])
+
+    w = px.SmoothFunction(value, gradient, hessian)
+    pts = annulus_samples(c, annulus[0], annulus[1], resolution, n_dir)
+    best, arg = np.inf, pts[0]
+    for x in pts:
+        op = px.p_laplacian_pointwise(w, field, x, reg_eps)
+        p = float(field(x[None, :])[0])
+        g = gradient(x[None, :])[0]
+        s = math.sqrt(float(g @ g) + reg_eps**2)
+        q = (1.0 / mu) * math.exp(mu * float(np.sum((x - c) ** 2))) / M * s ** (2.0 - p) * op
+        if q < best:
+            best, arg = q, x
+    return best, arg, pts.shape[0]
+
+
+UNIT_SQUARE = px.Box([0.0, 0.0], [1.0, 1.0])
+CUBE = px.Box([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
+SCAN_CASES = {
+    # name: (field, center, barrier delta, mu, Gaussian annulus, resolution, reg_eps)
+    "p2": (px.constant_exponent(2.0), [0.0, 0.0], 1.0, 4.0, (0.5, 1.0), 0.02, 0.0),
+    # +-r samples tie exactly in 1d, so this case pins the first-minimum rule
+    "p3-1d": (px.constant_exponent(3.0), [0.0], 1.0, 4.0, (0.5, 1.0), 0.05, 0.0),
+    # the exponent and barrier check of perfbench/verify_config.json
+    "verify-affine": (px.affine_exponent(2.5, [0.4, 0.2], UNIT_SQUARE), [0.5, 0.5],
+                      0.4, 8.0, (0.2, 0.4), 0.002, 0.0),
+    "radial": (px.radial_exponent([0.3, 0.6], 1.6, 1.5, UNIT_SQUARE), [0.5, 0.5],
+               0.4, 16.0, (0.2, 0.4), 0.01, 1e-8),
+    "radial-3d": (px.radial_exponent([0.1, -0.2, 0.0], 3.2, -0.5, CUBE), [0.0, 0.0, 0.0],
+                  0.8, 12.0, (0.4, 0.8), 0.05, 1e-8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_scans_match_per_point_reference(case):
+    field, center, delta, mu, annulus, res, reg_eps = SCAN_CASES[case]
+    params = px.BarrierParams(center, delta, mu, 1.0)
+    scan = px.barrier_subsolution_scan(params, field, res, reg_eps)
+    best, arg, samples = barrier_scan_reference(params, field, res, reg_eps)
+    # abs: the p = 2, mu = 4 minimum is 0 up to roundoff
+    assert scan.min_operator_value == pytest.approx(best, rel=1e-13, abs=1e-12)
+    assert np.array_equal(scan.argmin, arg)
+    assert scan.samples == samples
+    g = px.gaussian_lower_bound_scan(2.5, mu, field, annulus, res, reg_eps, center=center)
+    best, arg, samples = gaussian_scan_reference(2.5, mu, field, annulus, res, center, reg_eps)
+    assert g.lhs_min == pytest.approx(best, rel=1e-13, abs=1e-12)
+    assert np.array_equal(g.argmin, arg)
+    assert g.samples == samples
+
+
+def test_gaussian_bound_scan_overflow_raises():
+    # e^(mu |x|^2) overflows on the outer sphere; the scan refuses to return
+    # a minimum built from inf and nan
+    f2 = px.constant_exponent(2.0)
+    with pytest.raises(FloatingPointError, match="overflow"):
+        px.gaussian_lower_bound_scan(1.0, 1000.0, f2, (0.5, 1.0), 0.05, center=[0.0, 0.0])
 
 
 def test_sweep_finds_subsolution_for_lipschitz_p():

@@ -85,3 +85,13 @@ def test_ball_and_box_geometry():
         box.shrink(0.6)
     with pytest.raises(ValueError):
         px.Ball([0.0], 0.0)
+
+
+def test_box_contains_ball_tolerance():
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    assert box.contains_ball(px.Ball([0.5, 0.5], 0.5))            # touches all four sides
+    assert box.contains_ball(px.Ball([0.5 + 5e-13, 0.5], 0.5))    # overshoot inside tol
+    assert not box.contains_ball(px.Ball([0.5 + 1e-9, 0.5], 0.5))
+    assert not box.contains_ball(px.Ball([0.5, 0.5 - 1e-9], 0.5))
+    assert box.contains_ball(px.Ball([0.5 + 1e-9, 0.5], 0.5), tol=1e-8)
+    assert not px.Box([0.0], [1.0]).contains_ball(px.Ball([0.9], 0.2))

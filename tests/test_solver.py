@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 import pxlap as px
 import pxlap.solver as solver
@@ -95,6 +97,14 @@ def test_energy_trace_nonincreasing():
         res = px.solve_dirichlet(spec)
         tr = np.asarray(res.energy_trace)
         assert np.all(np.diff(tr) <= 1e-12 * np.maximum(1.0, np.abs(tr[:-1])))
+
+
+def test_increasing_energy_trace_is_a_solver_error():
+    u = px.GridFunction.constant(px.Box([0.0], [1.0]), 4, 0.0)
+    with pytest.raises(solver.SolverError, match=r"entry 2 is 1\.5 after 1\.0"):
+        px.SolveResult(u, [2.0, 1.0, 1.5, 0.5], 0.0, 3, True)
+    # rises inside the relative 1e-12 slack are accepted
+    px.SolveResult(u, [1.0, 1.0 + 1e-13, 0.5], 0.0, 2, True)
 
 
 def test_solve_nonconvergence_reports():
@@ -384,3 +394,83 @@ def test_pointwise_consistency_with_weak_pairing():
         errs.append(abs(pairing + px.p_laplacian_pointwise(w, field, [x0])))
     assert errs[2] <= errs[0]
     assert errs[2] <= 0.05 * abs(px.p_laplacian_pointwise(w, field, [x0])) + 0.05
+
+
+# -- pointwise operator on batches -------------------------------------------------
+
+def exp_plus_quadratic(c):
+    """w = exp(c . x) + |x|^2 / 2 in any dimension."""
+    c = np.asarray(c, dtype=float)
+
+    def hessian(pts):
+        e = np.exp(pts @ c)
+        return e[:, None, None] * np.outer(c, c) + np.eye(pts.shape[1])
+
+    return px.SmoothFunction(
+        value=lambda pts: np.exp(pts @ c) + 0.5 * np.sum(pts**2, axis=1),
+        gradient=lambda pts: np.exp(pts @ c)[:, None] * c + pts,
+        hessian=hessian,
+    )
+
+
+@given(n=st.integers(1, 3), kind=st.sampled_from(["affine", "radial"]),
+       reg_eps=st.sampled_from([0.0, 1e-8]), m=st.integers(1, 24),
+       seed=st.integers(0, 2**32 - 1))
+def test_pointwise_batch_matches_points(n, kind, reg_eps, m, seed):
+    rng = np.random.default_rng(seed)
+    box = px.Box(-np.ones(n), np.ones(n))
+    # p stays in [1.3, 4.7] on the box, inside the [1.2, 5] range under test
+    offset = rng.uniform(2.5, 3.5)
+    if kind == "affine":
+        field = px.affine_exponent(offset, rng.uniform(-1.0, 1.0, n) * 1.2 / n, box)
+    else:
+        field = px.radial_exponent(rng.uniform(-1.0, 1.0, n), offset,
+                                   rng.uniform(-1.0, 1.0) * 1.2 / (2.0 * np.sqrt(n)), box)
+    w = exp_plus_quadratic(rng.uniform(-1.0, 1.0, n))
+    pts = rng.uniform(-1.0, 1.0, (m, n))
+    batch = px.p_laplacian_pointwise(w, field, pts, reg_eps)
+    ref = np.array([px.p_laplacian_pointwise(w, field, x, reg_eps) for x in pts])
+    assert isinstance(batch, np.ndarray) and batch.shape == (m,)
+    np.testing.assert_allclose(batch, ref, rtol=1e-13, atol=0.0)
+
+
+def test_pointwise_return_types():
+    w = quadratic_2d()
+    f = px.constant_exponent(3.0)
+    assert type(px.p_laplacian_pointwise(w, f, [0.3, -0.7])) is float
+    assert type(px.p_laplacian_pointwise(w, f, np.array([[0.3, -0.7]]))) is np.ndarray
+    out = px.p_laplacian_pointwise(w, f, np.array([[0.3, -0.7], [1.0, 0.0]]))
+    assert out.shape == (2,) and out[1] == pytest.approx(12.0, rel=1e-13)
+    line = px.SmoothFunction(lambda pts: pts[:, 0] ** 2, lambda pts: 2.0 * pts,
+                             lambda pts: np.full((len(pts), 1, 1), 2.0))
+    assert type(px.p_laplacian_pointwise(line, f, [0.5])) is float
+    assert type(px.p_laplacian_pointwise(line, f, 0.5)) is float
+    col = px.p_laplacian_pointwise(line, f, np.array([[0.5], [0.25], [-1.0]]))
+    assert col.shape == (3,)
+    # d/dx (|2x| 2x) = 8|x|
+    np.testing.assert_allclose(col, [4.0, 2.0, 8.0], rtol=1e-13)
+
+
+def test_pointwise_batch_zero_gradient_limits():
+    # grad w = (x (x^2 - 1), y) vanishes at (+-1, 0), where Lap w = 3;
+    # p = 2.5 + x / 2 is 2 at (-1, 0) and 3 at (1, 0)
+    w = px.SmoothFunction(
+        value=lambda pts: (pts[:, 0] ** 2 - 1.0) ** 2 / 4.0 + pts[:, 1] ** 2 / 2.0,
+        gradient=lambda pts: np.stack([pts[:, 0] * (pts[:, 0] ** 2 - 1.0), pts[:, 1]], axis=1),
+        hessian=lambda pts: np.stack([
+            np.stack([3.0 * pts[:, 0] ** 2 - 1.0, np.zeros(len(pts))], axis=1),
+            np.stack([np.zeros(len(pts)), np.ones(len(pts))], axis=1)], axis=1),
+    )
+    box = px.Box([-1.0, -1.0], [1.0, 1.0])
+    field = px.affine_exponent(2.5, [0.5, 0.0], box)
+    pts = np.array([[0.3, 0.2], [-1.0, 0.0], [0.5, -0.4], [1.0, 0.0]])
+    out = px.p_laplacian_pointwise(w, field, pts)
+    assert out[1] == 3.0 and out[3] == 0.0
+    for i in (0, 2):
+        assert out[i] == pytest.approx(px.p_laplacian_pointwise(w, field, pts[i]), rel=1e-13)
+        assert np.isfinite(out[i]) and out[i] != 0.0
+    low = px.affine_exponent(1.8, [0.5, 0.0], box)  # p = 1.3 at (-1, 0)
+    with pytest.raises(ValueError, match="undefined"):
+        px.p_laplacian_pointwise(w, low, pts)
+    # regularized, the same batch is defined everywhere
+    assert np.all(np.isfinite(px.p_laplacian_pointwise(w, low, pts, 1e-8)))
