@@ -47,6 +47,8 @@ class BarrierParams:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
+        if not self.normalizer > 0:
+            raise ValueError(f"mu = {self.mu} rounds the normalizer e^(-mu/4) - e^(-mu) to 0")
         if self.a_level < 0:
             raise ValueError(f"a_level must be >= 0, got {self.a_level}")
 
@@ -171,8 +173,7 @@ def barrier_subsolution_scan(params: BarrierParams, field: ExponentField,
     """
     pts = annulus_samples(params.x0, params.delta / 2.0, params.delta, resolution, n_dir)
     if field.domain is not None:
-        ok = field.domain.contains(pts)
-        if not np.all(ok):
+        if not np.all(field.domain.contains(pts)):
             raise ValueError("annulus leaves the exponent field's domain")
     vals = p_laplacian_pointwise(barrier_smooth(params), field, pts, reg_eps)
     i = int(np.argmin(vals))

@@ -65,10 +65,10 @@ class Box:
         slack = tol * np.maximum(1.0, np.abs(self.widths))
         return np.all((pts >= self.lo - slack) & (pts <= self.hi + slack), axis=1)
 
-    def contains_ball(self, ball: "Ball", tol: float = 1e-12) -> bool:
-        """Whether the closed ball lies in the box, up to an absolute tol."""
-        return bool(np.all(ball.center - ball.radius >= self.lo - tol)
-                    and np.all(ball.center + ball.radius <= self.hi + tol))
+    def contains_ball(self, ball: "Ball") -> bool:
+        """Whether the closed ball lies in the box, up to an absolute 1e-12."""
+        return bool(np.all(ball.center - ball.radius >= self.lo - 1e-12)
+                    and np.all(ball.center + ball.radius <= self.hi + 1e-12))
 
     def shrink(self, margin: float) -> "Box":
         lo, hi = self.lo + margin, self.hi - margin

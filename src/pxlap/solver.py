@@ -488,8 +488,7 @@ def p_laplacian_pointwise(w: SmoothFunction, field: ExponentField, x,
     """
     pts = as_points(x)
     m, n = pts.shape
-    p = field(pts)
-    gp = field.gradient_at(pts)
+    p, gp = field(pts), field.gradient_at(pts)
     gw = np.asarray(w.gradient(pts), dtype=float).reshape(m, n)
     Hw = np.asarray(w.hessian(pts), dtype=float).reshape(m, n, n)
     lap = np.trace(Hw, axis1=1, axis2=2)

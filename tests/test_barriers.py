@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pxlap as px
+from conftest import pointwise_reference
 from pxlap.barriers import annulus_samples
 
 
@@ -26,6 +27,17 @@ def test_barrier_closed_form_value():
     # gradient formula: A * exp(-mu q) * (-2 mu (x-x0)/delta^2) / normalizer
     gx = math.exp(-0.5625) * (-2.0 * 0.75) / (math.exp(-0.25) - math.exp(-1.0))
     assert g[0] == pytest.approx(gx, rel=1e-14)
+
+
+def test_barrier_params_reject_vanishing_normalizer():
+    # e^(-mu/4) underflows past mu ~ 2980; e^(-mu/4) and e^(-mu) round to 1 for tiny mu
+    for mu in (3000.0, math.inf, 1e-20):
+        with pytest.raises(ValueError, match="normalizer"):
+            px.BarrierParams([0.0, 0.0], 1.0, mu, 1.0)
+    assert px.BarrierParams([0.0, 0.0], 1.0, 2900.0, 1.0).normalizer > 0.0
+    template = px.BarrierParams([0.0, 0.0], 1.0, 4.0, 1.0)
+    with pytest.raises(ValueError, match="normalizer"):
+        px.subsolution_mu_sweep(template, px.constant_exponent(2.0), [8.0, 3000.0], 0.05)
 
 
 def test_barrier_radial_monotone():
@@ -92,19 +104,21 @@ def test_bracket_threshold_2n():
 # -- scans against the per-point reference ----------------------------------------
 
 def barrier_scan_reference(params, field, resolution, reg_eps=0.0, n_dir=32):
-    """The barrier scan as a per-point loop: the first strict minimum."""
+    """The barrier scan as a per-point loop over the scalar operator formula:
+    the first strict minimum."""
     pts = annulus_samples(params.x0, params.delta / 2.0, params.delta, resolution, n_dir)
     w = px.barrier_smooth(params)
     best, arg = np.inf, pts[0]
     for x in pts:
-        v = px.p_laplacian_pointwise(w, field, x, reg_eps)
+        v = pointwise_reference(w, field, x, reg_eps)
         if v < best:
             best, arg = v, x
     return best, arg, pts.shape[0]
 
 
 def gaussian_scan_reference(M, mu, field, annulus, resolution, center, reg_eps=0.0, n_dir=32):
-    """The normalized Gaussian scan as a per-point loop: the first strict minimum."""
+    """The normalized Gaussian scan as a per-point loop over the scalar operator
+    formula: the first strict minimum."""
     c = np.asarray(center, dtype=float)
     value = lambda pts: M * np.exp(-mu * np.sum((pts - c) ** 2, axis=1))
     gradient = lambda pts: value(pts)[:, None] * (-2.0 * mu) * (pts - c)
@@ -118,7 +132,7 @@ def gaussian_scan_reference(M, mu, field, annulus, resolution, center, reg_eps=0
     pts = annulus_samples(c, annulus[0], annulus[1], resolution, n_dir)
     best, arg = np.inf, pts[0]
     for x in pts:
-        op = px.p_laplacian_pointwise(w, field, x, reg_eps)
+        op = pointwise_reference(w, field, x, reg_eps)
         p = float(field(x[None, :])[0])
         g = gradient(x[None, :])[0]
         s = math.sqrt(float(g @ g) + reg_eps**2)

@@ -93,5 +93,4 @@ def test_box_contains_ball_tolerance():
     assert box.contains_ball(px.Ball([0.5 + 5e-13, 0.5], 0.5))    # overshoot inside tol
     assert not box.contains_ball(px.Ball([0.5 + 1e-9, 0.5], 0.5))
     assert not box.contains_ball(px.Ball([0.5, 0.5 - 1e-9], 0.5))
-    assert box.contains_ball(px.Ball([0.5 + 1e-9, 0.5], 0.5), tol=1e-8)
     assert not px.Box([0.0], [1.0]).contains_ball(px.Ball([0.9], 0.2))
