@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.linalg as sla
 
 from .exponent import ExponentField
 from .grid import Box, GridFunction, as_points
@@ -66,6 +65,8 @@ class ProblemSpec:
             raise ValueError(f"reg_eps must be >= 0, got {self.reg_eps}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if min(self.rhs.dims) < 3:
+            raise ValueError(f"lattice dims {self.rhs.dims} have no interior node")
         box = self.rhs.box
         if not (np.allclose(box.lo, self.domain.lo) and np.allclose(box.hi, self.domain.hi)):
             raise ValueError("rhs lattice does not cover the stated domain")
@@ -120,24 +121,28 @@ class SmoothFunction:
 
 @dataclass(frozen=True)
 class _InteriorPattern:
-    """Fixed CSC sparsity of the interior Newton matrix and its scatter map.
+    """Band layout of the interior Newton matrix and its scatter map.
 
-    The Newton matrix couples every pair of corners of every cell, so its
-    pattern depends only on the lattice.  scatter[e] is the CSC slot that the
-    e-th entry of the raveled (ncells, 2^n, 2^n) block array adds into; an
-    entry whose row or column is a boundary node goes to the sentinel slot
-    nnz, which is dropped after summation.
+    The unknowns are the interior nodes in lexicographic order, longest axis
+    outermost: every cell couples all its corners, so the half-bandwidth is
+    the sum of the axis strides, the least any axis order gives.
+    The upper triangle is kept in LAPACK band form, entry (i, j), i <= j, at
+    [bandwidth + i - j, j] of a Fortran-ordered (bandwidth + 1, m) array.
+    scatter[e] is the flat slot the e-th entry of the raveled (ncells, 2^n,
+    2^n) block array adds into; entries below the diagonal or touching a
+    boundary node go to a sentinel slot dropped after summation.
     """
 
-    interior: np.ndarray  # flat node indices of the unknowns
-    indices: np.ndarray
-    indptr: np.ndarray
+    interior: np.ndarray  # flat node indices of the unknowns, in band order
+    bandwidth: int
     scatter: np.ndarray   # int32, one slot per block entry
 
     @classmethod
     def build(cls, geo: CellGeometry, boundary_mask: np.ndarray) -> "_InteriorPattern":
         bmask = boundary_mask.reshape(-1)
-        interior = np.nonzero(~bmask)[0]
+        axes = np.argsort([-d for d in boundary_mask.shape], kind="stable")
+        nodes = np.arange(bmask.size).reshape(boundary_mask.shape).transpose(axes).ravel()
+        interior = nodes[~bmask[nodes]]
         m = interior.size
         pos = np.full(bmask.size, -1, dtype=np.int64)
         pos[interior] = np.arange(m)
@@ -145,21 +150,17 @@ class _InteriorPattern:
         nc = local.shape[1]
         rows = np.repeat(local, nc, axis=1).ravel()
         cols = np.tile(local, (1, nc)).ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        # column-major keys sort straight into CSC order
-        slots, inverse = np.unique(cols[keep] * m + rows[keep], return_inverse=True)
-        scatter = np.full(rows.size, slots.size, dtype=np.int32)
-        scatter[keep] = inverse
-        indptr = np.zeros(m + 1, dtype=np.int32)
-        np.cumsum(np.bincount(slots // m, minlength=m), out=indptr[1:])
-        return cls(interior, (slots % m).astype(np.int32), indptr, scatter)
+        keep = (rows >= 0) & (rows <= cols)
+        bw = int(np.max(cols[keep] - rows[keep], initial=0))
+        scatter = np.full(rows.size, (bw + 1) * m, dtype=np.int32)
+        scatter[keep] = (cols[keep] + 1) * bw + rows[keep]
+        return cls(interior, bw, scatter)
 
-    def matrix(self, blocks: np.ndarray) -> sp.csc_matrix:
-        """Sum the (ncells, 2^n, 2^n) cell blocks into the interior CSC matrix."""
-        data = np.bincount(self.scatter, weights=blocks.reshape(-1),
-                           minlength=self.indices.size + 1)
-        m = self.interior.size
-        return sp.csc_matrix((data[:-1], self.indices, self.indptr), shape=(m, m))
+    def matrix(self, blocks: np.ndarray) -> np.ndarray:
+        """Sum the (ncells, 2^n, 2^n) cell blocks into the upper band storage."""
+        ldab, m = self.bandwidth + 1, self.interior.size
+        data = np.bincount(self.scatter, weights=blocks.reshape(-1), minlength=ldab * m + 1)
+        return data[:-1].reshape((ldab, m), order="F")
 
 
 class _Discretization:
@@ -209,8 +210,8 @@ class _Discretization:
         np.add.at(g, self.geo.corner_idx.ravel(), (self.geo.cell_vol / self.nc) * per_corner.ravel())
         return g + self.source_vec
 
-    def hessian(self, u_flat: np.ndarray, eps_h: Optional[float] = None) -> sp.csc_matrix:
-        """Interior-interior block of the energy Hessian, as a CSC matrix.
+    def hessian(self, u_flat: np.ndarray, eps_h: Optional[float] = None) -> np.ndarray:
+        """Interior-interior block of the energy Hessian, in upper band storage.
 
         Rows and columns follow ``self.pattern.interior``.  The pointwise
         Hessian of w^p / p in the gradient g is c1 I + c2 g g^T, so each cell
@@ -314,16 +315,14 @@ def weak_residual(u: GridFunction, spec: ProblemSpec) -> float:
     return float(np.max(np.abs(g[interior]) / norms))
 
 
-def _solve_spd(H: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Direct solve with the symmetric positive definite Newton matrix.
 
-    Symmetric mode with a minimum-degree ordering of A^T + A and diagonal
-    pivots keeps the factor's fill well below that of COLAMD with partial
-    pivoting; SuperLU raises RuntimeError if the factor is singular.
+    H is the upper band storage of ``_InteriorPattern``; LAPACK factors it in
+    place (band Cholesky dpbsv, or dptsv for a tridiagonal band) and raises
+    np.linalg.LinAlgError when the matrix is not positive definite.
     """
-    lu = spla.splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
-    return lu.solve(rhs)
+    return sla.solveh_banded(H, rhs, overwrite_ab=True, check_finite=False)
 
 
 def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray,
@@ -348,7 +347,7 @@ def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray
         gi = g[interior]
         try:
             delta = _solve_spd(H, -gi)
-        except RuntimeError:
+        except np.linalg.LinAlgError:
             delta = -gi
         if not np.all(np.isfinite(delta)) or float(delta @ gi) >= 0.0:
             delta = -gi

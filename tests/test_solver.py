@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -156,6 +157,37 @@ def test_smoothing_scale_reads_every_axis(monkeypatch):
     assert np.abs(along_y.solution.values - along_x.solution.values.T).max() <= 1e-10
 
 
+@pytest.mark.parametrize("lo, hi, cells, dims", [
+    ([0.0], [1.0], 1, r"\(2,\)"),
+    ([0.0, 0.0], [1.0, 1.0], (1, 4), r"\(2, 5\)"),
+], ids=["1d", "2d"])
+def test_lattice_without_interior_is_rejected(lo, hi, cells, dims):
+    box = px.Box(lo, hi)
+    f = px.GridFunction.constant(box, cells, -1.0)
+    with pytest.raises(ValueError, match=f"lattice dims {dims} have no interior node"):
+        px.ProblemSpec(box, px.constant_exponent(2.0, domain=box), f)
+
+
+def test_anisotropic_lattice_gets_the_short_band():
+    # The unknowns run along the longest axis outermost, so a 6 x 24 lattice
+    # and its transpose get the same half-bandwidth (5 inner nodes + 1), the
+    # same Newton iterations and mirrored solutions.
+    results, bandwidths = [], []
+    for cells, hi in (((6, 24), [1.0, 4.0]), ((24, 6), [4.0, 1.0])):
+        box = px.Box([0.0, 0.0], hi)
+        f = px.GridFunction.from_callable(box, cells, lambda pts: -1.0 - pts[:, 0] * pts[:, 1])
+        field = px.affine_exponent(2.5, [0.1, 0.1], box)
+        spec = px.ProblemSpec(box, field, f, 0.0, reg_eps=1e-8, tol=1e-8)
+        results.append(px.solve_dirichlet(spec))
+        disc = _Discretization(f, field, f, spec.reg_eps)
+        bandwidths.append(disc.pattern.bandwidth)
+    tall, wide = results
+    assert bandwidths == [6, 6]
+    assert tall.converged and wide.converged
+    assert tall.iterations == wide.iterations
+    assert np.abs(tall.solution.values - wide.solution.values.T).max() <= 1e-10
+
+
 # -- Newton matrix ---------------------------------------------------------------
 
 def reference_hessian(disc, u_flat, eps_h):
@@ -194,22 +226,40 @@ def random_state(n_axes, reg_eps, seed=0):
     return _Discretization(u, field, f, reg_eps), u.values.reshape(-1)
 
 
+def band_to_dense(H):
+    """Expand the upper band storage of the Newton matrix to a dense symmetric matrix."""
+    bw, m = H.shape[0] - 1, H.shape[1]
+    dense = np.zeros((m, m))
+    for d in range(bw + 1):
+        idx = np.arange(d, m)
+        dense[idx - d, idx] = H[bw - d, d:]
+        dense[idx, idx - d] = H[bw - d, d:]
+    return dense
+
+
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
 @pytest.mark.parametrize("reg_eps, eps_h", [(1e-8, None), (1e-3, 1e-1), (1e-2, 1e-4)])
 def test_hessian_matches_reference_assembly(n_axes, reg_eps, eps_h):
     disc, u = random_state(n_axes, reg_eps)
     H = disc.hessian(u, eps_h)
     ref = reference_hessian(disc, u, eps_h)
-    assert isinstance(H, sp.csc_matrix) and H.shape == ref.shape
-    assert np.array_equal(H.indptr, ref.indptr) and np.array_equal(H.indices, ref.indices)
-    assert np.abs(H.data - ref.data).max() <= 1e-12 * np.abs(ref.data).max()
+    bw = disc.pattern.bandwidth
+    assert H.shape == (bw + 1, ref.shape[0])
+    coo = ref.tocoo()
+    assert np.abs(coo.col - coo.row).max() <= bw  # nothing outside the band
+    assert np.abs(band_to_dense(H) - ref.toarray()).max() <= 1e-12 * np.abs(ref.data).max()
+    # the band solve agrees with a sparse direct solve of the reference matrix
+    rhs = np.random.default_rng(n_axes).standard_normal(ref.shape[0])
+    x_ref = spla.spsolve(ref, rhs)
+    x = solver._solve_spd(H, rhs)
+    assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
 def test_hessian_is_derivative_of_gradient(n_axes):
     disc, u = random_state(n_axes, reg_eps=0.05, seed=1)
     interior = disc.pattern.interior
-    H = disc.hessian(u).toarray()
+    H = band_to_dense(disc.hessian(u))
     step = 1e-6
     fd = np.empty_like(H)
     for col, node in enumerate(interior):
@@ -217,6 +267,19 @@ def test_hessian_is_derivative_of_gradient(n_axes):
         e[node] = step
         fd[:, col] = (disc.gradient(u + e) - disc.gradient(u - e))[interior] / (2.0 * step)
     assert np.abs(H - fd).max() <= 1e-6 * np.abs(H).max()
+
+
+@pytest.mark.parametrize("n_axes", [1, 2, 3])
+def test_solve_spd_rejects_indefinite_band(n_axes):
+    # Shift the lowest eigenvalue below 0: the diagonal stays positive but the
+    # band Cholesky meets a nonpositive pivot and must raise, not return NaN.
+    disc, u = random_state(n_axes, reg_eps=0.05, seed=3)
+    H = disc.hessian(u)
+    eig = np.linalg.eigvalsh(band_to_dense(H))
+    H[-1] -= 0.5 * (eig[0] + eig[1])
+    assert np.all(H[-1] > 0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        solver._solve_spd(H, np.ones(H.shape[1]))
 
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
@@ -257,12 +320,12 @@ def assert_nonincreasing(trace):
     assert np.all(np.diff(tr) <= 1e-12 * np.maximum(1.0, np.abs(tr[:-1])))
 
 
-def singular_factor(real, *args, **kwargs):
-    raise RuntimeError("Factor is exactly singular")
+def indefinite_factor(real, *args, **kwargs):
+    raise np.linalg.LinAlgError("2-th leading minor not positive definite")
 
 
 @pytest.mark.parametrize("owner, name, fake", [
-    (solver.spla, "splu", singular_factor),
+    (solver.sla, "solveh_banded", indefinite_factor),
     (solver, "_solve_spd", lambda real, H, rhs: np.full_like(rhs, np.nan)),
     (solver, "_solve_spd", lambda real, H, rhs: -real(H, rhs)),
 ], ids=["factor-error", "non-finite", "non-descent"])
