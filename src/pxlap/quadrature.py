@@ -81,8 +81,9 @@ class CellGeometry:
 
     def corner_gradients(self, values: np.ndarray) -> np.ndarray:
         """Vertex-rule gradients, shape (ncells, 2^n corners, n_axes)."""
+        nc, n = self.grad_stencils.shape[:2]
         uc = self.corner_values(values)
-        return np.einsum("kaj,cj->cka", self.grad_stencils, uc)
+        return (uc @ self.grad_stencils.reshape(nc * n, nc).T).reshape(-1, nc, n)
 
     def center_gradients(self, values: np.ndarray) -> np.ndarray:
         """Cell-center gradients (mean of corner gradients), (ncells, n)."""
@@ -100,9 +101,14 @@ def midpoint_data(g: GridFunction) -> tuple:
 
 
 def cell_means(g: GridFunction) -> np.ndarray:
-    """Mean of the corner values per cell (the multilinear center value)."""
-    geo = CellGeometry.build(g)
-    return geo.corner_values(g.values).mean(axis=1)
+    """Mean of the corner values per cell (the multilinear center value).
+
+    The corners are the 2^n shifted slices of the nodal array, stacked in the
+    corner order of CellGeometry, so no geometry is built.
+    """
+    corners = [g.values[tuple(slice(o, d - 1 + o) for o, d in zip(off, g.dims))]
+               for off in itertools.product((0, 1), repeat=g.n_axes)]
+    return np.stack(corners, axis=-1).reshape(-1, len(corners)).mean(axis=1)
 
 
 def ball_cell_weights(g: GridFunction, ball: Ball, subdiv: int = 8) -> np.ndarray:

@@ -191,7 +191,7 @@ class _Discretization:
         return self._pattern
 
     def _w(self, grads: np.ndarray, eps: float) -> np.ndarray:
-        return np.sqrt(np.sum(grads**2, axis=2) + eps**2)
+        return np.sqrt(np.einsum("cka,cka->ck", grads, grads) + eps**2)
 
     def energy(self, u_flat: np.ndarray) -> float:
         grads = self.geo.corner_gradients(u_flat)
@@ -205,9 +205,10 @@ class _Discretization:
         with np.errstate(divide="ignore", over="ignore"):
             coef = np.where(w > 0, np.where(w > 0, w, 1.0) ** (self.p_corner - 2.0), 0.0)
         flux = coef[:, :, None] * grads
-        per_corner = np.einsum("kaj,cka->cj", self.geo.grad_stencils, flux)
-        g = np.zeros_like(u_flat)
-        np.add.at(g, self.geo.corner_idx.ravel(), (self.geo.cell_vol / self.nc) * per_corner.ravel())
+        nc, n = self.nc, self.geo.n_axes
+        per_corner = flux.reshape(-1, nc * n) @ self.geo.grad_stencils.reshape(nc * n, nc)
+        g = np.bincount(self.geo.corner_idx.ravel(), minlength=u_flat.size,
+                        weights=(self.geo.cell_vol / nc) * per_corner.ravel())
         return g + self.source_vec
 
     def hessian(self, u_flat: np.ndarray, eps_h: Optional[float] = None) -> np.ndarray:
@@ -235,69 +236,61 @@ class _Discretization:
         return self.pattern.matrix(blocks)
 
     def hat_norms(self, interior_flat: np.ndarray, cfg: NormConfig = NormConfig()) -> np.ndarray:
-        """Variable-exponent Sobolev norms of the hat functions phi_i.
+        """Variable-exponent Sobolev norms of the hat functions phi_i, i interior.
 
         The value part has the closed form (node weight)^(1/p_i).  The
-        gradient part solves sum_m c_m lambda^(-p_m) = 1 with one bisection
-        vectorized across all requested nodes: each hat's gradient modular
-        collects (weight, magnitude, exponent) triples from the corner
-        quadrature points of its supporting cells.
+        gradient part is the Luxemburg norm lambda of |grad phi_i| under the
+        vertex rule: the root of sum_m c_m lambda^(-p_m) = 1, where m runs
+        over the corner quadrature points of the 2^n cells around node i,
+        c_m = (vol / 2^n) |grad phi_i|_m^p_m and p_m is p at that corner.
+        The support of every interior hat is gathered from shifted slices of
+        the cell lattice, one column per (corner j of the hat's node, corner
+        k) pair with a nonzero stencil.  Then t = log lambda solves
+        F(t) = log sum_m c_m e^(-p_m t) = 0 for all nodes at once by Newton's
+        method, t += F(t) / pbar(t), pbar the e^(-p_m t)-weighted mean of p.
+        F is convex and decreasing, so after the first step the iterates
+        rise monotonically to the root; for constant p the first step is
+        exact.  Raises SolverError when a norm is not finite or its step has
+        not fallen to cfg.bisection_tol within cfg.max_iter steps.
         """
         geo = self.geo
-        val_part = geo.node_weights[interior_flat] ** (1.0 / self.p_node[interior_flat])
+        dims = geo.dims
+        interior = np.arange(self.p_node.size).reshape(dims)[
+            tuple(slice(1, d - 1) for d in dims)].ravel()
+        rank = np.full(self.p_node.size, -1)
+        rank[interior] = np.arange(interior.size)
+        order = rank[interior_flat]
+        if np.any(order < 0):
+            raise ValueError("hat_norms takes interior nodes only")
 
+        p_cells = self.p_corner.reshape(tuple(d - 1 for d in dims) + (self.nc,))
         stencil_mag = np.linalg.norm(geo.grad_stencils, axis=1)  # (2^n k, 2^n j)
-        vol = geo.cell_vol / self.nc
-        ncells = geo.n_cells
-        node_ids, mags, ps = [], [], []
-        for k in range(self.nc):
-            for j in range(self.nc):
-                if stencil_mag[k, j] == 0.0:
-                    continue
-                node_ids.append(geo.corner_idx[:, j])
-                mags.append(np.full(ncells, stencil_mag[k, j]))
-                ps.append(self.p_corner[:, k])
-        node_ids = np.concatenate(node_ids)
-        mags = np.concatenate(mags)
-        ps = np.concatenate(ps)
+        ps, log_mags = [], []
+        for j, off in enumerate(geo.corner_offsets):
+            cells = tuple(slice(1 - o, d - 1 - o) for o, d in zip(off, dims))
+            for k in np.flatnonzero(stencil_mag[:, j]):
+                ps.append(p_cells[cells + (k,)].ravel())
+                log_mags.append(np.log(stencil_mag[k, j]))
+        P = np.stack(ps, axis=1)  # (interior nodes in C order, support size)
+        log_c = np.log(geo.cell_vol / self.nc) + P * np.array(log_mags)
 
-        order = np.argsort(node_ids, kind="stable")
-        node_ids, mags, ps = node_ids[order], mags[order], ps[order]
-        starts = np.searchsorted(node_ids, interior_flat, side="left")
-        stops = np.searchsorted(node_ids, interior_flat, side="right")
-        width = int(np.max(stops - starts))
-        m = interior_flat.size
-        Tm = np.zeros((m, width))
-        Tp = np.full((m, width), 2.0)
-        take = starts[:, None] + np.arange(width)[None, :]
-        valid = take < stops[:, None]
-        take = np.minimum(take, node_ids.size - 1)
-        Tm[valid] = mags[take][valid]
-        Tp[valid] = ps[take][valid]
-
-        def mod(lam):
-            return vol * np.sum((Tm / lam[:, None]) ** Tp, axis=1)
-
-        lo = np.full(m, 1.0)
-        hi = np.full(m, 1.0)
-        for _ in range(200):
-            above = mod(hi) > 1.0
-            if not np.any(above):
+        t = np.zeros(P.shape[0])
+        for _ in range(cfg.max_iter):
+            z = log_c - P * t[:, None]
+            zmax = z.max(axis=1)
+            np.exp(z - zmax[:, None], out=z)
+            total = z.sum(axis=1)
+            step = (zmax + np.log(total)) * total / np.einsum("mw,mw->m", z, P)
+            t += step
+            if not np.any(np.abs(step) > cfg.bisection_tol):
                 break
-            hi[above] *= 2.0
-        for _ in range(200):
-            below = mod(lo) <= 1.0
-            if not np.any(below):
-                break
-            lo[below] *= 0.5
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            high = mod(mid) > 1.0
-            lo = np.where(high, mid, lo)
-            hi = np.where(high, hi, mid)
-            if np.all(hi - lo <= cfg.bisection_tol * hi):
-                break
-        return val_part + 0.5 * (lo + hi)
+        failed = np.count_nonzero(~(np.abs(step) <= cfg.bisection_tol))  # NaN fails too
+        if failed:
+            raise SolverError(f"hat norms: {failed} of {t.size} nodes are not finite or did not "
+                              f"meet bisection_tol {cfg.bisection_tol} in {cfg.max_iter} "
+                              "Newton steps")
+        val_part = geo.node_weights[interior_flat] ** (1.0 / self.p_node[interior_flat])
+        return val_part + np.exp(t)[order]
 
 
 def energy(u: GridFunction, field: ExponentField, f: GridFunction,

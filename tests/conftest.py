@@ -4,6 +4,7 @@ from hypothesis import settings
 
 import pxlap as px
 from pxlap.grid import as_points
+from pxlap.quadrature import CellGeometry
 
 # Property tests draw a fixed example sequence and have no per-example
 # deadline, so they are reproducible and do not flake on a loaded host.
@@ -46,3 +47,95 @@ def pointwise_reference(w, field, x, reg_eps=0.0):
         return lap if p == 2.0 else 0.0
     aniso = float(gw @ Hw @ gw) / s**2
     return s ** (p - 2.0) * (lap + (p - 2.0) * aniso + float(gp @ gw) * np.log(s))
+
+
+def reference_cell_means(g):
+    """Cell means as the mean of the corner values a CellGeometry gathers."""
+    geo = CellGeometry.build(g)
+    return geo.corner_values(g.values).mean(axis=1)
+
+
+def reference_corner_gradients(geo, values):
+    """Vertex-rule corner gradients as one einsum over the stencils."""
+    return np.einsum("kaj,cj->cka", geo.grad_stencils, geo.corner_values(values))
+
+
+def reference_center_gradients(geo, values):
+    return reference_corner_gradients(geo, values).mean(axis=1)
+
+
+def reference_gradient(disc, u_flat):
+    """Energy gradient of a _Discretization with einsum stencils and np.add.at."""
+    geo = disc.geo
+    grads = reference_corner_gradients(geo, u_flat)
+    w = np.sqrt(np.sum(grads**2, axis=2) + disc.eps**2)
+    with np.errstate(divide="ignore", over="ignore"):
+        coef = np.where(w > 0, np.where(w > 0, w, 1.0) ** (disc.p_corner - 2.0), 0.0)
+    per_corner = np.einsum("kaj,cka->cj", geo.grad_stencils, coef[:, :, None] * grads)
+    g = np.zeros_like(u_flat)
+    np.add.at(g, geo.corner_idx.ravel(), (geo.cell_vol / disc.nc) * per_corner.ravel())
+    return g + disc.source_vec
+
+
+def reference_hat_norms(disc, interior_flat, cfg=px.NormConfig()):
+    """Hat-function Sobolev norms by a 120-step bisection over sorted triples.
+
+    Every (node, cell, corner) triple of the vertex rule is collected, sorted
+    by node and padded to a rectangle; the gradient part's Luxemburg norm is
+    bracketed by doubling and halving, then bisected for all nodes at once.
+    """
+    geo = disc.geo
+    val_part = geo.node_weights[interior_flat] ** (1.0 / disc.p_node[interior_flat])
+
+    stencil_mag = np.linalg.norm(geo.grad_stencils, axis=1)  # (2^n k, 2^n j)
+    vol = geo.cell_vol / disc.nc
+    ncells = geo.n_cells
+    node_ids, mags, ps = [], [], []
+    for k in range(disc.nc):
+        for j in range(disc.nc):
+            if stencil_mag[k, j] == 0.0:
+                continue
+            node_ids.append(geo.corner_idx[:, j])
+            mags.append(np.full(ncells, stencil_mag[k, j]))
+            ps.append(disc.p_corner[:, k])
+    node_ids = np.concatenate(node_ids)
+    mags = np.concatenate(mags)
+    ps = np.concatenate(ps)
+
+    order = np.argsort(node_ids, kind="stable")
+    node_ids, mags, ps = node_ids[order], mags[order], ps[order]
+    starts = np.searchsorted(node_ids, interior_flat, side="left")
+    stops = np.searchsorted(node_ids, interior_flat, side="right")
+    width = int(np.max(stops - starts))
+    m = interior_flat.size
+    Tm = np.zeros((m, width))
+    Tp = np.full((m, width), 2.0)
+    take = starts[:, None] + np.arange(width)[None, :]
+    valid = take < stops[:, None]
+    take = np.minimum(take, node_ids.size - 1)
+    Tm[valid] = mags[take][valid]
+    Tp[valid] = ps[take][valid]
+
+    def mod(lam):
+        return vol * np.sum((Tm / lam[:, None]) ** Tp, axis=1)
+
+    lo = np.full(m, 1.0)
+    hi = np.full(m, 1.0)
+    for _ in range(200):
+        above = mod(hi) > 1.0
+        if not np.any(above):
+            break
+        hi[above] *= 2.0
+    for _ in range(200):
+        below = mod(lo) <= 1.0
+        if not np.any(below):
+            break
+        lo[below] *= 0.5
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        high = mod(mid) > 1.0
+        lo = np.where(high, mid, lo)
+        hi = np.where(high, hi, mid)
+        if np.all(hi - lo <= cfg.bisection_tol * hi):
+            break
+    return val_part + 0.5 * (lo + hi)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import pxlap as px
 import pxlap.solver as solver
-from conftest import grid_1d, pointwise_reference
+from conftest import grid_1d, pointwise_reference, reference_gradient, reference_hat_norms
+from pxlap.quadrature import CellGeometry
 from pxlap.solver import _Discretization
 
 
@@ -293,6 +294,104 @@ def test_gradient_is_derivative_of_energy(n_axes):
         e[node] = step
         fd[node] = (disc.energy(u + e) - disc.energy(u - e)) / (2.0 * step)
     assert np.abs(g - fd).max() <= 1e-6 * np.abs(g).max()
+
+
+@pytest.mark.parametrize("n_axes", [1, 2, 3])
+@pytest.mark.parametrize("reg_eps", [0.0, 1e-3])
+def test_gradient_matches_reference_scatter(n_axes, reg_eps):
+    disc, u = random_state(n_axes, reg_eps, seed=4)
+    ref = reference_gradient(disc, u)
+    assert np.abs(disc.gradient(u) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+# -- hat norms --------------------------------------------------------------------
+
+def exponent_in_band(kind, box):
+    """Constant, affine or radial p with values in [1.3, 4.7] on a unit box."""
+    n = box.lo.size
+    if kind == "constant":
+        return px.constant_exponent(1.3, domain=box)
+    if kind == "affine":
+        return px.affine_exponent(1.3, np.full(n, 3.4 / n), box)
+    return px.radial_exponent(np.full(n, 0.5), 4.7, -3.4 / (0.5 * np.sqrt(n)), box)
+
+
+@pytest.mark.parametrize("n_axes", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["constant", "affine", "radial"])
+def test_hat_norms_match_reference_bisection(n_axes, kind):
+    box = px.Box([0.0] * n_axes, [1.0] * n_axes)
+    f = px.GridFunction.constant(box, {1: 16, 2: 8, 3: 4}[n_axes], -1.0)
+    disc = _Discretization(f, exponent_in_band(kind, box), f, 1e-8)
+    assert 1.3 - 1e-12 <= disc.p_node.min() and disc.p_node.max() <= 4.7 + 1e-12
+    interior = disc.pattern.interior
+    ref = reference_hat_norms(disc, interior)
+    assert np.abs(disc.hat_norms(interior) - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("order", ["band", "C"])
+def test_hat_norms_on_anisotropic_lattice(order):
+    box = px.Box([0.0, 0.0], [1.0, 4.0])
+    f = px.GridFunction.constant(box, (6, 24), -1.0)
+    disc = _Discretization(f, px.affine_exponent(1.3, [1.0, 0.6], box), f, 1e-8)
+    interior = np.flatnonzero(~f.boundary_mask().reshape(-1))
+    if order == "band":
+        assert not np.array_equal(disc.pattern.interior, interior)
+        interior = disc.pattern.interior
+    ref = reference_hat_norms(disc, interior)
+    assert np.abs(disc.hat_norms(interior) - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n_axes", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.3, 2.0, 4.7])
+def test_hat_norms_constant_p_closed_form(n_axes, p):
+    # Around an interior node each of the 2^n cells has one corner at the node,
+    # where |grad phi| = |1/h|, and n corners one edge away along axis a, where
+    # |grad phi| = 1/h_a; each corner weighs vol / 2^n.  With constant p the
+    # gradient part is (vol / 2^n * sum |grad phi|^p)^(1/p), the value part vol^(1/p).
+    box = px.Box([0.0] * n_axes, [1.0, 2.0, 0.5][:n_axes])
+    f = px.GridFunction.constant(box, (12, 6, 4)[:n_axes], -1.0)
+    disc = _Discretization(f, px.constant_exponent(p, domain=box), f, 0.0)
+    h = f.spacing
+    vol = float(np.prod(h))
+    grad_part = (vol * (np.sum(h**-2.0) ** (p / 2.0) + np.sum(h**-p))) ** (1.0 / p)
+    norms = disc.hat_norms(disc.pattern.interior)
+    assert np.abs(norms - (vol ** (1.0 / p) + grad_part)).max() <= 1e-12 * grad_part
+
+
+def test_hat_norms_raise_typed_errors():
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    f = px.GridFunction.constant(box, 8, -1.0)
+    disc = _Discretization(f, px.affine_exponent(1.3, [3.0, 0.4], box), f, 0.0)
+    interior = disc.pattern.interior
+    assert np.all(np.isfinite(disc.hat_norms(interior)))
+    with pytest.raises(solver.SolverError, match=r"hat norms: 49 of 49 nodes .* in 1 Newton steps"):
+        disc.hat_norms(interior, px.NormConfig(max_iter=1))
+    # corner 0 of cell (1, 1) is the node (1, 1); its p enters the hats of
+    # (1, 1) and of its neighbours (2, 1) and (1, 2) along the cell's edges
+    disc.p_corner[9, 0] = np.nan
+    with pytest.raises(solver.SolverError, match=r"hat norms: 3 of 49 nodes are not finite"):
+        disc.hat_norms(interior)
+    with pytest.raises(ValueError, match="interior nodes only"):
+        disc.hat_norms(np.array([0]))
+
+
+def test_one_geometry_per_solve_and_per_weak_residual(monkeypatch):
+    builds = []
+    build = CellGeometry.build.__func__
+
+    def counted(cls, g):
+        builds.append(g.dims)
+        return build(cls, g)
+
+    monkeypatch.setattr(CellGeometry, "build", classmethod(counted))
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    f = px.GridFunction.constant(box, 8, -1.0)
+    spec = px.ProblemSpec(box, px.constant_exponent(1.5, domain=box), f, 0.0)
+    res = px.solve_dirichlet(spec)
+    assert res.converged and len(solver._eps_schedule(spec)) > 1
+    assert len(builds) == 1
+    px.weak_residual(res.solution, spec)
+    assert len(builds) == 2
 
 
 # -- solver fallbacks -------------------------------------------------------------
