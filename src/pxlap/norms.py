@@ -69,8 +69,7 @@ def _luxemburg_samples(absvals, pvals, weights, cfg: NormConfig) -> float:
                 hi = 2.0 * lo
                 break
         else:
-            # u is so small that even tiny lambda keeps the modular <= 1.
-            return 0.0
+            raise BracketError("modular stays <= 1 while halving", (lo, hi))
     for _ in range(cfg.max_iter):
         if hi - lo <= cfg.bisection_tol * hi:
             break

@@ -24,6 +24,7 @@ Sobolev norm of phi_i.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,6 +38,14 @@ from .quadrature import CellGeometry
 
 __all__ = ["ProblemSpec", "SolveResult", "SolverError", "SmoothFunction",
            "energy", "solve_dirichlet", "weak_residual", "p_laplacian_pointwise"]
+
+_log = logging.getLogger("pxlap")
+
+# Inexact Newton (see _newton_descend): the cap on the Eisenstat-Walker
+# forcing term, and the CG iteration count past which the stale band factor
+# is replaced.
+_ETA_MAX = 0.02
+_CG_CAP = 20
 
 
 class SolverError(RuntimeError):
@@ -211,13 +220,13 @@ class _Discretization:
                         weights=(self.geo.cell_vol / nc) * per_corner.ravel())
         return g + self.source_vec
 
-    def hessian(self, u_flat: np.ndarray, eps_h: Optional[float] = None) -> np.ndarray:
-        """Interior-interior block of the energy Hessian, in upper band storage.
+    def hessian_blocks(self, u_flat: np.ndarray, eps_h: Optional[float] = None) -> np.ndarray:
+        """The (ncells, 2^n, 2^n) cell blocks of the energy Hessian.
 
-        Rows and columns follow ``self.pattern.interior``.  The pointwise
-        Hessian of w^p / p in the gradient g is c1 I + c2 g g^T, so each cell
-        block is sum_k c1_k G_k^T G_k + c2_k v_k v_k^T with v_k = G_k^T g_k:
-        a fixed per-corner matrix times c1 plus one batched outer product.
+        The pointwise Hessian of w^p / p in the gradient g is c1 I + c2 g g^T,
+        so each cell block is sum_k c1_k G_k^T G_k + c2_k v_k v_k^T with
+        v_k = G_k^T g_k: a fixed per-corner matrix times c1 plus one batched
+        outer product.
         """
         # A tiny floor keeps w^(p-4) finite at degenerate corners; the matrix
         # stays positive definite so Newton directions remain descent ones.
@@ -233,7 +242,27 @@ class _Discretization:
         blocks = (c1 @ K).reshape(-1, nc, nc)
         blocks += np.matmul((c2[:, :, None] * v).transpose(0, 2, 1), v)
         blocks *= self.geo.cell_vol / nc
-        return self.pattern.matrix(blocks)
+        return blocks
+
+    def hessian(self, u_flat: np.ndarray, eps_h: Optional[float] = None) -> np.ndarray:
+        """Interior-interior block of the energy Hessian, in upper band storage.
+
+        Rows and columns follow ``self.pattern.interior``.
+        """
+        return self.pattern.matrix(self.hessian_blocks(u_flat, eps_h))
+
+    def hessian_vec(self, blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Product of the interior Newton matrix with x, straight from its cell blocks.
+
+        x and the result follow ``self.pattern.interior``; boundary nodes
+        carry 0, so only interior-interior couplings contribute.
+        """
+        interior = self.pattern.interior
+        full = np.zeros(self.p_node.size)
+        full[interior] = x
+        y = np.einsum("cjl,cl->cj", blocks, full[self.geo.corner_idx])
+        return np.bincount(self.geo.corner_idx.ravel(), weights=y.ravel(),
+                           minlength=full.size)[interior]
 
     def hat_norms(self, interior_flat: np.ndarray, cfg: NormConfig = NormConfig()) -> np.ndarray:
         """Variable-exponent Sobolev norms of the hat functions phi_i, i interior.
@@ -308,27 +337,75 @@ def weak_residual(u: GridFunction, spec: ProblemSpec) -> float:
     return float(np.max(np.abs(g[interior]) / norms))
 
 
-def _solve_spd(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Direct solve with the symmetric positive definite Newton matrix.
+def _factor_spd(H: np.ndarray) -> np.ndarray:
+    """Band Cholesky factor of the symmetric positive definite Newton matrix.
 
-    H is the upper band storage of ``_InteriorPattern``; LAPACK factors it in
-    place (band Cholesky dpbsv, or dptsv for a tridiagonal band) and raises
-    np.linalg.LinAlgError when the matrix is not positive definite.
+    H is the upper band storage of ``_InteriorPattern``; LAPACK (dpbtrf)
+    factors it in place and raises np.linalg.LinAlgError when the matrix is
+    not positive definite.
     """
-    return sla.solveh_banded(H, rhs, overwrite_ab=True, check_finite=False)
+    return sla.cholesky_banded(H, overwrite_ab=True, check_finite=False)
+
+
+def _solve_factored(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a factor from ``_factor_spd`` (LAPACK dpbtrs)."""
+    return sla.cho_solve_banded((factor, False), rhs, check_finite=False)
+
+
+def _pcg(matvec: Callable, precond: Callable, b: np.ndarray, tol: float) -> tuple:
+    """Preconditioned conjugate gradients for H x = b from x0 = 0.
+
+    Stops when the recursive residual norm ||b - H x|| falls to tol and
+    returns (x, iterations).  Returns (None, iterations) when the curvature
+    d.Hd of a search direction or r.z of the preconditioned residual is not
+    positive, or tol is not met within _CG_CAP iterations.  With an SPD
+    preconditioner and x0 = 0 every iterate lowers the quadratic model below
+    its value at 0, so a returned x is a descent direction when b is minus
+    the gradient.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    d = np.zeros_like(b)
+    rz_old = 1.0
+    for k in range(1, _CG_CAP + 1):
+        z = precond(r)
+        rz = float(r @ z)
+        d = z + (rz / rz_old) * d
+        q = matvec(d)
+        curvature = float(d @ q)
+        if not (rz > 0.0 and curvature > 0.0):
+            return None, k
+        step = rz / curvature
+        x += step * d
+        r -= step * q
+        if float(np.linalg.norm(r)) <= tol:
+            return x, k
+        rz_old = rz
+    return None, _CG_CAP
 
 
 def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray,
                     hat: np.ndarray, tol: float, max_iter: int, trace: list,
                     smooth0: float) -> tuple:
-    """Newton with Armijo backtracking; returns (u, iterations, residual, msg).
+    """Inexact Newton with Armijo backtracking; returns (u, iterations, residual, msg).
 
-    The Newton matrix may be built with a larger smoothing eps early on; it
-    stays positive definite, so directions remain descent directions for the
-    stage energy and the appended trace entries are nonincreasing.
+    The first step factors the band Newton matrix and solves exactly.  Each
+    later step is solved by CG preconditioned with that stale factor, to the
+    Eisenstat-Walker (choice 2) forcing tolerance eta ||g||, eta =
+    min(_ETA_MAX, 0.9 (||g_k|| / ||g_k-1||)^2).  When CG passes _CG_CAP
+    iterations, meets nonpositive curvature or returns a direction that is
+    not a finite descent direction, the current matrix is factored and the
+    step solved exactly.  A matrix that is not positive definite, or an
+    exact step that is not a finite descent direction, gives way to the
+    gradient direction.  The Newton matrix may be built with a larger
+    smoothing eps early on; it stays positive definite, so directions remain
+    descent directions for the stage energy and the appended trace entries
+    are nonincreasing.
     """
+    debug = _log.isEnabledFor(logging.DEBUG)
     residual = np.inf
     it = 0
+    factor, gnorm_prev = None, np.inf
     for it in range(1, max_iter + 1):
         g = disc.gradient(u)
         residual = float(np.max(np.abs(g[interior]) / hat))
@@ -336,19 +413,33 @@ def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray
             return u, it - 1, residual, ""
 
         eps_h = max(disc.eps, smooth0 * 0.25 ** (it - 1))
-        H = disc.hessian(u, eps_h)
+        blocks = disc.hessian_blocks(u, eps_h)
         gi = g[interior]
-        try:
-            delta = _solve_spd(H, -gi)
-        except np.linalg.LinAlgError:
-            delta = -gi
-        if not np.all(np.isfinite(delta)) or float(delta @ gi) >= 0.0:
-            delta = -gi
+        gnorm = float(np.linalg.norm(gi))
+
+        def descends(d):
+            return d is not None and bool(np.all(np.isfinite(d))) and float(d @ gi) < 0.0
+
+        delta, linear, cg_iters = None, "pcg", 0
+        if factor is not None:
+            eta = min(_ETA_MAX, 0.9 * (gnorm / gnorm_prev) ** 2)
+            delta, cg_iters = _pcg(lambda x: disc.hessian_vec(blocks, x),
+                                   lambda r: _solve_factored(factor, r), -gi, eta * gnorm)
+        if not descends(delta):
+            try:
+                factor, linear = _factor_spd(disc.pattern.matrix(blocks)), "factor"
+                delta = _solve_factored(factor, -gi)
+            except np.linalg.LinAlgError:
+                factor, linear, delta = None, "fallback", None
+        direction = "newton"
+        if not descends(delta):
+            delta, direction = -gi, "gradient-fallback"
+        gnorm_prev = gnorm
 
         slope = float(delta @ gi)
         e0 = trace[-1]
-        alpha, accepted = 1.0, False
-        for _ in range(60):
+        alpha, backtracks, accepted = 1.0, 0, False
+        while backtracks < 60:
             trial = u.copy()
             trial[interior] += alpha * delta
             if np.all(np.isfinite(trial)):
@@ -358,11 +449,12 @@ def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray
                     trace.append(min(e1, e0))
                     break
             alpha *= 0.5
+            backtracks += 1
         if not accepted:
             if float(np.abs(gi).max()) == 0.0:
                 return u, it, residual, ""
             # steepest-descent rescue with a conservative step
-            delta = -gi
+            delta, direction = -gi, "steepest-rescue"
             alpha = 1.0 / max(1.0, float(np.abs(gi).max()) / disc.geo.cell_vol)
             for _ in range(60):
                 trial = u.copy()
@@ -373,8 +465,13 @@ def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray
                     trace.append(e1)
                     break
                 alpha *= 0.5
-            if not accepted:
-                return u, it, residual, "line search stalled"
+                backtracks += 1
+        if debug:
+            _log.debug("newton stage_eps=%.3e it=%d residual=%.6e step=%.6e backtracks=%d "
+                       "direction=%s linear=%s cg_iters=%d", disc.eps, it, residual,
+                       alpha if accepted else 0.0, backtracks, direction, linear, cg_iters)
+        if not accepted:
+            return u, it, residual, "line search stalled"
         if not np.all(np.isfinite(u)):
             raise SolverError("iterate contains non-finite values")
     g = disc.gradient(u)
@@ -390,13 +487,15 @@ def _eps_schedule(spec: ProblemSpec) -> list:
     the kink of |d|^(p-2) d.  Solving a short ladder of smoothed problems
     and warm-starting each from the last restores fast local convergence.
     The stage energy decreases when eps does, so the concatenated energy
-    trace stays nonincreasing.
+    trace stays nonincreasing.  The ladder stops at the 1e-12 eps floor of
+    the Newton matrix (``hessian_blocks``): below it the matrix no longer
+    changes with eps, and such stages took no Newton step.
     """
     if spec.field.p1 >= 2.0 or spec.reg_eps >= 1e-3:
         return [spec.reg_eps]
     stages = []
     e = 1e-2
-    while e > max(spec.reg_eps, 1e-300) * 10.0:
+    while e > max(spec.reg_eps, 1e-12) * 10.0:
         stages.append(e)
         e *= 0.01
     stages.append(spec.reg_eps)
@@ -420,7 +519,7 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     u[interior] = 0.0
     # p = 2 warm start: one linear solve with the same boundary data.
     lap = _Discretization(grid, _const2(spec.field), spec.rhs, 0.0, geo, pattern)
-    u[interior] -= _solve_spd(lap.hessian(u), lap.gradient(u)[interior])
+    u[interior] -= _solve_factored(_factor_spd(lap.hessian(u)), lap.gradient(u)[interior])
     if not np.all(np.isfinite(u)):
         raise SolverError("warm start produced non-finite values")
 

@@ -99,6 +99,17 @@ def test_luxemburg_bracket_failure_carries_bracket():
     assert exc.value.bracket[1] == 4.0
 
 
+def test_luxemburg_of_a_tiny_function_is_a_bracket_error_not_zero():
+    # 200 halvings reach lambda = 2^-200 ~ 6e-61, still above |u| = 1e-70, so
+    # the modular never exceeds 1; the norm used to come back as 0.0.
+    g = px.GridFunction.constant(px.Box([0.0, 0.0], [1.0, 1.0]), 8, 1e-70)
+    f = px.constant_exponent(2.0)
+    for norm in (px.luxemburg_norm, px.sobolev_norm):
+        with pytest.raises(px.norms.BracketError, match="modular stays <= 1 while halving") as exc:
+            norm(g, f)
+        assert exc.value.bracket == (2.0**-200, 1.0)
+
+
 def test_sobolev_norm_linear_1d():
     # u(x) = x on (0,1), p = 2: ||x||_2 + ||1||_2 = 1/sqrt(3) + 1.
     g = grid_1d(0.0, 1.0, 512, lambda x: x)

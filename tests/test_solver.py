@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -158,6 +160,31 @@ def test_smoothing_scale_reads_every_axis(monkeypatch):
     assert np.abs(along_y.solution.values - along_x.solution.values.T).max() <= 1e-10
 
 
+def full_eps_ladder(spec):
+    """The continuation ladder run down to 1e-300, as before it stopped at 1e-12."""
+    if spec.field.p1 >= 2.0 or spec.reg_eps >= 1e-3:
+        return [spec.reg_eps]
+    stages, e = [], 1e-2
+    while e > max(spec.reg_eps, 1e-300) * 10.0:
+        stages.append(e)
+        e *= 0.01
+    return stages + [spec.reg_eps]
+
+
+def test_zero_reg_eps_ladder_stops_at_the_hessian_floor(monkeypatch):
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    f = px.GridFunction.constant(box, 16, -1.0)
+    spec = px.ProblemSpec(box, px.constant_exponent(1.5, domain=box), f, 0.0, reg_eps=0.0)
+    stages = solver._eps_schedule(spec)
+    assert len(stages) <= 7 and stages[-1] == 0.0
+    res = px.solve_dirichlet(spec)
+    assert res.converged and res.residual <= spec.tol
+    monkeypatch.setattr(solver, "_eps_schedule", full_eps_ladder)
+    assert len(full_eps_ladder(spec)) == 150
+    old = px.solve_dirichlet(spec)
+    assert old.converged and res.iterations == old.iterations
+
+
 @pytest.mark.parametrize("lo, hi, cells, dims", [
     ([0.0], [1.0], 1, r"\(2,\)"),
     ([0.0, 0.0], [1.0, 1.0], (1, 4), r"\(2, 5\)"),
@@ -252,7 +279,7 @@ def test_hessian_matches_reference_assembly(n_axes, reg_eps, eps_h):
     # the band solve agrees with a sparse direct solve of the reference matrix
     rhs = np.random.default_rng(n_axes).standard_normal(ref.shape[0])
     x_ref = spla.spsolve(ref, rhs)
-    x = solver._solve_spd(H, rhs)
+    x = solver._solve_factored(solver._factor_spd(H), rhs)
     assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
 
@@ -280,7 +307,17 @@ def test_solve_spd_rejects_indefinite_band(n_axes):
     H[-1] -= 0.5 * (eig[0] + eig[1])
     assert np.all(H[-1] > 0.0)
     with pytest.raises(np.linalg.LinAlgError):
-        solver._solve_spd(H, np.ones(H.shape[1]))
+        solver._factor_spd(H)
+
+
+@pytest.mark.parametrize("n_axes", [1, 2, 3])
+@pytest.mark.parametrize("eps_h", [None, 1e-1])
+def test_block_matvec_matches_band(n_axes, eps_h):
+    disc, u = random_state(n_axes, reg_eps=1e-3, seed=5)
+    x = np.random.default_rng(n_axes).standard_normal(disc.pattern.interior.size)
+    ref = band_to_dense(disc.hessian(u, eps_h)) @ x
+    y = disc.hessian_vec(disc.hessian_blocks(u, eps_h), x)
+    assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
@@ -423,29 +460,138 @@ def indefinite_factor(real, *args, **kwargs):
     raise np.linalg.LinAlgError("2-th leading minor not positive definite")
 
 
-@pytest.mark.parametrize("owner, name, fake", [
-    (solver.sla, "solveh_banded", indefinite_factor),
-    (solver, "_solve_spd", lambda real, H, rhs: np.full_like(rhs, np.nan)),
-    (solver, "_solve_spd", lambda real, H, rhs: -real(H, rhs)),
+def exact_steps_only(monkeypatch):
+    """Make every CG solve fail, so each Newton step factors and solves exactly."""
+    monkeypatch.setattr(solver, "_pcg", lambda matvec, precond, b, tol: (None, solver._CG_CAP))
+
+
+def count_calls(monkeypatch, owner, name):
+    real = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def newton_records(caplog):
+    """The per-iteration debug records of the solver, as dicts of strings."""
+    return [dict(kv.split("=") for kv in r.getMessage().split()[1:])
+            for r in caplog.records if r.name == "pxlap" and r.getMessage().startswith("newton ")]
+
+
+@pytest.mark.parametrize("owner, name, fake, linear", [
+    (solver.sla, "cholesky_banded", indefinite_factor, "fallback"),
+    (solver, "_solve_factored", lambda real, c, rhs: np.full_like(rhs, np.nan), "factor"),
+    (solver, "_solve_factored", lambda real, c, rhs: -real(c, rhs), "factor"),
 ], ids=["factor-error", "non-finite", "non-descent"])
-def test_gradient_direction_fallback(monkeypatch, owner, name, fake):
-    calls = after_warm_start(monkeypatch, owner, name, fake)
+def test_gradient_direction_fallback(monkeypatch, caplog, owner, name, fake, linear):
+    caplog.set_level(logging.DEBUG, logger="pxlap")
+    exact_steps_only(monkeypatch)
+    after_warm_start(monkeypatch, owner, name, fake)
+    factors = count_calls(monkeypatch, solver.sla, "cholesky_banded")
     res = px.solve_dirichlet(fallback_problem(max_iter=6))
-    assert len(calls) == 1 + res.iterations == 7
+    assert len(factors) == 1 + res.iterations == 7
     assert res.message.startswith("iteration budget exhausted")
     assert_nonincreasing(res.energy_trace)
     assert res.energy_trace[-1] < res.energy_trace[0]
+    recs = newton_records(caplog)
+    assert [(r["direction"], r["linear"]) for r in recs] == [("gradient-fallback", linear)] * 6
 
 
-def test_steepest_descent_rescue(monkeypatch):
+def test_steepest_descent_rescue(monkeypatch, caplog):
     # A direction so long that all 60 Armijo trials overshoot: only the
     # conservative gradient step of the rescue can lower the energy.
-    after_warm_start(monkeypatch, solver, "_solve_spd", lambda real, H, rhs: 1e30 * real(H, rhs))
+    caplog.set_level(logging.DEBUG, logger="pxlap")
+    exact_steps_only(monkeypatch)
+    after_warm_start(monkeypatch, solver, "_solve_factored",
+                     lambda real, c, rhs: 1e30 * real(c, rhs))
     res = px.solve_dirichlet(fallback_problem(max_iter=4))
     assert res.message.startswith("iteration budget exhausted")
     assert len(res.energy_trace) == 5
     assert_nonincreasing(res.energy_trace)
     assert res.energy_trace[-1] < res.energy_trace[0]
+    recs = newton_records(caplog)
+    assert [r["direction"] for r in recs] == ["steepest-rescue"] * 4
+    assert all(int(r["backtracks"]) >= 60 for r in recs)
+
+
+def continuation_problem(cells=16):
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    f = px.GridFunction.from_callable(box, cells, lambda pts: -1.0 - 0.5 * np.cos(3.0 * pts.sum(axis=1)))
+    return px.ProblemSpec(box, px.constant_exponent(1.5, domain=box), f, 0.0)
+
+
+def test_one_factor_per_stage_then_pcg(monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger="pxlap")
+    factors = count_calls(monkeypatch, solver.sla, "cholesky_banded")
+    spec = continuation_problem()
+    res = px.solve_dirichlet(spec)
+    assert res.converged and res.residual <= spec.tol
+    assert_nonincreasing(res.energy_trace)
+    recs = newton_records(caplog)
+    assert len(recs) == res.iterations
+    stages = [r["stage_eps"] for r in recs]
+    firsts = [i for i in range(len(recs)) if i == 0 or stages[i] != stages[i - 1]]
+    assert len(set(stages)) == len(firsts) == len(solver._eps_schedule(spec))
+    for i, r in enumerate(recs):
+        assert r["direction"] == "newton"
+        assert r["linear"] == ("factor" if i in firsts else "pcg")
+        assert int(r["cg_iters"]) == 0 if i in firsts else 1 <= int(r["cg_iters"]) <= solver._CG_CAP
+    assert len(factors) == 1 + len(firsts)  # the warm start, then one per stage
+
+
+def test_stale_preconditioner_forces_refactor(monkeypatch, caplog):
+    # Plain CG (the identity as the preconditioner) often needs more than
+    # the cap to meet the forcing tolerance; each such step refactors.
+    caplog.set_level(logging.DEBUG, logger="pxlap")
+    pcg = solver._pcg
+    monkeypatch.setattr(solver, "_pcg", lambda matvec, precond, b, tol: pcg(matvec, lambda r: r, b, tol))
+    factors = count_calls(monkeypatch, solver.sla, "cholesky_banded")
+    spec = continuation_problem(cells=32)
+    res = px.solve_dirichlet(spec)
+    assert res.converged and res.residual <= spec.tol
+    assert_nonincreasing(res.energy_trace)
+    recs = newton_records(caplog)
+    assert all(r["direction"] == "newton" for r in recs)
+    capped = [r for r in recs if r["cg_iters"] == str(solver._CG_CAP)]
+    assert len(capped) >= 3 and all(r["linear"] == "factor" for r in capped)
+    assert len(factors) == 1 + sum(r["linear"] == "factor" for r in recs)
+
+
+def test_non_descent_cg_direction_forces_refactor(monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger="pxlap")
+    pcg = solver._pcg
+
+    def uphill(*args):
+        x, its = pcg(*args)
+        return (None if x is None else -x), its
+
+    monkeypatch.setattr(solver, "_pcg", uphill)
+    factors = count_calls(monkeypatch, solver.sla, "cholesky_banded")
+    spec = continuation_problem()
+    res = px.solve_dirichlet(spec)
+    assert res.converged and res.residual <= spec.tol
+    assert_nonincreasing(res.energy_trace)
+    recs = newton_records(caplog)
+    assert all(r["linear"] == "factor" and r["direction"] == "newton" for r in recs)
+    assert any(int(r["cg_iters"]) > 0 for r in recs)
+    assert len(factors) == 1 + len(recs)
+
+
+def test_debug_log_costs_nothing_when_off(monkeypatch):
+    emitted = []
+    monkeypatch.setattr(solver._log, "debug", lambda *args, **kwargs: emitted.append(args))
+    level = solver._log.level
+    solver._log.setLevel(logging.INFO)
+    try:
+        res = px.solve_dirichlet(continuation_problem())
+    finally:
+        solver._log.setLevel(level)
+    assert res.converged and res.iterations > 0 and emitted == []
 
 
 def test_line_search_stalled(monkeypatch):
