@@ -1,8 +1,8 @@
 """Large-size Newton benchmark: a base revision against the working tree.
 
 Runs solve_dirichlet at sizes the perfbench workloads do not reach (2d p = 1.5
-at 128^2 and 256^2 cells, 3d affine p at 24^3 and 32^3), with base and change
-interleaved, each solve in its own process pinned to one CPU with one BLAS
+at 128^2 and 256^2 cells, 3d affine p at 24^3 and 32^3), five times for
+each of base and change, interleaved, each solve in its own process pinned to one CPU with one BLAS
 thread.  Per size it records the wall time of the solve, Newton iterations,
 LAPACK band factorizations (warm start included), CG iterations, and the
 weak residual against tol, then writes everything to one JSON file.  The
@@ -42,6 +42,8 @@ CASES = {
     "3d-affine-24": (3, 24),
     "3d-affine-32": (3, 32),
 }
+
+REPEATS = 5  # runs per side and case
 
 THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -134,29 +136,22 @@ def main(argv=None) -> int:
     ap.add_argument("--worker", choices=sorted(CASES), help=argparse.SUPPRESS)
     ap.add_argument("--base", help="git revision of the base tree, e.g. HEAD~1")
     ap.add_argument("--out", type=Path, help="JSON file to write")
-    ap.add_argument("--repeats", type=int, default=3, help="runs per side and case")
-    ap.add_argument("--cases", default=",".join(CASES), help="comma-separated case names")
     args = ap.parse_args(argv)
     if args.worker:
         print(json.dumps(worker(args.worker)))
         return 0
     if not args.base or not args.out:
         ap.error("--base and --out are required")
-    cases = args.cases.split(",")
-    unknown = sorted(set(cases) - set(CASES))
-    if unknown:
-        ap.error(f"unknown cases {unknown}; choose from {sorted(CASES)}")
-
     cpu = min(os.sched_getaffinity(0))
     rev = subprocess.run(["git", "-C", str(REPO), "rev-parse", args.base], check=True,
                          capture_output=True, text=True).stdout.strip()
     sides = {"change": REPO / "src"}
-    results = {case: {"base": [], "change": []} for case in cases}
+    results = {case: {"base": [], "change": []} for case in CASES}
     with tempfile.TemporaryDirectory() as tmp:
         sides["base"] = export_base(rev, Path(tmp))
-        for rep in range(args.repeats):
+        for rep in range(REPEATS):
             order = ("base", "change") if rep % 2 == 0 else ("change", "base")
-            for case in cases:
+            for case in CASES:
                 for side in order:
                     rec = run_one(sides[side], case, cpu)
                     results[case][side].append(rec)
@@ -171,10 +166,10 @@ def main(argv=None) -> int:
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "host": {"machine": platform.machine(), "python": platform.python_version(),
                  "cpu_pinned": cpu, "blas_threads": 1},
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "cases": {},
     }
-    for case in cases:
+    for case in CASES:
         base, change = (summary(results[case][s]) for s in ("base", "change"))
         paired = [b["time_s"] / c["time_s"]
                   for b, c in zip(results[case]["base"], results[case]["change"])]

@@ -42,10 +42,12 @@ __all__ = ["ProblemSpec", "SolveResult", "SolverError", "SmoothFunction",
 _log = logging.getLogger("pxlap")
 
 # Inexact Newton (see _newton_descend): the cap on the Eisenstat-Walker
-# forcing term, and the CG iteration count past which the stale band factor
-# is replaced.
+# forcing term, the CG iteration count past which the stale band factor is
+# replaced, and the count past which the next step refactors without trying
+# CG first.
 _ETA_MAX = 0.02
 _CG_CAP = 20
+_CG_NEAR = 15
 
 
 class SolverError(RuntimeError):
@@ -352,36 +354,26 @@ def _solve_factored(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sla.cho_solve_banded((factor, False), rhs, check_finite=False)
 
 
-def _pcg(matvec: Callable, precond: Callable, b: np.ndarray, tol: float) -> tuple:
-    """Preconditioned conjugate gradients for H x = b from x0 = 0.
+def _pcg(matvec: Callable, precond: Callable, b: np.ndarray, rtol: float) -> tuple:
+    """Preconditioned CG (``scipy.sparse.linalg.cg``) for H x = b from x0 = 0.
 
-    Stops when the recursive residual norm ||b - H x|| falls to tol and
-    returns (x, iterations).  Returns (None, iterations) when the curvature
-    d.Hd of a search direction or r.z of the preconditioned residual is not
-    positive, or tol is not met within _CG_CAP iterations.  With an SPD
-    preconditioner and x0 = 0 every iterate lowers the quadratic model below
-    its value at 0, so a returned x is a descent direction when b is minus
-    the gradient.
+    Stops when ||b - H x|| < rtol ||b|| and returns (x, iterations), or
+    (None, iterations) when that is not met within _CG_CAP iterations.  With
+    an SPD preconditioner and x0 = 0 every iterate lowers the quadratic model
+    below its value at 0, so a returned x is a descent direction when b is
+    minus the gradient.
     """
-    x = np.zeros_like(b)
-    r = b.copy()
-    d = np.zeros_like(b)
-    rz_old = 1.0
-    for k in range(1, _CG_CAP + 1):
-        z = precond(r)
-        rz = float(r @ z)
-        d = z + (rz / rz_old) * d
-        q = matvec(d)
-        curvature = float(d @ q)
-        if not (rz > 0.0 and curvature > 0.0):
-            return None, k
-        step = rz / curvature
-        x += step * d
-        r -= step * q
-        if float(np.linalg.norm(r)) <= tol:
-            return x, k
-        rz_old = rz
-    return None, _CG_CAP
+    # Imported here: scipy.sparse adds about 35 ms to importing pxlap, and
+    # only solves that reach a CG step need it.
+    import scipy.sparse.linalg as spla
+
+    def operator(f):
+        return spla.LinearOperator((b.size, b.size), matvec=f, dtype=b.dtype)
+
+    iterates = []
+    x, info = spla.cg(operator(matvec), b, rtol=rtol, maxiter=_CG_CAP, M=operator(precond),
+                      callback=iterates.append)
+    return (x if info == 0 else None), len(iterates)
 
 
 def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray,
@@ -392,10 +384,13 @@ def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray
     The first step factors the band Newton matrix and solves exactly.  Each
     later step is solved by CG preconditioned with that stale factor, to the
     Eisenstat-Walker (choice 2) forcing tolerance eta ||g||, eta =
-    min(_ETA_MAX, 0.9 (||g_k|| / ||g_k-1||)^2).  When CG passes _CG_CAP
-    iterations, meets nonpositive curvature or returns a direction that is
-    not a finite descent direction, the current matrix is factored and the
-    step solved exactly.  A matrix that is not positive definite, or an
+    min(_ETA_MAX, 0.9 (||g_k|| / ||g_k-1||)^2).  When CG does not meet that
+    tolerance within _CG_CAP iterations or returns a direction that is not a
+    finite descent direction, the current matrix is factored and the step
+    solved exactly.  When the previous step's CG took more than _CG_NEAR
+    iterations (a capped one included), the factor has gone stale and the
+    step refactors without trying CG first, so capped CG work is not thrown
+    away step after step.  A matrix that is not positive definite, or an
     exact step that is not a finite descent direction, gives way to the
     gradient direction.  The Newton matrix may be built with a larger
     smoothing eps early on; it stays positive definite, so directions remain
@@ -405,7 +400,7 @@ def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray
     debug = _log.isEnabledFor(logging.DEBUG)
     residual = np.inf
     it = 0
-    factor, gnorm_prev = None, np.inf
+    factor, gnorm_prev, cg_prev = None, np.inf, 0
     for it in range(1, max_iter + 1):
         g = disc.gradient(u)
         residual = float(np.max(np.abs(g[interior]) / hat))
@@ -421,10 +416,10 @@ def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray
             return d is not None and bool(np.all(np.isfinite(d))) and float(d @ gi) < 0.0
 
         delta, linear, cg_iters = None, "pcg", 0
-        if factor is not None:
+        if factor is not None and cg_prev <= _CG_NEAR:
             eta = min(_ETA_MAX, 0.9 * (gnorm / gnorm_prev) ** 2)
             delta, cg_iters = _pcg(lambda x: disc.hessian_vec(blocks, x),
-                                   lambda r: _solve_factored(factor, r), -gi, eta * gnorm)
+                                   lambda r: _solve_factored(factor, r), -gi, eta)
         if not descends(delta):
             try:
                 factor, linear = _factor_spd(disc.pattern.matrix(blocks)), "factor"
@@ -434,7 +429,7 @@ def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray
         direction = "newton"
         if not descends(delta):
             delta, direction = -gi, "gradient-fallback"
-        gnorm_prev = gnorm
+        gnorm_prev, cg_prev = gnorm, cg_iters
 
         slope = float(delta @ gi)
         e0 = trace[-1]

@@ -462,7 +462,7 @@ def indefinite_factor(real, *args, **kwargs):
 
 def exact_steps_only(monkeypatch):
     """Make every CG solve fail, so each Newton step factors and solves exactly."""
-    monkeypatch.setattr(solver, "_pcg", lambda matvec, precond, b, tol: (None, solver._CG_CAP))
+    monkeypatch.setattr(solver, "_pcg", lambda matvec, precond, b, rtol: (None, solver._CG_CAP))
 
 
 def count_calls(monkeypatch, owner, name):
@@ -546,10 +546,12 @@ def test_one_factor_per_stage_then_pcg(monkeypatch, caplog):
 
 def test_stale_preconditioner_forces_refactor(monkeypatch, caplog):
     # Plain CG (the identity as the preconditioner) often needs more than
-    # the cap to meet the forcing tolerance; each such step refactors.
+    # the cap to meet the forcing tolerance; each such step refactors, and
+    # so does the step after any CG solve that took more than _CG_NEAR
+    # iterations, without running CG.
     caplog.set_level(logging.DEBUG, logger="pxlap")
     pcg = solver._pcg
-    monkeypatch.setattr(solver, "_pcg", lambda matvec, precond, b, tol: pcg(matvec, lambda r: r, b, tol))
+    monkeypatch.setattr(solver, "_pcg", lambda matvec, precond, b, rtol: pcg(matvec, lambda r: r, b, rtol))
     factors = count_calls(monkeypatch, solver.sla, "cholesky_banded")
     spec = continuation_problem(cells=32)
     res = px.solve_dirichlet(spec)
@@ -559,6 +561,12 @@ def test_stale_preconditioner_forces_refactor(monkeypatch, caplog):
     assert all(r["direction"] == "newton" for r in recs)
     capped = [r for r in recs if r["cg_iters"] == str(solver._CG_CAP)]
     assert len(capped) >= 3 and all(r["linear"] == "factor" for r in capped)
+    near = [i for i in range(1, len(recs))
+            if solver._CG_NEAR < int(recs[i - 1]["cg_iters"]) < solver._CG_CAP]
+    assert near
+    for prev, r in zip(recs, recs[1:]):
+        if int(prev["cg_iters"]) > solver._CG_NEAR:
+            assert (r["linear"], r["cg_iters"]) == ("factor", "0")
     assert len(factors) == 1 + sum(r["linear"] == "factor" for r in recs)
 
 
