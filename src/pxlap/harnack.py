@@ -27,7 +27,7 @@ import numpy as np
 from .exponent import ExponentField, band_of_samples
 from .grid import Ball, GridFunction
 from .norms import lt_average
-from .quadrature import CellGeometry, cell_means, lq_ball_norm, midpoint_data
+from .quadrature import cell_corners, cell_means, center_gradients, lq_ball_norm, midpoint_data
 
 __all__ = [
     "HarnackReport", "OscillationTrace", "WeakHarnackResult", "CaccioppoliResult",
@@ -215,19 +215,18 @@ def caccioppoli_check(u: GridFunction, gamma: float, eta: GridFunction,
         raise ValueError("cutoff eta must be nonnegative")
 
     centers, vols = midpoint_data(u)
-    geo = CellGeometry.build(u)
     u_mid = cell_means(u)
     eta_mid = np.maximum(cell_means(eta), 0.0)
     H_mid = cell_means(H)
-    gu = np.linalg.norm(geo.center_gradients(u.values), axis=1)
-    ge = np.linalg.norm(geo.center_gradients(eta.values), axis=1)
+    gu = np.linalg.norm(center_gradients(u), axis=1)
+    ge = np.linalg.norm(center_gradients(eta), axis=1)
     p_mid = field(centers)
 
     active = (eta_mid > 0) | (ge > 0)
     if not np.any(active):
         zero = CaccioppoliResult(0.0, 0.0, True, 0.0, 0.0, 0.0, field.p1, field.p2)
         return zero
-    support_nodes = np.unique(geo.corner_idx[active].ravel())
+    support_nodes = np.unique(cell_corners(np.arange(u.values.size).reshape(u.dims))[active])
     p_support = np.concatenate([p_mid[active],
                                 field(u.nodes()[support_nodes])])
     p_minus, p_plus = float(p_support.min()), float(p_support.max())

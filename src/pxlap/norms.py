@@ -2,7 +2,8 @@
 
 The modular of u at scale lambda is the midpoint-rule quadrature of
 (|u(x)| / lambda)^p(x) over the grid box.  The Luxemburg norm is the
-smallest lambda with modular <= 1, found by bracketing and bisection; for
+smallest lambda with modular <= 1, found by Newton's method on log lambda
+(``log_luxemburg``, which also serves the solver's hat-function norms); for
 constant p it reduces to the classical L^p quadrature norm.
 """
 
@@ -14,15 +15,18 @@ import numpy as np
 
 from .exponent import ExponentField
 from .grid import Ball, GridFunction
-from .quadrature import CellGeometry, cell_means, midpoint_data
+from .quadrature import cell_means, center_gradients, midpoint_data
 
 __all__ = ["NormConfig", "BracketError", "modular", "luxemburg_norm",
-           "sobolev_norm", "lt_average", "dual_exponent"]
+           "sobolev_norm", "lt_average", "dual_exponent", "log_luxemburg"]
 
 
 @dataclass(frozen=True)
 class NormConfig:
-    bisection_tol: float = 1e-10  # relative tolerance on the norm value
+    """Stopping rule of ``log_luxemburg``: bisection_tol bounds the last Newton
+    step in log lambda, a relative tolerance on lambda; max_iter caps the steps."""
+
+    bisection_tol: float = 1e-10
     max_iter: int = 200
 
     def __post_init__(self):
@@ -33,63 +37,67 @@ class NormConfig:
 
 
 class BracketError(RuntimeError):
-    """Bracketing failed; carries the last bracket examined."""
+    """The Newton solve did not converge; carries a bracket (lo, hi) of the norm."""
 
     def __init__(self, message: str, bracket: tuple):
-        super().__init__(f"{message} (last bracket: {bracket})")
+        super().__init__(f"{message} (bracket: {bracket})")
         self.bracket = bracket
 
 
-def _modular_samples(absvals: np.ndarray, pvals: np.ndarray, weights: np.ndarray,
-                     lam: float) -> float:
-    if lam <= 0:
-        raise ValueError(f"modular scale lambda must be positive, got {lam}")
-    return float(np.sum(weights * (absvals / lam) ** pvals))
+def log_luxemburg(P: np.ndarray, log_c: np.ndarray, cfg: NormConfig) -> tuple:
+    """Per row r, t = log lambda with sum_m c_m lambda^(-p_m) = 1, P[r] = p, log_c[r] = log c.
+
+    Newton's method on F(t) = log sum_m c_m e^(-p_m t), in log space so no
+    scale of c under- or overflows: t += F(t) / pbar(t), pbar the
+    e^(-p_m t)-weighted mean of p.  F is convex and decreasing, so after the
+    first step the iterates rise monotonically to the root; for constant p the
+    first step is exact.  Returns (t, last step) after cfg.max_iter steps or
+    once no step exceeds cfg.bisection_tol; a larger last step has not converged.
+    """
+    t = np.zeros(P.shape[0])
+    for _ in range(cfg.max_iter):
+        z = log_c - P * t[:, None]
+        zmax = z.max(axis=1)
+        np.exp(z - zmax[:, None], out=z)
+        total = z.sum(axis=1)
+        step = (zmax + np.log(total)) * total / np.einsum("mw,mw->m", z, P)
+        t += step
+        if not np.any(np.abs(step) > cfg.bisection_tol):
+            break
+    return t, step
 
 
 def _luxemburg_samples(absvals, pvals, weights, cfg: NormConfig) -> float:
-    if not np.any(absvals > 0):
+    keep = absvals > 0
+    if not np.any(keep):
         return 0.0
-
-    def m(lam):
-        return _modular_samples(absvals, pvals, weights, lam)
-
-    lo = hi = 1.0
-    if m(1.0) > 1.0:
-        for _ in range(cfg.max_iter):
-            hi *= 2.0
-            if m(hi) <= 1.0:
-                break
-        else:
-            raise BracketError("modular never drops below 1 while doubling", (lo, hi))
-    else:
-        for _ in range(cfg.max_iter):
-            lo /= 2.0
-            if m(lo) > 1.0:
-                hi = 2.0 * lo
-                break
-        else:
-            raise BracketError("modular stays <= 1 while halving", (lo, hi))
-    for _ in range(cfg.max_iter):
-        if hi - lo <= cfg.bisection_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if m(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    P = pvals[keep][None, :]
+    log_c = np.log(weights[keep]) + P * np.log(absvals[keep])
+    t, step = log_luxemburg(P, log_c, cfg)
+    if not np.abs(step[0]) <= cfg.bisection_tol:
+        # F >= 0 at t after the first step and F falls no slower than min p,
+        # so the root lies in [t, t + F(t) / min p].
+        F = np.logaddexp.reduce(log_c[0] - P[0] * t[0])
+        bracket = (float(np.exp(t[0])), float(np.exp(t[0] + F / P.min())))
+        raise BracketError(f"Luxemburg norm: Newton on log lambda did not meet bisection_tol "
+                           f"{cfg.bisection_tol} in {cfg.max_iter} steps", bracket)
+    return float(np.exp(t[0]))
 
 
 def modular(u: GridFunction, field: ExponentField, lam: float) -> float:
     """Quadrature of integral (|u| / lam)^p(x) dx over the grid box."""
+    if lam <= 0:
+        raise ValueError(f"modular scale lambda must be positive, got {lam}")
     centers, vols = midpoint_data(u)
-    return _modular_samples(np.abs(cell_means(u)), field(centers), vols, lam)
+    return float(np.sum(vols * (np.abs(cell_means(u)) / lam) ** field(centers)))
 
 
 def luxemburg_norm(u: GridFunction, field: ExponentField,
                    cfg: NormConfig = NormConfig()) -> float:
-    """Smallest lambda > 0 with modular(u, field, lambda) <= 1; 0 for u = 0."""
+    """Smallest lambda > 0 with modular(u, field, lambda) <= 1; 0 for u = 0.
+
+    Raises BracketError when the Newton solve does not converge.
+    """
     centers, vols = midpoint_data(u)
     return _luxemburg_samples(np.abs(cell_means(u)), field(centers), vols, cfg)
 
@@ -98,14 +106,13 @@ def sobolev_norm(u: GridFunction, field: ExponentField,
                  cfg: NormConfig = NormConfig()) -> float:
     """Luxemburg norm of u plus the Luxemburg norm of |grad u|.
 
-    The gradient magnitude is sampled at cell centers (mean of the corner
-    gradients of the multilinear interpolant) with cell-volume weights.
+    The gradient magnitude is sampled at cell centers (the gradient of the
+    multilinear interpolant there) with cell-volume weights.
     """
     centers, vols = midpoint_data(u)
     pvals = field(centers)
     value_part = _luxemburg_samples(np.abs(cell_means(u)), pvals, vols, cfg)
-    geo = CellGeometry.build(u)
-    gmag = np.linalg.norm(geo.center_gradients(u.values), axis=1)
+    gmag = np.linalg.norm(center_gradients(u), axis=1)
     grad_part = _luxemburg_samples(gmag, pvals, vols, cfg)
     return value_part + grad_part
 

@@ -42,14 +42,9 @@ class CellGeometry:
         dims = g.dims
         n = len(dims)
         ncorner = 2**n
-        offsets = np.array(list(itertools.product((0, 1), repeat=n)), dtype=int)
-
-        cell_axes = [np.arange(d - 1) for d in dims]
-        mesh = np.meshgrid(*cell_axes, indexing="ij")
-        base = np.stack([m.ravel() for m in mesh], axis=1)  # (ncells, n)
-        corner_idx = np.empty((base.shape[0], ncorner), dtype=np.int64)
-        for k, off in enumerate(offsets):
-            corner_idx[:, k] = np.ravel_multi_index((base + off).T, dims)
+        nnodes = int(np.prod(dims))
+        offsets = _corner_offsets(n)
+        corner_idx = cell_corners(np.arange(nnodes).reshape(dims))
 
         # Gradient of the multilinear interpolant at corner k, axis a: the
         # one-sided difference along the cell edge through k in direction a.
@@ -63,8 +58,7 @@ class CellGeometry:
                 G[k, a, ofs_list.index(lo)] -= 1.0 / g.spacing[a]
 
         vol = float(np.prod(g.spacing))
-        w = np.zeros(int(np.prod(dims)))
-        np.add.at(w, corner_idx.ravel(), vol / ncorner)
+        w = np.bincount(corner_idx.ravel(), minlength=nnodes) * (vol / ncorner)
         return cls(dims, g.spacing.copy(), offsets, corner_idx, G, vol, w)
 
     @property
@@ -85,10 +79,6 @@ class CellGeometry:
         uc = self.corner_values(values)
         return (uc @ self.grad_stencils.reshape(nc * n, nc).T).reshape(-1, nc, n)
 
-    def center_gradients(self, values: np.ndarray) -> np.ndarray:
-        """Cell-center gradients (mean of corner gradients), (ncells, n)."""
-        return self.corner_gradients(values).mean(axis=1)
-
 
 def midpoint_data(g: GridFunction) -> tuple:
     """(cell centers, cell volumes) for the midpoint rule over the grid box."""
@@ -100,15 +90,31 @@ def midpoint_data(g: GridFunction) -> tuple:
     return centers, vols
 
 
-def cell_means(g: GridFunction) -> np.ndarray:
-    """Mean of the corner values per cell (the multilinear center value).
+def _corner_offsets(n: int) -> np.ndarray:
+    """(2^n, n) corner offsets in {0, 1}, the corner order of CellGeometry."""
+    return np.array(list(itertools.product((0, 1), repeat=n)), dtype=int)
 
-    The corners are the 2^n shifted slices of the nodal array, stacked in the
-    corner order of CellGeometry, so no geometry is built.
-    """
-    corners = [g.values[tuple(slice(o, d - 1 + o) for o, d in zip(off, g.dims))]
-               for off in itertools.product((0, 1), repeat=g.n_axes)]
-    return np.stack(corners, axis=-1).reshape(-1, len(corners)).mean(axis=1)
+
+def cell_corners(values: np.ndarray) -> np.ndarray:
+    """Nodal values per cell, (ncells, 2^n): corner k of every cell is one
+    shifted slice of the nodal array, in the corner order of CellGeometry."""
+    dims = values.shape
+    corners = [values[tuple(slice(o, d - 1 + o) for o, d in zip(off, dims))]
+               for off in _corner_offsets(values.ndim)]
+    return np.stack(corners, axis=-1).reshape(-1, len(corners))
+
+
+def cell_means(g: GridFunction) -> np.ndarray:
+    """Mean of the corner values per cell (the multilinear center value)."""
+    return cell_corners(g.values).mean(axis=1)
+
+
+def center_gradients(g: GridFunction) -> np.ndarray:
+    """Gradient of the multilinear interpolant at every cell center, (ncells, n):
+    along axis a, the mean of the cell's 2^(n-1) edge differences in direction a."""
+    n = g.n_axes
+    signs = 2.0 * _corner_offsets(n) - 1.0  # (2^n, n)
+    return cell_corners(g.values) @ (signs / (2 ** (n - 1) * g.spacing))
 
 
 def ball_cell_weights(g: GridFunction, ball: Ball, subdiv: int = 8) -> np.ndarray:

@@ -33,7 +33,7 @@ import scipy.linalg as sla
 
 from .exponent import ExponentField
 from .grid import Box, GridFunction, as_points
-from .norms import NormConfig
+from .norms import NormConfig, log_luxemburg
 from .quadrature import CellGeometry
 
 __all__ = ["ProblemSpec", "SolveResult", "SolverError", "SmoothFunction",
@@ -276,13 +276,10 @@ class _Discretization:
         c_m = (vol / 2^n) |grad phi_i|_m^p_m and p_m is p at that corner.
         The support of every interior hat is gathered from shifted slices of
         the cell lattice, one column per (corner j of the hat's node, corner
-        k) pair with a nonzero stencil.  Then t = log lambda solves
-        F(t) = log sum_m c_m e^(-p_m t) = 0 for all nodes at once by Newton's
-        method, t += F(t) / pbar(t), pbar the e^(-p_m t)-weighted mean of p.
-        F is convex and decreasing, so after the first step the iterates
-        rise monotonically to the root; for constant p the first step is
-        exact.  Raises SolverError when a norm is not finite or its step has
-        not fallen to cfg.bisection_tol within cfg.max_iter steps.
+        k) pair with a nonzero stencil.  Then ``log_luxemburg`` solves for
+        t = log lambda for all nodes at once.  Raises SolverError when a norm
+        is not finite or its Newton step has not fallen to cfg.bisection_tol
+        within cfg.max_iter steps.
         """
         geo = self.geo
         dims = geo.dims
@@ -305,16 +302,7 @@ class _Discretization:
         P = np.stack(ps, axis=1)  # (interior nodes in C order, support size)
         log_c = np.log(geo.cell_vol / self.nc) + P * np.array(log_mags)
 
-        t = np.zeros(P.shape[0])
-        for _ in range(cfg.max_iter):
-            z = log_c - P * t[:, None]
-            zmax = z.max(axis=1)
-            np.exp(z - zmax[:, None], out=z)
-            total = z.sum(axis=1)
-            step = (zmax + np.log(total)) * total / np.einsum("mw,mw->m", z, P)
-            t += step
-            if not np.any(np.abs(step) > cfg.bisection_tol):
-                break
+        t, step = log_luxemburg(P, log_c, cfg)
         failed = np.count_nonzero(~(np.abs(step) <= cfg.bisection_tol))  # NaN fails too
         if failed:
             raise SolverError(f"hat norms: {failed} of {t.size} nodes are not finite or did not "

@@ -271,9 +271,7 @@ def mu_general(bounds: StructureBounds, ball: Ball, field: ExponentField) -> flo
     if R > 1.0 + 1e-12:
         raise ValueError(f"ball radius must be <= 1, got {R}")
     big = ball.dilate(4.0)
-    box = bounds.g0.box
-    if not (np.all(big.center - big.radius >= box.lo - 1e-12)
-            and np.all(big.center + big.radius <= box.hi + 1e-12)):
+    if not bounds.g0.box.contains_ball(big):
         raise ValueError(f"the 4R dilate of the ball (radius {big.radius}) escapes the grid box")
     nodes = bounds.g0.nodes()
     p_minus = float(field(nodes[big.contains(nodes)]).min())

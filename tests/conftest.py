@@ -4,7 +4,7 @@ from hypothesis import settings
 
 import pxlap as px
 from pxlap.grid import as_points
-from pxlap.quadrature import CellGeometry
+from pxlap.quadrature import CellGeometry, midpoint_data
 
 # Property tests draw a fixed example sequence and have no per-example
 # deadline, so they are reproducible and do not flake on a loaded host.
@@ -29,6 +29,29 @@ def grid_1d(lo, hi, cells, fn):
 
 def grid_2d(box, cells, fn):
     return px.GridFunction.from_callable(box, cells, fn)
+
+
+def random_grid(n_axes, seed=0):
+    """Random nodal values on an anisotropic lattice with unequal spacings."""
+    cells = (9, 6, 4)[:n_axes]
+    box = px.Box([-0.5] * n_axes, [1.0, 2.0, 0.7][:n_axes])
+    rng = np.random.default_rng(seed)
+    g = px.GridFunction.constant(box, cells, 0.0)
+    return g.like(rng.standard_normal(g.dims))
+
+
+@pytest.fixture
+def geometry_builds(monkeypatch):
+    """The lattice dims of every CellGeometry.build call made in the test."""
+    builds = []
+    build = CellGeometry.build.__func__
+
+    def counted(cls, g):
+        builds.append(g.dims)
+        return build(cls, g)
+
+    monkeypatch.setattr(CellGeometry, "build", classmethod(counted))
+    return builds
 
 
 def pointwise_reference(w, field, x, reg_eps=0.0):
@@ -62,6 +85,34 @@ def reference_corner_gradients(geo, values):
 
 def reference_center_gradients(geo, values):
     return reference_corner_gradients(geo, values).mean(axis=1)
+
+
+def reference_caccioppoli(u, gamma, eta, H, field, C_probe):
+    """The integrals of caccioppoli_check on a CellGeometry: cell values and
+    the support from corner_idx, center gradients from the einsum stencils."""
+    geo = CellGeometry.build(u)
+    centers, vols = midpoint_data(u)
+    u_mid, eta_mid, H_mid = (geo.corner_values(g.values).mean(axis=1) for g in (u, eta, H))
+    eta_mid = np.maximum(eta_mid, 0.0)
+    gu = np.linalg.norm(reference_center_gradients(geo, u.values), axis=1)
+    ge = np.linalg.norm(reference_center_gradients(geo, eta.values), axis=1)
+    p_mid = field(centers)
+    active = (eta_mid > 0) | (ge > 0)
+    support_nodes = np.unique(geo.corner_idx[active].ravel())
+    p_support = np.concatenate([p_mid[active], field(u.nodes()[support_nodes])])
+    p_minus, p_plus = float(p_support.min()), float(p_support.max())
+    w = np.where(active, vols, 0.0)
+    lhs = float(np.sum(w * u_mid ** (gamma - 1.0) * gu**p_minus * eta_mid**p_plus))
+    zero_order = float(np.sum(w * u_mid ** (gamma - 1.0) * eta_mid**p_plus))
+    with np.errstate(divide="ignore"):
+        cutoff = float(np.sum(w * u_mid ** (gamma + p_mid - 1.0)
+                              * np.where(active, eta_mid ** (p_plus - p_mid), 0.0)
+                              * ge**p_mid))
+    source = float(np.sum(w * H_mid * u_mid ** (gamma + p_mid - 1.0) * eta_mid**p_plus))
+    rhs = zero_order + C_probe * abs(gamma) ** (-p_plus) * cutoff \
+        + C_probe * abs(gamma) ** (-1.0) * source
+    return px.CaccioppoliResult(lhs, rhs, bool(lhs <= rhs), zero_order, cutoff, source,
+                                p_minus, p_plus)
 
 
 def reference_gradient(disc, u_flat):

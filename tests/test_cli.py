@@ -105,6 +105,21 @@ def test_verify_deterministic_bodies(tmp_path):
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
 
+def test_verify_builds_one_geometry(tmp_path, geometry_builds):
+    # the solve builds the lattice geometry; the caccioppoli and norm checks
+    # work on shifted slices of the nodal array
+    out = tmp_path / "out"
+    cfg = manufactured_config(out, [
+        {"kind": "caccioppoli", "center": [0.5], "rho": 0.2, "gamma": 1.0, "cutoff": "bump"},
+        {"kind": "norm"},
+    ])
+    cfg["problem"]["dirichlet"] = {"kind": "constant", "value": 2.0}  # u >= 1 for caccioppoli
+    assert main(["verify", write_config(tmp_path, cfg)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [r["status"] for r in report] == ["ok", "ok"]
+    assert len(geometry_builds) == 1
+
+
 def test_report_schema_validates(tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
     out = tmp_path / "out"

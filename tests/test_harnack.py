@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pxlap as px
+from conftest import random_grid, reference_caccioppoli
 
 
 def affine_u(cells=512):
@@ -220,6 +221,24 @@ def test_caccioppoli_source_term_enters():
     r1 = px.caccioppoli_check(u, 1.0, eta, H1, field, 1.0)
     assert r1.source_term > 0
     assert r1.rhs > r0.rhs
+
+
+@pytest.mark.parametrize("n_axes", [2, 3])
+@pytest.mark.parametrize("gamma", [1.0, -0.5])
+def test_caccioppoli_matches_geometry_reference(n_axes, gamma, geometry_builds):
+    u = random_grid(n_axes, seed=2)
+    u = u.like(1.0 + np.abs(u.values))
+    H = random_grid(n_axes, seed=3)
+    eta = px.bump_cutoff(u, [0.25, 0.75, 0.1][:n_axes], 0.7)
+    assert 0 < np.count_nonzero(eta.values) < eta.values.size
+    field = px.affine_exponent(2.2, [0.3, -0.2, 0.1][:n_axes], u.box)
+    got = px.caccioppoli_check(u, gamma, eta, H, field, C_probe=1.5)
+    assert geometry_builds == []
+    want = reference_caccioppoli(u, gamma, eta, H, field, 1.5)
+    for name in ("lhs", "rhs", "zero_order_term", "cutoff_term", "source_term",
+                 "p_minus", "p_plus"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-13), name
+    assert got.holds == want.holds
 
 
 # -- local bound -----------------------------------------------------------------

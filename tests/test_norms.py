@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import pxlap as px
 from conftest import grid_1d
@@ -92,22 +94,70 @@ def test_luxemburg_unit_ball_property():
 
 
 def test_luxemburg_bracket_failure_carries_bracket():
-    g = grid_1d(0.0, 1.0, 8, lambda x: np.full_like(x, 10.0))
-    f = px.constant_exponent(2.0)
+    # One Newton step from lambda = 1 stops short of the root of
+    # lambda^-2 + lambda^-4 = 1; the error brackets it.
+    g = grid_1d(0.0, 2.0, 256, lambda x: np.ones_like(x))
+    f = px.piecewise_exponent(0, 1.0, 2.0, 4.0)
+    root = np.sqrt(2.0 / (np.sqrt(5.0) - 1.0))
     with pytest.raises(px.norms.BracketError) as exc:
-        px.luxemburg_norm(g, f, px.NormConfig(bisection_tol=1e-10, max_iter=2))
-    assert exc.value.bracket[1] == 4.0
+        px.luxemburg_norm(g, f, px.NormConfig(bisection_tol=1e-10, max_iter=1))
+    assert exc.value.bracket[0] <= root <= exc.value.bracket[1]
 
 
-def test_luxemburg_of_a_tiny_function_is_a_bracket_error_not_zero():
-    # 200 halvings reach lambda = 2^-200 ~ 6e-61, still above |u| = 1e-70, so
-    # the modular never exceeds 1; the norm used to come back as 0.0.
-    g = px.GridFunction.constant(px.Box([0.0, 0.0], [1.0, 1.0]), 8, 1e-70)
+def test_luxemburg_and_sobolev_of_tiny_and_huge_constants():
+    # both lie far outside [2^-200, 2^200], the reach of 200 halvings or
+    # doublings of lambda from 1
     f = px.constant_exponent(2.0)
-    for norm in (px.luxemburg_norm, px.sobolev_norm):
-        with pytest.raises(px.norms.BracketError, match="modular stays <= 1 while halving") as exc:
-            norm(g, f)
-        assert exc.value.bracket == (2.0**-200, 1.0)
+    for c in (1e-70, 1e80):
+        g = px.GridFunction.constant(px.Box([0.0, 0.0], [1.0, 1.0]), 8, c)
+        for norm in (px.luxemburg_norm, px.sobolev_norm):
+            assert norm(g, f) == pytest.approx(c, rel=1e-12)
+
+
+def random_field_and_grid(n, kind, seed):
+    """Nodal N(0, 1) values on a random box and an affine or radial p in [1.2, 5]."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-1.0, 1.0, n)
+    box = px.Box(lo, lo + rng.uniform(0.3, 3.0, n))
+    p_lo = rng.uniform(1.2, 4.5)
+    p_hi = rng.uniform(p_lo, 5.0)
+    if kind == "affine":
+        w = rng.uniform(0.0, 1.0, n) + 1e-3
+        slope = (p_hi - p_lo) * w / (w @ box.widths)
+        field = px.affine_exponent(p_lo - slope @ box.lo, slope, box)
+    else:
+        center = 0.5 * (box.lo + box.hi)
+        field = px.radial_exponent(center, p_lo, (p_hi - p_lo) / (0.5 * box.diameter), box)
+    g = px.GridFunction.constant(box, [int(c) for c in rng.integers(2, (24, 9, 5)[n - 1], n)],
+                                 0.0)
+    return g.like(rng.standard_normal(g.dims)), field
+
+
+field_cases = dict(n=st.integers(1, 3), kind=st.sampled_from(["affine", "radial"]),
+                   seed=st.integers(0, 2**32 - 1))
+
+
+@given(log_t=st.floats(-80.0, 80.0), **field_cases)
+def test_luxemburg_homogeneous_over_extreme_scales(log_t, n, kind, seed):
+    g, field = random_field_and_grid(n, kind, seed)
+    t = 10.0**log_t
+    base = px.luxemburg_norm(g, field)
+    assert px.luxemburg_norm(g.like(t * g.values), field) == pytest.approx(t * base, rel=1e-10)
+
+
+@given(s=st.floats(-2.0, 2.0), ds=st.floats(1e-3, 2.0), **field_cases)
+def test_modular_strictly_decreasing_in_lambda(s, ds, n, kind, seed):
+    g, field = random_field_and_grid(n, kind, seed)
+    lam = px.luxemburg_norm(g, field) * np.exp(s)
+    assert px.modular(g, field, lam) > px.modular(g, field, lam * np.exp(ds))
+
+
+@given(**field_cases)
+def test_modular_at_the_norm_is_one(n, kind, seed):
+    g, field = random_field_and_grid(n, kind, seed)
+    cfg = px.NormConfig()
+    lam = px.luxemburg_norm(g, field, cfg)
+    assert abs(px.modular(g, field, lam) - 1.0) <= 10 * field.p2 * cfg.bisection_tol
 
 
 def test_sobolev_norm_linear_1d():
@@ -124,6 +174,19 @@ def test_sobolev_norm_constant_is_value_norm():
     assert px.sobolev_norm(g, f, CFG) == pytest.approx(2.5, rel=1e-9)
     g0 = grid_1d(0.0, 1.0, 32, lambda x: np.zeros_like(x))
     assert px.sobolev_norm(g0, f, CFG) == 0.0
+
+
+@pytest.mark.parametrize("n_axes", [2, 3])
+def test_sobolev_norm_affine_anisotropic_box(n_axes, geometry_builds):
+    # grad u = a everywhere, so the gradient part is |a| |box|^(1/p).
+    a = np.array([1.5, -2.0, 0.75][:n_axes])
+    box = px.Box([-0.5] * n_axes, [1.0, 2.0, 0.7][:n_axes])
+    g = px.GridFunction.from_callable(box, (9, 6, 4)[:n_axes], lambda pts: pts @ a + 0.5)
+    f = px.constant_exponent(2.6)
+    grad_part = px.sobolev_norm(g, f, CFG) - px.luxemburg_norm(g, f, CFG)
+    assert geometry_builds == []
+    vol = float(np.prod(box.widths))
+    assert grad_part == pytest.approx(np.linalg.norm(a) * vol ** (1.0 / 2.6), rel=1e-12)
 
 
 def test_lt_average_examples():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import pxlap as px
 import pxlap.solver as solver
 from conftest import grid_1d, pointwise_reference, reference_gradient, reference_hat_norms
-from pxlap.quadrature import CellGeometry
 from pxlap.solver import _Discretization
 
 
@@ -412,15 +411,8 @@ def test_hat_norms_raise_typed_errors():
         disc.hat_norms(np.array([0]))
 
 
-def test_one_geometry_per_solve_and_per_weak_residual(monkeypatch):
-    builds = []
-    build = CellGeometry.build.__func__
-
-    def counted(cls, g):
-        builds.append(g.dims)
-        return build(cls, g)
-
-    monkeypatch.setattr(CellGeometry, "build", classmethod(counted))
+def test_one_geometry_per_solve_and_per_weak_residual(geometry_builds):
+    builds = geometry_builds
     box = px.Box([0.0, 0.0], [1.0, 1.0])
     f = px.GridFunction.constant(box, 8, -1.0)
     spec = px.ProblemSpec(box, px.constant_exponent(1.5, domain=box), f, 0.0)
