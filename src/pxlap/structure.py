@@ -23,7 +23,7 @@ import numpy as np
 
 from .exponent import ExponentField
 from .grid import Ball, GridFunction, as_points
-from .quadrature import lq_ball_norm
+from .quadrature import ball_cell_weights
 
 __all__ = [
     "StructureBounds", "FluxPair", "SampleSet", "Violation", "StructureReport",
@@ -47,23 +47,26 @@ class FluxPair:
     B: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StructureBounds:
-    """Constants and coefficient fields of the structure conditions.
+    """Constants of the structure conditions.
 
-    The coefficient grids all live on one lattice; b is the natural-growth
-    constant, m0 the state bound, q0/q1/q2/t2 the integrability exponents.
+    The coefficients g0 .. k2 are nonnegative numbers; `lattice` gives the
+    axis count and the grid of mu_general's ball quadrature.  b is the
+    natural-growth constant, m0 the state bound, q0/q1/q2/t2 the
+    integrability exponents.
     """
 
+    lattice: GridFunction
     alpha: float
-    g0: GridFunction
-    g1: GridFunction
-    f_src: GridFunction
-    c0: GridFunction
-    c1: GridFunction
-    c2: GridFunction
-    k1: GridFunction
-    k2: GridFunction
+    g0: float
+    g1: float
+    f_src: float
+    c0: float
+    c1: float
+    c2: float
+    k1: float
+    k2: float
     m0: float
     q0: float
     q1: float
@@ -72,21 +75,16 @@ class StructureBounds:
     b: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"ellipticity constant alpha must be positive, got {self.alpha}")
-        if self.m0 < 0 or self.b < 0:
-            raise ValueError(f"m0 and b must be >= 0, got m0={self.m0}, b={self.b}")
-        names = ("g0", "g1", "f_src", "c0", "c1", "c2", "k1", "k2")
-        grids = [getattr(self, n) for n in names]
-        for n, g in zip(names, grids):
-            if not grids[0].same_lattice(g):
-                raise ValueError(f"coefficient grid {n} is on a different lattice")
-            if np.any(g.values < 0):
-                raise ValueError(f"coefficient grid {n} must be nonnegative")
+        for name in ("alpha", "m0", "b", "g0", "g1", "f_src", "c0", "c1", "c2", "k1", "k2"):
+            v = float(getattr(self, name))
+            object.__setattr__(self, name, v)
+            if not (np.isfinite(v) and v >= 0) or (name == "alpha" and v == 0):
+                kind = "positive" if name == "alpha" else "nonnegative"
+                raise ValueError(f"{name} must be finite and {kind}, got {v}")
 
     def validate_exponents(self, field: ExponentField) -> None:
         """Admissibility of q0, q1, q2, t2 against the field's lower bound."""
-        n = self.g0.n_axes
+        n = self.lattice.n_axes
         lo01 = max(1.0, n / (field.p1 - 1.0))
         lo2 = max(1.0, n / field.p1)
         for name, q, lo in (("q0", self.q0, lo01), ("q1", self.q1, lo01),
@@ -104,11 +102,9 @@ class StructureBounds:
                   k1: float = 0.0, k2: float = 0.0, m0: float = 1.0,
                   q0: float = np.inf, q1: float = np.inf, q2: float = np.inf,
                   t2: float = np.inf, b: float = 0.0) -> "StructureBounds":
-        """Bounds with constant coefficient fields on the lattice of `like`;
-        validates the integrability exponents against the field."""
-        mk = lambda v: like.like(np.full(like.dims, float(v)))
-        out = cls(alpha, mk(g0), mk(g1), mk(f_src), mk(c0), mk(c1), mk(c2),
-                  mk(k1), mk(k2), m0, q0, q1, q2, t2, b)
+        """Bounds on the lattice of `like`; validates the integrability
+        exponents against the field."""
+        out = cls(like, alpha, g0, g1, f_src, c0, c1, c2, k1, k2, m0, q0, q1, q2, t2, b)
         out.validate_exponents(field)
         return out
 
@@ -187,10 +183,6 @@ def structure_sample_lattice(like: GridFunction, m0: float, seed: int = 0,
     return SampleSet(P, S, X)
 
 
-def _coef(g: GridFunction, pts: np.ndarray) -> np.ndarray:
-    return g.interp(pts)
-
-
 def _violated(slack: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return slack > _SLACK_ATOL + _SLACK_RTOL * scale
@@ -208,6 +200,12 @@ def _check(pair: FluxPair, bounds: StructureBounds, field: ExponentField,
     xin = np.linalg.norm(xi, axis=1)
     A = np.asarray(pair.A(pts, s, xi), dtype=float).reshape(xi.shape)
     Bv = np.asarray(pair.B(pts, s, xi), dtype=float).reshape(s.shape)
+    for name, vals in (("A", A), ("B", Bv)):
+        bad = ~np.isfinite(vals.reshape(samples.size, -1)).all(axis=1)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ValueError(f"flux {name} is not finite at sample {i} "
+                             f"(x = {pts[i]}, s = {s[i]}, xi = {xi[i]})")
     alpha = bounds.alpha if alpha_override is None else float(alpha_override)
 
     report = StructureReport(samples.size, tuple(conditions))
@@ -222,17 +220,15 @@ def _check(pair: FluxPair, bounds: StructureBounds, field: ExponentField,
 
     if "1" in conditions:
         lhs = np.sum(A * xi, axis=1)
-        rhs = alpha * xin**p - _coef(bounds.c0, pts) * abs_s**p - _coef(bounds.g0, pts)
+        rhs = alpha * xin**p - bounds.c0 * abs_s**p - bounds.g0
         record("1", lhs, rhs, rhs - lhs)
     if "2" in conditions:
         lhs = np.linalg.norm(A, axis=1)
-        rhs = _coef(bounds.g1, pts) + _coef(bounds.c1, pts) * abs_s ** (p - 1.0) \
-            + _coef(bounds.k1, pts) * xin ** (p - 1.0)
+        rhs = bounds.g1 + bounds.c1 * abs_s ** (p - 1.0) + bounds.k1 * xin ** (p - 1.0)
         record("2", lhs, rhs, lhs - rhs)
     if "3" in conditions:
         lhs = np.abs(Bv)
-        rhs = _coef(bounds.f_src, pts) + _coef(bounds.c2, pts) * abs_s ** (p - 1.0) \
-            + _coef(bounds.k2, pts) * xin ** (p - 1.0)
+        rhs = bounds.f_src + bounds.c2 * abs_s ** (p - 1.0) + bounds.k2 * xin ** (p - 1.0)
         if with_gradient_term:
             rhs = rhs + bounds.b * xin**p
         record("3'" if with_gradient_term else "3", lhs, rhs, lhs - rhs)
@@ -263,26 +259,27 @@ def mu_general(bounds: StructureBounds, ball: Ball, field: ExponentField) -> flo
         mu = [R^(1-n/q2) ||f||_{q2}]^e + [R^(-n/q0) ||g0||_{q0}]^e
            + [R^(-n/q1) ||g1||_{q1}]^e,    e = 1 / (p_minus^4R - 1),
 
-    with ball norms over the 4R dilate.  Bounded powers of mu across scales
-    are what make the Harnack constant radius-independent for log-Hoelder
-    exponents.
+    with L^q norms of the constant coefficients over the 4R dilate.  Bounded
+    powers of mu across scales are what make the Harnack constant
+    radius-independent for log-Hoelder exponents.
     """
     R = ball.radius
     if R > 1.0 + 1e-12:
         raise ValueError(f"ball radius must be <= 1, got {R}")
     big = ball.dilate(4.0)
-    if not bounds.g0.box.contains_ball(big):
+    if not bounds.lattice.box.contains_ball(big):
         raise ValueError(f"the 4R dilate of the ball (radius {big.radius}) escapes the grid box")
-    nodes = bounds.g0.nodes()
+    nodes = bounds.lattice.nodes()
     p_minus = float(field(nodes[big.contains(nodes)]).min())
     e = 1.0 / (p_minus - 1.0)
-    n = bounds.g0.n_axes
+    n = bounds.lattice.n_axes
+    measure = float(np.sum(ball_cell_weights(bounds.lattice, big)))
 
-    def term(g: GridFunction, q: float, power_shift: float) -> float:
-        if np.all(g.values == 0.0):
+    def term(c: float, q: float, power_shift: float) -> float:
+        # ||c||_{L^q} of the constant c over the 4R ball is c |ball|^(1/q); n/q = 0 at q = inf
+        if c == 0.0:
             return 0.0
-        scale = 0.0 if q == np.inf else n / q
-        return float((R ** (power_shift - scale) * lq_ball_norm(g, q, big)) ** e)
+        return float((R ** (power_shift - n / q) * c * measure ** (1.0 / q)) ** e)
 
     return term(bounds.f_src, bounds.q2, 1.0) + term(bounds.g0, bounds.q0, 0.0) \
         + term(bounds.g1, bounds.q1, 0.0)
@@ -292,8 +289,6 @@ def exponential_transform(pair: FluxPair, bounds: StructureBounds,
                           direction: str) -> FluxPair:
     """Rescale the flux by exp((b/alpha)(s - M0)) ("sub") or its reciprocal
     ("super"); the source map is unchanged."""
-    if not bounds.alpha > 0:
-        raise ValueError(f"alpha must be positive, got {bounds.alpha}")
     if direction not in ("sub", "super"):
         raise ValueError(f"direction must be 'sub' or 'super', got {direction!r}")
     rate = bounds.b / bounds.alpha

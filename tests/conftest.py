@@ -4,7 +4,7 @@ from hypothesis import settings
 
 import pxlap as px
 from pxlap.grid import as_points
-from pxlap.quadrature import CellGeometry, midpoint_data
+from pxlap.quadrature import CellGeometry, lq_ball_norm, midpoint_data
 
 # Property tests draw a fixed example sequence and have no per-example
 # deadline, so they are reproducible and do not flake on a loaded host.
@@ -190,3 +190,58 @@ def reference_hat_norms(disc, interior_flat, cfg=px.NormConfig()):
         if np.all(hi - lo <= cfg.bisection_tol * hi):
             break
     return val_part + 0.5 * (lo + hi)
+
+
+STRUCTURE_COEFFICIENTS = ("g0", "g1", "f_src", "c0", "c1", "c2", "k1", "k2")
+
+
+def _constant_grid(bounds, value):
+    lattice = bounds.lattice
+    return lattice.like(np.full(lattice.dims, float(value)))
+
+
+def reference_structure_check(pair, bounds, field, samples, with_gradient_term):
+    """Conditions (1)-(3) with every coefficient held as a constant grid on the
+    bounds' lattice and interpolated back at each sample.  Returns the
+    violations as (condition, index) pairs and the max slack per condition."""
+    pts, s, xi = samples.points, samples.states, samples.gradients
+    coef = {name: _constant_grid(bounds, getattr(bounds, name)).interp(pts)
+            for name in STRUCTURE_COEFFICIENTS}
+    p = field(pts)
+    xin = np.linalg.norm(xi, axis=1)
+    abs_s = np.abs(s)
+    A = np.asarray(pair.A(pts, s, xi), dtype=float).reshape(xi.shape)
+    B = np.asarray(pair.B(pts, s, xi), dtype=float).reshape(s.shape)
+    rhs1 = bounds.alpha * xin**p - coef["c0"] * abs_s**p - coef["g0"]
+    rhs2 = coef["g1"] + coef["c1"] * abs_s ** (p - 1.0) + coef["k1"] * xin ** (p - 1.0)
+    rhs3 = coef["f_src"] + coef["c2"] * abs_s ** (p - 1.0) + coef["k2"] * xin ** (p - 1.0)
+    if with_gradient_term:
+        rhs3 = rhs3 + bounds.b * xin**p
+    sides = [("1", np.sum(A * xi, axis=1), rhs1, -1.0),
+             ("2", np.linalg.norm(A, axis=1), rhs2, 1.0),
+             ("3'" if with_gradient_term else "3", np.abs(B), rhs3, 1.0)]
+    violations, max_slack = [], {}
+    for name, lhs, rhs, sign in sides:
+        slack = sign * (lhs - rhs)
+        max_slack[name] = float(slack.max())
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        violations += [(name, int(i)) for i in np.nonzero(slack > 1e-12 + 1e-12 * scale)[0]]
+    return violations, max_slack
+
+
+def reference_mu_general(bounds, ball, field):
+    """mu_general with f, g0, g1 as constant grids on the bounds' lattice and
+    their L^q norms over the 4R ball from lq_ball_norm."""
+    R, big = ball.radius, ball.dilate(4.0)
+    nodes = bounds.lattice.nodes()
+    e = 1.0 / (float(field(nodes[big.contains(nodes)]).min()) - 1.0)
+    n = bounds.lattice.n_axes
+    total = 0.0
+    for name, q, shift in (("f_src", bounds.q2, 1.0), ("g0", bounds.q0, 0.0),
+                           ("g1", bounds.q1, 0.0)):
+        g = _constant_grid(bounds, getattr(bounds, name))
+        if np.all(g.values == 0.0):
+            continue
+        scale = 0.0 if q == np.inf else n / q
+        total += float((R ** (shift - scale) * lq_ball_norm(g, q, big)) ** e)
+    return total

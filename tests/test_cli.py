@@ -194,3 +194,16 @@ def test_structure_check_subcommand(tmp_path, capsys):
     })
     assert main(["structure-check", cfg]) == 0
     assert "0 violation(s)" in capsys.readouterr().out
+
+
+def test_structure_check_rejects_nan_b(tmp_path, capsys):
+    # json reads the NaN literal; a nan b would hide every natural-growth violation
+    cfg = write_config(tmp_path, {
+        "output": str(tmp_path / "out"),
+        "check": {"kind": "structure", "domain": [[0.0, 1.0]], "cells": 8,
+                  "exponent": {"kind": "constant", "value": 2.0}, "alpha": 1.0,
+                  "m0": 1.0, "b": float("nan"), "natural_growth": True},
+    })
+    assert "NaN" in open(cfg).read()
+    assert main(["structure-check", cfg]) == 1
+    assert "b must be finite" in capsys.readouterr().err

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import pxlap as px
+from conftest import STRUCTURE_COEFFICIENTS, reference_mu_general, reference_structure_check
 
 
 def setup_1d(p_lo=1.8, p_slope=1.0, cells=16):
@@ -21,10 +24,93 @@ def test_bounds_validation():
         # n/(p1-1) = 1/0.8 = 1.25, so q0 = 1.2 is inadmissible
         px.StructureBounds.constants(like, field, alpha=1.0, m0=1.0, q0=1.2)
     with pytest.raises(ValueError, match="nonnegative"):
-        bad = like.like(np.full(like.dims, -1.0))
-        ok = like.like(np.zeros(like.dims))
-        px.StructureBounds(1.0, bad, ok, ok, ok, ok, ok, ok, ok, 1.0,
+        px.StructureBounds(like, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
                            np.inf, np.inf, np.inf, np.inf)
+
+
+@pytest.mark.parametrize("name,value",
+                         [(n, v) for n in ("alpha", "m0", "b") + STRUCTURE_COEFFICIENTS
+                          for v in (np.nan, np.inf, -1.0)] + [("alpha", 0.0)])
+def test_scalars_must_be_finite_and_in_range(name, value):
+    # b = nan would make every natural-growth bound nan and hide violations
+    _, like, field = setup_1d()
+    kw = {"alpha": 1.0, name: value}
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        px.StructureBounds.constants(like, field, **kw)
+
+
+def test_bounds_are_frozen():
+    _, like, field = setup_1d()
+    bounds = px.StructureBounds.constants(like, field, alpha=1.0, m0=1.0)
+    assert isinstance(bounds.k1, float)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bounds.alpha = float("inf")
+
+
+@pytest.mark.parametrize("which,value", [("A", np.nan), ("B", np.nan), ("B", np.inf)])
+def test_non_finite_flux_is_an_error(which, value):
+    _, like, field = setup_1d()
+    bounds = px.StructureBounds.constants(like, field, alpha=1.0, k1=1.0, m0=1.0)
+    samples = px.structure_sample_lattice(like, 1.0)
+    base = px.p_laplacian_flux(field)
+
+    def spoiled(fn):
+        def out(pts, s, xi):
+            vals = np.array(fn(pts, s, xi), dtype=float)
+            vals[3] = value
+            return vals
+        return out
+
+    pair = px.FluxPair(spoiled(base.A), base.B) if which == "A" \
+        else px.FluxPair(base.A, spoiled(base.B))
+    with pytest.raises(ValueError, match=f"flux {which} is not finite at sample 3"):
+        px.check_conditions(pair, bounds, field, samples)
+
+
+def _all_coefficient_case(n_axes):
+    box = px.Box([0.0] * n_axes, [1.0, 0.7][:n_axes])
+    like = px.GridFunction.constant(box, (12, 9)[:n_axes], 0.0)
+    field = px.affine_exponent(1.8, [0.6, -0.3][:n_axes], box)
+    bounds = px.StructureBounds.constants(like, field, alpha=1.0, g0=0.3, g1=0.2,
+                                          f_src=0.4, c0=0.5, c1=0.6, c2=0.7,
+                                          k1=0.8, k2=0.9, m0=1.0, b=0.05)
+
+    def B(pts, s, xi):
+        return 0.3 + 0.5 * np.abs(s) + 1.2 * np.linalg.norm(xi, axis=1) ** (field(pts) - 1.0)
+
+    pair = px.FluxPair(px.structure.scaled_flux(field, 0.85).A, B)
+    return like, field, bounds, pair
+
+
+@pytest.mark.parametrize("n_axes", [1, 2])
+@pytest.mark.parametrize("natural_growth", [False, True])
+def test_check_matches_grid_coefficient_reference(n_axes, natural_growth):
+    like, field, bounds, pair = _all_coefficient_case(n_axes)
+    samples = px.structure_sample_lattice(like, 1.0, seed=5)
+    check = px.check_conditions_natural_growth if natural_growth else px.check_conditions
+    rep = check(pair, bounds, field, samples)
+    violations, max_slack = reference_structure_check(pair, bounds, field, samples,
+                                                      natural_growth)
+    for name in max_slack:  # every condition holds on some samples and fails on others
+        assert 0 < sum(c == name for c, _ in violations) < samples.size
+    assert [(v.condition, v.index) for v in rep.violations] == violations
+    assert rep.max_slack == pytest.approx(max_slack, rel=1e-12)
+
+
+def test_structure_check_makes_no_interp_call(monkeypatch):
+    like, field, bounds, pair = _all_coefficient_case(2)
+    samples = px.structure_sample_lattice(like, 1.0)
+    calls = []
+    interp = px.GridFunction.interp
+
+    def counted(self, pts):
+        calls.append(self.dims)
+        return interp(self, pts)
+
+    monkeypatch.setattr(px.GridFunction, "interp", counted)
+    px.check_conditions(pair, bounds, field, samples)
+    px.check_conditions_natural_growth(pair, bounds, field, samples)
+    assert calls == []
 
 
 def test_p_laplacian_flux_passes_all_conditions():
@@ -156,6 +242,20 @@ def test_mu_general_zero_and_substitution():
     b2 = px.StructureBounds.constants(like, field, alpha=1.0, m0=1.0, f_src=1.0, q2=2.0)
     mu = px.mu_general(b2, px.Ball([0.0, 0.0], 0.25), field)
     assert mu == pytest.approx(np.sqrt(np.pi), rel=5e-3)
+
+
+@pytest.mark.parametrize("n_axes", [1, 2])
+@pytest.mark.parametrize("q", [2.0, 4.0, np.inf])
+def test_mu_general_matches_grid_reference(n_axes, q):
+    box = px.Box([-1.0] * n_axes, [1.0] * n_axes)
+    like = px.GridFunction.constant(box, (64, 24)[:n_axes], 0.0)
+    field = px.affine_exponent(2.6, [0.2, 0.1][:n_axes], box)
+    bounds = px.StructureBounds.constants(like, field, alpha=1.0, m0=1.0, g0=0.7,
+                                          g1=1.3, f_src=2.1, q0=q, q1=q, q2=q)
+    ball = px.Ball([0.05] * n_axes, 0.2)
+    mu = px.mu_general(bounds, ball, field)
+    assert mu > 0
+    assert mu == pytest.approx(reference_mu_general(bounds, ball, field), rel=1e-12)
 
 
 def test_mu_general_monotone_in_norms():
