@@ -380,10 +380,13 @@ def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray
     step refactors without trying CG first, so capped CG work is not thrown
     away step after step.  A matrix that is not positive definite, or an
     exact step that is not a finite descent direction, gives way to the
-    gradient direction.  The Newton matrix may be built with a larger
-    smoothing eps early on; it stays positive definite, so directions remain
-    descent directions for the stage energy and the appended trace entries
-    are nonincreasing.
+    gradient direction.  The Newton matrix is built with the smoothing
+    eps_h = max(eps, smooth0 0.25^(it-1)); ``solve_dirichlet`` hands each
+    stage smooth0 already decayed by the Newton steps of the stages before,
+    so eps_h decays once per Newton step over the whole solve, not per
+    stage.  The matrix stays positive definite, so directions remain descent
+    directions for the stage energy and the appended trace entries are
+    nonincreasing.
     """
     debug = _log.isEnabledFor(logging.DEBUG)
     residual = np.inf
@@ -451,8 +454,8 @@ def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray
                 backtracks += 1
         if debug:
             _log.debug("newton stage_eps=%.3e it=%d residual=%.6e step=%.6e backtracks=%d "
-                       "direction=%s linear=%s cg_iters=%d", disc.eps, it, residual,
-                       alpha if accepted else 0.0, backtracks, direction, linear, cg_iters)
+                       "direction=%s linear=%s cg_iters=%d eps_h=%.3e", disc.eps, it, residual,
+                       alpha if accepted else 0.0, backtracks, direction, linear, cg_iters, eps_h)
         if not accepted:
             return u, it, residual, "line search stalled"
         if not np.all(np.isfinite(u)):
@@ -506,7 +509,8 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     if not np.all(np.isfinite(u)):
         raise SolverError("warm start produced non-finite values")
 
-    # Newton-matrix smoothing scale from the steepest warm-start slope.
+    # Newton-matrix smoothing scale from the steepest warm-start slope; it
+    # decays by 0.25 per Newton step, carried from each stage to the next.
     nodal = u.reshape(grid.dims)
     slope = max(float(np.abs(np.diff(nodal, axis=a)).max()) / grid.spacing[a]
                 for a in range(grid.n_axes))
@@ -529,7 +533,7 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
             message = "iteration budget exhausted before the final stage"
             break
         u, used, residual, message = _newton_descend(
-            disc, u, interior, hat, stage_tol, budget, trace, smooth0)
+            disc, u, interior, hat, stage_tol, budget, trace, smooth0 * 0.25 ** iterations)
         iterations += used
         if message and not last:
             break

@@ -270,7 +270,11 @@ def mu_general(bounds: StructureBounds, ball: Ball, field: ExponentField) -> flo
     if not bounds.lattice.box.contains_ball(big):
         raise ValueError(f"the 4R dilate of the ball (radius {big.radius}) escapes the grid box")
     nodes = bounds.lattice.nodes()
-    p_minus = float(field(nodes[big.contains(nodes)]).min())
+    inside = big.contains(nodes)
+    if not np.any(inside):
+        raise ValueError(f"ball at {ball.center}, radius {R}: no grid nodes inside "
+                         f"its 4R dilate (radius {big.radius})")
+    p_minus = float(field(nodes[inside]).min())
     e = 1.0 / (p_minus - 1.0)
     n = bounds.lattice.n_axes
     measure = float(np.sum(ball_cell_weights(bounds.lattice, big)))

@@ -138,14 +138,7 @@ def test_smoothing_scale_reads_every_axis(monkeypatch):
     # The Newton-matrix smoothing scale comes from the steepest warm-start
     # slope over all axes: a steep ramp along y and the same ramp along x get
     # the same scale, hence the same iterations and mirrored solutions.
-    scales = []
-    descend = solver._newton_descend
-
-    def recording(*args):
-        scales.append(args[-1])
-        return descend(*args)
-
-    monkeypatch.setattr(solver, "_newton_descend", recording)
+    scales = record_smoothing_scales(monkeypatch)
     box = px.Box([0.0, 0.0], [1.0, 1.0])
     f = px.GridFunction.constant(box, 12, -1.0)
     field = px.constant_exponent(3.0, domain=box)
@@ -511,10 +504,74 @@ def test_steepest_descent_rescue(monkeypatch, caplog):
     assert all(int(r["backtracks"]) >= 60 for r in recs)
 
 
-def continuation_problem(cells=16):
+def continuation_problem(cells=16, amp=1.0):
     box = px.Box([0.0, 0.0], [1.0, 1.0])
-    f = px.GridFunction.from_callable(box, cells, lambda pts: -1.0 - 0.5 * np.cos(3.0 * pts.sum(axis=1)))
+    f = px.GridFunction.from_callable(
+        box, cells, lambda pts: -amp * (1.0 + 0.5 * np.cos(3.0 * pts.sum(axis=1))))
     return px.ProblemSpec(box, px.constant_exponent(1.5, domain=box), f, 0.0)
+
+
+def record_smoothing_scales(monkeypatch):
+    """Record the smoothing scale each _newton_descend call (one per stage) gets."""
+    scales = []
+    descend = solver._newton_descend
+
+    def recording(*args):
+        scales.append(args[-1])
+        return descend(*args)
+
+    monkeypatch.setattr(solver, "_newton_descend", recording)
+    return scales
+
+
+@pytest.mark.parametrize("amp", [1.0, 100.0], ids=["mild", "steep"])
+def test_smoothing_decays_over_the_whole_solve(monkeypatch, caplog, amp):
+    # The Newton-matrix smoothing decays by 0.25 per Newton step across
+    # stage boundaries: each stage starts where the previous one stopped
+    # instead of going back to the warm-start scale.  The steep source makes
+    # that scale exceed the first stage eps, so the first stage decays it.
+    caplog.set_level(logging.DEBUG, logger="pxlap")
+    scales = record_smoothing_scales(monkeypatch)
+    spec = continuation_problem(amp=amp)
+    res = px.solve_dirichlet(spec)
+    assert res.converged and res.residual <= spec.tol
+    assert_nonincreasing(res.energy_trace)
+    recs = newton_records(caplog)
+    assert len(recs) == res.iterations
+    eps_h = [float(r["eps_h"]) for r in recs]
+    assert all(b <= a for a, b in zip(eps_h, eps_h[1:]))
+    first = [r for r in recs if r["stage_eps"] == recs[0]["stage_eps"]]
+    eps0 = solver._eps_schedule(spec)[0]
+    assert [r["eps_h"] for r in first] == [
+        f"{max(eps0, scales[0] * 0.25 ** k):.3e}" for k in range(len(first))]
+    # the first step of a stage, after i steps in all, smooths at scale * 0.25^i
+    for i, r in enumerate(recs):
+        if r["it"] == "1":
+            assert r["eps_h"] == f"{max(float(r['stage_eps']), scales[0] * 0.25 ** i):.3e}"
+    if amp == 1.0:
+        assert scales[0] == eps0 and res.iterations <= 20
+    else:
+        assert scales[0] > eps0 and float(first[0]["eps_h"]) > eps0
+
+
+def affine_cube(cells):
+    box = px.Box([0.0] * 3, [1.0] * 3)
+    f = px.GridFunction.constant(box, cells, -1.0)
+    return px.ProblemSpec(box, px.affine_exponent(2.5, [0.3, 0.2, 0.1], box), f, 0.0,
+                          reg_eps=1e-8, tol=1e-8)
+
+
+@pytest.mark.parametrize("make, iterations", [
+    (lambda: problem_1d(-1.0, 1.0, 512, 3.0, 1.0, 0.0, reg_eps=1e-8, tol=1e-9), 7),
+    (lambda: affine_cube(8), 5),
+], ids=["1d-p3", "3d-affine"])
+def test_single_stage_keeps_its_iteration_count(monkeypatch, make, iterations):
+    # A p >= 2 solve is one stage that starts from the warm-start scale, so
+    # carrying the smoothing across stages leaves it exactly as it was.
+    scales = record_smoothing_scales(monkeypatch)
+    res = px.solve_dirichlet(make())
+    assert res.converged and len(scales) == 1
+    assert res.iterations == iterations
 
 
 def test_one_factor_per_stage_then_pcg(monkeypatch, caplog):

@@ -299,6 +299,16 @@ def test_mu_general_dilate_escape():
         px.mu_general(b, px.Ball([0.8], 0.25), field)
 
 
+def test_mu_general_dilate_without_nodes():
+    # The 4R dilate [0.009, 0.017] falls between the nodes 0 and 1/16.
+    box = px.Box([-1.0], [1.0])
+    like = px.GridFunction.constant(box, 32, 0.0)
+    field = px.constant_exponent(2.0, domain=box)
+    b = px.StructureBounds.constants(like, field, alpha=1.0, f_src=1.0)
+    with pytest.raises(ValueError, match=r"ball at \[0\.013\], radius 0\.001: no grid nodes inside"):
+        px.mu_general(b, px.Ball([0.013], 0.001), field)
+
+
 def test_sample_lattice_deterministic():
     _, like, _ = setup_1d()
     s1 = px.structure_sample_lattice(like, 1.0, seed=42)
