@@ -1,14 +1,15 @@
 """Large-size Newton benchmark: a base revision against the working tree.
 
 Runs solve_dirichlet at sizes the perfbench workloads do not reach (2d p = 1.5
-at 128^2 and 256^2 cells, 3d affine p at 24^3 and 32^3), five times for
-each of base and change, interleaved, each solve in its own process pinned to one CPU with one BLAS
-thread.  Per size it records the wall time of the solve, Newton iterations,
-LAPACK band factorizations (warm start included), CG iterations, and the
-weak residual against tol, then writes everything to one JSON file.  The
-speed-up is given as the ratio of the median times and as the median of the
-ratios of the base and change runs made back to back, which a drifting host
-speed moves less:
+at 128^2 and 256^2 cells, 3d affine p at 24^3 and 32^3), five times for each
+of base and change, interleaved, each solve in its own process pinned to one
+CPU with one BLAS thread.  Per size it records the wall time of the solve,
+Newton iterations, LAPACK band factorizations (all of the solve's, the warm
+start's too where a tree factors for it), CG iterations, the weak residual
+against tol and the worker's peak resident set size, then writes everything
+to one JSON file.  The speed-up is given as the ratio of the median times
+and as the median of the ratios of the base and change runs made back to
+back, which a drifting host speed moves less:
 
     python3 scripts/bench_newton.py --base HEAD~1 --out BENCH_newton.json
 
@@ -17,6 +18,8 @@ change is the working tree's ``src``.  Factorizations are counted by wrapping
 ``scipy.linalg.cholesky_banded`` and ``scipy.linalg.solveh_banded``; CG
 iterations are read from the ``pxlap`` debug log (a tree that logs no Newton
 records reports 0).  The counting adds well under a millisecond per solve.
+The peak RSS is the worker process's ``ru_maxrss`` after the weak residual,
+so it covers the interpreter, numpy and scipy as well as the solve.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 def worker(case: str) -> dict:
     """Solve one case in this process and return its record."""
     import logging
+    import resource
     import time
 
     import scipy.linalg as sla
@@ -100,6 +104,8 @@ def worker(case: str) -> dict:
         "tol": spec.tol,
         "factorizations": len(factorizations),
         "cg_iterations": sum(cg_iters),
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
 
@@ -125,6 +131,7 @@ def summary(runs: list) -> dict:
         "iterations": sorted({r["iterations"] for r in runs}),
         "factorizations": sorted({r["factorizations"] for r in runs}),
         "cg_iterations": sorted({r["cg_iterations"] for r in runs}),
+        "max_peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
         "all_converged": all(r["converged"] and r["weak_residual"] <= r["tol"] for r in runs),
         "max_weak_residual": max(r["weak_residual"] for r in runs),
         "tol": runs[0]["tol"],
@@ -156,7 +163,8 @@ def main(argv=None) -> int:
                     rec = run_one(sides[side], case, cpu)
                     results[case][side].append(rec)
                     print(f"{case:14s} {side:6s} {rec['time_s']:8.3f} s  it={rec['iterations']:3d} "
-                          f"factor={rec['factorizations']:3d} cg={rec['cg_iterations']:4d}",
+                          f"factor={rec['factorizations']:3d} cg={rec['cg_iterations']:4d} "
+                          f"rss={rec['peak_rss_mb']:6.1f} MB",
                           file=sys.stderr, flush=True)
 
     report = {
@@ -185,7 +193,9 @@ def main(argv=None) -> int:
         print(f"{case:14s} base {row['base']['median_time_s']:.3f} s  change "
               f"{row['change']['median_time_s']:.3f} s  x{row['speedup']:.2f} "
               f"(paired x{row['median_paired_speedup']:.2f})  "
-              f"factorizations {row['base']['factorizations']} -> {row['change']['factorizations']}")
+              f"factorizations {row['base']['factorizations']} -> "
+              f"{row['change']['factorizations']}  peak RSS {row['base']['max_peak_rss_mb']:.0f} "
+              f"-> {row['change']['max_peak_rss_mb']:.0f} MB")
     return 0
 
 

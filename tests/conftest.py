@@ -128,6 +128,21 @@ def reference_gradient(disc, u_flat):
     return g + disc.source_vec
 
 
+def reference_warm_start(spec):
+    """The p = 2 warm start as one band Newton step: the p = 2 discretization's
+    gradient at the lifted boundary data, solved with the band Cholesky of its
+    Newton matrix.  Returns the full nodal array."""
+    from pxlap.solver import _Discretization, _factor_spd, _solve_factored
+
+    grid = spec.rhs
+    lap = _Discretization(grid, px.constant_exponent(2.0, domain=spec.domain), grid, 0.0)
+    interior = lap.pattern.interior
+    u = spec.dirichlet_values().reshape(-1).copy()
+    u[interior] = 0.0
+    u[interior] -= _solve_factored(_factor_spd(lap.hessian(u)), lap.gradient(u)[interior])
+    return u.reshape(grid.dims)
+
+
 def reference_hat_norms(disc, interior_flat, cfg=px.NormConfig()):
     """Hat-function Sobolev norms by a 120-step bisection over sorted triples.
 

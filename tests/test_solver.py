@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 import pxlap as px
 import pxlap.solver as solver
-from conftest import grid_1d, pointwise_reference, reference_gradient, reference_hat_norms
+from conftest import (grid_1d, pointwise_reference, reference_gradient, reference_hat_norms,
+                      reference_warm_start)
+from pxlap.quadrature import CellGeometry
 from pxlap.solver import _Discretization
 
 
@@ -186,6 +189,83 @@ def test_lattice_without_interior_is_rejected(lo, hi, cells, dims):
     f = px.GridFunction.constant(box, cells, -1.0)
     with pytest.raises(ValueError, match=f"lattice dims {dims} have no interior node"):
         px.ProblemSpec(box, px.constant_exponent(2.0, domain=box), f)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("reg_eps", np.nan, r"reg_eps must be finite and >= 0, got nan"),
+    ("reg_eps", np.inf, r"reg_eps must be finite and >= 0, got inf"),
+    ("tol", np.inf, r"tol must be finite and positive, got inf"),
+    ("max_iter", 2.5, r"max_iter must be a positive integer, got 2\.5"),
+    ("max_iter", -3, r"max_iter must be a positive integer, got -3"),
+    ("rhs", np.nan, r"rhs must be finite at every node"),
+], ids=["reg_eps-nan", "reg_eps-inf", "tol-inf", "max_iter-fraction", "max_iter-negative",
+        "rhs-nan"])
+def test_problem_spec_rejects_bad_fields(name, value, message):
+    # Each of these used to fail late or silently: a full iteration budget,
+    # a stalled line search, a converged solve at tol = inf, a TypeError from
+    # range, an empty budget, or a non-finite warm start.
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    f = px.GridFunction.constant(box, 8, -1.0)
+    kw = {}
+    if name == "rhs":
+        f.values[3, 4] = value
+    else:
+        kw[name] = value
+    with pytest.raises(ValueError, match=message):
+        px.ProblemSpec(box, px.constant_exponent(2.0, domain=box), f, 0.0, **kw)
+
+
+# -- p = 2 warm start -----------------------------------------------------------
+
+@given(nodes=st.lists(st.integers(3, 12), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_warm_start_matches_band_reference(nodes, seed):
+    rng = np.random.default_rng(seed)
+    n = len(nodes)
+    lo = rng.uniform(-1.0, 1.0, n)
+    box = px.Box(lo, lo + rng.uniform(0.05, 5.0, n))
+    cells = tuple(d - 1 for d in nodes)
+    f = px.GridFunction.constant(box, cells, 0.0)
+    f = f.like(rng.standard_normal(f.dims))
+    data = f.like(rng.standard_normal(f.dims))
+    spec = px.ProblemSpec(box, px.constant_exponent(2.0, domain=box), f, data)
+    got = solver._laplace_warm_start(spec, CellGeometry.build(f))
+    ref = reference_warm_start(spec)
+    assert got.shape == ref.shape == f.dims
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_p2_solve_is_the_warm_start(monkeypatch):
+    # p = 2 with a source and ramp data on an anisotropic box: the warm start
+    # is already the discrete solution, and no band is ever factored.
+    factors = count_calls(monkeypatch, solver.sla, "cholesky_banded")
+    box = px.Box([0.0, -1.0, 0.5], [3.0, -0.6, 1.5])
+    f = px.GridFunction.from_callable(box, (12, 5, 7), lambda pts: -1.0 + pts[:, 0] * pts[:, 2])
+    ramp = lambda pts: 1.0 + 2.0 * pts[:, 0] - 30.0 * pts[:, 1] + 0.5 * pts[:, 2]
+    spec = px.ProblemSpec(box, px.constant_exponent(2.0, domain=box), f, ramp, tol=1e-10)
+    res = px.solve_dirichlet(spec)
+    assert res.converged and res.iterations == 0
+    assert factors == []
+    assert px.weak_residual(res.solution, spec) <= spec.tol
+
+
+def test_long_1d_warm_start_memory_is_linear():
+    # A dense sine basis would take 8 N^2 bytes on this lattice (3.2 GB); the
+    # FFT takes a few arrays of the lattice's size.  The 3-point Laplacian is
+    # exact on the parabola, so only rounding separates the two.
+    box = px.Box([0.0], [1.0])
+    f = px.GridFunction.constant(box, 20000, -2.0)
+    spec = px.ProblemSpec(box, px.constant_exponent(2.0, domain=box), f, 0.0, reg_eps=0.0)
+    geo = CellGeometry.build(f)
+    tracemalloc.start()
+    try:
+        u = solver._laplace_warm_start(spec, geo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * f.values.nbytes
+    x = f.nodes()[:, 0]
+    assert np.abs(u - x * (1.0 - x)).max() <= 1e-12
 
 
 def test_anisotropic_lattice_gets_the_short_band():
@@ -423,17 +503,11 @@ def fallback_problem(max_iter):
                       max_iter=max_iter)
 
 
-def after_warm_start(monkeypatch, owner, name, fake):
-    """Patch owner.name so the first call (the p = 2 warm start) is real."""
+def fake_every_call(monkeypatch, owner, name, fake):
+    """Replace owner.name by fake(real, *args).  The sine-basis warm start
+    makes no band factorization or solve, so every call is a Newton step's."""
     real = getattr(owner, name)
-    calls = []
-
-    def patched(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs) if len(calls) == 1 else fake(real, *args, **kwargs)
-
-    monkeypatch.setattr(owner, name, patched)
-    return calls
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: fake(real, *args, **kwargs))
 
 
 def assert_nonincreasing(trace):
@@ -476,10 +550,10 @@ def newton_records(caplog):
 def test_gradient_direction_fallback(monkeypatch, caplog, owner, name, fake, linear):
     caplog.set_level(logging.DEBUG, logger="pxlap")
     exact_steps_only(monkeypatch)
-    after_warm_start(monkeypatch, owner, name, fake)
+    fake_every_call(monkeypatch, owner, name, fake)
     factors = count_calls(monkeypatch, solver.sla, "cholesky_banded")
     res = px.solve_dirichlet(fallback_problem(max_iter=6))
-    assert len(factors) == 1 + res.iterations == 7
+    assert len(factors) == res.iterations == 6
     assert res.message.startswith("iteration budget exhausted")
     assert_nonincreasing(res.energy_trace)
     assert res.energy_trace[-1] < res.energy_trace[0]
@@ -492,8 +566,8 @@ def test_steepest_descent_rescue(monkeypatch, caplog):
     # conservative gradient step of the rescue can lower the energy.
     caplog.set_level(logging.DEBUG, logger="pxlap")
     exact_steps_only(monkeypatch)
-    after_warm_start(monkeypatch, solver, "_solve_factored",
-                     lambda real, c, rhs: 1e30 * real(c, rhs))
+    fake_every_call(monkeypatch, solver, "_solve_factored",
+                    lambda real, c, rhs: 1e30 * real(c, rhs))
     res = px.solve_dirichlet(fallback_problem(max_iter=4))
     assert res.message.startswith("iteration budget exhausted")
     assert len(res.energy_trace) == 5
@@ -590,7 +664,7 @@ def test_one_factor_per_stage_then_pcg(monkeypatch, caplog):
         assert r["direction"] == "newton"
         assert r["linear"] == ("factor" if i in firsts else "pcg")
         assert int(r["cg_iters"]) == 0 if i in firsts else 1 <= int(r["cg_iters"]) <= solver._CG_CAP
-    assert len(factors) == 1 + len(firsts)  # the warm start, then one per stage
+    assert len(factors) == len(firsts)  # one per stage, none for the warm start
 
 
 def test_stale_preconditioner_forces_refactor(monkeypatch, caplog):
@@ -616,7 +690,7 @@ def test_stale_preconditioner_forces_refactor(monkeypatch, caplog):
     for prev, r in zip(recs, recs[1:]):
         if int(prev["cg_iters"]) > solver._CG_NEAR:
             assert (r["linear"], r["cg_iters"]) == ("factor", "0")
-    assert len(factors) == 1 + sum(r["linear"] == "factor" for r in recs)
+    assert len(factors) == sum(r["linear"] == "factor" for r in recs)
 
 
 def test_non_descent_cg_direction_forces_refactor(monkeypatch, caplog):
@@ -636,7 +710,7 @@ def test_non_descent_cg_direction_forces_refactor(monkeypatch, caplog):
     recs = newton_records(caplog)
     assert all(r["linear"] == "factor" and r["direction"] == "newton" for r in recs)
     assert any(int(r["cg_iters"]) > 0 for r in recs)
-    assert len(factors) == 1 + len(recs)
+    assert len(factors) == len(recs)
 
 
 def test_debug_log_costs_nothing_when_off(monkeypatch):
