@@ -27,6 +27,12 @@ from .solver import solve_dirichlet
 
 EXIT_OK, EXIT_CHECK, EXIT_USAGE = 0, 1, 2
 
+# Every check kind of a verify config, and whether it runs on the solution of
+# the config's problem.
+CHECKS = {"harnack": True, "weak-harnack": True, "caccioppoli": True, "holder": True,
+          "local-bound": True, "barrier": False, "max-principle": True, "hopf": True,
+          "structure": False, "norm": True}
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="pxlap", description=__doc__)
@@ -130,7 +136,7 @@ def _cmd_verify(args) -> int:
     cfg, base = _load(args)
     checks = cfg.get("checks", [])
     for c in checks:
-        if c.get("kind") not in cf.KNOWN_CHECKS:
+        if c.get("kind") not in CHECKS:
             raise cf.ConfigError(f"unknown check kind {c.get('kind')!r}")
     spec = solution = None
     if "problem" in cfg:
@@ -140,7 +146,7 @@ def _cmd_verify(args) -> int:
     for c in checks:
         kind = c["kind"]
         try:
-            if kind in _NEEDS_SOLUTION and solution is None:
+            if CHECKS[kind] and solution is None:
                 if spec is None:
                     raise cf.ConfigError(f"check '{kind}' needs a 'problem' section")
                 res = solve_dirichlet(spec)
@@ -155,10 +161,6 @@ def _cmd_verify(args) -> int:
     for r in records:
         print(f"{r.check}: {r.status}" + ("" if r.status == "ok" else f" ({r.detail.get('message')})"))
     return EXIT_CHECK if failed else EXIT_OK
-
-
-_NEEDS_SOLUTION = {"harnack", "weak-harnack", "caccioppoli", "holder", "local-bound",
-                   "max-principle", "hopf", "norm"}
 
 
 def _run_check(c: dict, spec, u, seed: int, base) -> CheckRecord:

@@ -22,10 +22,6 @@ from .solver import ProblemSpec
 __all__ = ["ConfigError", "load_config", "build_problem", "build_exponent",
            "build_scalar_field", "build_flux", "parse_q"]
 
-KNOWN_CHECKS = ("harnack", "weak-harnack", "caccioppoli", "holder", "local-bound",
-                "barrier", "max-principle", "hopf", "structure", "norm")
-
-
 class ConfigError(ValueError):
     pass
 
@@ -111,25 +107,35 @@ def build_scalar_field(cfg, box: Box, cells, base: Path | None = None) -> GridFu
 
 
 def build_problem(cfg: dict, base: Path | None = None) -> ProblemSpec:
+    """The ProblemSpec of a config's problem section.  A missing key, or a
+    value that the exponent field or ProblemSpec rejects, is a ConfigError
+    naming the key."""
     try:
         dom = np.asarray(cfg["domain"], dtype=float)
         box = Box(dom[:, 0], dom[:, 1])
         cells = cfg.get("cells", 64)
         rhs = build_scalar_field(cfg.get("rhs", 0.0), box, cells, base)
-        field = build_exponent(cfg["exponent"], box, base)
+        try:
+            field = build_exponent(cfg["exponent"], box, base)
+        except ValueError as e:
+            raise ConfigError(f"problem key 'exponent': {e}") from e
         diricfg = cfg.get("dirichlet", 0.0)
         if isinstance(diricfg, dict):
             dirichlet = build_scalar_field(diricfg, box, cells, base)
         else:
             dirichlet = float(diricfg)
-        return ProblemSpec(
-            box, field, rhs, dirichlet,
-            reg_eps=float(cfg.get("reg_eps", 1e-8)),
-            tol=float(cfg.get("tol", 1e-7)),
-            max_iter=int(cfg.get("max_iter", 200)),
-        )
+        max_iter = cfg.get("max_iter", 200)
+        if not (isinstance(max_iter, (int, float)) and float(max_iter).is_integer()):
+            raise ConfigError(f"problem key 'max_iter' must be an integer, got {max_iter!r}")
+        # ProblemSpec's errors start with the name of the field, which is the key
+        return ProblemSpec(box, field, rhs, dirichlet, reg_eps=float(cfg.get("reg_eps", 1e-8)),
+                           tol=float(cfg.get("tol", 1e-7)), max_iter=int(max_iter))
     except KeyError as e:
         raise ConfigError(f"problem config is missing key {e}") from e
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"problem: {e}") from e
 
 
 def build_flux(cfg, field: ExponentField, base: Path | None = None) -> st.FluxPair:

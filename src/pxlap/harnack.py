@@ -27,7 +27,8 @@ import numpy as np
 from .exponent import ExponentField, band_of_samples
 from .grid import Ball, GridFunction
 from .norms import lt_average
-from .quadrature import cell_corners, cell_means, center_gradients, lq_ball_norm, midpoint_data
+from .quadrature import (ball_node_mask, cell_corners, cell_means, center_gradients, lq_ball_norm,
+                         midpoint_data)
 
 __all__ = [
     "HarnackReport", "OscillationTrace", "WeakHarnackResult", "CaccioppoliResult",
@@ -102,10 +103,7 @@ class LocalBoundResult:
 
 
 def _ball_node_values(u: GridFunction, ball: Ball) -> np.ndarray:
-    mask = ball.contains(u.nodes())
-    if not np.any(mask):
-        raise ValueError(f"ball at {ball.center}, radius {ball.radius}: no grid nodes inside")
-    return u.values.reshape(-1)[mask]
+    return u.values.reshape(-1)[ball_node_mask(u, ball)]
 
 
 def harnack_mu(f: GridFunction, ball: Ball, q0: float, field: ExponentField) -> float:
@@ -120,9 +118,7 @@ def harnack_mu(f: GridFunction, ball: Ball, q0: float, field: ExponentField) -> 
     big = ball.dilate(4.0)
     if not f.box.contains_ball(big):
         raise ValueError(f"the 4R dilate of the ball (radius {big.radius}) escapes the grid box")
-    nodes = f.nodes()
-    inside = big.contains(nodes)
-    p_minus = float(field(nodes[inside]).min())
+    p_minus = float(field(f.nodes()[ball_node_mask(f, ball, 4.0)]).min())
     n = f.n_axes
     lower = max(1.0, n / p_minus)
     if not q0 > lower:

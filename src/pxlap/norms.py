@@ -15,7 +15,7 @@ import numpy as np
 
 from .exponent import ExponentField
 from .grid import Ball, GridFunction
-from .quadrature import cell_means, center_gradients, midpoint_data
+from .quadrature import ball_node_mask, cell_means, center_gradients, midpoint_data
 
 __all__ = ["NormConfig", "BracketError", "modular", "luxemburg_norm",
            "sobolev_norm", "lt_average", "dual_exponent", "log_luxemburg"]
@@ -121,10 +121,7 @@ def lt_average(u: GridFunction, t: float, ball: Ball) -> float:
     """(mean over node samples in the closed ball of |u|^t)^(1/t)."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    mask = ball.contains(u.nodes())
-    if not np.any(mask):
-        raise ValueError(f"ball at {ball.center}, radius {ball.radius}: no grid nodes inside")
-    vals = np.abs(u.values.reshape(-1)[mask])
+    vals = np.abs(u.values.reshape(-1)[ball_node_mask(u, ball)])
     return float(np.mean(vals**t) ** (1.0 / t))
 
 

@@ -121,7 +121,9 @@ def ball_cell_weights(g: GridFunction, ball: Ball, subdiv: int = 8) -> np.ndarra
     """Quadrature weights of each cell for integrals over cell-box  intersect ball.
 
     Cells fully inside keep their volume; cells fully outside get zero; cut
-    cells are weighted by the inside fraction of a subdiv^n subsample.
+    cells are weighted by the inside fraction of a subdiv^n subsample.  The
+    loop runs over the subdiv^n sample offsets, each a batch over the cut
+    cells, so memory stays linear in the number of cut cells.
     """
     centers, vols = midpoint_data(g)
     half = 0.5 * np.linalg.norm(g.spacing)
@@ -132,11 +134,23 @@ def ball_cell_weights(g: GridFunction, ball: Ball, subdiv: int = 8) -> np.ndarra
         offs = [(np.arange(subdiv) + 0.5) / subdiv - 0.5 for _ in range(g.n_axes)]
         mesh = np.meshgrid(*offs, indexing="ij")
         rel = np.stack([m.ravel() for m in mesh], axis=1) * g.spacing
-        for i in np.nonzero(cut)[0]:
-            sub = centers[i] + rel
-            frac = np.count_nonzero(ball.contains(sub)) / rel.shape[0]
-            w[i] = vols[i] * frac
+        cut_centers = centers[cut]
+        inside = np.zeros(cut_centers.shape[0], dtype=np.int64)
+        for r in rel:
+            inside += ball.contains(cut_centers + r)
+        w[cut] = vols[cut] * (inside / rel.shape[0])
     return w
+
+
+def ball_node_mask(g: GridFunction, ball: Ball, dilate: float = 1.0) -> np.ndarray:
+    """Mask of the lattice nodes in the closed ball dilated by the given factor;
+    a ValueError naming the ball (and the dilate) when it holds no node."""
+    mask = ball.dilate(dilate).contains(g.nodes())
+    if not np.any(mask):
+        where = "" if dilate == 1.0 else f" its {dilate:g}R dilate (radius {ball.radius * dilate})"
+        raise ValueError(f"ball at {ball.center}, radius {ball.radius}: "
+                         f"no grid nodes inside{where}")
+    return mask
 
 
 def lq_ball_norm(g: GridFunction, q: float, ball: Ball) -> float:
@@ -147,10 +161,7 @@ def lq_ball_norm(g: GridFunction, q: float, ball: Ball) -> float:
     consistent discrete analogue of an essential sup.
     """
     if q == np.inf:
-        mask = ball.contains(g.nodes())
-        if not np.any(mask):
-            raise ValueError(f"ball at {ball.center}, radius {ball.radius}: no grid nodes inside")
-        return float(np.abs(g.values.reshape(-1)[mask]).max())
+        return float(np.abs(g.values.reshape(-1)[ball_node_mask(g, ball)]).max())
     if not q > 0:
         raise ValueError(f"integrability exponent must be positive, got {q}")
     w = ball_cell_weights(g, ball)

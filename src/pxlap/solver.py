@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -181,99 +181,89 @@ class _InteriorPattern:
 
 
 class _Discretization:
-    """Caches lattice geometry, nodal exponents and source weights.
-
-    geo and pattern may be passed in so one solve builds them once for all
-    its stages; otherwise they are built from the grid when first needed.
+    """The eps-free data of the discrete energy: cell geometry, p at the nodes
+    and cell corners, source weights, the interior nodes in C order and the
+    per-corner matrices G_k^T G_k.  eps enters only through w = sqrt(|g|^2 +
+    eps^2), so ``energy``, ``gradient`` and ``hessian_blocks`` take it, and the
+    iterate's ``corners``, as arguments and one instance serves every stage.
     """
 
-    def __init__(self, grid: GridFunction, field: ExponentField, f: GridFunction,
-                 reg_eps: float, geo: Optional[CellGeometry] = None,
-                 pattern: Optional[_InteriorPattern] = None):
+    def __init__(self, grid: GridFunction, field: ExponentField, f: GridFunction):
         if not grid.same_lattice(f):
             raise ValueError("solution and source live on different lattices")
-        self.geo = CellGeometry.build(grid) if geo is None else geo
-        self._grid = grid
-        self._pattern = pattern
+        self.geo = CellGeometry.build(grid)
         self.p_node = field(grid.nodes())
         self.p_corner = self.p_node[self.geo.corner_idx]  # (ncells, 2^n)
         self.source_vec = self.geo.node_weights * f.values.reshape(-1)
-        self.eps = float(reg_eps)
-        self.nc = self.geo.corner_idx.shape[1]
+        self.interior = np.flatnonzero(~grid.boundary_mask().reshape(-1))
+        self.nc = nc = self.geo.corner_idx.shape[1]
+        G = self.geo.grad_stencils  # (2^n k, n a, 2^n j)
+        self.gram = np.einsum("kaj,kal->kjl", G, G).reshape(nc, nc * nc)
 
-    @property
-    def pattern(self) -> _InteriorPattern:
-        if self._pattern is None:
-            self._pattern = _InteriorPattern.build(self.geo, self._grid.boundary_mask())
-        return self._pattern
-
-    def _w(self, grads: np.ndarray, eps: float) -> np.ndarray:
-        return np.sqrt(np.einsum("cka,cka->ck", grads, grads) + eps**2)
-
-    def energy(self, u_flat: np.ndarray) -> float:
+    def corners(self, u_flat: np.ndarray) -> tuple:
+        """(g, |g|^2): the vertex-rule gradients of u, (ncells, 2^n, n), and their
+        squared norms, (ncells, 2^n)."""
         grads = self.geo.corner_gradients(u_flat)
-        w = self._w(grads, self.eps)
+        return grads, np.einsum("cka,cka->ck", grads, grads)
+
+    def energy(self, u_flat: np.ndarray, corners: tuple, eps: float) -> float:
+        w = np.sqrt(corners[1] + eps**2)
         dens = np.where(w > 0, w**self.p_corner, 0.0) / self.p_corner
         return float(self.geo.cell_vol / self.nc * dens.sum() + self.source_vec @ u_flat)
 
-    def gradient(self, u_flat: np.ndarray) -> np.ndarray:
-        grads = self.geo.corner_gradients(u_flat)
-        w = self._w(grads, self.eps)
+    def gradient(self, corners: tuple, eps: float) -> np.ndarray:
+        grads, sq = corners
+        w = np.sqrt(sq + eps**2)
         with np.errstate(divide="ignore", over="ignore"):
             coef = np.where(w > 0, np.where(w > 0, w, 1.0) ** (self.p_corner - 2.0), 0.0)
         flux = coef[:, :, None] * grads
         nc, n = self.nc, self.geo.n_axes
         per_corner = flux.reshape(-1, nc * n) @ self.geo.grad_stencils.reshape(nc * n, nc)
-        g = np.bincount(self.geo.corner_idx.ravel(), minlength=u_flat.size,
+        g = np.bincount(self.geo.corner_idx.ravel(), minlength=self.p_node.size,
                         weights=(self.geo.cell_vol / nc) * per_corner.ravel())
         return g + self.source_vec
 
-    def hessian_blocks(self, u_flat: np.ndarray, eps_h: Optional[float] = None) -> np.ndarray:
-        """The (ncells, 2^n, 2^n) cell blocks of the energy Hessian.
+    def residual(self, g: np.ndarray, hat: np.ndarray) -> float:
+        """Max over the interior nodes of |g_i| / hat_i, hat from ``hat_norms``."""
+        return float(np.max(np.abs(g[self.interior]) / hat))
+
+    def hessian_blocks(self, corners: tuple, eps_h: float) -> np.ndarray:
+        """The (ncells, 2^n, 2^n) cell blocks of the energy Hessian at smoothing eps_h.
 
         The pointwise Hessian of w^p / p in the gradient g is c1 I + c2 g g^T,
         so each cell block is sum_k c1_k G_k^T G_k + c2_k v_k v_k^T with
-        v_k = G_k^T g_k: a fixed per-corner matrix times c1 plus one batched
-        outer product.
+        v_k = G_k^T g_k: the fixed per-corner matrices times c1 plus one
+        batched outer product.
         """
+        grads, sq = corners
         # A tiny floor keeps w^(p-4) finite at degenerate corners; the matrix
         # stays positive definite so Newton directions remain descent ones.
-        eps = max(self.eps, eps_h if eps_h is not None else 0.0, 1e-12)
-        grads = self.geo.corner_gradients(u_flat)
-        w = self._w(grads, eps)
+        w = np.sqrt(sq + max(eps_h, 1e-12) ** 2)
         c1 = w ** (self.p_corner - 2.0)
         c2 = (self.p_corner - 2.0) * w ** (self.p_corner - 4.0)
-        G = self.geo.grad_stencils  # (2^n k, n a, 2^n j)
+        G = self.geo.grad_stencils
         nc = self.nc
-        K = np.einsum("kaj,kal->kjl", G, G).reshape(nc, nc * nc)
         v = np.matmul(grads.transpose(1, 0, 2), G).transpose(1, 0, 2)  # (ncells, 2^n k, 2^n j)
-        blocks = (c1 @ K).reshape(-1, nc, nc)
+        blocks = (c1 @ self.gram).reshape(-1, nc, nc)
         blocks += np.matmul((c2[:, :, None] * v).transpose(0, 2, 1), v)
         blocks *= self.geo.cell_vol / nc
         return blocks
 
-    def hessian(self, u_flat: np.ndarray, eps_h: Optional[float] = None) -> np.ndarray:
-        """Interior-interior block of the energy Hessian, in upper band storage.
-
-        Rows and columns follow ``self.pattern.interior``.
-        """
-        return self.pattern.matrix(self.hessian_blocks(u_flat, eps_h))
-
-    def hessian_vec(self, blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def hessian_vec(self, blocks: np.ndarray, interior: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Product of the interior Newton matrix with x, straight from its cell blocks.
 
-        x and the result follow ``self.pattern.interior``; boundary nodes
-        carry 0, so only interior-interior couplings contribute.
+        x and the result follow ``interior``; boundary nodes carry 0, so only
+        interior-interior couplings contribute.
         """
-        interior = self.pattern.interior
         full = np.zeros(self.p_node.size)
         full[interior] = x
         y = np.einsum("cjl,cl->cj", blocks, full[self.geo.corner_idx])
         return np.bincount(self.geo.corner_idx.ravel(), weights=y.ravel(),
                            minlength=full.size)[interior]
 
-    def hat_norms(self, interior_flat: np.ndarray, cfg: NormConfig = NormConfig()) -> np.ndarray:
-        """Variable-exponent Sobolev norms of the hat functions phi_i, i interior.
+    def hat_norms(self, cfg: NormConfig = NormConfig()) -> np.ndarray:
+        """Variable-exponent Sobolev norms of the hat functions phi_i of the
+        interior nodes, in the C order of ``self.interior``.
 
         The value part has the closed form (node weight)^(1/p_i).  The
         gradient part is the Luxemburg norm lambda of |grad phi_i| under the
@@ -282,21 +272,13 @@ class _Discretization:
         c_m = (vol / 2^n) |grad phi_i|_m^p_m and p_m is p at that corner.
         The support of every interior hat is gathered from shifted slices of
         the cell lattice, one column per (corner j of the hat's node, corner
-        k) pair with a nonzero stencil.  Then ``log_luxemburg`` solves for
-        t = log lambda for all nodes at once.  Raises SolverError when a norm
-        is not finite or its Newton step has not fallen to cfg.bisection_tol
-        within cfg.max_iter steps.
+        k) pair with a nonzero stencil, so the rows come out in C order.
+        Then ``log_luxemburg`` solves for t = log lambda for all nodes at
+        once.  Raises SolverError when a norm is not finite or its Newton
+        step has not fallen to cfg.bisection_tol within cfg.max_iter steps.
         """
         geo = self.geo
         dims = geo.dims
-        interior = np.arange(self.p_node.size).reshape(dims)[
-            tuple(slice(1, d - 1) for d in dims)].ravel()
-        rank = np.full(self.p_node.size, -1)
-        rank[interior] = np.arange(interior.size)
-        order = rank[interior_flat]
-        if np.any(order < 0):
-            raise ValueError("hat_norms takes interior nodes only")
-
         p_cells = self.p_corner.reshape(tuple(d - 1 for d in dims) + (self.nc,))
         stencil_mag = np.linalg.norm(geo.grad_stencils, axis=1)  # (2^n k, 2^n j)
         ps, log_mags = [], []
@@ -314,23 +296,22 @@ class _Discretization:
             raise SolverError(f"hat norms: {failed} of {t.size} nodes are not finite or did not "
                               f"meet bisection_tol {cfg.bisection_tol} in {cfg.max_iter} "
                               "Newton steps")
-        val_part = geo.node_weights[interior_flat] ** (1.0 / self.p_node[interior_flat])
-        return val_part + np.exp(t)[order]
+        val_part = geo.node_weights[self.interior] ** (1.0 / self.p_node[self.interior])
+        return val_part + np.exp(t)
 
 
 def energy(u: GridFunction, field: ExponentField, f: GridFunction,
            reg_eps: float = 0.0) -> float:
     """Regularized variable-exponent energy with source term (see module doc)."""
-    return _Discretization(u, field, f, reg_eps).energy(u.values.reshape(-1))
+    disc = _Discretization(u, field, f)
+    return disc.energy(u.values.reshape(-1), disc.corners(u.values), float(reg_eps))
 
 
 def weak_residual(u: GridFunction, spec: ProblemSpec) -> float:
     """Max over interior hats of the normalized weak pairing (see module doc)."""
-    disc = _Discretization(u, spec.field, spec.rhs, spec.reg_eps)
-    g = disc.gradient(u.values.reshape(-1))
-    interior = np.nonzero(~u.boundary_mask().reshape(-1))[0]
-    norms = disc.hat_norms(interior)
-    return float(np.max(np.abs(g[interior]) / norms))
+    disc = _Discretization(u, spec.field, spec.rhs)
+    g = disc.gradient(disc.corners(u.values), float(spec.reg_eps))
+    return disc.residual(g, disc.hat_norms())
 
 
 def _factor_spd(H: np.ndarray) -> np.ndarray:
@@ -370,10 +351,15 @@ def _pcg(matvec: Callable, precond: Callable, b: np.ndarray, rtol: float) -> tup
     return (x if info == 0 else None), len(iterates)
 
 
-def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray,
-                    hat: np.ndarray, tol: float, max_iter: int, trace: list,
-                    smooth0: float) -> tuple:
-    """Inexact Newton with Armijo backtracking; returns (u, iterations, residual, msg).
+def _newton_descend(disc: "_Discretization", pattern: _InteriorPattern, u: np.ndarray,
+                    corners: tuple, eps: float, hat: np.ndarray, tol: float, max_iter: int,
+                    trace: list, smooth0: float) -> tuple:
+    """Inexact Newton with Armijo backtracking on the energy at regularization eps.
+
+    u comes with its ``corners`` and trace ends with the energy at u; returns
+    (u, its corners, iterations, residual, msg).  Each iterate's corners come
+    from the line-search trial that accepts it and feed the next step's
+    gradient and Newton matrix.  The unknowns are ``pattern.interior``.
 
     The first step factors the band Newton matrix and solves exactly.  Each
     later step is solved by CG preconditioned with that stale factor, to the
@@ -386,26 +372,26 @@ def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray
     step refactors without trying CG first, so capped CG work is not thrown
     away step after step.  A matrix that is not positive definite, or an
     exact step that is not a finite descent direction, gives way to the
-    gradient direction.  The Newton matrix is built with the smoothing
-    eps_h = max(eps, smooth0 0.25^(it-1)); ``solve_dirichlet`` hands each
-    stage smooth0 already decayed by the Newton steps of the stages before,
-    so eps_h decays once per Newton step over the whole solve, not per
-    stage.  The matrix stays positive definite, so directions remain descent
-    directions for the stage energy and the appended trace entries are
-    nonincreasing.
+    gradient direction.  When no Armijo step lowers the energy, a
+    steepest-descent rescue tries a conservative gradient step.  The Newton
+    matrix is built with the smoothing eps_h = max(eps, smooth0
+    0.25^(it-1)); ``solve_dirichlet`` hands each stage smooth0 already
+    decayed by the Newton steps of the stages before, so eps_h decays once
+    per Newton step over the whole solve, not per stage.  The matrix stays
+    positive definite, so directions remain descent directions for the stage
+    energy and the appended trace entries are nonincreasing.
     """
     debug = _log.isEnabledFor(logging.DEBUG)
-    residual = np.inf
-    it = 0
+    interior = pattern.interior
     factor, gnorm_prev, cg_prev = None, np.inf, 0
     for it in range(1, max_iter + 1):
-        g = disc.gradient(u)
-        residual = float(np.max(np.abs(g[interior]) / hat))
+        g = disc.gradient(corners, eps)
+        residual = disc.residual(g, hat)
         if residual <= tol:
-            return u, it - 1, residual, ""
+            return u, corners, it - 1, residual, ""
 
-        eps_h = max(disc.eps, smooth0 * 0.25 ** (it - 1))
-        blocks = disc.hessian_blocks(u, eps_h)
+        eps_h = max(eps, smooth0 * 0.25 ** (it - 1))
+        blocks = disc.hessian_blocks(corners, eps_h)
         gi = g[interior]
         gnorm = float(np.linalg.norm(gi))
 
@@ -415,11 +401,11 @@ def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray
         delta, linear, cg_iters = None, "pcg", 0
         if factor is not None and cg_prev <= _CG_NEAR:
             eta = min(_ETA_MAX, 0.9 * (gnorm / gnorm_prev) ** 2)
-            delta, cg_iters = _pcg(lambda x: disc.hessian_vec(blocks, x),
+            delta, cg_iters = _pcg(lambda x: disc.hessian_vec(blocks, interior, x),
                                    lambda r: _solve_factored(factor, r), -gi, eta)
         if not descends(delta):
             try:
-                factor, linear = _factor_spd(disc.pattern.matrix(blocks)), "factor"
+                factor, linear = _factor_spd(pattern.matrix(blocks)), "factor"
                 delta = _solve_factored(factor, -gi)
             except np.linalg.LinAlgError:
                 factor, linear, delta = None, "fallback", None
@@ -430,45 +416,49 @@ def _newton_descend(disc: "_Discretization", u: np.ndarray, interior: np.ndarray
 
         slope = float(delta @ gi)
         e0 = trace[-1]
-        alpha, backtracks, accepted = 1.0, 0, False
-        while backtracks < 60:
-            trial = u.copy()
-            trial[interior] += alpha * delta
-            if np.all(np.isfinite(trial)):
-                e1 = disc.energy(trial)
-                if np.isfinite(e1) and e1 <= e0 + 1e-4 * alpha * slope:
-                    u, accepted = trial, True
-                    trace.append(min(e1, e0))
-                    break
-            alpha *= 0.5
-            backtracks += 1
-        if not accepted:
-            if float(np.abs(gi).max()) == 0.0:
-                return u, it, residual, ""
-            # steepest-descent rescue with a conservative step
+        alpha, backtracks, step = _line_search(disc, u, interior, delta, eps, 1.0,
+                                               lambda a, e1: e1 <= e0 + 1e-4 * a * slope)
+        if step is None:
+            gmax = float(np.abs(gi).max())
+            if gmax == 0.0:
+                return u, corners, it, residual, ""
             delta, direction = -gi, "steepest-rescue"
-            alpha = 1.0 / max(1.0, float(np.abs(gi).max()) / disc.geo.cell_vol)
-            for _ in range(60):
-                trial = u.copy()
-                trial[interior] += alpha * delta
-                e1 = disc.energy(trial)
-                if np.isfinite(e1) and e1 < e0:
-                    u, accepted = trial, True
-                    trace.append(e1)
-                    break
-                alpha *= 0.5
-                backtracks += 1
+            alpha, more, step = _line_search(disc, u, interior, delta, eps,
+                                             1.0 / max(1.0, gmax / disc.geo.cell_vol),
+                                             lambda a, e1: e1 < e0)
+            backtracks += more
         if debug:
             _log.debug("newton stage_eps=%.3e it=%d residual=%.6e step=%.6e backtracks=%d "
-                       "direction=%s linear=%s cg_iters=%d eps_h=%.3e", disc.eps, it, residual,
-                       alpha if accepted else 0.0, backtracks, direction, linear, cg_iters, eps_h)
-        if not accepted:
-            return u, it, residual, "line search stalled"
-        if not np.all(np.isfinite(u)):
-            raise SolverError("iterate contains non-finite values")
-    g = disc.gradient(u)
-    residual = float(np.max(np.abs(g[interior]) / hat))
-    return u, it, residual, f"iteration budget exhausted (residual {residual:.3e})"
+                       "direction=%s linear=%s cg_iters=%d eps_h=%.3e", eps, it, residual,
+                       alpha if step is not None else 0.0, backtracks, direction, linear,
+                       cg_iters, eps_h)
+        if step is None:
+            return u, corners, it, residual, "line search stalled"
+        u, corners, e1 = step
+        trace.append(min(e1, e0))
+    residual = disc.residual(disc.gradient(corners, eps), hat)
+    return u, corners, it, residual, f"iteration budget exhausted (residual {residual:.3e})"
+
+
+def _line_search(disc: "_Discretization", u: np.ndarray, interior: np.ndarray,
+                 delta: np.ndarray, eps: float, alpha: float, accept: Callable) -> tuple:
+    """Halve the step alpha until the trial u + alpha delta passes accept(alpha, e1).
+
+    delta moves the interior nodes and e1 is the trial's energy at eps.  A
+    trial with a non-finite value or energy is rejected, the first without
+    being evaluated.  At most 60 trials.  Returns (alpha, halvings, step),
+    where step is (trial, its corners, e1), or None when no trial passed.
+    """
+    for halvings in range(60):
+        trial = u.copy()
+        trial[interior] += alpha * delta
+        if np.all(np.isfinite(trial)):
+            corners = disc.corners(trial)
+            e1 = disc.energy(trial, corners, eps)
+            if np.isfinite(e1) and accept(alpha, e1):
+                return alpha, halvings, (trial, corners, e1)
+        alpha *= 0.5
+    return alpha, 60, None
 
 
 def _eps_schedule(spec: ProblemSpec) -> list:
@@ -484,13 +474,13 @@ def _eps_schedule(spec: ProblemSpec) -> list:
     changes with eps, and such stages took no Newton step.
     """
     if spec.field.p1 >= 2.0 or spec.reg_eps >= 1e-3:
-        return [spec.reg_eps]
+        return [float(spec.reg_eps)]
     stages = []
     e = 1e-2
     while e > max(spec.reg_eps, 1e-12) * 10.0:
         stages.append(e)
         e *= 0.01
-    stages.append(spec.reg_eps)
+    stages.append(float(spec.reg_eps))
     return stages
 
 
@@ -506,14 +496,15 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     nonincreasing by the line-search contract.
     """
     grid = spec.rhs
-    geo = CellGeometry.build(grid)
-    pattern = _InteriorPattern.build(geo, grid.boundary_mask())
-    interior = pattern.interior
+    disc = _Discretization(grid, spec.field, spec.rhs)
+    pattern = _InteriorPattern.build(disc.geo, grid.boundary_mask())
 
-    nodal = _laplace_warm_start(spec, geo)
+    nodal = _laplace_warm_start(spec, disc.geo)
     if not np.all(np.isfinite(nodal)):
         raise SolverError("warm start produced non-finite values")
     u = nodal.reshape(-1)
+    corners = disc.corners(u)
+    hat = disc.hat_norms()
 
     # Newton-matrix smoothing scale from the steepest warm-start slope; it
     # decays by 0.25 per Newton step, carried from each stage to the next.
@@ -525,20 +516,17 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     iterations = 0
     residual = np.inf
     message = ""
-    disc = None
     for k, eps in enumerate(stages):
         last = k == len(stages) - 1
-        disc = _Discretization(grid, spec.field, spec.rhs, eps, geo, pattern)
-        if k == 0:
-            hat = disc.hat_norms(interior)
-        trace.append(disc.energy(u))
+        trace.append(disc.energy(u, corners, eps))
         stage_tol = spec.tol if last else max(spec.tol, 1e-5)
         budget = spec.max_iter - iterations
         if budget <= 0:
             message = "iteration budget exhausted before the final stage"
             break
-        u, used, residual, message = _newton_descend(
-            disc, u, interior, hat, stage_tol, budget, trace, smooth0 * 0.25 ** iterations)
+        u, corners, used, residual, message = _newton_descend(
+            disc, pattern, u, corners, eps, hat, stage_tol, budget, trace,
+            smooth0 * 0.25 ** iterations)
         iterations += used
         if message and not last:
             break

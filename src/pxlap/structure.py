@@ -23,7 +23,7 @@ import numpy as np
 
 from .exponent import ExponentField
 from .grid import Ball, GridFunction, as_points
-from .quadrature import ball_cell_weights
+from .quadrature import ball_cell_weights, ball_node_mask
 
 __all__ = [
     "StructureBounds", "FluxPair", "SampleSet", "Violation", "StructureReport",
@@ -269,12 +269,8 @@ def mu_general(bounds: StructureBounds, ball: Ball, field: ExponentField) -> flo
     big = ball.dilate(4.0)
     if not bounds.lattice.box.contains_ball(big):
         raise ValueError(f"the 4R dilate of the ball (radius {big.radius}) escapes the grid box")
-    nodes = bounds.lattice.nodes()
-    inside = big.contains(nodes)
-    if not np.any(inside):
-        raise ValueError(f"ball at {ball.center}, radius {R}: no grid nodes inside "
-                         f"its 4R dilate (radius {big.radius})")
-    p_minus = float(field(nodes[inside]).min())
+    inside = ball_node_mask(bounds.lattice, ball, 4.0)
+    p_minus = float(field(bounds.lattice.nodes()[inside]).min())
     e = 1.0 / (p_minus - 1.0)
     n = bounds.lattice.n_axes
     measure = float(np.sum(ball_cell_weights(bounds.lattice, big)))

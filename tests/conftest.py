@@ -115,11 +115,29 @@ def reference_caccioppoli(u, gamma, eta, H, field, C_probe):
                                 p_minus, p_plus)
 
 
-def reference_gradient(disc, u_flat):
+def reference_ball_cell_weights(g, ball, subdiv=8):
+    """ball_cell_weights with one subsample batch per cut cell, looped in Python."""
+    centers, vols = midpoint_data(g)
+    half = 0.5 * np.linalg.norm(g.spacing)
+    d = np.linalg.norm(centers - ball.center, axis=1)
+    w = np.where(d + half <= ball.radius, vols, 0.0)
+    cut = (d - half < ball.radius) & (d + half > ball.radius)
+    if np.any(cut):
+        offs = [(np.arange(subdiv) + 0.5) / subdiv - 0.5 for _ in range(g.n_axes)]
+        mesh = np.meshgrid(*offs, indexing="ij")
+        rel = np.stack([m.ravel() for m in mesh], axis=1) * g.spacing
+        for i in np.nonzero(cut)[0]:
+            sub = centers[i] + rel
+            frac = np.count_nonzero(ball.contains(sub)) / rel.shape[0]
+            w[i] = vols[i] * frac
+    return w
+
+
+def reference_gradient(disc, u_flat, eps):
     """Energy gradient of a _Discretization with einsum stencils and np.add.at."""
     geo = disc.geo
     grads = reference_corner_gradients(geo, u_flat)
-    w = np.sqrt(np.sum(grads**2, axis=2) + disc.eps**2)
+    w = np.sqrt(np.sum(grads**2, axis=2) + eps**2)
     with np.errstate(divide="ignore", over="ignore"):
         coef = np.where(w > 0, np.where(w > 0, w, 1.0) ** (disc.p_corner - 2.0), 0.0)
     per_corner = np.einsum("kaj,cka->cj", geo.grad_stencils, coef[:, :, None] * grads)
@@ -132,14 +150,17 @@ def reference_warm_start(spec):
     """The p = 2 warm start as one band Newton step: the p = 2 discretization's
     gradient at the lifted boundary data, solved with the band Cholesky of its
     Newton matrix.  Returns the full nodal array."""
-    from pxlap.solver import _Discretization, _factor_spd, _solve_factored
+    from pxlap.solver import _Discretization, _factor_spd, _InteriorPattern, _solve_factored
 
     grid = spec.rhs
-    lap = _Discretization(grid, px.constant_exponent(2.0, domain=spec.domain), grid, 0.0)
-    interior = lap.pattern.interior
+    lap = _Discretization(grid, px.constant_exponent(2.0, domain=spec.domain), grid)
+    pattern = _InteriorPattern.build(lap.geo, grid.boundary_mask())
+    interior = pattern.interior
     u = spec.dirichlet_values().reshape(-1).copy()
     u[interior] = 0.0
-    u[interior] -= _solve_factored(_factor_spd(lap.hessian(u)), lap.gradient(u)[interior])
+    corners = lap.corners(u)
+    H = pattern.matrix(lap.hessian_blocks(corners, 0.0))
+    u[interior] -= _solve_factored(_factor_spd(H), lap.gradient(corners, 0.0)[interior])
     return u.reshape(grid.dims)
 
 

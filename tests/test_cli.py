@@ -5,6 +5,7 @@ import pytest
 
 import pxlap as px
 from pxlap.cli import main
+from pxlap.config import ConfigError, build_problem
 
 
 def write_config(tmp_path, cfg, name="run.json"):
@@ -207,3 +208,21 @@ def test_structure_check_rejects_nan_b(tmp_path, capsys):
     assert "NaN" in open(cfg).read()
     assert main(["structure-check", cfg]) == 1
     assert "b must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("reg_eps", -1.0, r"problem: reg_eps must be finite and >= 0, got -1\.0"),
+    ("exponent", {"kind": "constant", "value": 0.5},
+     r"problem key 'exponent': need 1 < p1 <= p2 < inf, got p1=0\.5"),
+    ("max_iter", 2.5, r"problem key 'max_iter' must be an integer, got 2\.5"),
+], ids=["negative-reg_eps", "exponent-below-one", "fractional-max_iter"])
+def test_bad_problem_value_is_a_config_error(tmp_path, capsys, key, value, message):
+    # These used to end in a ValueError traceback with exit 1, the code of a
+    # failed check, or (max_iter) to run silently with int(2.5) = 2.
+    cfg = manufactured_config(tmp_path / "out", [{"kind": "norm"}])
+    cfg["problem"][key] = value
+    with pytest.raises(ConfigError, match=message):
+        build_problem(cfg["problem"])
+    assert main(["verify", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pxlap: config error: ") and key in err

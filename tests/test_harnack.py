@@ -68,6 +68,18 @@ def test_mu_admissibility_errors():
                       px.Ball([0.0], 2.0), 2.0, field)
 
 
+def test_mu_dilate_without_nodes():
+    # The 4R dilate (radius 0.004 around (0.51, 0.51)) falls between the
+    # nodes of the 1/8 lattice; p_minus over it used to be numpy's
+    # "zero-size array" error.
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    f = px.GridFunction.constant(box, 8, 1.0)
+    field = px.constant_exponent(2.0, domain=box)
+    with pytest.raises(ValueError, match=r"ball at \[0\.51 0\.51\], radius 0\.001: no grid nodes "
+                                         r"inside its 4R dilate \(radius 0\.004\)"):
+        px.harnack_mu(f, px.Ball([0.51, 0.51], 0.001), np.inf, field)
+
+
 # -- harnack_check --------------------------------------------------------------
 
 def test_check_constant_function():

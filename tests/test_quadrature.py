@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import (random_grid, reference_cell_means, reference_center_gradients,
-                      reference_corner_gradients)
-from pxlap.quadrature import CellGeometry, cell_means, center_gradients
+import pxlap as px
+from conftest import (random_grid, reference_ball_cell_weights, reference_cell_means,
+                      reference_center_gradients, reference_corner_gradients)
+from pxlap.quadrature import CellGeometry, ball_cell_weights, cell_means, center_gradients
 
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
@@ -24,3 +27,15 @@ def test_corner_and_center_gradients_match_einsum(n_axes):
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     ref_c = reference_center_gradients(geo, g.values)
     assert np.abs(center_gradients(g) - ref_c).max() <= 1e-13 * np.abs(ref_c).max()
+
+
+@given(n_axes=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), subdiv=st.integers(1, 9))
+def test_ball_cell_weights_match_per_cell_loop(n_axes, seed, subdiv):
+    # Anisotropic lattices and balls from inside one cell to past the box.
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-1.0, 1.0, n_axes)
+    box = px.Box(lo, lo + rng.uniform(0.5, 2.0, n_axes))
+    g = px.GridFunction.constant(box, tuple(rng.integers(2, 13, n_axes)), 0.0)
+    ball = px.Ball(rng.uniform(box.lo, box.hi), rng.uniform(0.01, 1.5))
+    got = ball_cell_weights(g, ball, subdiv)
+    assert np.array_equal(got, reference_ball_cell_weights(g, ball, subdiv))

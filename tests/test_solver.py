@@ -13,7 +13,7 @@ import pxlap.solver as solver
 from conftest import (grid_1d, pointwise_reference, reference_gradient, reference_hat_norms,
                       reference_warm_start)
 from pxlap.quadrature import CellGeometry
-from pxlap.solver import _Discretization
+from pxlap.solver import _Discretization, _InteriorPattern
 
 
 def problem_1d(lo, hi, cells, p, f_const, dirichlet, **kw):
@@ -279,8 +279,8 @@ def test_anisotropic_lattice_gets_the_short_band():
         field = px.affine_exponent(2.5, [0.1, 0.1], box)
         spec = px.ProblemSpec(box, field, f, 0.0, reg_eps=1e-8, tol=1e-8)
         results.append(px.solve_dirichlet(spec))
-        disc = _Discretization(f, field, f, spec.reg_eps)
-        bandwidths.append(disc.pattern.bandwidth)
+        pattern = _InteriorPattern.build(CellGeometry.build(f), f.boundary_mask())
+        bandwidths.append(pattern.bandwidth)
     tall, wide = results
     assert bandwidths == [6, 6]
     assert tall.converged and wide.converged
@@ -290,14 +290,14 @@ def test_anisotropic_lattice_gets_the_short_band():
 
 # -- Newton matrix ---------------------------------------------------------------
 
-def reference_hessian(disc, u_flat, eps_h):
+def reference_hessian(disc, interior, u_flat, reg_eps, eps_h):
     """Interior Newton matrix via the pointwise Hessian tensor, COO and slicing.
 
     The straightforward assembly: the (ncells, 2^n, n, n) pointwise Hessians
     are sandwiched between corner stencils, summed into the full nodal
     matrix, and the interior rows and columns are sliced out.
     """
-    eps = max(disc.eps, eps_h if eps_h is not None else 0.0, 1e-12)
+    eps = max(reg_eps, eps_h if eps_h is not None else 0.0, 1e-12)
     grads = disc.geo.corner_gradients(u_flat)
     w = np.sqrt(np.sum(grads**2, axis=2) + eps**2)
     c1 = w ** (disc.p_corner - 2.0)
@@ -311,19 +311,33 @@ def reference_hessian(disc, u_flat, eps_h):
     cols = np.tile(disc.geo.corner_idx, (1, disc.nc)).ravel()
     nn = u_flat.size
     full = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
-    interior = disc.pattern.interior
     return full[interior][:, interior].tocsc()
 
 
-def random_state(n_axes, reg_eps, seed=0):
-    """A discretization with p in [1.3, 4.3] and a rough random iterate."""
+def random_state(n_axes, seed=0):
+    """A discretization with p in [1.3, 4.3], its band layout and a rough random iterate."""
     cells = {1: 16, 2: 8, 3: 4}[n_axes]
     rng = np.random.default_rng(seed)
     box = px.Box([0.0] * n_axes, [1.0] * n_axes)
     field = px.affine_exponent(1.3, rng.uniform(0.0, 3.0 / n_axes, n_axes), box)
     f = px.GridFunction.from_callable(box, cells, lambda pts: np.cos(3.0 * pts.sum(axis=1)))
     u = f.like(rng.standard_normal(f.dims))
-    return _Discretization(u, field, f, reg_eps), u.values.reshape(-1)
+    disc = _Discretization(u, field, f)
+    return disc, _InteriorPattern.build(disc.geo, u.boundary_mask()), u.values.reshape(-1)
+
+
+def newton_matrix(disc, pattern, u_flat, reg_eps, eps_h=None):
+    """The band Newton matrix at u, smoothed as _newton_descend smooths it."""
+    eps_h = max(reg_eps, eps_h if eps_h is not None else 0.0)
+    return pattern.matrix(disc.hessian_blocks(disc.corners(u_flat), eps_h))
+
+
+def gradient_at(disc, u_flat, eps):
+    return disc.gradient(disc.corners(u_flat), eps)
+
+
+def energy_at(disc, u_flat, eps):
+    return disc.energy(u_flat, disc.corners(u_flat), eps)
 
 
 def band_to_dense(H):
@@ -340,10 +354,10 @@ def band_to_dense(H):
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
 @pytest.mark.parametrize("reg_eps, eps_h", [(1e-8, None), (1e-3, 1e-1), (1e-2, 1e-4)])
 def test_hessian_matches_reference_assembly(n_axes, reg_eps, eps_h):
-    disc, u = random_state(n_axes, reg_eps)
-    H = disc.hessian(u, eps_h)
-    ref = reference_hessian(disc, u, eps_h)
-    bw = disc.pattern.bandwidth
+    disc, pattern, u = random_state(n_axes)
+    H = newton_matrix(disc, pattern, u, reg_eps, eps_h)
+    ref = reference_hessian(disc, pattern.interior, u, reg_eps, eps_h)
+    bw = pattern.bandwidth
     assert H.shape == (bw + 1, ref.shape[0])
     coo = ref.tocoo()
     assert np.abs(coo.col - coo.row).max() <= bw  # nothing outside the band
@@ -357,15 +371,16 @@ def test_hessian_matches_reference_assembly(n_axes, reg_eps, eps_h):
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
 def test_hessian_is_derivative_of_gradient(n_axes):
-    disc, u = random_state(n_axes, reg_eps=0.05, seed=1)
-    interior = disc.pattern.interior
-    H = band_to_dense(disc.hessian(u))
+    disc, pattern, u = random_state(n_axes, seed=1)
+    interior = pattern.interior
+    H = band_to_dense(newton_matrix(disc, pattern, u, 0.05))
     step = 1e-6
     fd = np.empty_like(H)
     for col, node in enumerate(interior):
         e = np.zeros_like(u)
         e[node] = step
-        fd[:, col] = (disc.gradient(u + e) - disc.gradient(u - e))[interior] / (2.0 * step)
+        fd[:, col] = (gradient_at(disc, u + e, 0.05)
+                      - gradient_at(disc, u - e, 0.05))[interior] / (2.0 * step)
     assert np.abs(H - fd).max() <= 1e-6 * np.abs(H).max()
 
 
@@ -373,8 +388,8 @@ def test_hessian_is_derivative_of_gradient(n_axes):
 def test_solve_spd_rejects_indefinite_band(n_axes):
     # Shift the lowest eigenvalue below 0: the diagonal stays positive but the
     # band Cholesky meets a nonpositive pivot and must raise, not return NaN.
-    disc, u = random_state(n_axes, reg_eps=0.05, seed=3)
-    H = disc.hessian(u)
+    disc, pattern, u = random_state(n_axes, seed=3)
+    H = newton_matrix(disc, pattern, u, 0.05)
     eig = np.linalg.eigvalsh(band_to_dense(H))
     H[-1] -= 0.5 * (eig[0] + eig[1])
     assert np.all(H[-1] > 0.0)
@@ -385,32 +400,33 @@ def test_solve_spd_rejects_indefinite_band(n_axes):
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
 @pytest.mark.parametrize("eps_h", [None, 1e-1])
 def test_block_matvec_matches_band(n_axes, eps_h):
-    disc, u = random_state(n_axes, reg_eps=1e-3, seed=5)
-    x = np.random.default_rng(n_axes).standard_normal(disc.pattern.interior.size)
-    ref = band_to_dense(disc.hessian(u, eps_h)) @ x
-    y = disc.hessian_vec(disc.hessian_blocks(u, eps_h), x)
+    disc, pattern, u = random_state(n_axes, seed=5)
+    x = np.random.default_rng(n_axes).standard_normal(pattern.interior.size)
+    ref = band_to_dense(newton_matrix(disc, pattern, u, 1e-3, eps_h)) @ x
+    blocks = disc.hessian_blocks(disc.corners(u), max(1e-3, eps_h if eps_h is not None else 0.0))
+    y = disc.hessian_vec(blocks, pattern.interior, x)
     assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
 def test_gradient_is_derivative_of_energy(n_axes):
-    disc, u = random_state(n_axes, reg_eps=0.05, seed=2)
-    g = disc.gradient(u)
+    disc, _, u = random_state(n_axes, seed=2)
+    g = gradient_at(disc, u, 0.05)
     step = 1e-6
     fd = np.empty_like(g)
     for node in range(u.size):
         e = np.zeros_like(u)
         e[node] = step
-        fd[node] = (disc.energy(u + e) - disc.energy(u - e)) / (2.0 * step)
+        fd[node] = (energy_at(disc, u + e, 0.05) - energy_at(disc, u - e, 0.05)) / (2.0 * step)
     assert np.abs(g - fd).max() <= 1e-6 * np.abs(g).max()
 
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
 @pytest.mark.parametrize("reg_eps", [0.0, 1e-3])
 def test_gradient_matches_reference_scatter(n_axes, reg_eps):
-    disc, u = random_state(n_axes, reg_eps, seed=4)
-    ref = reference_gradient(disc, u)
-    assert np.abs(disc.gradient(u) - ref).max() <= 1e-13 * np.abs(ref).max()
+    disc, _, u = random_state(n_axes, seed=4)
+    ref = reference_gradient(disc, u, reg_eps)
+    assert np.abs(gradient_at(disc, u, reg_eps) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 # -- hat norms --------------------------------------------------------------------
@@ -430,24 +446,20 @@ def exponent_in_band(kind, box):
 def test_hat_norms_match_reference_bisection(n_axes, kind):
     box = px.Box([0.0] * n_axes, [1.0] * n_axes)
     f = px.GridFunction.constant(box, {1: 16, 2: 8, 3: 4}[n_axes], -1.0)
-    disc = _Discretization(f, exponent_in_band(kind, box), f, 1e-8)
+    disc = _Discretization(f, exponent_in_band(kind, box), f)
     assert 1.3 - 1e-12 <= disc.p_node.min() and disc.p_node.max() <= 4.7 + 1e-12
-    interior = disc.pattern.interior
-    ref = reference_hat_norms(disc, interior)
-    assert np.abs(disc.hat_norms(interior) - ref).max() <= 1e-9 * np.abs(ref).max()
+    ref = reference_hat_norms(disc, disc.interior)
+    assert np.abs(disc.hat_norms() - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("order", ["band", "C"])
-def test_hat_norms_on_anisotropic_lattice(order):
+def test_hat_norms_on_anisotropic_lattice():
     box = px.Box([0.0, 0.0], [1.0, 4.0])
     f = px.GridFunction.constant(box, (6, 24), -1.0)
-    disc = _Discretization(f, px.affine_exponent(1.3, [1.0, 0.6], box), f, 1e-8)
+    disc = _Discretization(f, px.affine_exponent(1.3, [1.0, 0.6], box), f)
     interior = np.flatnonzero(~f.boundary_mask().reshape(-1))
-    if order == "band":
-        assert not np.array_equal(disc.pattern.interior, interior)
-        interior = disc.pattern.interior
+    assert np.array_equal(disc.interior, interior)
     ref = reference_hat_norms(disc, interior)
-    assert np.abs(disc.hat_norms(interior) - ref).max() <= 1e-9 * np.abs(ref).max()
+    assert np.abs(disc.hat_norms() - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
@@ -459,29 +471,26 @@ def test_hat_norms_constant_p_closed_form(n_axes, p):
     # gradient part is (vol / 2^n * sum |grad phi|^p)^(1/p), the value part vol^(1/p).
     box = px.Box([0.0] * n_axes, [1.0, 2.0, 0.5][:n_axes])
     f = px.GridFunction.constant(box, (12, 6, 4)[:n_axes], -1.0)
-    disc = _Discretization(f, px.constant_exponent(p, domain=box), f, 0.0)
+    disc = _Discretization(f, px.constant_exponent(p, domain=box), f)
     h = f.spacing
     vol = float(np.prod(h))
     grad_part = (vol * (np.sum(h**-2.0) ** (p / 2.0) + np.sum(h**-p))) ** (1.0 / p)
-    norms = disc.hat_norms(disc.pattern.interior)
+    norms = disc.hat_norms()
     assert np.abs(norms - (vol ** (1.0 / p) + grad_part)).max() <= 1e-12 * grad_part
 
 
 def test_hat_norms_raise_typed_errors():
     box = px.Box([0.0, 0.0], [1.0, 1.0])
     f = px.GridFunction.constant(box, 8, -1.0)
-    disc = _Discretization(f, px.affine_exponent(1.3, [3.0, 0.4], box), f, 0.0)
-    interior = disc.pattern.interior
-    assert np.all(np.isfinite(disc.hat_norms(interior)))
+    disc = _Discretization(f, px.affine_exponent(1.3, [3.0, 0.4], box), f)
+    assert np.all(np.isfinite(disc.hat_norms()))
     with pytest.raises(solver.SolverError, match=r"hat norms: 49 of 49 nodes .* in 1 Newton steps"):
-        disc.hat_norms(interior, px.NormConfig(max_iter=1))
+        disc.hat_norms(px.NormConfig(max_iter=1))
     # corner 0 of cell (1, 1) is the node (1, 1); its p enters the hats of
     # (1, 1) and of its neighbours (2, 1) and (1, 2) along the cell's edges
     disc.p_corner[9, 0] = np.nan
     with pytest.raises(solver.SolverError, match=r"hat norms: 3 of 49 nodes are not finite"):
-        disc.hat_norms(interior)
-    with pytest.raises(ValueError, match="interior nodes only"):
-        disc.hat_norms(np.array([0]))
+        disc.hat_norms()
 
 
 def test_one_geometry_per_solve_and_per_weak_residual(geometry_builds):
@@ -667,6 +676,30 @@ def test_one_factor_per_stage_then_pcg(monkeypatch, caplog):
     assert len(factors) == len(firsts)  # one per stage, none for the warm start
 
 
+def degenerate_problem():
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    f = px.GridFunction.from_callable(box, 8,
+                                      lambda pts: -1.0 - 0.5 * np.cos(3.0 * pts.sum(axis=1)))
+    return px.ProblemSpec(box, px.constant_exponent(6.0, domain=box), f, 0.0)
+
+
+@pytest.mark.parametrize("make", [continuation_problem, degenerate_problem],
+                         ids=["continuation", "backtracking"])
+def test_one_corner_evaluation_per_iterate(monkeypatch, caplog, make):
+    # The warm start's corner gradients, then one evaluation per line-search
+    # trial: the accepted trial's corners feed the next step's gradient and
+    # Newton matrix and the next stage's first energy.
+    caplog.set_level(logging.DEBUG, logger="pxlap")
+    calls = count_calls(monkeypatch, CellGeometry, "corner_gradients")
+    res = px.solve_dirichlet(make())
+    assert res.converged
+    recs = newton_records(caplog)
+    assert len(recs) == res.iterations > 0
+    assert len(calls) == 1 + sum(int(r["backtracks"]) + 1 for r in recs)
+    if make is degenerate_problem:
+        assert sum(int(r["backtracks"]) for r in recs) > 0
+
+
 def test_stale_preconditioner_forces_refactor(monkeypatch, caplog):
     # Plain CG (the identity as the preconditioner) often needs more than
     # the cap to meet the forcing tolerance; each such step refactors, and
@@ -727,7 +760,7 @@ def test_debug_log_costs_nothing_when_off(monkeypatch):
 
 def test_line_search_stalled(monkeypatch):
     # An energy no step can lower defeats both the Armijo search and the rescue.
-    monkeypatch.setattr(_Discretization, "energy", lambda self, u_flat: 0.0)
+    monkeypatch.setattr(_Discretization, "energy", lambda self, *args: 0.0)
     res = px.solve_dirichlet(fallback_problem(max_iter=50))
     assert not res.converged
     assert res.message == "line search stalled"
@@ -825,8 +858,8 @@ def test_pointwise_consistency_with_weak_pairing():
     for cells in (64, 128, 256):
         f0 = px.GridFunction.constant(box, cells, 0.0)
         u = f0.like(w.value(f0.nodes()))
-        disc = _Discretization(u, field, f0, 0.0)
-        g = disc.gradient(u.values.reshape(-1))
+        disc = _Discretization(u, field, f0)
+        g = gradient_at(disc, u.values.reshape(-1), 0.0)
         i = cells // 2          # node at x0raw
         h = 1.0 / cells
         pairing = g[i] / h      # divide by int(phi) = h
