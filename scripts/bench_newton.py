@@ -9,7 +9,10 @@ start's too where a tree factors for it), CG iterations, the weak residual
 against tol and the worker's peak resident set size, then writes everything
 to one JSON file.  The speed-up is given as the ratio of the median times
 and as the median of the ratios of the base and change runs made back to
-back, which a drifting host speed moves less:
+back, which a drifting host speed moves less.  The spread is given as the
+quartiles of each side's solve times and as the number of back-to-back
+pairs in which the change was faster; a difference smaller than the
+quartile spread, or won by few pairs, is not resolved:
 
     python3 scripts/bench_newton.py --base HEAD~1 --out BENCH_newton.json
 
@@ -126,8 +129,10 @@ def run_one(src: Path, case: str, cpu: int) -> dict:
 
 
 def summary(runs: list) -> dict:
+    times = [r["time_s"] for r in runs]
     return {
-        "median_time_s": statistics.median(r["time_s"] for r in runs),
+        "median_time_s": statistics.median(times),
+        "quartiles_time_s": statistics.quantiles(times, n=4, method="inclusive"),
         "iterations": sorted({r["iterations"] for r in runs}),
         "factorizations": sorted({r["factorizations"] for r in runs}),
         "cg_iterations": sorted({r["cg_iterations"] for r in runs}),
@@ -186,13 +191,19 @@ def main(argv=None) -> int:
             "speedup": base["median_time_s"] / change["median_time_s"],
             "median_paired_speedup": statistics.median(paired),
             "paired_speedups": paired,
+            "pairs_change_won": sum(p > 1.0 for p in paired),
             "runs": results[case],
         }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
+
+    def quartiles(side):
+        return "/".join(f"{t:.3f}" for t in side["quartiles_time_s"])
+
     for case, row in report["cases"].items():
-        print(f"{case:14s} base {row['base']['median_time_s']:.3f} s  change "
-              f"{row['change']['median_time_s']:.3f} s  x{row['speedup']:.2f} "
-              f"(paired x{row['median_paired_speedup']:.2f})  "
+        print(f"{case:14s} base {quartiles(row['base'])} s  change "
+              f"{quartiles(row['change'])} s (quartiles)  x{row['speedup']:.2f} "
+              f"(paired x{row['median_paired_speedup']:.2f}, change won "
+              f"{row['pairs_change_won']}/{len(row['paired_speedups'])})  "
               f"factorizations {row['base']['factorizations']} -> "
               f"{row['change']['factorizations']}  peak RSS {row['base']['max_peak_rss_mb']:.0f} "
               f"-> {row['change']['max_peak_rss_mb']:.0f} MB")

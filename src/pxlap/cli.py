@@ -284,16 +284,13 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_barrier(args) -> int:
-    center = [float(t) for t in args.center.split(",")]
-    field = cf.build_exponent(json.loads(args.exponent), None)
-    params = bar.BarrierParams(center, args.delta, args.mu, args.a_level)
-    scan = bar.barrier_subsolution_scan(params, field, args.resolution)
-    print(f"barrier scan: min={scan.min_operator_value!r} at {scan.argmin.tolist()} "
-          f"({scan.samples} samples)")
+    c = {"kind": "barrier", "center": [float(t) for t in args.center.split(",")],
+         "delta": args.delta, "mu": args.mu, "a_level": args.a_level,
+         "resolution": args.resolution, "exponent": json.loads(args.exponent)}
+    rec = _run_check(c, None, None, 0, None)
+    print(f"barrier scan: min={rec.lhs!r} at {rec.detail['argmin'].tolist()} "
+          f"({rec.detail['samples']} samples)")
     if args.output:
-        rec = CheckRecord("barrier", center=center, radius=args.delta,
-                          lhs=scan.min_operator_value, mu=args.mu,
-                          detail={"argmin": scan.argmin, "samples": scan.samples})
         write_reports([rec], args.output, meta={})
     return EXIT_OK
 

@@ -41,7 +41,7 @@ __all__ = ["ProblemSpec", "SolveResult", "SolverError", "SmoothFunction",
 
 _log = logging.getLogger("pxlap")
 
-# Inexact Newton (see _newton_descend): the cap on the Eisenstat-Walker
+# Inexact Newton (see solve_dirichlet): the cap on the Eisenstat-Walker
 # forcing term, the CG iteration count past which the stale band factor is
 # replaced, and the count past which the next step refactors without trying
 # CG first.
@@ -61,8 +61,9 @@ class ProblemSpec:
     dirichlet may be a scalar, a callable on points, or a GridFunction on the
     same lattice; only its boundary values are used.  reg_eps (finite, >= 0)
     smooths the gradient norm, tol (finite, > 0) bounds the converged weak
-    residual and max_iter (an integer >= 1) caps the Newton steps.  A field
-    out of range, or a non-finite rhs value, is a ValueError naming it.
+    residual and max_iter (an integer >= 1) caps the Newton steps of the
+    whole solve, all continuation stages together.  A field out of range, or
+    a non-finite rhs value, is a ValueError naming it.
     """
 
     domain: Box
@@ -314,21 +315,6 @@ def weak_residual(u: GridFunction, spec: ProblemSpec) -> float:
     return disc.residual(g, disc.hat_norms())
 
 
-def _factor_spd(H: np.ndarray) -> np.ndarray:
-    """Band Cholesky factor of the symmetric positive definite Newton matrix.
-
-    H is the upper band storage of ``_InteriorPattern``; LAPACK (dpbtrf)
-    factors it in place and raises np.linalg.LinAlgError when the matrix is
-    not positive definite.
-    """
-    return sla.cholesky_banded(H, overwrite_ab=True, check_finite=False)
-
-
-def _solve_factored(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a factor from ``_factor_spd`` (LAPACK dpbtrs)."""
-    return sla.cho_solve_banded((factor, False), rhs, check_finite=False)
-
-
 def _pcg(matvec: Callable, precond: Callable, b: np.ndarray, rtol: float) -> tuple:
     """Preconditioned CG (``scipy.sparse.linalg.cg``) for H x = b from x0 = 0.
 
@@ -349,95 +335,6 @@ def _pcg(matvec: Callable, precond: Callable, b: np.ndarray, rtol: float) -> tup
     x, info = spla.cg(operator(matvec), b, rtol=rtol, maxiter=_CG_CAP, M=operator(precond),
                       callback=iterates.append)
     return (x if info == 0 else None), len(iterates)
-
-
-def _newton_descend(disc: "_Discretization", pattern: _InteriorPattern, u: np.ndarray,
-                    corners: tuple, eps: float, hat: np.ndarray, tol: float, max_iter: int,
-                    trace: list, smooth0: float) -> tuple:
-    """Inexact Newton with Armijo backtracking on the energy at regularization eps.
-
-    u comes with its ``corners`` and trace ends with the energy at u; returns
-    (u, its corners, iterations, residual, msg).  Each iterate's corners come
-    from the line-search trial that accepts it and feed the next step's
-    gradient and Newton matrix.  The unknowns are ``pattern.interior``.
-
-    The first step factors the band Newton matrix and solves exactly.  Each
-    later step is solved by CG preconditioned with that stale factor, to the
-    Eisenstat-Walker (choice 2) forcing tolerance eta ||g||, eta =
-    min(_ETA_MAX, 0.9 (||g_k|| / ||g_k-1||)^2).  When CG does not meet that
-    tolerance within _CG_CAP iterations or returns a direction that is not a
-    finite descent direction, the current matrix is factored and the step
-    solved exactly.  When the previous step's CG took more than _CG_NEAR
-    iterations (a capped one included), the factor has gone stale and the
-    step refactors without trying CG first, so capped CG work is not thrown
-    away step after step.  A matrix that is not positive definite, or an
-    exact step that is not a finite descent direction, gives way to the
-    gradient direction.  When no Armijo step lowers the energy, a
-    steepest-descent rescue tries a conservative gradient step.  The Newton
-    matrix is built with the smoothing eps_h = max(eps, smooth0
-    0.25^(it-1)); ``solve_dirichlet`` hands each stage smooth0 already
-    decayed by the Newton steps of the stages before, so eps_h decays once
-    per Newton step over the whole solve, not per stage.  The matrix stays
-    positive definite, so directions remain descent directions for the stage
-    energy and the appended trace entries are nonincreasing.
-    """
-    debug = _log.isEnabledFor(logging.DEBUG)
-    interior = pattern.interior
-    factor, gnorm_prev, cg_prev = None, np.inf, 0
-    for it in range(1, max_iter + 1):
-        g = disc.gradient(corners, eps)
-        residual = disc.residual(g, hat)
-        if residual <= tol:
-            return u, corners, it - 1, residual, ""
-
-        eps_h = max(eps, smooth0 * 0.25 ** (it - 1))
-        blocks = disc.hessian_blocks(corners, eps_h)
-        gi = g[interior]
-        gnorm = float(np.linalg.norm(gi))
-
-        def descends(d):
-            return d is not None and bool(np.all(np.isfinite(d))) and float(d @ gi) < 0.0
-
-        delta, linear, cg_iters = None, "pcg", 0
-        if factor is not None and cg_prev <= _CG_NEAR:
-            eta = min(_ETA_MAX, 0.9 * (gnorm / gnorm_prev) ** 2)
-            delta, cg_iters = _pcg(lambda x: disc.hessian_vec(blocks, interior, x),
-                                   lambda r: _solve_factored(factor, r), -gi, eta)
-        if not descends(delta):
-            try:
-                factor, linear = _factor_spd(pattern.matrix(blocks)), "factor"
-                delta = _solve_factored(factor, -gi)
-            except np.linalg.LinAlgError:
-                factor, linear, delta = None, "fallback", None
-        direction = "newton"
-        if not descends(delta):
-            delta, direction = -gi, "gradient-fallback"
-        gnorm_prev, cg_prev = gnorm, cg_iters
-
-        slope = float(delta @ gi)
-        e0 = trace[-1]
-        alpha, backtracks, step = _line_search(disc, u, interior, delta, eps, 1.0,
-                                               lambda a, e1: e1 <= e0 + 1e-4 * a * slope)
-        if step is None:
-            gmax = float(np.abs(gi).max())
-            if gmax == 0.0:
-                return u, corners, it, residual, ""
-            delta, direction = -gi, "steepest-rescue"
-            alpha, more, step = _line_search(disc, u, interior, delta, eps,
-                                             1.0 / max(1.0, gmax / disc.geo.cell_vol),
-                                             lambda a, e1: e1 < e0)
-            backtracks += more
-        if debug:
-            _log.debug("newton stage_eps=%.3e it=%d residual=%.6e step=%.6e backtracks=%d "
-                       "direction=%s linear=%s cg_iters=%d eps_h=%.3e", eps, it, residual,
-                       alpha if step is not None else 0.0, backtracks, direction, linear,
-                       cg_iters, eps_h)
-        if step is None:
-            return u, corners, it, residual, "line search stalled"
-        u, corners, e1 = step
-        trace.append(min(e1, e0))
-    residual = disc.residual(disc.gradient(corners, eps), hat)
-    return u, corners, it, residual, f"iteration budget exhausted (residual {residual:.3e})"
 
 
 def _line_search(disc: "_Discretization", u: np.ndarray, interior: np.ndarray,
@@ -485,19 +382,49 @@ def _eps_schedule(spec: ProblemSpec) -> list:
 
 
 def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
-    """Damped Newton descent on the discrete energy.
+    """Damped inexact Newton descent on the discrete energy.
 
     Starts from the discrete solution of the p = 2 problem with the same data,
     computed in closed form in the sine eigenbasis of the lattice Laplacian
-    (``_laplace_warm_start``; no band factorization), then runs Newton/Armijo
-    through the continuation schedule down to the target reg_eps, so a p = 2
-    problem is converged, to rounding, before the first Newton step.  A
-    converged result satisfies weak_residual <= tol; the energy trace is
-    nonincreasing by the line-search contract.
+    (``_laplace_warm_start``; no band factorization), so a p = 2 problem is
+    converged, to rounding, before the first Newton step.  Then one loop runs
+    Newton with Armijo backtracking on the energy at the current eps of the
+    continuation schedule (``_eps_schedule``).  Each pass takes the gradient
+    and the residual at that eps; when the residual meets the stage tolerance
+    (max(tol, 1e-5) before the last stage, tol at the last) eps moves to the
+    next stage, whose first energy is appended to the trace, and the solve
+    ends converged at the last stage.  Otherwise the solve ends when
+    max_iter Newton steps have been taken, or takes one more step.  Each
+    iterate's corner gradients come from the line-search trial that accepts
+    it and feed the next gradient and Newton matrix.
+
+    The first step of a stage factors the band Newton matrix
+    (``_InteriorPattern``; LAPACK dpbtrf) and solves exactly.  Each later step
+    of the stage is solved by CG preconditioned with that stale factor, to the
+    Eisenstat-Walker (choice 2) forcing tolerance eta ||g||, eta =
+    min(_ETA_MAX, 0.9 (||g_k|| / ||g_k-1||)^2).  When CG does not meet that
+    tolerance within _CG_CAP iterations or returns a direction that is not a
+    finite descent direction, the current matrix is factored and the step
+    solved exactly.  When the previous step's CG took more than _CG_NEAR
+    iterations (a capped one included), the factor has gone stale and the
+    step refactors without trying CG first, so capped CG work is not thrown
+    away step after step.  A matrix that is not positive definite, or an
+    exact step that is not a finite descent direction, gives way to the
+    gradient direction.  When no Armijo step lowers the energy, a
+    steepest-descent rescue tries a conservative gradient step.  The Newton
+    matrix of step k (counted over the whole solve) is built with the
+    smoothing eps_h = max(eps, smooth0 0.25^(k-1)).  It stays positive
+    definite, so directions remain descent directions for the stage energy;
+    the stage energy decreases when eps does, so the trace is nonincreasing.
+
+    A converged result satisfies weak_residual <= tol, and its residual is
+    weak_residual of the solution; an unconverged one reports the residual
+    at the stage eps where it stopped.
     """
     grid = spec.rhs
     disc = _Discretization(grid, spec.field, spec.rhs)
     pattern = _InteriorPattern.build(disc.geo, grid.boundary_mask())
+    interior = pattern.interior
 
     nodal = _laplace_warm_start(spec, disc.geo)
     if not np.all(np.isfinite(nodal)):
@@ -507,33 +434,83 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     hat = disc.hat_norms()
 
     # Newton-matrix smoothing scale from the steepest warm-start slope; it
-    # decays by 0.25 per Newton step, carried from each stage to the next.
-    slope = max(float(np.abs(np.diff(nodal, axis=a)).max()) / grid.spacing[a]
-                for a in range(grid.n_axes))
-    smooth0 = 1e-2 * max(1.0, slope)
+    # decays by 0.25 per Newton step over the whole solve.
+    steepest = max(float(np.abs(np.diff(nodal, axis=a)).max()) / grid.spacing[a]
+                   for a in range(grid.n_axes))
+    smooth0 = 1e-2 * max(1.0, steepest)
     stages = _eps_schedule(spec)
-    trace = []
-    iterations = 0
-    residual = np.inf
-    message = ""
-    for k, eps in enumerate(stages):
-        last = k == len(stages) - 1
-        trace.append(disc.energy(u, corners, eps))
-        stage_tol = spec.tol if last else max(spec.tol, 1e-5)
-        budget = spec.max_iter - iterations
-        if budget <= 0:
-            message = "iteration budget exhausted before the final stage"
+    stage, eps = 0, stages[0]
+    trace = [disc.energy(u, corners, eps)]
+    factor, gnorm_prev, cg_prev = None, np.inf, 0
+    it, message = 0, ""
+    debug = _log.isEnabledFor(logging.DEBUG)
+    while True:
+        g = disc.gradient(corners, eps)
+        residual = disc.residual(g, hat)
+        last = stage == len(stages) - 1
+        if residual <= (spec.tol if last else max(spec.tol, 1e-5)):
+            if last:
+                break
+            stage += 1
+            eps = stages[stage]
+            trace.append(disc.energy(u, corners, eps))
+            factor, gnorm_prev, cg_prev = None, np.inf, 0
+            continue
+        if it == spec.max_iter:
+            message = f"iteration budget exhausted (residual {residual:.3e})"
             break
-        u, corners, used, residual, message = _newton_descend(
-            disc, pattern, u, corners, eps, hat, stage_tol, budget, trace,
-            smooth0 * 0.25 ** iterations)
-        iterations += used
-        if message and not last:
+        it += 1
+
+        eps_h = max(eps, smooth0 * 0.25 ** (it - 1))
+        blocks = disc.hessian_blocks(corners, eps_h)
+        gi = g[interior]
+        gnorm = float(np.linalg.norm(gi))
+
+        def descends(d):
+            return d is not None and bool(np.all(np.isfinite(d))) and float(d @ gi) < 0.0
+
+        delta, linear, cg_iters = None, "pcg", 0
+        if factor is not None and cg_prev <= _CG_NEAR:
+            eta = min(_ETA_MAX, 0.9 * (gnorm / gnorm_prev) ** 2)
+            delta, cg_iters = _pcg(
+                lambda x: disc.hessian_vec(blocks, interior, x),
+                lambda r: sla.cho_solve_banded((factor, False), r, check_finite=False),
+                -gi, eta)
+        if not descends(delta):
+            try:
+                factor = sla.cholesky_banded(pattern.matrix(blocks), overwrite_ab=True,
+                                             check_finite=False)
+                linear = "factor"
+                delta = sla.cho_solve_banded((factor, False), -gi, check_finite=False)
+            except np.linalg.LinAlgError:
+                factor, linear, delta = None, "fallback", None
+        direction = "newton"
+        if not descends(delta):
+            delta, direction = -gi, "gradient-fallback"
+        gnorm_prev, cg_prev = gnorm, cg_iters
+
+        slope = float(delta @ gi)
+        e0 = trace[-1]
+        alpha, backtracks, step = _line_search(disc, u, interior, delta, eps, 1.0,
+                                               lambda a, e1: e1 <= e0 + 1e-4 * a * slope)
+        if step is None:
+            delta, direction = -gi, "steepest-rescue"
+            gmax = float(np.abs(gi).max())
+            alpha, more, step = _line_search(disc, u, interior, delta, eps,
+                                             1.0 / max(1.0, gmax / disc.geo.cell_vol),
+                                             lambda a, e1: e1 < e0)
+            backtracks += more
+        if debug:
+            _log.debug("newton stage_eps=%.3e it=%d residual=%.6e step=%.6e backtracks=%d "
+                       "direction=%s linear=%s cg_iters=%d eps_h=%.3e", eps, it, residual,
+                       alpha if step is not None else 0.0, backtracks, direction, linear,
+                       cg_iters, eps_h)
+        if step is None:
+            message = "line search stalled"
             break
-    converged = residual <= spec.tol and not message
-    if not converged and not message:
-        message = f"no convergence in {spec.max_iter} iterations (residual {residual:.3e})"
-    return SolveResult(grid.like(u), trace, residual, iterations, converged, message)
+        u, corners, e1 = step
+        trace.append(min(e1, e0))
+    return SolveResult(grid.like(u), trace, residual, it, not message, message)
 
 
 def _laplace_warm_start(spec: ProblemSpec, geo: CellGeometry) -> np.ndarray:

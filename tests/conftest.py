@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import settings
 
 import pxlap as px
@@ -150,7 +151,7 @@ def reference_warm_start(spec):
     """The p = 2 warm start as one band Newton step: the p = 2 discretization's
     gradient at the lifted boundary data, solved with the band Cholesky of its
     Newton matrix.  Returns the full nodal array."""
-    from pxlap.solver import _Discretization, _factor_spd, _InteriorPattern, _solve_factored
+    from pxlap.solver import _Discretization, _InteriorPattern
 
     grid = spec.rhs
     lap = _Discretization(grid, px.constant_exponent(2.0, domain=spec.domain), grid)
@@ -160,7 +161,9 @@ def reference_warm_start(spec):
     u[interior] = 0.0
     corners = lap.corners(u)
     H = pattern.matrix(lap.hessian_blocks(corners, 0.0))
-    u[interior] -= _solve_factored(_factor_spd(H), lap.gradient(corners, 0.0)[interior])
+    factor = sla.cholesky_banded(H, overwrite_ab=True, check_finite=False)
+    u[interior] -= sla.cho_solve_banded((factor, False), lap.gradient(corners, 0.0)[interior],
+                                        check_finite=False)
     return u.reshape(grid.dims)
 
 

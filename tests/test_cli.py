@@ -177,12 +177,26 @@ def test_norm_subcommand(tmp_path, capsys):
     assert lux == pytest.approx(3.0, rel=1e-9)
 
 
-def test_barrier_scan_subcommand(capsys):
+def test_barrier_scan_subcommand(tmp_path, capsys):
+    out = tmp_path / "out"
     rc = main(["barrier-scan", "--center", "0,0", "--delta", "1.0", "--mu", "8.0",
                "--exponent", '{"kind": "constant", "value": 2.0}',
-               "--resolution", "0.05"])
+               "--resolution", "0.05", "--output", str(out)])
     assert rc == 0
-    assert "min=" in capsys.readouterr().out
+    scan = px.barrier_subsolution_scan(px.BarrierParams([0.0, 0.0], 1.0, 8.0, 1.0),
+                                       px.constant_exponent(2.0), 0.05)
+    assert capsys.readouterr().out == (
+        f"barrier scan: min={scan.min_operator_value!r} at {scan.argmin.tolist()} "
+        f"({scan.samples} samples)\n")
+    # the report body is the record the scan's flags have always written
+    ref = tmp_path / "ref"
+    px.write_reports([px.CheckRecord("barrier", center=[0.0, 0.0], radius=1.0,
+                                     lhs=scan.min_operator_value, mu=8.0,
+                                     detail={"argmin": scan.argmin, "samples": scan.samples})],
+                     ref, meta={})
+    for name in ("report.json", "report.csv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+    assert json.loads((out / "report.json").read_text())[0]["lhs"] > 0
 
 
 def test_structure_check_subcommand(tmp_path, capsys):

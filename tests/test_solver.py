@@ -137,17 +137,24 @@ def test_discrete_comparison_bounds():
     assert res.solution.values.max() <= g.max() + tol_c
 
 
-def test_smoothing_scale_reads_every_axis(monkeypatch):
+def test_smoothing_scale_reads_every_axis(caplog):
     # The Newton-matrix smoothing scale comes from the steepest warm-start
     # slope over all axes: a steep ramp along y and the same ramp along x get
-    # the same scale, hence the same iterations and mirrored solutions.
-    scales = record_smoothing_scales(monkeypatch)
+    # the same scale, hence the same iterations and mirrored solutions.  The
+    # scale exceeds reg_eps, so it is the first step's eps_h.
+    caplog.set_level(logging.DEBUG, logger="pxlap")
     box = px.Box([0.0, 0.0], [1.0, 1.0])
     f = px.GridFunction.constant(box, 12, -1.0)
     field = px.constant_exponent(3.0, domain=box)
-    along_y, along_x = [
-        px.solve_dirichlet(px.ProblemSpec(box, field, f, ramp, reg_eps=1e-8, tol=1e-8))
-        for ramp in (lambda pts: 40.0 * pts[:, 1], lambda pts: 40.0 * pts[:, 0])]
+    results, scales = [], []
+    for ramp in (lambda pts: 40.0 * pts[:, 1], lambda pts: 40.0 * pts[:, 0]):
+        caplog.clear()
+        spec = px.ProblemSpec(box, field, f, ramp, reg_eps=1e-8, tol=1e-8)
+        results.append(px.solve_dirichlet(spec))
+        first = newton_records(caplog)[0]
+        assert first["eps_h"] == f"{smoothing_scale(spec):.3e}"
+        scales.append(float(first["eps_h"]))
+    along_y, along_x = results
     assert scales[0] == pytest.approx(scales[1], rel=1e-12)
     assert scales[0] >= 0.3
     assert along_y.converged and along_x.converged
@@ -327,7 +334,7 @@ def random_state(n_axes, seed=0):
 
 
 def newton_matrix(disc, pattern, u_flat, reg_eps, eps_h=None):
-    """The band Newton matrix at u, smoothed as _newton_descend smooths it."""
+    """The band Newton matrix at u, smoothed as solve_dirichlet smooths it."""
     eps_h = max(reg_eps, eps_h if eps_h is not None else 0.0)
     return pattern.matrix(disc.hessian_blocks(disc.corners(u_flat), eps_h))
 
@@ -365,7 +372,8 @@ def test_hessian_matches_reference_assembly(n_axes, reg_eps, eps_h):
     # the band solve agrees with a sparse direct solve of the reference matrix
     rhs = np.random.default_rng(n_axes).standard_normal(ref.shape[0])
     x_ref = spla.spsolve(ref, rhs)
-    x = solver._solve_factored(solver._factor_spd(H), rhs)
+    factor = solver.sla.cholesky_banded(H, overwrite_ab=True, check_finite=False)
+    x = solver.sla.cho_solve_banded((factor, False), rhs, check_finite=False)
     assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
 
@@ -394,7 +402,7 @@ def test_solve_spd_rejects_indefinite_band(n_axes):
     H[-1] -= 0.5 * (eig[0] + eig[1])
     assert np.all(H[-1] > 0.0)
     with pytest.raises(np.linalg.LinAlgError):
-        solver._factor_spd(H)
+        solver.sla.cholesky_banded(H, overwrite_ab=True, check_finite=False)
 
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
@@ -553,8 +561,9 @@ def newton_records(caplog):
 
 @pytest.mark.parametrize("owner, name, fake, linear", [
     (solver.sla, "cholesky_banded", indefinite_factor, "fallback"),
-    (solver, "_solve_factored", lambda real, c, rhs: np.full_like(rhs, np.nan), "factor"),
-    (solver, "_solve_factored", lambda real, c, rhs: -real(c, rhs), "factor"),
+    (solver.sla, "cho_solve_banded", lambda real, cb, rhs, **kw: np.full_like(rhs, np.nan),
+     "factor"),
+    (solver.sla, "cho_solve_banded", lambda real, cb, rhs, **kw: -real(cb, rhs, **kw), "factor"),
 ], ids=["factor-error", "non-finite", "non-descent"])
 def test_gradient_direction_fallback(monkeypatch, caplog, owner, name, fake, linear):
     caplog.set_level(logging.DEBUG, logger="pxlap")
@@ -575,8 +584,8 @@ def test_steepest_descent_rescue(monkeypatch, caplog):
     # conservative gradient step of the rescue can lower the energy.
     caplog.set_level(logging.DEBUG, logger="pxlap")
     exact_steps_only(monkeypatch)
-    fake_every_call(monkeypatch, solver, "_solve_factored",
-                    lambda real, c, rhs: 1e30 * real(c, rhs))
+    fake_every_call(monkeypatch, solver.sla, "cho_solve_banded",
+                    lambda real, cb, rhs, **kw: 1e30 * real(cb, rhs, **kw))
     res = px.solve_dirichlet(fallback_problem(max_iter=4))
     assert res.message.startswith("iteration budget exhausted")
     assert len(res.energy_trace) == 5
@@ -594,28 +603,24 @@ def continuation_problem(cells=16, amp=1.0):
     return px.ProblemSpec(box, px.constant_exponent(1.5, domain=box), f, 0.0)
 
 
-def record_smoothing_scales(monkeypatch):
-    """Record the smoothing scale each _newton_descend call (one per stage) gets."""
-    scales = []
-    descend = solver._newton_descend
-
-    def recording(*args):
-        scales.append(args[-1])
-        return descend(*args)
-
-    monkeypatch.setattr(solver, "_newton_descend", recording)
-    return scales
+def smoothing_scale(spec):
+    """The Newton-matrix smoothing scale of a solve: 1e-2 times the steepest
+    slope of the warm start along any axis, at least 1e-2."""
+    nodal = solver._laplace_warm_start(spec, CellGeometry.build(spec.rhs))
+    steepest = max(float(np.abs(np.diff(nodal, axis=a)).max()) / h
+                   for a, h in enumerate(spec.rhs.spacing))
+    return 1e-2 * max(1.0, steepest)
 
 
 @pytest.mark.parametrize("amp", [1.0, 100.0], ids=["mild", "steep"])
-def test_smoothing_decays_over_the_whole_solve(monkeypatch, caplog, amp):
+def test_smoothing_decays_over_the_whole_solve(caplog, amp):
     # The Newton-matrix smoothing decays by 0.25 per Newton step across
     # stage boundaries: each stage starts where the previous one stopped
     # instead of going back to the warm-start scale.  The steep source makes
     # that scale exceed the first stage eps, so the first stage decays it.
     caplog.set_level(logging.DEBUG, logger="pxlap")
-    scales = record_smoothing_scales(monkeypatch)
     spec = continuation_problem(amp=amp)
+    scale = smoothing_scale(spec)
     res = px.solve_dirichlet(spec)
     assert res.converged and res.residual <= spec.tol
     assert_nonincreasing(res.energy_trace)
@@ -626,15 +631,17 @@ def test_smoothing_decays_over_the_whole_solve(monkeypatch, caplog, amp):
     first = [r for r in recs if r["stage_eps"] == recs[0]["stage_eps"]]
     eps0 = solver._eps_schedule(spec)[0]
     assert [r["eps_h"] for r in first] == [
-        f"{max(eps0, scales[0] * 0.25 ** k):.3e}" for k in range(len(first))]
-    # the first step of a stage, after i steps in all, smooths at scale * 0.25^i
+        f"{max(eps0, scale * 0.25 ** k):.3e}" for k in range(len(first))]
+    # the first step of a stage, after i steps in all, smooths at scale * 0.25^i;
+    # the record's it is the step number over the whole solve
+    assert [r["it"] for r in recs] == [str(i) for i in range(1, len(recs) + 1)]
     for i, r in enumerate(recs):
-        if r["it"] == "1":
-            assert r["eps_h"] == f"{max(float(r['stage_eps']), scales[0] * 0.25 ** i):.3e}"
+        if i == 0 or r["stage_eps"] != recs[i - 1]["stage_eps"]:
+            assert r["eps_h"] == f"{max(float(r['stage_eps']), scale * 0.25 ** i):.3e}"
     if amp == 1.0:
-        assert scales[0] == eps0 and res.iterations <= 20
+        assert scale == eps0 and res.iterations <= 20
     else:
-        assert scales[0] > eps0 and float(first[0]["eps_h"]) > eps0
+        assert scale > eps0 and float(first[0]["eps_h"]) > eps0
 
 
 def affine_cube(cells):
@@ -648,13 +655,16 @@ def affine_cube(cells):
     (lambda: problem_1d(-1.0, 1.0, 512, 3.0, 1.0, 0.0, reg_eps=1e-8, tol=1e-9), 7),
     (lambda: affine_cube(8), 5),
 ], ids=["1d-p3", "3d-affine"])
-def test_single_stage_keeps_its_iteration_count(monkeypatch, make, iterations):
+def test_single_stage_keeps_its_iteration_count(caplog, make, iterations):
     # A p >= 2 solve is one stage that starts from the warm-start scale, so
     # carrying the smoothing across stages leaves it exactly as it was.
-    scales = record_smoothing_scales(monkeypatch)
-    res = px.solve_dirichlet(make())
-    assert res.converged and len(scales) == 1
-    assert res.iterations == iterations
+    caplog.set_level(logging.DEBUG, logger="pxlap")
+    spec = make()
+    res = px.solve_dirichlet(spec)
+    recs = newton_records(caplog)
+    assert res.converged and len({r["stage_eps"] for r in recs}) == 1
+    assert res.iterations == iterations == len(recs)
+    assert recs[0]["eps_h"] == f"{max(spec.reg_eps, smoothing_scale(spec)):.3e}"
 
 
 def test_one_factor_per_stage_then_pcg(monkeypatch, caplog):
@@ -766,6 +776,35 @@ def test_line_search_stalled(monkeypatch):
     assert res.message == "line search stalled"
     assert res.iterations == 1
     assert res.energy_trace == [0.0]
+
+
+@pytest.mark.parametrize("p, max_iter, converged", [
+    (3.0, 6, True),    # the sixth and last allowed step meets tol
+    (1.5, 12, True),   # the last step brings the eps = 1e-6 stage within 1e-5 and
+                       # the solution within tol at the final eps
+    (1.5, 11, False),  # stopped at eps = 1e-6, whose residual is above 1e-5
+])
+def test_verdict_matches_the_residual_when_the_budget_runs_out(p, max_iter, converged):
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    f = px.GridFunction.constant(box, 16, -1.0)
+    spec = px.ProblemSpec(box, px.constant_exponent(p, domain=box), f, 0.0, max_iter=max_iter)
+    res = px.solve_dirichlet(spec)
+    assert res.iterations == max_iter
+    assert res.converged == converged == (res.residual <= spec.tol)
+    assert res.message == ("" if converged else
+                           f"iteration budget exhausted (residual {res.residual:.3e})")
+    # the trace holds the warm start's energy, one per step and one per stage change
+    stages = solver._eps_schedule(spec)
+    reached = len(res.energy_trace) - res.iterations
+    disc = _Discretization(res.solution, spec.field, spec.rhs)
+    eps = stages[reached - 1]
+    at_stage = disc.residual(disc.gradient(disc.corners(res.solution.values), eps),
+                             disc.hat_norms())
+    assert res.residual == at_stage
+    if reached == len(stages):
+        assert res.residual == px.weak_residual(res.solution, spec)
+    else:  # a stage within its tolerance would have moved on
+        assert res.residual > max(spec.tol, 1e-5)
 
 
 # -- weak residual -------------------------------------------------------------
