@@ -6,8 +6,8 @@ of base and change, interleaved, each solve in its own process pinned to one
 CPU with one BLAS thread.  Per size it records the wall time of the solve,
 Newton iterations, LAPACK band factorizations (all of the solve's, the warm
 start's too where a tree factors for it), CG iterations, the weak residual
-against tol and the worker's peak resident set size, then writes everything
-to one JSON file.  The speed-up is given as the ratio of the median times
+against tol, the wall time of that ``weak_residual`` call and the worker's
+peak resident set size, then writes everything to one JSON file.  The speed-up is given as the ratio of the median times
 and as the median of the ratios of the base and change runs made back to
 back, which a drifting host speed moves less.  The spread is given as the
 quartiles of each side's solve times and as the number of back-to-back
@@ -98,12 +98,15 @@ def worker(case: str) -> dict:
 
     t0 = time.perf_counter()
     res = px.solve_dirichlet(spec)
-    elapsed = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    weak_residual = px.weak_residual(res.solution, spec)
+    t2 = time.perf_counter()
     return {
-        "time_s": elapsed,
+        "time_s": t1 - t0,
+        "weak_residual_s": t2 - t1,
         "iterations": res.iterations,
         "converged": bool(res.converged),
-        "weak_residual": px.weak_residual(res.solution, spec),
+        "weak_residual": weak_residual,
         "tol": spec.tol,
         "factorizations": len(factorizations),
         "cg_iterations": sum(cg_iters),
@@ -133,6 +136,7 @@ def summary(runs: list) -> dict:
     return {
         "median_time_s": statistics.median(times),
         "quartiles_time_s": statistics.quantiles(times, n=4, method="inclusive"),
+        "median_weak_residual_s": statistics.median(r["weak_residual_s"] for r in runs),
         "iterations": sorted({r["iterations"] for r in runs}),
         "factorizations": sorted({r["factorizations"] for r in runs}),
         "cg_iterations": sorted({r["cg_iterations"] for r in runs}),
@@ -167,7 +171,9 @@ def main(argv=None) -> int:
                 for side in order:
                     rec = run_one(sides[side], case, cpu)
                     results[case][side].append(rec)
-                    print(f"{case:14s} {side:6s} {rec['time_s']:8.3f} s  it={rec['iterations']:3d} "
+                    print(f"{case:14s} {side:6s} {rec['time_s']:8.3f} s  "
+                          f"weak_residual {1e3 * rec['weak_residual_s']:6.1f} ms  "
+                          f"it={rec['iterations']:3d} "
                           f"factor={rec['factorizations']:3d} cg={rec['cg_iterations']:4d} "
                           f"rss={rec['peak_rss_mb']:6.1f} MB",
                           file=sys.stderr, flush=True)
@@ -205,7 +211,10 @@ def main(argv=None) -> int:
               f"(paired x{row['median_paired_speedup']:.2f}, change won "
               f"{row['pairs_change_won']}/{len(row['paired_speedups'])})  "
               f"factorizations {row['base']['factorizations']} -> "
-              f"{row['change']['factorizations']}  peak RSS {row['base']['max_peak_rss_mb']:.0f} "
+              f"{row['change']['factorizations']}  weak_residual "
+              f"{1e3 * row['base']['median_weak_residual_s']:.1f} -> "
+              f"{1e3 * row['change']['median_weak_residual_s']:.1f} ms  "
+              f"peak RSS {row['base']['max_peak_rss_mb']:.0f} "
               f"-> {row['change']['max_peak_rss_mb']:.0f} MB")
     return 0
 

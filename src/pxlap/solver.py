@@ -181,25 +181,126 @@ class _InteriorPattern:
         return data[:-1].reshape((ldab, m), order="F")
 
 
+class _Lattice:
+    """The part of the discrete operator fixed by the lattice and the nodal p.
+
+    Holds the cell geometry, p at the nodes and at the cell corners, the
+    interior nodes in C order, the band layout of the Newton matrix
+    (``_InteriorPattern``) and the fixed basis of ``hessian_blocks``; the
+    hat norms are computed the first time they are asked for.  It is built
+    by ``_lattice``, which keeps the last one, so a solve, the weak residual
+    of its solution and any later solve or energy on the same lattice and p
+    share it.  Its arrays are read-only.
+    """
+
+    def __init__(self, grid: GridFunction, p_node: np.ndarray):
+        self.origin = grid.origin.copy()
+        self.geo = geo = CellGeometry.build(grid)
+        self.p_node = np.array(p_node, dtype=float)
+        self.p_corner = self.p_node[geo.corner_idx]  # (ncells, 2^n)
+        bmask = grid.boundary_mask()
+        self.interior = np.flatnonzero(~bmask.reshape(-1))
+        self.pattern = _InteriorPattern.build(geo, bmask)
+        # basis[(k, ab), (j, l)]: corner k's share of the cell block per entry
+        # ab, a <= b, of the pointwise Hessian, vol / 2^n (G_ka^T G_kb +
+        # G_kb^T G_ka) for a < b and vol / 2^n G_ka^T G_ka for a = b.
+        G = geo.grad_stencils  # (2^n k, n a, 2^n j)
+        nc = G.shape[0]
+        a, b = np.triu_indices(geo.n_axes)
+        pair = np.einsum("kaj,kal->kajl", G[:, a], G[:, b])
+        pair = (pair + pair.transpose(0, 1, 3, 2)) * np.where(a == b, 0.5, 1.0)[:, None, None]
+        self.basis = pair.reshape(nc * a.size, nc * nc) * (geo.cell_vol / nc)
+        self.hats = None  # (NormConfig, hat norms) of the last hat_norms call
+        for arr in (geo.spacing, geo.corner_offsets, geo.corner_idx, geo.grad_stencils,
+                    geo.node_weights, self.origin, self.p_node, self.p_corner, self.interior,
+                    self.pattern.interior, self.pattern.scatter, self.basis):
+            arr.flags.writeable = False
+
+    def matches(self, grid: GridFunction, p_node: np.ndarray) -> bool:
+        return (self.geo.dims == grid.dims and np.array_equal(self.origin, grid.origin)
+                and np.array_equal(self.geo.spacing, grid.spacing)
+                and np.array_equal(self.p_node, p_node))
+
+    def hat_norms(self, cfg: NormConfig = NormConfig()) -> np.ndarray:
+        """Variable-exponent Sobolev norms of the hat functions phi_i of the
+        interior nodes, in the C order of ``self.interior``; the last result is
+        kept and returned again for the same cfg.
+
+        The value part has the closed form (node weight)^(1/p_i).  The
+        gradient part is the Luxemburg norm lambda of |grad phi_i| under the
+        vertex rule: the root of sum_m c_m lambda^(-p_m) = 1, where m runs
+        over the corner quadrature points of the 2^n cells around node i,
+        c_m = (vol / 2^n) |grad phi_i|_m^p_m and p_m is p at that corner.
+        The support of every interior hat is gathered from shifted slices of
+        the cell lattice, one column per (corner j of the hat's node, corner
+        k) pair with a nonzero stencil, so the rows come out in C order.
+        Then ``log_luxemburg`` solves for t = log lambda for all nodes at
+        once.  Raises SolverError when a norm is not finite or its Newton
+        step has not fallen to cfg.bisection_tol within cfg.max_iter steps.
+        """
+        hats = self.hats
+        if hats is not None and hats[0] == cfg:
+            return hats[1]
+        geo = self.geo
+        dims = geo.dims
+        nc = geo.corner_idx.shape[1]
+        p_cells = self.p_corner.reshape(tuple(d - 1 for d in dims) + (nc,))
+        stencil_mag = np.linalg.norm(geo.grad_stencils, axis=1)  # (2^n k, 2^n j)
+        ps, log_mags = [], []
+        for j, off in enumerate(geo.corner_offsets):
+            cells = tuple(slice(1 - o, d - 1 - o) for o, d in zip(off, dims))
+            for k in np.flatnonzero(stencil_mag[:, j]):
+                ps.append(p_cells[cells + (k,)].ravel())
+                log_mags.append(np.log(stencil_mag[k, j]))
+        P = np.stack(ps, axis=1)  # (interior nodes in C order, support size)
+        log_c = np.log(geo.cell_vol / nc) + P * np.array(log_mags)
+
+        t, step = log_luxemburg(P, log_c, cfg)
+        failed = np.count_nonzero(~(np.abs(step) <= cfg.bisection_tol))  # NaN fails too
+        if failed:
+            raise SolverError(f"hat norms: {failed} of {t.size} nodes are not finite or did not "
+                              f"meet bisection_tol {cfg.bisection_tol} in {cfg.max_iter} "
+                              "Newton steps")
+        hat = geo.node_weights[self.interior] ** (1.0 / self.p_node[self.interior]) + np.exp(t)
+        hat.flags.writeable = False
+        self.hats = (cfg, hat)
+        return hat
+
+
+# The last _Lattice built.  One slot serves the repeated solves of one
+# problem family and a solve followed by its weak residual; a thread that
+# races another for it at worst builds its own.
+_lattice_cache = None
+
+
+def _lattice(grid: GridFunction, field: ExponentField) -> _Lattice:
+    """The _Lattice of grid and p, from the cache when the lattice and the
+    nodal values of p are equal to the cached ones.  The key holds values, not
+    the field object: a field can close over data changed in place."""
+    global _lattice_cache
+    p_node = field(grid.nodes())
+    lat = _lattice_cache
+    if lat is None or not lat.matches(grid, p_node):
+        lat = _lattice_cache = _Lattice(grid, p_node)
+    return lat
+
+
 class _Discretization:
-    """The eps-free data of the discrete energy: cell geometry, p at the nodes
-    and cell corners, source weights, the interior nodes in C order and the
-    per-corner matrices G_k^T G_k.  eps enters only through w = sqrt(|g|^2 +
-    eps^2), so ``energy``, ``gradient`` and ``hessian_blocks`` take it, and the
-    iterate's ``corners``, as arguments and one instance serves every stage.
+    """The eps-free data of the discrete energy: the shared ``_Lattice`` of
+    the lattice and p, whose arrays it exposes, and this problem's source
+    weights.  eps enters only through w = sqrt(|g|^2 + eps^2), so ``energy``,
+    ``gradient`` and ``hessian_blocks`` take it, and the iterate's
+    ``corners``, as arguments and one instance serves every stage.
     """
 
     def __init__(self, grid: GridFunction, field: ExponentField, f: GridFunction):
         if not grid.same_lattice(f):
             raise ValueError("solution and source live on different lattices")
-        self.geo = CellGeometry.build(grid)
-        self.p_node = field(grid.nodes())
-        self.p_corner = self.p_node[self.geo.corner_idx]  # (ncells, 2^n)
+        self.lattice = lat = _lattice(grid, field)
+        self.geo, self.p_node, self.p_corner, self.interior = (
+            lat.geo, lat.p_node, lat.p_corner, lat.interior)
+        self.nc = self.geo.corner_idx.shape[1]
         self.source_vec = self.geo.node_weights * f.values.reshape(-1)
-        self.interior = np.flatnonzero(~grid.boundary_mask().reshape(-1))
-        self.nc = nc = self.geo.corner_idx.shape[1]
-        G = self.geo.grad_stencils  # (2^n k, n a, 2^n j)
-        self.gram = np.einsum("kaj,kal->kjl", G, G).reshape(nc, nc * nc)
 
     def corners(self, u_flat: np.ndarray) -> tuple:
         """(g, |g|^2): the vertex-rule gradients of u, (ncells, 2^n, n), and their
@@ -231,24 +332,22 @@ class _Discretization:
     def hessian_blocks(self, corners: tuple, eps_h: float) -> np.ndarray:
         """The (ncells, 2^n, 2^n) cell blocks of the energy Hessian at smoothing eps_h.
 
-        The pointwise Hessian of w^p / p in the gradient g is c1 I + c2 g g^T,
-        so each cell block is sum_k c1_k G_k^T G_k + c2_k v_k v_k^T with
-        v_k = G_k^T g_k: the fixed per-corner matrices times c1 plus one
-        batched outer product.
+        The pointwise Hessian of w^p / p in the gradient g is M = c1 I + c2 g g^T
+        with c1 = w^(p-2) and c2 = (p-2) c1 / w^2, so each cell block is
+        sum_k G_k^T M_k G_k: one product of the upper triangles of the M_k,
+        (ncells, 2^n n(n+1)/2), with the fixed ``_Lattice.basis``.
         """
         grads, sq = corners
-        # A tiny floor keeps w^(p-4) finite at degenerate corners; the matrix
+        # A tiny floor keeps c1 / w^2 finite at degenerate corners; the matrix
         # stays positive definite so Newton directions remain descent ones.
-        w = np.sqrt(sq + max(eps_h, 1e-12) ** 2)
-        c1 = w ** (self.p_corner - 2.0)
-        c2 = (self.p_corner - 2.0) * w ** (self.p_corner - 4.0)
-        G = self.geo.grad_stencils
+        w2 = sq + max(eps_h, 1e-12) ** 2
+        c1 = np.sqrt(w2) ** (self.p_corner - 2.0)
+        c2 = (self.p_corner - 2.0) * c1 / w2
+        a, b = np.triu_indices(self.geo.n_axes)
+        coef = c2[:, :, None] * (grads[:, :, a] * grads[:, :, b])
+        coef[:, :, a == b] += c1[:, :, None]
         nc = self.nc
-        v = np.matmul(grads.transpose(1, 0, 2), G).transpose(1, 0, 2)  # (ncells, 2^n k, 2^n j)
-        blocks = (c1 @ self.gram).reshape(-1, nc, nc)
-        blocks += np.matmul((c2[:, :, None] * v).transpose(0, 2, 1), v)
-        blocks *= self.geo.cell_vol / nc
-        return blocks
+        return (coef.reshape(coef.shape[0], -1) @ self.lattice.basis).reshape(-1, nc, nc)
 
     def hessian_vec(self, blocks: np.ndarray, interior: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Product of the interior Newton matrix with x, straight from its cell blocks.
@@ -263,42 +362,8 @@ class _Discretization:
                            minlength=full.size)[interior]
 
     def hat_norms(self, cfg: NormConfig = NormConfig()) -> np.ndarray:
-        """Variable-exponent Sobolev norms of the hat functions phi_i of the
-        interior nodes, in the C order of ``self.interior``.
-
-        The value part has the closed form (node weight)^(1/p_i).  The
-        gradient part is the Luxemburg norm lambda of |grad phi_i| under the
-        vertex rule: the root of sum_m c_m lambda^(-p_m) = 1, where m runs
-        over the corner quadrature points of the 2^n cells around node i,
-        c_m = (vol / 2^n) |grad phi_i|_m^p_m and p_m is p at that corner.
-        The support of every interior hat is gathered from shifted slices of
-        the cell lattice, one column per (corner j of the hat's node, corner
-        k) pair with a nonzero stencil, so the rows come out in C order.
-        Then ``log_luxemburg`` solves for t = log lambda for all nodes at
-        once.  Raises SolverError when a norm is not finite or its Newton
-        step has not fallen to cfg.bisection_tol within cfg.max_iter steps.
-        """
-        geo = self.geo
-        dims = geo.dims
-        p_cells = self.p_corner.reshape(tuple(d - 1 for d in dims) + (self.nc,))
-        stencil_mag = np.linalg.norm(geo.grad_stencils, axis=1)  # (2^n k, 2^n j)
-        ps, log_mags = [], []
-        for j, off in enumerate(geo.corner_offsets):
-            cells = tuple(slice(1 - o, d - 1 - o) for o, d in zip(off, dims))
-            for k in np.flatnonzero(stencil_mag[:, j]):
-                ps.append(p_cells[cells + (k,)].ravel())
-                log_mags.append(np.log(stencil_mag[k, j]))
-        P = np.stack(ps, axis=1)  # (interior nodes in C order, support size)
-        log_c = np.log(geo.cell_vol / self.nc) + P * np.array(log_mags)
-
-        t, step = log_luxemburg(P, log_c, cfg)
-        failed = np.count_nonzero(~(np.abs(step) <= cfg.bisection_tol))  # NaN fails too
-        if failed:
-            raise SolverError(f"hat norms: {failed} of {t.size} nodes are not finite or did not "
-                              f"meet bisection_tol {cfg.bisection_tol} in {cfg.max_iter} "
-                              "Newton steps")
-        val_part = geo.node_weights[self.interior] ** (1.0 / self.p_node[self.interior])
-        return val_part + np.exp(t)
+        """``_Lattice.hat_norms`` of the shared lattice."""
+        return self.lattice.hat_norms(cfg)
 
 
 def energy(u: GridFunction, field: ExponentField, f: GridFunction,
@@ -309,8 +374,21 @@ def energy(u: GridFunction, field: ExponentField, f: GridFunction,
 
 
 def weak_residual(u: GridFunction, spec: ProblemSpec) -> float:
-    """Max over interior hats of the normalized weak pairing (see module doc)."""
+    """Max over interior hats of the normalized weak pairing (see module doc).
+
+    u must carry the Dirichlet data of spec on the boundary: a boundary value
+    off it by more than rounding is a ValueError naming the largest deviation.
+    """
     disc = _Discretization(u, spec.field, spec.rhs)
+    bmask = u.boundary_mask()
+    data = spec.dirichlet_values()[bmask]
+    dev = np.abs(u.values[bmask] - data)
+    worst = int(np.argmax(dev))
+    if not dev[worst] <= 1e-12 * max(1.0, float(np.abs(data).max())):
+        node = tuple(int(i) for i in np.argwhere(bmask)[worst])
+        raise ValueError(f"u is off the Dirichlet data on the boundary by up to "
+                         f"{dev[worst]:.3e}: {float(u.values[node])!r} against "
+                         f"{float(data[worst])!r} at node {node}")
     g = disc.gradient(disc.corners(u.values), float(spec.reg_eps))
     return disc.residual(g, disc.hat_norms())
 
@@ -423,7 +501,7 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     """
     grid = spec.rhs
     disc = _Discretization(grid, spec.field, spec.rhs)
-    pattern = _InteriorPattern.build(disc.geo, grid.boundary_mask())
+    pattern = disc.lattice.pattern
     interior = pattern.interior
 
     nodal = _laplace_warm_start(spec, disc.geo)

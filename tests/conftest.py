@@ -4,6 +4,7 @@ import scipy.linalg as sla
 from hypothesis import settings
 
 import pxlap as px
+import pxlap.solver as solver
 from pxlap.grid import as_points
 from pxlap.quadrature import CellGeometry, lq_ball_norm, midpoint_data
 
@@ -11,6 +12,13 @@ from pxlap.quadrature import CellGeometry, lq_ball_norm, midpoint_data
 # deadline, so they are reproducible and do not flake on a loaded host.
 settings.register_profile("pxlap", derandomize=True, deadline=None, max_examples=30)
 settings.load_profile("pxlap")
+
+
+@pytest.fixture(autouse=True)
+def empty_lattice_cache(monkeypatch):
+    """Start every test with an empty solver lattice cache, so what one test
+    builds cannot hide the builds another counts."""
+    monkeypatch.setattr(solver, "_lattice_cache", None)
 
 
 @pytest.fixture

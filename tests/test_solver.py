@@ -13,7 +13,7 @@ import pxlap.solver as solver
 from conftest import (grid_1d, pointwise_reference, reference_gradient, reference_hat_norms,
                       reference_warm_start)
 from pxlap.quadrature import CellGeometry
-from pxlap.solver import _Discretization, _InteriorPattern
+from pxlap.solver import _Discretization, _InteriorPattern, _Lattice
 
 
 def problem_1d(lo, hi, cells, p, f_const, dirichlet, **kw):
@@ -437,6 +437,74 @@ def test_gradient_matches_reference_scatter(n_axes, reg_eps):
     assert np.abs(gradient_at(disc, u, reg_eps) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def random_exponent(kind, n, rng):
+    """Affine or radial p on the unit box, its range a random part of [1.2, 5]."""
+    box = px.Box(np.zeros(n), np.ones(n))
+    p_lo, p_hi = np.sort(rng.uniform(1.2, 5.0, 2))
+    if kind == "affine":
+        w = rng.uniform(-1.0, 1.0, n)
+        w /= np.abs(w).sum()  # w . x spans at most an interval of length 1
+        return px.affine_exponent(p_lo - np.minimum(w, 0.0).sum() * (p_hi - p_lo),
+                                  (p_hi - p_lo) * w, box)
+    center = rng.uniform(0.0, 1.0, n)
+    r_max = max(float(np.linalg.norm(c - center)) for c in box.corners())
+    if rng.uniform() < 0.5:
+        return px.radial_exponent(center, p_lo, (p_hi - p_lo) / r_max, box)
+    return px.radial_exponent(center, p_hi, (p_lo - p_hi) / r_max, box)
+
+
+@given(n=st.integers(1, 3), kind=st.sampled_from(["affine", "radial"]),
+       eps_h=st.sampled_from([0.0, 1e-6, 1e-1]), seed=st.integers(0, 2**32 - 1))
+def test_derivatives_agree_on_random_fields(n, kind, eps_h, seed):
+    # A rough iterate with flat patches, where whole cells have zero corner
+    # gradients, under affine and radial p in [1.2, 5]:
+    # - the Newton blocks match the pointwise-Hessian reference assembly;
+    # - the gradient matches a central difference of the energy, which is
+    #   even in the step at a zero corner gradient, so exact there;
+    # - hessian_vec matches a central difference of the gradient along a
+    #   direction that keeps the flat cells flat, away from the kink of
+    #   |g|^(p-2) g that eps_h = 0 leaves there.
+    rng = np.random.default_rng(seed)
+    field = random_exponent(kind, n, rng)
+    box = px.Box(np.zeros(n), np.ones(n))
+    cells = tuple(rng.integers(3, {1: 13, 2: 7, 3: 5}[n], size=n))
+    f = px.GridFunction.constant(box, cells, 0.0)
+    f = f.like(rng.uniform(-2.0, 1.0, f.dims))
+    u = rng.standard_normal(f.dims)
+    # patches of zeros: their corner gradients are exactly 0, where a patch at
+    # another level can keep rounding-sized ones from the stencil product
+    for _ in range(2):
+        u[tuple(slice(i, i + 2) for i in rng.integers(0, cells))] = 0.0
+    u = u.reshape(-1)
+    assert 1.2 - 1e-12 <= field.p1 and field.p2 <= 5.0 + 1e-12
+
+    disc = _Discretization(f, field, f)
+    pattern = _InteriorPattern.build(disc.geo, f.boundary_mask())
+    interior = pattern.interior
+    corners = disc.corners(u)
+    assert np.any(corners[1] == 0.0)
+
+    H = band_to_dense(pattern.matrix(disc.hessian_blocks(corners, eps_h)))
+    ref = reference_hessian(disc, interior, u, 0.0, eps_h).toarray()
+    assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    g = gradient_at(disc, u, eps_h)
+    step = 1e-6
+    fd = np.empty_like(g)
+    for node in range(u.size):
+        e = np.zeros_like(u)
+        e[node] = step
+        fd[node] = (energy_at(disc, u + e, eps_h) - energy_at(disc, u - e, eps_h)) / (2.0 * step)
+    assert np.abs(g - fd).max() <= 1e-6 * np.abs(g).max()
+
+    x = np.zeros_like(u)
+    x[interior] = rng.standard_normal(interior.size)
+    x[np.unique(disc.geo.corner_idx[(corners[1] == 0.0).any(axis=1)])] = 0.0
+    hv = disc.hessian_vec(disc.hessian_blocks(corners, eps_h), interior, x[interior])
+    fd = (gradient_at(disc, u + step * x, eps_h)
+          - gradient_at(disc, u - step * x, eps_h))[interior] / (2.0 * step)
+    assert np.abs(hv - fd).max() <= 1e-6 * np.abs(hv).max()
+
 # -- hat norms --------------------------------------------------------------------
 
 def exponent_in_band(kind, box):
@@ -494,14 +562,16 @@ def test_hat_norms_raise_typed_errors():
     assert np.all(np.isfinite(disc.hat_norms()))
     with pytest.raises(solver.SolverError, match=r"hat norms: 49 of 49 nodes .* in 1 Newton steps"):
         disc.hat_norms(px.NormConfig(max_iter=1))
-    # corner 0 of cell (1, 1) is the node (1, 1); its p enters the hats of
-    # (1, 1) and of its neighbours (2, 1) and (1, 2) along the cell's edges
-    disc.p_corner[9, 0] = np.nan
+    # the p of node (1, 1) enters the hats of (1, 1) and of its interior
+    # neighbours (2, 1) and (1, 2) along the cell edges
+    p_node = disc.p_node.copy()
+    p_node[1 * 9 + 1] = np.nan
     with pytest.raises(solver.SolverError, match=r"hat norms: 3 of 49 nodes are not finite"):
-        disc.hat_norms()
+        _Lattice(f, p_node).hat_norms()
 
 
 def test_one_geometry_per_solve_and_per_weak_residual(geometry_builds):
+    # the weak residual of a solution shares the solve's lattice data
     builds = geometry_builds
     box = px.Box([0.0, 0.0], [1.0, 1.0])
     f = px.GridFunction.constant(box, 8, -1.0)
@@ -509,8 +579,88 @@ def test_one_geometry_per_solve_and_per_weak_residual(geometry_builds):
     res = px.solve_dirichlet(spec)
     assert res.converged and len(solver._eps_schedule(spec)) > 1
     assert len(builds) == 1
-    px.weak_residual(res.solution, spec)
-    assert len(builds) == 2
+    assert px.weak_residual(res.solution, spec) == res.residual
+    assert len(builds) == 1
+
+
+# -- lattice cache -----------------------------------------------------------------
+
+def test_same_lattice_and_p_build_nothing(monkeypatch, geometry_builds):
+    # a second problem on the same lattice, with an equal but new field object
+    # and another source, reuses the geometry, the band layout and the hat
+    # norms; its results match a build from an empty cache
+    luxemburg = count_calls(monkeypatch, solver, "log_luxemburg")
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    field = px.affine_exponent(2.5, [0.3, 0.2], box)
+    f1 = px.GridFunction.constant(box, 12, -1.0)
+    spec1 = px.ProblemSpec(box, field, f1, 0.0)
+    res1 = px.solve_dirichlet(spec1)
+    assert px.weak_residual(res1.solution, spec1) == res1.residual
+    assert len(geometry_builds) == 1 and len(luxemburg) == 1
+    f2 = f1.like(-1.0 - f1.nodes()[:, 0].reshape(f1.dims))
+    spec2 = px.ProblemSpec(box, px.affine_exponent(2.5, [0.3, 0.2], box), f2, 0.0)
+    res2 = px.solve_dirichlet(spec2)
+    e2 = px.energy(res2.solution, spec2.field, f2)
+    assert px.weak_residual(res2.solution, spec2) == res2.residual
+    assert len(geometry_builds) == 1 and len(luxemburg) == 1
+    monkeypatch.setattr(solver, "_lattice_cache", None)
+    fresh = px.solve_dirichlet(spec2)
+    assert len(geometry_builds) == 2 and len(luxemburg) == 2
+    assert np.array_equal(fresh.solution.values, res2.solution.values)
+    assert fresh.residual == res2.residual and fresh.iterations == res2.iterations
+    assert px.energy(res2.solution, spec2.field, f2) == e2
+
+
+def test_grid_exponent_changed_in_place_rebuilds(monkeypatch, geometry_builds):
+    # grid_exponent closes over its GridFunction: after the values change in
+    # place the same field object gives another p, so the cache must miss
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    f = px.GridFunction.constant(box, 10, -1.0)
+    p = f.like(1.5 + f.nodes()[:, 0].reshape(f.dims))
+    spec = px.ProblemSpec(box, px.grid_exponent(p), f, 0.0)
+    x = f.nodes()
+    u = f.like((np.sin(np.pi * x).prod(axis=1) * (1.0 + x[:, 0])).reshape(f.dims))
+    before = px.weak_residual(u, spec)
+    p.values[:] = p.values[::-1].copy()  # the same band, mirrored in x
+    after = px.weak_residual(u, spec)
+    assert len(geometry_builds) == 2
+    assert after != before
+    monkeypatch.setattr(solver, "_lattice_cache", None)
+    assert px.weak_residual(u, spec) == after
+
+
+@pytest.mark.parametrize("moved", ["origin", "spacing"])
+def test_changed_origin_or_spacing_rebuilds(moved, monkeypatch, geometry_builds):
+    # constant p has the same nodal values on every lattice, so only the
+    # lattice part of the key tells these problems apart
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    other = px.Box([0.5, 0.0], [1.5, 1.0]) if moved == "origin" else px.Box([0.0, 0.0], [2.0, 1.0])
+    residuals = []
+    for b in (box, other):
+        f = px.GridFunction.constant(b, 8, -1.0)
+        spec = px.ProblemSpec(b, px.constant_exponent(3.0), f, 0.0)
+        u = f.like(np.sin(np.pi * (f.nodes() - b.lo) / (b.hi - b.lo)).prod(axis=1).reshape(f.dims))
+        residuals.append(px.weak_residual(u, spec))
+    assert len(geometry_builds) == 2
+    monkeypatch.setattr(solver, "_lattice_cache", None)
+    assert px.weak_residual(u, spec) == residuals[1]
+    assert (residuals[1] == residuals[0]) == (moved == "origin")
+
+
+def test_cached_lattice_arrays_are_read_only():
+    box = px.Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    f = px.GridFunction.constant(box, 4, -1.0)
+    spec = px.ProblemSpec(box, px.affine_exponent(2.5, [0.3, 0.2, 0.1], box), f, 0.0)
+    res = px.solve_dirichlet(spec)
+    lat = _Discretization(res.solution, spec.field, f).lattice
+    assert lat is solver._lattice_cache
+    geo = lat.geo
+    arrays = [geo.spacing, geo.corner_offsets, geo.corner_idx, geo.grad_stencils,
+              geo.node_weights, lat.origin, lat.p_node, lat.p_corner, lat.interior,
+              lat.pattern.interior, lat.pattern.scatter, lat.basis, lat.hat_norms()]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
 
 
 # -- solver fallbacks -------------------------------------------------------------
@@ -833,6 +983,24 @@ def test_weak_residual_detects_perturbation():
         bumped = res.solution.like(res.solution.values.copy())
         bumped.values[64] += delta
         assert px.weak_residual(bumped, spec) >= 0.1 * delta
+
+
+def test_weak_residual_rejects_other_boundary_data():
+    # u + 5 has the same weak pairing as u, but it does not solve the problem
+    # with zero Dirichlet data; rounding-sized boundary offsets still pass
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    f = px.GridFunction.constant(box, 16, -1.0)
+    spec = px.ProblemSpec(box, px.constant_exponent(3.0, domain=box), f, 0.0)
+    res = px.solve_dirichlet(spec)
+    assert px.weak_residual(res.solution, spec) <= spec.tol
+    with pytest.raises(ValueError, match=r"Dirichlet data on the boundary by up to 5\.000e\+00"):
+        px.weak_residual(res.solution.like(res.solution.values + 5.0), spec)
+    bumped = res.solution.like(res.solution.values.copy())
+    bumped.values[0, 3] = 1e-3
+    with pytest.raises(ValueError, match=r"up to 1\.000e-03: 0\.001 against 0\.0 at node \(0, 3\)"):
+        px.weak_residual(bumped, spec)
+    bumped.values[0, 3] = 1e-14
+    assert px.weak_residual(bumped, spec) <= spec.tol
 
 
 def test_weak_residual_lattice_mismatch():
