@@ -185,12 +185,12 @@ class _Lattice:
     """The part of the discrete operator fixed by the lattice and the nodal p.
 
     Holds the cell geometry, p at the nodes and at the cell corners, the
-    interior nodes in C order, the band layout of the Newton matrix
-    (``_InteriorPattern``) and the fixed basis of ``hessian_blocks``; the
-    hat norms are computed the first time they are asked for.  It is built
-    by ``_lattice``, which keeps the last one, so a solve, the weak residual
-    of its solution and any later solve or energy on the same lattice and p
-    share it.  Its arrays are read-only.
+    interior nodes in C order, the cells with a boundary corner, the band
+    layout of the Newton matrix (``_InteriorPattern``) and the fixed basis
+    of ``hessian_blocks``; the hat norms are computed the first time they
+    are asked for.  It is built by ``_lattice``, which keeps the last one, so
+    a solve, the weak residual of its solution and any later solve or energy
+    on the same lattice and p share it.  Its arrays are read-only.
     """
 
     def __init__(self, grid: GridFunction, p_node: np.ndarray):
@@ -200,6 +200,7 @@ class _Lattice:
         self.p_corner = self.p_node[geo.corner_idx]  # (ncells, 2^n)
         bmask = grid.boundary_mask()
         self.interior = np.flatnonzero(~bmask.reshape(-1))
+        self.boundary_cells = np.flatnonzero(bmask.reshape(-1)[geo.corner_idx].any(axis=1))
         self.pattern = _InteriorPattern.build(geo, bmask)
         # basis[(k, ab), (j, l)]: corner k's share of the cell block per entry
         # ab, a <= b, of the pointwise Hessian, vol / 2^n (G_ka^T G_kb +
@@ -213,7 +214,7 @@ class _Lattice:
         self.hats = None  # (NormConfig, hat norms) of the last hat_norms call
         for arr in (geo.spacing, geo.corner_offsets, geo.corner_idx, geo.grad_stencils,
                     geo.node_weights, self.origin, self.p_node, self.p_corner, self.interior,
-                    self.pattern.interior, self.pattern.scatter, self.basis):
+                    self.boundary_cells, self.pattern.interior, self.pattern.scatter, self.basis):
             arr.flags.writeable = False
 
     def matches(self, grid: GridFunction, p_node: np.ndarray) -> bool:
@@ -397,7 +398,9 @@ def _pcg(matvec: Callable, precond: Callable, b: np.ndarray, rtol: float) -> tup
     """Preconditioned CG (``scipy.sparse.linalg.cg``) for H x = b from x0 = 0.
 
     Stops when ||b - H x|| < rtol ||b|| and returns (x, iterations), or
-    (None, iterations) when that is not met within _CG_CAP iterations.  With
+    (None, iterations) when that is not met within _CG_CAP iterations.  SciPy
+    reports a solve that ran out of iterations without testing its last
+    iterate, so that one is tested here, with one product.  With
     an SPD preconditioner and x0 = 0 every iterate lowers the quadratic model
     below its value at 0, so a returned x is a descent direction when b is
     minus the gradient.
@@ -412,7 +415,9 @@ def _pcg(matvec: Callable, precond: Callable, b: np.ndarray, rtol: float) -> tup
     iterates = []
     x, info = spla.cg(operator(matvec), b, rtol=rtol, maxiter=_CG_CAP, M=operator(precond),
                       callback=iterates.append)
-    return (x if info == 0 else None), len(iterates)
+    if info != 0 and not np.linalg.norm(b - matvec(x)) < rtol * np.linalg.norm(b):
+        x = None
+    return x, len(iterates)
 
 
 def _line_search(disc: "_Discretization", u: np.ndarray, interior: np.ndarray,
@@ -462,19 +467,27 @@ def _eps_schedule(spec: ProblemSpec) -> list:
 def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     """Damped inexact Newton descent on the discrete energy.
 
-    Starts from the discrete solution of the p = 2 problem with the same data,
-    computed in closed form in the sine eigenbasis of the lattice Laplacian
-    (``_laplace_warm_start``; no band factorization), so a p = 2 problem is
-    converged, to rounding, before the first Newton step.  Then one loop runs
-    Newton with Armijo backtracking on the energy at the current eps of the
-    continuation schedule (``_eps_schedule``).  Each pass takes the gradient
-    and the residual at that eps; when the residual meets the stage tolerance
-    (max(tol, 1e-5) before the last stage, tol at the last) eps moves to the
-    next stage, whose first energy is appended to the trace, and the solve
-    ends converged at the last stage.  Otherwise the solve ends when
-    max_iter Newton steps have been taken, or takes one more step.  Each
-    iterate's corner gradients come from the line-search trial that accepts
-    it and feed the next gradient and Newton matrix.
+    The p = 2 problem with the same data is solved in closed form in the sine
+    eigenbasis of the lattice Laplacian (``_laplace_warm_start``; no band
+    factorization).  Its solution u2 has the shape of the solution but, as
+    the energy grows like |grad u|^p(x), not its size, so the solve starts
+    from lift + s (u2 - lift), lift the Dirichlet data with the datum of the
+    first node in the interior and s the minimizer of the first stage energy
+    along that ray (``_ray_start``): a scalar Newton in log s, s = 1 when the
+    scaled start does not lower the energy or, with nonconstant data, when
+    the root is within 1% of 1.  For p = 2, s = 1 and the problem is
+    converged, to rounding, before the first Newton step.  A debug record
+    per solve gives s, the scalar trials and the energies of u2 and of the
+    start.  Then one loop runs Newton with Armijo backtracking on the energy
+    at the current eps of the continuation schedule (``_eps_schedule``).
+    Each pass takes the gradient and the residual at that eps; when the
+    residual meets the stage tolerance (max(tol, 1e-5) before the last
+    stage, tol at the last) eps moves to the next stage, whose first energy
+    is appended to the trace, and the solve ends converged at the last
+    stage.  Otherwise the solve ends when max_iter Newton steps have been
+    taken, or takes one more step.  Each iterate's corner gradients come from
+    the line-search trial that accepts it and feed the next gradient and
+    Newton matrix.
 
     The first step of a stage factors the band Newton matrix
     (``_InteriorPattern``; LAPACK dpbtrf) and solves exactly.  Each later step
@@ -491,9 +504,11 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     gradient direction.  When no Armijo step lowers the energy, a
     steepest-descent rescue tries a conservative gradient step.  The Newton
     matrix of step k (counted over the whole solve) is built with the
-    smoothing eps_h = max(eps, smooth0 0.25^(k-1)).  It stays positive
-    definite, so directions remain descent directions for the stage energy;
-    the stage energy decreases when eps does, so the trace is nonincreasing.
+    smoothing eps_h = max(eps, smooth0 0.25^(k-1)), smooth0 1e-2 times the
+    steepest slope of the start along any axis, at least 1e-2.  It stays
+    positive definite, so directions remain descent directions for the stage
+    energy; the stage energy decreases when eps does, so the trace is
+    nonincreasing.
 
     A converged result satisfies weak_residual <= tol, and its residual is
     weak_residual of the solution; an unconverged one reports the residual
@@ -507,21 +522,24 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     nodal = _laplace_warm_start(spec, disc.geo)
     if not np.all(np.isfinite(nodal)):
         raise SolverError("warm start produced non-finite values")
-    u = nodal.reshape(-1)
-    corners = disc.corners(u)
-    hat = disc.hat_norms()
-
-    # Newton-matrix smoothing scale from the steepest warm-start slope; it
-    # decays by 0.25 per Newton step over the whole solve.
-    steepest = max(float(np.abs(np.diff(nodal, axis=a)).max()) / grid.spacing[a]
-                   for a in range(grid.n_axes))
-    smooth0 = 1e-2 * max(1.0, steepest)
     stages = _eps_schedule(spec)
     stage, eps = 0, stages[0]
-    trace = [disc.energy(u, corners, eps)]
+    u, corners, (scale, trials, e2, e_start) = _ray_start(disc, nodal.reshape(-1), eps)
+    hat = disc.hat_norms()
+    debug = _log.isEnabledFor(logging.DEBUG)
+    if debug:
+        _log.debug("start scale=%.6e trials=%d energy_p2=%.6e energy=%.6e",
+                   scale, trials, e2, e_start)
+
+    # Newton-matrix smoothing scale from the steepest slope of the start; it
+    # decays by 0.25 per Newton step over the whole solve.
+    start = u.reshape(grid.dims)
+    steepest = max(float(np.abs(np.diff(start, axis=a)).max()) / grid.spacing[a]
+                   for a in range(grid.n_axes))
+    smooth0 = 1e-2 * max(1.0, steepest)
+    trace = [e_start]
     factor, gnorm_prev, cg_prev = None, np.inf, 0
     it, message = 0, ""
-    debug = _log.isEnabledFor(logging.DEBUG)
     while True:
         g = disc.gradient(corners, eps)
         residual = disc.residual(g, hat)
@@ -602,10 +620,14 @@ def _laplace_warm_start(spec: ProblemSpec, geo: CellGeometry) -> np.ndarray:
     1)), so the Newton step from the lifted boundary data (interior 0) is
     exact in closed form: S along every axis, a division by the eigenvalues
     and S again, as in the classical fast Poisson solvers (Buzbee, Golub &
-    Nielson 1970).  No band is assembled or factored.
+    Nielson 1970).  No band is assembled or factored.  The operator
+    annihilates constants, so the step is taken for u - g0, g0 the datum at
+    the first node: constant data with no source comes back exactly.
     """
     grid = spec.rhs
-    nodal = spec.dirichlet_values().copy()
+    data = spec.dirichlet_values()
+    g0 = data.flat[0]
+    nodal = data - g0
     inner = tuple(slice(1, -1) for _ in grid.dims)
     nodal[inner] = 0.0
     # The p = 2 energy gradient at the interior: the source weights plus the
@@ -621,8 +643,120 @@ def _laplace_warm_start(spec: ProblemSpec, geo: CellGeometry) -> np.ndarray:
             for N, h in zip(r.shape, grid.spacing)]
     r = _sine_transform(r)
     r /= geo.cell_vol * sum(np.ix_(*eigs))
-    nodal[inner] = -_sine_transform(r)
-    return nodal
+    data[inner] = g0 - _sine_transform(r)
+    return data
+
+
+def _ray_start(disc: _Discretization, u2: np.ndarray, eps: float) -> tuple:
+    """The point of least energy at eps on the ray from the lift through the p = 2 start u2.
+
+    The lift is the Dirichlet data with the interior set to g0, the datum at
+    the first node, and w = u2 - lift, so lift + s w keeps the data and
+    scales the interior of u2 - g0 by s; constant data give the ray of zero
+    data moved by g0.  phi(s) = E(lift + s w) is convex in s.  Its corner
+    gradients are s g2 + (1 - s) g_l, g2 those of u2 and g_l those of the
+    lift, which vanish off the cells touching the boundary.  With S =
+    |g2|^2, A = |g_l|^2 and P = g_l . g2 per corner, W = s^2 S + (1 - s)^2 A
+    + 2 s (1 - s) P + eps^2 and d = W'/2 = s S - (1 - s) A + (1 - 2 s) P:
+
+        phi(s)   = vol/2^n sum W^(p/2) / p + src . lift + s q,   q = src . w,
+        phi'(s)  = D(s) + q,   D(s) = vol/2^n sum W^(p/2-1) d,
+        phi''(s) = vol/2^n sum W^(p/2-2) (W C + (p-2) d^2),   C = |g2 - g_l|^2,
+
+    one power per corner per trial and no corner-gradient evaluation.
+
+    s = 0 when phi'(0) >= 0.  Otherwise s is the root of F(t) = log((D(s) -
+    D(0)) / -phi'(0)), s = e^t, which increases in t.  Newton from t = 0 runs
+    in log space as ``norms.log_luxemburg`` does, so for constant p, zero
+    data and eps = 0, where D(s) = s^(p-1) D(1), its first step is exact.  A
+    step that leaves the bracket the signs of F give is replaced by
+    bisection, or by a move of 2 while one end is open.  A step of at most
+    1e-12 is rounding and is not taken.  The iteration ends after a step of
+    at most 1e-2, which moves s by at most 1%, or after 50 trials.  With
+    constant data the ray is g0 + s (u2 - g0), as smooth as u2, and every
+    other step is taken, so at constant p and eps = 0 the start for zero data
+    and the source t^(p-1) f is t times the start for f.  With other data a
+    first step of at most 1e-2 is not taken: the scaled interior would bend
+    against the fixed boundary values, a kink the Newton steps then have to
+    remove, for a second-order gain in energy.
+
+    When the start's energy is not at most that of u2 (rounding, or a value
+    that is not finite), s = 1 and the start is u2.
+
+    Returns (u, corners, (s, trials, energy of u2, energy of u)), energies at eps.
+    """
+    lat, geo, nc = disc.lattice, disc.geo, disc.nc
+    p, c = disc.p_corner, geo.cell_vol / nc
+    g2, S = corners2 = disc.corners(u2)
+    g0, lift = u2[0], u2.copy()
+    lift[disc.interior] = g0
+    w = u2 - lift
+    q = float(disc.source_vec @ w)
+    C, bc, D0 = S, None, 0.0  # with constant data g_l = 0 and D(0) = 0
+    if np.any(lift != g0):
+        bc = lat.boundary_cells
+        # corner_gradients of the lift, on the boundary cells only
+        g_l = (lift[geo.corner_idx[bc]] @ geo.grad_stencils.reshape(-1, nc).T).reshape(
+            bc.size, nc, -1)
+        A = np.einsum("cka,cka->ck", g_l, g_l)
+        P = np.einsum("cka,cka->ck", g_l, g2[bc])
+        C = S.copy()
+        C[bc] += A - 2.0 * P
+        with np.errstate(divide="ignore", invalid="ignore"):
+            W0 = (A + eps**2) ** (0.5 * p[bc] - 1.0)
+        D0 = c * float(np.vdot(np.where(A > 0, W0, 0.0), P - A))
+    expo, pm2 = 0.5 * p - 2.0, p - 2.0
+
+    def trial(s):
+        """(D(s), phi''(s))."""
+        W = S * (s * s)
+        W += eps**2
+        d = S * s
+        if bc is not None:
+            r = 1.0 - s
+            W[bc] += r * (r * A + 2.0 * s * P)
+            d[bc] += (1.0 - 2.0 * s) * P - r * A
+        Wm = np.power(W, expo, out=np.zeros_like(W), where=W > 0)  # W^(p/2-2)
+        Wb = Wm * W
+        return c * float(np.vdot(Wb, d)), c * float(np.vdot(Wb, C) + np.vdot(Wm * d, pm2 * d))
+
+    e2 = disc.energy(u2, corners2, eps)
+    with np.errstate(all="ignore"):  # a non-finite trial narrows the bracket
+        D, dD = trial(1.0)
+        dphi0 = D0 + q
+        s, trials = 1.0, 0
+        if not dphi0 < 0.0:
+            s = 0.0
+        else:
+            t, lo, hi = 0.0, -np.inf, np.inf
+            while True:
+                ratio = (D - D0) / -dphi0
+                if ratio < 1.0:
+                    lo = t
+                else:
+                    hi = t
+                step = -np.log(ratio) * (D - D0) / (s * dD)
+                if not lo <= t + step <= hi:
+                    mid = 0.5 * (lo + hi)
+                    step = (mid if np.isfinite(mid) else t + (2.0 if lo == t else -2.0)) - t
+                if not abs(step) > (1e-2 if bc is not None and trials == 0 else 1e-12):
+                    break
+                t += step
+                s = float(np.exp(t))
+                if abs(step) <= 1e-2 or trials == 50:
+                    break
+                trials += 1
+                D, dD = trial(s)
+    if s != 1.0:
+        grads, sq = g2 * s, S * (s * s)
+        if bc is not None:
+            grads[bc] += (1.0 - s) * g_l
+            sq[bc] = np.einsum("cka,cka->ck", grads[bc], grads[bc])
+        u, corners = lift + s * w, (grads, sq)
+        e = disc.energy(u, corners, eps)
+        if e <= e2:
+            return u, corners, (s, trials, e2, e)
+    return u2, corners2, (1.0, trials, e2, e2)
 
 
 def _sine_transform(x: np.ndarray) -> np.ndarray:
