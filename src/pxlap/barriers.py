@@ -98,43 +98,45 @@ class HopfResult:
     c0_estimate: float
 
 
-# -- barrier closed forms ------------------------------------------------------
+# -- Gaussian closed forms -----------------------------------------------------
 
-def barrier_eval(params: BarrierParams, x) -> tuple:
-    """(value, gradient) of the barrier at x; defined everywhere."""
-    pts = as_points(x)
-    d = pts - params.x0
-    q = np.sum(d**2, axis=1) / params.delta**2
-    core = np.exp(-params.mu * q)
-    val = params.a_level * (core - math.exp(-params.mu)) / params.normalizer
-    grad = (params.a_level * core / params.normalizer)[:, None] \
-        * (-2.0 * params.mu / params.delta**2) * d
-    if pts.shape[0] == 1:
-        return float(val[0]), grad[0]
-    return val, grad
+def _gaussian(center, amp: float, rate: float, shift: float = 0.0) -> SmoothFunction:
+    """amp exp(-rate |x - center|^2) - shift, with gradient -2 rate G d and
+    Hessian -2 rate G (I - 2 rate d d^T), G the Gaussian and d = x - center."""
+
+    def gauss(pts):
+        d = as_points(pts) - center
+        return d, amp * np.exp(-rate * np.einsum("mi,mi->m", d, d))
+
+    def value(pts):
+        return gauss(pts)[1] - shift
+
+    def gradient(pts):
+        d, g = gauss(pts)
+        return (-2.0 * rate * g)[:, None] * d
+
+    def hessian(pts):
+        d, g = gauss(pts)
+        outer = d[:, :, None] * d[:, None, :]
+        return (-2.0 * rate * g)[:, None, None] * (np.eye(d.shape[1]) - 2.0 * rate * outer)
+
+    return SmoothFunction(value, gradient, hessian)
 
 
 def barrier_smooth(params: BarrierParams) -> SmoothFunction:
     """The barrier as a SmoothFunction (value, gradient, Hessian)."""
+    amp = params.a_level / params.normalizer
+    return _gaussian(params.x0, amp, params.mu / params.delta**2, amp * math.exp(-params.mu))
 
-    def value(pts):
-        v, _ = barrier_eval(params, pts)
-        return np.atleast_1d(v)
 
-    def gradient(pts):
-        _, g = barrier_eval(params, pts)
-        return g.reshape(pts.shape)
-
-    def hessian(pts):
-        pts = as_points(pts)
-        d = pts - params.x0
-        q = np.sum(d**2, axis=1) / params.delta**2
-        a = 2.0 * params.mu / params.delta**2
-        coef = -params.a_level * np.exp(-params.mu * q) / params.normalizer * a
-        eye = np.eye(pts.shape[1])
-        return coef[:, None, None] * (eye - a * d[:, :, None] * d[:, None, :])
-
-    return SmoothFunction(value, gradient, hessian)
+def barrier_eval(params: BarrierParams, x) -> tuple:
+    """(value, gradient) of the barrier at x; defined everywhere."""
+    pts = as_points(x)
+    w = barrier_smooth(params)
+    val, grad = w.value(pts), w.gradient(pts)
+    if pts.shape[0] == 1:
+        return float(val[0]), grad[0]
+    return val, grad
 
 
 def annulus_samples(center, r_inner: float, r_outer: float, resolution: float,
@@ -245,22 +247,11 @@ def gaussian_lower_bound_scan(M: float, mu: float, field: ExponentField,
     n_axes = len(center) if center is not None else (field.domain.n_axes if field.domain else 2)
     c = np.zeros(n_axes) if center is None else np.atleast_1d(np.asarray(center, dtype=float))
 
-    def value(pts):
-        return M * np.exp(-mu * np.sum((pts - c) ** 2, axis=1))
-
-    def gradient(pts):
-        return value(pts)[:, None] * (-2.0 * mu) * (pts - c)
-
-    def hessian(pts):
-        d = pts - c
-        eye = np.eye(d.shape[1])
-        return (-2.0 * mu * value(pts))[:, None, None] * (eye - 2.0 * mu * d[:, :, None] * d[:, None, :])
-
-    w = SmoothFunction(value, gradient, hessian)
+    w = _gaussian(c, M, mu)
     pts = annulus_samples(c, r2, r1, resolution, n_dir)
     grad_p_sup = float(np.max(np.linalg.norm(field.gradient_at(pts), axis=1)))
     op = p_laplacian_pointwise(w, field, pts, reg_eps)
-    g = gradient(pts)
+    g = w.gradient(pts)
     s = np.sqrt(np.einsum("mi,mi->m", g, g) + reg_eps**2)
     p, r_sq = field(pts), np.sum((pts - c) ** 2, axis=1)
     with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -3,8 +3,9 @@
 The modular of u at scale lambda is the midpoint-rule quadrature of
 (|u(x)| / lambda)^p(x) over the grid box.  The Luxemburg norm is the
 smallest lambda with modular <= 1, found by Newton's method on log lambda
-(``log_luxemburg``, which also serves the solver's hat-function norms); for
-constant p it reduces to the classical L^p quadrature norm.
+(``log_luxemburg``, which also serves the solver's hat-function norms and
+the scale of its start); for constant p it reduces to the classical L^p
+quadrature norm.
 """
 
 from __future__ import annotations

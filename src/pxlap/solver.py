@@ -54,6 +54,13 @@ class SolverError(RuntimeError):
     pass
 
 
+def _check_reg_eps(reg_eps) -> float:
+    """reg_eps as a float; a ValueError naming it unless it is finite and >= 0."""
+    if not 0 <= reg_eps < np.inf:
+        raise ValueError(f"reg_eps must be finite and >= 0, got {reg_eps}")
+    return float(reg_eps)
+
+
 @dataclass
 class ProblemSpec:
     """Dirichlet problem for div(|grad u|^(p(x)-2) grad u) = f on a box.
@@ -75,8 +82,7 @@ class ProblemSpec:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not 0 <= self.reg_eps < np.inf:
-            raise ValueError(f"reg_eps must be finite and >= 0, got {self.reg_eps}")
+        _check_reg_eps(self.reg_eps)
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
@@ -185,12 +191,12 @@ class _Lattice:
     """The part of the discrete operator fixed by the lattice and the nodal p.
 
     Holds the cell geometry, p at the nodes and at the cell corners, the
-    interior nodes in C order, the cells with a boundary corner, the band
-    layout of the Newton matrix (``_InteriorPattern``) and the fixed basis
-    of ``hessian_blocks``; the hat norms are computed the first time they
-    are asked for.  It is built by ``_lattice``, which keeps the last one, so
-    a solve, the weak residual of its solution and any later solve or energy
-    on the same lattice and p share it.  Its arrays are read-only.
+    interior nodes in C order, the band layout of the Newton matrix
+    (``_InteriorPattern``) and the fixed basis of ``hessian_blocks``; the
+    hat norms are computed the first time they are asked for.  It is built
+    by ``_lattice``, which keeps the last one, so a solve, the weak residual
+    of its solution and any later solve or energy on the same lattice and p
+    share it.  Its arrays are read-only.
     """
 
     def __init__(self, grid: GridFunction, p_node: np.ndarray):
@@ -200,7 +206,6 @@ class _Lattice:
         self.p_corner = self.p_node[geo.corner_idx]  # (ncells, 2^n)
         bmask = grid.boundary_mask()
         self.interior = np.flatnonzero(~bmask.reshape(-1))
-        self.boundary_cells = np.flatnonzero(bmask.reshape(-1)[geo.corner_idx].any(axis=1))
         self.pattern = _InteriorPattern.build(geo, bmask)
         # basis[(k, ab), (j, l)]: corner k's share of the cell block per entry
         # ab, a <= b, of the pointwise Hessian, vol / 2^n (G_ka^T G_kb +
@@ -214,7 +219,7 @@ class _Lattice:
         self.hats = None  # (NormConfig, hat norms) of the last hat_norms call
         for arr in (geo.spacing, geo.corner_offsets, geo.corner_idx, geo.grad_stencils,
                     geo.node_weights, self.origin, self.p_node, self.p_corner, self.interior,
-                    self.boundary_cells, self.pattern.interior, self.pattern.scatter, self.basis):
+                    self.pattern.interior, self.pattern.scatter, self.basis):
             arr.flags.writeable = False
 
     def matches(self, grid: GridFunction, p_node: np.ndarray) -> bool:
@@ -369,9 +374,11 @@ class _Discretization:
 
 def energy(u: GridFunction, field: ExponentField, f: GridFunction,
            reg_eps: float = 0.0) -> float:
-    """Regularized variable-exponent energy with source term (see module doc)."""
+    """Regularized variable-exponent energy with source term (see module doc);
+    reg_eps must be finite and >= 0."""
+    eps = _check_reg_eps(reg_eps)
     disc = _Discretization(u, field, f)
-    return disc.energy(u.values.reshape(-1), disc.corners(u.values), float(reg_eps))
+    return disc.energy(u.values.reshape(-1), disc.corners(u.values), eps)
 
 
 def weak_residual(u: GridFunction, spec: ProblemSpec) -> float:
@@ -470,24 +477,23 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     The p = 2 problem with the same data is solved in closed form in the sine
     eigenbasis of the lattice Laplacian (``_laplace_warm_start``; no band
     factorization).  Its solution u2 has the shape of the solution but, as
-    the energy grows like |grad u|^p(x), not its size, so the solve starts
-    from lift + s (u2 - lift), lift the Dirichlet data with the datum of the
-    first node in the interior and s the minimizer of the first stage energy
-    along that ray (``_ray_start``): a scalar Newton in log s, s = 1 when the
-    scaled start does not lower the energy or, with nonconstant data, when
-    the root is within 1% of 1.  For p = 2, s = 1 and the problem is
-    converged, to rounding, before the first Newton step.  A debug record
-    per solve gives s, the scalar trials and the energies of u2 and of the
-    start.  Then one loop runs Newton with Armijo backtracking on the energy
-    at the current eps of the continuation schedule (``_eps_schedule``).
-    Each pass takes the gradient and the residual at that eps; when the
-    residual meets the stage tolerance (max(tol, 1e-5) before the last
-    stage, tol at the last) eps moves to the next stage, whose first energy
-    is appended to the trace, and the solve ends converged at the last
-    stage.  Otherwise the solve ends when max_iter Newton steps have been
-    taken, or takes one more step.  Each iterate's corner gradients come from
-    the line-search trial that accepts it and feed the next gradient and
-    Newton matrix.
+    the energy grows like |grad u|^p(x), not its size.  With constant data
+    g0 the solve starts from g0 + s (u2 - g0), s the minimizer of the energy
+    at eps = 0 along that ray (``_ray_start``, a root taken by
+    ``norms.log_luxemburg``), and s = 1 when the scaled start does not lower
+    the first stage energy; with other data it starts from u2.  For p = 2,
+    s = 1 to rounding and the problem is converged, to rounding, before the
+    first Newton step.  A debug record per solve gives s and the energies of
+    u2 and of the start.  Then one loop runs Newton with Armijo backtracking
+    on the energy at the current eps of the continuation schedule
+    (``_eps_schedule``).  Each pass takes the gradient and the residual at
+    that eps; when the residual meets the stage tolerance (max(tol, 1e-5)
+    before the last stage, tol at the last) eps moves to the next stage,
+    whose first energy is appended to the trace, and the solve ends
+    converged at the last stage.  Otherwise the solve ends when max_iter
+    Newton steps have been taken, or takes one more step.  Each iterate's
+    corner gradients come from the line-search trial that accepts it and
+    feed the next gradient and Newton matrix.
 
     The first step of a stage factors the band Newton matrix
     (``_InteriorPattern``; LAPACK dpbtrf) and solves exactly.  Each later step
@@ -524,12 +530,11 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
         raise SolverError("warm start produced non-finite values")
     stages = _eps_schedule(spec)
     stage, eps = 0, stages[0]
-    u, corners, (scale, trials, e2, e_start) = _ray_start(disc, nodal.reshape(-1), eps)
+    u, corners, (scale, e2, e_start) = _ray_start(disc, nodal.reshape(-1), eps)
     hat = disc.hat_norms()
     debug = _log.isEnabledFor(logging.DEBUG)
     if debug:
-        _log.debug("start scale=%.6e trials=%d energy_p2=%.6e energy=%.6e",
-                   scale, trials, e2, e_start)
+        _log.debug("start scale=%.6e energy_p2=%.6e energy=%.6e", scale, e2, e_start)
 
     # Newton-matrix smoothing scale from the steepest slope of the start; it
     # decays by 0.25 per Newton step over the whole solve.
@@ -648,115 +653,47 @@ def _laplace_warm_start(spec: ProblemSpec, geo: CellGeometry) -> np.ndarray:
 
 
 def _ray_start(disc: _Discretization, u2: np.ndarray, eps: float) -> tuple:
-    """The point of least energy at eps on the ray from the lift through the p = 2 start u2.
+    """The start of the Newton loop: g0 + s (u2 - g0) for constant data g0, else u2.
 
-    The lift is the Dirichlet data with the interior set to g0, the datum at
-    the first node, and w = u2 - lift, so lift + s w keeps the data and
-    scales the interior of u2 - g0 by s; constant data give the ray of zero
-    data moved by g0.  phi(s) = E(lift + s w) is convex in s.  Its corner
-    gradients are s g2 + (1 - s) g_l, g2 those of u2 and g_l those of the
-    lift, which vanish off the cells touching the boundary.  With S =
-    |g2|^2, A = |g_l|^2 and P = g_l . g2 per corner, W = s^2 S + (1 - s)^2 A
-    + 2 s (1 - s) P + eps^2 and d = W'/2 = s S - (1 - s) A + (1 - 2 s) P:
+    With constant data the ray g0 + s w, w = u2 - g0, keeps the data, and its
+    corner gradients and squared norms are s g2 and s^2 S, g2 and S = |g2|^2
+    those of u2, so the start needs no corner evaluation.  At eps = 0, with
+    q = src . w,
 
-        phi(s)   = vol/2^n sum W^(p/2) / p + src . lift + s q,   q = src . w,
-        phi'(s)  = D(s) + q,   D(s) = vol/2^n sum W^(p/2-1) d,
-        phi''(s) = vol/2^n sum W^(p/2-2) (W C + (p-2) d^2),   C = |g2 - g_l|^2,
+        phi'(s) = d/ds E(g0 + s w) = vol/2^n sum_k S_k^(p_k/2) s^(p_k-1) + q,
 
-    one power per corner per trial and no corner-gradient evaluation.
+    so when q < 0 lambda = 1/s solves sum_k c_k lambda^-(p_k-1) = 1, c_k =
+    vol/2^n S_k^(p_k/2) / -q, over the corners with S_k > 0: a Luxemburg root,
+    taken by ``norms.log_luxemburg``.  s = 0 when q >= 0.  For constant p
+    the root is exact, so at eps = 0 the start for the source t^(p-1) f is t
+    times the start for f.  With other data the start is u2: scaling its
+    interior would bend it against the fixed boundary values.
 
-    s = 0 when phi'(0) >= 0.  Otherwise s is the root of F(t) = log((D(s) -
-    D(0)) / -phi'(0)), s = e^t, which increases in t.  Newton from t = 0 runs
-    in log space as ``norms.log_luxemburg`` does, so for constant p, zero
-    data and eps = 0, where D(s) = s^(p-1) D(1), its first step is exact.  A
-    step that leaves the bracket the signs of F give is replaced by
-    bisection, or by a move of 2 while one end is open.  A step of at most
-    1e-12 is rounding and is not taken.  The iteration ends after a step of
-    at most 1e-2, which moves s by at most 1%, or after 50 trials.  With
-    constant data the ray is g0 + s (u2 - g0), as smooth as u2, and every
-    other step is taken, so at constant p and eps = 0 the start for zero data
-    and the source t^(p-1) f is t times the start for f.  With other data a
-    first step of at most 1e-2 is not taken: the scaled interior would bend
-    against the fixed boundary values, a kink the Newton steps then have to
-    remove, for a second-order gain in energy.
+    When the start's energy at eps is not at most that of u2 (rounding, or an
+    s that is not finite), s = 1 and the start is u2.
 
-    When the start's energy is not at most that of u2 (rounding, or a value
-    that is not finite), s = 1 and the start is u2.
-
-    Returns (u, corners, (s, trials, energy of u2, energy of u)), energies at eps.
+    Returns (u, corners, (s, energy of u2, energy of u)), energies at eps.
     """
-    lat, geo, nc = disc.lattice, disc.geo, disc.nc
-    p, c = disc.p_corner, geo.cell_vol / nc
     g2, S = corners2 = disc.corners(u2)
-    g0, lift = u2[0], u2.copy()
-    lift[disc.interior] = g0
-    w = u2 - lift
-    q = float(disc.source_vec @ w)
-    C, bc, D0 = S, None, 0.0  # with constant data g_l = 0 and D(0) = 0
-    if np.any(lift != g0):
-        bc = lat.boundary_cells
-        # corner_gradients of the lift, on the boundary cells only
-        g_l = (lift[geo.corner_idx[bc]] @ geo.grad_stencils.reshape(-1, nc).T).reshape(
-            bc.size, nc, -1)
-        A = np.einsum("cka,cka->ck", g_l, g_l)
-        P = np.einsum("cka,cka->ck", g_l, g2[bc])
-        C = S.copy()
-        C[bc] += A - 2.0 * P
-        with np.errstate(divide="ignore", invalid="ignore"):
-            W0 = (A + eps**2) ** (0.5 * p[bc] - 1.0)
-        D0 = c * float(np.vdot(np.where(A > 0, W0, 0.0), P - A))
-    expo, pm2 = 0.5 * p - 2.0, p - 2.0
-
-    def trial(s):
-        """(D(s), phi''(s))."""
-        W = S * (s * s)
-        W += eps**2
-        d = S * s
-        if bc is not None:
-            r = 1.0 - s
-            W[bc] += r * (r * A + 2.0 * s * P)
-            d[bc] += (1.0 - 2.0 * s) * P - r * A
-        Wm = np.power(W, expo, out=np.zeros_like(W), where=W > 0)  # W^(p/2-2)
-        Wb = Wm * W
-        return c * float(np.vdot(Wb, d)), c * float(np.vdot(Wb, C) + np.vdot(Wm * d, pm2 * d))
-
     e2 = disc.energy(u2, corners2, eps)
-    with np.errstate(all="ignore"):  # a non-finite trial narrows the bracket
-        D, dD = trial(1.0)
-        dphi0 = D0 + q
-        s, trials = 1.0, 0
-        if not dphi0 < 0.0:
-            s = 0.0
-        else:
-            t, lo, hi = 0.0, -np.inf, np.inf
-            while True:
-                ratio = (D - D0) / -dphi0
-                if ratio < 1.0:
-                    lo = t
-                else:
-                    hi = t
-                step = -np.log(ratio) * (D - D0) / (s * dD)
-                if not lo <= t + step <= hi:
-                    mid = 0.5 * (lo + hi)
-                    step = (mid if np.isfinite(mid) else t + (2.0 if lo == t else -2.0)) - t
-                if not abs(step) > (1e-2 if bc is not None and trials == 0 else 1e-12):
-                    break
-                t += step
-                s = float(np.exp(t))
-                if abs(step) <= 1e-2 or trials == 50:
-                    break
-                trials += 1
-                D, dD = trial(s)
+    g0 = u2[0]
+    if np.any(np.delete(u2, disc.interior) != g0):
+        return u2, corners2, (1.0, e2, e2)
+    w = u2 - g0
+    q = float(disc.source_vec @ w)
+    s = 0.0
+    if q < 0.0:
+        keep = S > 0.0
+        p = disc.p_corner[keep]
+        log_c = np.log(disc.geo.cell_vol / disc.nc / -q) + 0.5 * p * np.log(S[keep])
+        t, _ = log_luxemburg((p - 1.0)[None, :], log_c[None, :], NormConfig())
+        s = float(np.exp(-t[0]))
     if s != 1.0:
-        grads, sq = g2 * s, S * (s * s)
-        if bc is not None:
-            grads[bc] += (1.0 - s) * g_l
-            sq[bc] = np.einsum("cka,cka->ck", grads[bc], grads[bc])
-        u, corners = lift + s * w, (grads, sq)
+        u, corners = g0 + s * w, (g2 * s, S * (s * s))
         e = disc.energy(u, corners, eps)
         if e <= e2:
-            return u, corners, (s, trials, e2, e)
-    return u2, corners2, (1.0, trials, e2, e2)
+            return u, corners, (s, e2, e)
+    return u2, corners2, (1.0, e2, e2)
 
 
 def _sine_transform(x: np.ndarray) -> np.ndarray:
@@ -791,7 +728,9 @@ def p_laplacian_pointwise(w: SmoothFunction, field: ExponentField, x,
     An (m, n) array of points gives an (m,) array, any other input one float.
     Where s = 0 (reg_eps = 0) the value is the continuous limit: 0 when p > 2,
     Lap w when p = 2; p < 2 is undefined and raises for the whole call.
+    reg_eps must be finite and >= 0.
     """
+    reg_eps = _check_reg_eps(reg_eps)
     pts = as_points(x)
     m, n = pts.shape
     p, gp = field(pts), field.gradient_at(pts)
