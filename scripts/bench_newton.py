@@ -6,7 +6,8 @@ of base and change, interleaved, each solve in its own process pinned to one
 CPU with one BLAS thread.  Per size it records the wall time of the solve,
 Newton iterations, LAPACK band factorizations (all of the solve's, the warm
 start's too where a tree factors for it), CG iterations, the weak residual
-against tol, the wall time of that ``weak_residual`` call and the worker's
+against tol, the wall time of that ``weak_residual`` call, the minor page
+faults taken during the solve (the change in ``ru_minflt``) and the worker's
 peak resident set size, then writes everything to one JSON file.  The speed-up is given as the ratio of the median times
 and as the median of the ratios of the base and change runs made back to
 back, which a drifting host speed moves less.  The spread is given as the
@@ -96,9 +97,11 @@ def worker(case: str) -> dict:
     f = px.GridFunction.constant(box, cells, -1.0)
     spec = px.ProblemSpec(box, field, f, 0.0, reg_eps=1e-8, tol=1e-7)
 
+    faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     res = px.solve_dirichlet(spec)
     t1 = time.perf_counter()
+    minor_faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
     weak_residual = px.weak_residual(res.solution, spec)
     t2 = time.perf_counter()
     return {
@@ -110,6 +113,7 @@ def worker(case: str) -> dict:
         "tol": spec.tol,
         "factorizations": len(factorizations),
         "cg_iterations": sum(cg_iters),
+        "minor_faults": minor_faults,
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
@@ -140,6 +144,7 @@ def summary(runs: list) -> dict:
         "iterations": sorted({r["iterations"] for r in runs}),
         "factorizations": sorted({r["factorizations"] for r in runs}),
         "cg_iterations": sorted({r["cg_iterations"] for r in runs}),
+        "median_minor_faults": statistics.median(r["minor_faults"] for r in runs),
         "max_peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
         "all_converged": all(r["converged"] and r["weak_residual"] <= r["tol"] for r in runs),
         "max_weak_residual": max(r["weak_residual"] for r in runs),
@@ -175,6 +180,7 @@ def main(argv=None) -> int:
                           f"weak_residual {1e3 * rec['weak_residual_s']:6.1f} ms  "
                           f"it={rec['iterations']:3d} "
                           f"factor={rec['factorizations']:3d} cg={rec['cg_iterations']:4d} "
+                          f"faults={rec['minor_faults']:6d} "
                           f"rss={rec['peak_rss_mb']:6.1f} MB",
                           file=sys.stderr, flush=True)
 
@@ -214,6 +220,8 @@ def main(argv=None) -> int:
               f"{row['change']['factorizations']}  weak_residual "
               f"{1e3 * row['base']['median_weak_residual_s']:.1f} -> "
               f"{1e3 * row['change']['median_weak_residual_s']:.1f} ms  "
+              f"minor faults {row['base']['median_minor_faults']:.0f} -> "
+              f"{row['change']['median_minor_faults']:.0f}  "
               f"peak RSS {row['base']['max_peak_rss_mb']:.0f} "
               f"-> {row['change']['max_peak_rss_mb']:.0f} MB")
     return 0

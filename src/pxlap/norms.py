@@ -86,9 +86,10 @@ def _luxemburg_samples(absvals, pvals, weights, cfg: NormConfig) -> float:
 
 
 def modular(u: GridFunction, field: ExponentField, lam: float) -> float:
-    """Quadrature of integral (|u| / lam)^p(x) dx over the grid box."""
-    if lam <= 0:
-        raise ValueError(f"modular scale lambda must be positive, got {lam}")
+    """Quadrature of integral (|u| / lam)^p(x) dx over the grid box; lam must
+    be finite and positive."""
+    if not 0 < lam < np.inf:
+        raise ValueError(f"modular scale lambda must be finite and positive, got {lam}")
     centers, vols = midpoint_data(u)
     return float(np.sum(vols * (np.abs(cell_means(u)) / lam) ** field(centers)))
 

@@ -180,11 +180,20 @@ class _InteriorPattern:
         scatter[keep] = (cols[keep] + 1) * bw + rows[keep]
         return cls(interior, bw, scatter)
 
-    def matrix(self, blocks: np.ndarray) -> np.ndarray:
-        """Sum the (ncells, 2^n, 2^n) cell blocks into the upper band storage."""
+    def matrix(self, blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Sum the (ncells, 2^n, 2^n) cell blocks into the upper band storage.
+
+        The sums are taken in a flat array of (bandwidth + 1) m + 1 entries,
+        the last one the sentinel slot, which is out when given (its old
+        contents are overwritten) and a new array otherwise; the result is
+        the Fortran-ordered (bandwidth + 1, m) view of it without the sentinel.
+        """
         ldab, m = self.bandwidth + 1, self.interior.size
-        data = np.bincount(self.scatter, weights=blocks.reshape(-1), minlength=ldab * m + 1)
-        return data[:-1].reshape((ldab, m), order="F")
+        if out is None:
+            out = np.empty(ldab * m + 1)
+        out.fill(0.0)
+        np.add.at(out, self.scatter, blocks.reshape(-1))
+        return out[:-1].reshape((ldab, m), order="F")
 
 
 class _Lattice:
@@ -335,13 +344,16 @@ class _Discretization:
         """Max over the interior nodes of |g_i| / hat_i, hat from ``hat_norms``."""
         return float(np.max(np.abs(g[self.interior]) / hat))
 
-    def hessian_blocks(self, corners: tuple, eps_h: float) -> np.ndarray:
+    def hessian_blocks(self, corners: tuple, eps_h: float,
+                       out: np.ndarray | None = None) -> np.ndarray:
         """The (ncells, 2^n, 2^n) cell blocks of the energy Hessian at smoothing eps_h.
 
         The pointwise Hessian of w^p / p in the gradient g is M = c1 I + c2 g g^T
         with c1 = w^(p-2) and c2 = (p-2) c1 / w^2, so each cell block is
         sum_k G_k^T M_k G_k: one product of the upper triangles of the M_k,
-        (ncells, 2^n n(n+1)/2), with the fixed ``_Lattice.basis``.
+        (ncells, 2^n n(n+1)/2), with the fixed ``_Lattice.basis``.  The blocks
+        are written into out, a C-contiguous array of that shape, when given,
+        and into a new array otherwise.
         """
         grads, sq = corners
         # A tiny floor keeps c1 / w^2 finite at degenerate corners; the matrix
@@ -349,11 +361,18 @@ class _Discretization:
         w2 = sq + max(eps_h, 1e-12) ** 2
         c1 = np.sqrt(w2) ** (self.p_corner - 2.0)
         c2 = (self.p_corner - 2.0) * c1 / w2
-        a, b = np.triu_indices(self.geo.n_axes)
-        coef = c2[:, :, None] * (grads[:, :, a] * grads[:, :, b])
-        coef[:, :, a == b] += c1[:, :, None]
-        nc = self.nc
-        return (coef.reshape(coef.shape[0], -1) @ self.lattice.basis).reshape(-1, nc, nc)
+        ncells, nc, n = grads.shape
+        coef = np.empty((ncells, nc, n * (n + 1) // 2))
+        for j, (a, b) in enumerate(zip(*np.triu_indices(n))):
+            col = coef[:, :, j]
+            np.multiply(grads[:, :, a], grads[:, :, b], out=col)
+            np.multiply(c2, col, out=col)
+            if a == b:
+                np.add(col, c1, out=col)
+        if out is None:
+            out = np.empty((ncells, nc, nc))
+        np.matmul(coef.reshape(ncells, -1), self.lattice.basis, out=out.reshape(ncells, nc * nc))
+        return out
 
     def hessian_vec(self, blocks: np.ndarray, interior: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Product of the interior Newton matrix with x, straight from its cell blocks.
@@ -496,7 +515,10 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     feed the next gradient and Newton matrix.
 
     The first step of a stage factors the band Newton matrix
-    (``_InteriorPattern``; LAPACK dpbtrf) and solves exactly.  Each later step
+    (``_InteriorPattern``; LAPACK dpbtrf) and solves exactly.  The cell blocks
+    and the band are two arrays of the solve, refilled at every step, and the
+    band is factored in place, so a refactor overwrites the factor it replaces
+    and concurrent solves share nothing they write.  Each later step
     of the stage is solved by CG preconditioned with that stale factor, to the
     Eisenstat-Walker (choice 2) forcing tolerance eta ||g||, eta =
     min(_ETA_MAX, 0.9 (||g_k|| / ||g_k-1||)^2).  When CG does not meet that
@@ -545,6 +567,11 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     trace = [e_start]
     factor, gnorm_prev, cg_prev = None, np.inf, 0
     it, message = 0, ""
+    # The solve's cell blocks and flat band (its last entry the sentinel
+    # slot), taken only now: held through the start and the hat norms they
+    # raised the peak RSS of a 64^2 solve by about 1 MB.
+    blocks = np.empty(disc.p_corner.shape + (disc.nc,))
+    band = np.empty((pattern.bandwidth + 1) * interior.size + 1)
     while True:
         g = disc.gradient(corners, eps)
         residual = disc.residual(g, hat)
@@ -563,7 +590,7 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
         it += 1
 
         eps_h = max(eps, smooth0 * 0.25 ** (it - 1))
-        blocks = disc.hessian_blocks(corners, eps_h)
+        disc.hessian_blocks(corners, eps_h, out=blocks)
         gi = g[interior]
         gnorm = float(np.linalg.norm(gi))
 
@@ -579,8 +606,8 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
                 -gi, eta)
         if not descends(delta):
             try:
-                factor = sla.cholesky_banded(pattern.matrix(blocks), overwrite_ab=True,
-                                             check_finite=False)
+                factor = sla.cholesky_banded(pattern.matrix(blocks, out=band),
+                                             overwrite_ab=True, check_finite=False)
                 linear = "factor"
                 delta = sla.cho_solve_banded((factor, False), -gi, check_finite=False)
             except np.linalg.LinAlgError:

@@ -33,8 +33,9 @@ def test_modular_piecewise_exact():
 def test_modular_rejects_nonpositive_lambda():
     g = grid_1d(0.0, 1.0, 8, lambda x: x)
     f = px.constant_exponent(2.0)
-    with pytest.raises(ValueError):
-        px.modular(g, f, 0.0)
+    for lam in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            px.modular(g, f, lam)
 
 
 def test_modular_decreasing_in_lambda():

@@ -1,4 +1,5 @@
 import logging
+import threading
 import tracemalloc
 
 import numpy as np
@@ -672,6 +673,46 @@ def test_derivatives_agree_on_random_fields(n, kind, eps_h, seed):
           - gradient_at(disc, u - step * x, eps_h))[interior] / (2.0 * step)
     assert np.abs(hv - fd).max() <= 1e-6 * np.abs(hv).max()
 
+
+def bits(a):
+    """The float64 array a as its bit patterns, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@given(nodes=st.lists(st.integers(3, 9), min_size=1, max_size=3),
+       kind=st.sampled_from(["affine", "radial"]), eps_h=st.sampled_from([0.0, 1e-6, 1e-1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_dirty_buffers_give_the_same_blocks_and_band(nodes, kind, eps_h, seed):
+    # The Newton loop refills one block array and one band per solve.  Filled
+    # with NaN, or holding the band factor of the previous step, they must
+    # come out bit for bit as a fresh fill, and the band as a view of out.
+    rng = np.random.default_rng(seed)
+    n = len(nodes)
+    f = px.GridFunction.constant(px.Box(np.zeros(n), np.ones(n)),
+                                 tuple(d - 1 for d in nodes), 0.0)
+    f = f.like(rng.uniform(-2.0, 1.0, f.dims))
+    disc = _Discretization(f, random_exponent(kind, n, rng), f)
+    pattern = disc.lattice.pattern
+    corners = disc.corners(rng.standard_normal(f.values.size))
+
+    fresh = disc.hessian_blocks(corners, eps_h)
+    out = np.full_like(fresh, np.nan)
+    assert disc.hessian_blocks(corners, eps_h, out=out) is out
+    assert np.array_equal(bits(out), bits(fresh))
+
+    band = pattern.matrix(fresh)
+    buf = np.full(band.size + 1, np.nan)
+    got = pattern.matrix(fresh, out=buf)
+    assert got.shape == band.shape and np.shares_memory(got, buf)
+    assert np.array_equal(bits(got), bits(band))
+    try:
+        factor = solver.sla.cholesky_banded(got, overwrite_ab=True, check_finite=False)
+        assert np.shares_memory(factor, buf)  # factored in place
+    except np.linalg.LinAlgError:
+        buf.fill(-1.0)  # a refused factor may leave the band as it was
+    assert not np.array_equal(bits(buf[:-1]), bits(band.ravel(order="F")))
+    assert np.array_equal(bits(pattern.matrix(fresh, out=buf)), bits(band))
+
 # -- hat norms --------------------------------------------------------------------
 
 def exponent_in_band(kind, box):
@@ -843,6 +884,63 @@ def test_cached_lattice_arrays_are_read_only():
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
+
+
+def test_one_band_buffer_per_solve(monkeypatch):
+    # Every factorization of a solve overwrites the same band buffer in place
+    # (the kept references would stop an allocator from handing it out again).
+    bands = []
+    real = solver.sla.cholesky_banded
+
+    def kept(ab, *args, **kwargs):
+        bands.append(ab)
+        return real(ab, *args, **kwargs)
+
+    monkeypatch.setattr(solver.sla, "cholesky_banded", kept)
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    f = px.GridFunction.constant(box, 32, -1.0)
+    spec = px.ProblemSpec(box, px.constant_exponent(1.5, domain=box), f, 0.0,
+                          reg_eps=1e-8, tol=1e-7)
+    res = px.solve_dirichlet(spec)
+    assert res.converged and len(bands) >= 2
+    assert all(np.shares_memory(ab, bands[0]) for ab in bands[1:])
+
+
+def test_concurrent_solves_on_one_lattice(geometry_builds):
+    # Two threads solve different sources on one lattice and p at once and
+    # share the cached _Lattice; the work arrays are each solve's own, so the
+    # solutions are bit for bit those of the same solves one after another.
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    field = px.constant_exponent(1.5, domain=box)
+    specs = []
+    for seed in (1, 2):
+        a, k, phi = np.random.default_rng(seed).uniform([0.1, 1.0, 0.0], [0.5, 4.0, 6.0])
+        f = px.GridFunction.from_callable(
+            box, 24, lambda pts: -1.0 - a * np.cos(k * pts[:, 0] - pts[:, 1] + phi))
+        specs.append(px.ProblemSpec(box, field, f, 0.0, reg_eps=1e-8, tol=1e-7))
+    sequential = [px.solve_dirichlet(spec) for spec in specs]
+    assert all(res.converged for res in sequential)
+
+    start = threading.Barrier(len(specs))
+    results = [[] for _ in specs]
+
+    def solve(i):
+        start.wait(timeout=60)
+        for _ in range(3):
+            results[i].append(px.solve_dirichlet(specs[i]))
+
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(specs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert len(geometry_builds) == 1
+    for ref, runs in zip(sequential, results):
+        assert len(runs) == 3
+        for res in runs:
+            assert np.array_equal(bits(res.solution.values), bits(ref.solution.values))
+            assert res.iterations == ref.iterations and res.residual == ref.residual
 
 
 # -- solver fallbacks -------------------------------------------------------------
