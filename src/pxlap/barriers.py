@@ -43,14 +43,14 @@ class BarrierParams:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and positive, got {self.delta}")
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if not self.normalizer > 0:
             raise ValueError(f"mu = {self.mu} rounds the normalizer e^(-mu/4) - e^(-mu) to 0")
-        if self.a_level < 0:
-            raise ValueError(f"a_level must be >= 0, got {self.a_level}")
+        if not 0 <= self.a_level < math.inf:
+            raise ValueError(f"a_level must be finite and >= 0, got {self.a_level}")
 
     @property
     def normalizer(self) -> float:
@@ -146,8 +146,12 @@ def annulus_samples(center, r_inner: float, r_outer: float, resolution: float,
     Radii are linspace(r_inner, r_outer) at the requested resolution, so the
     inner sphere (where barrier operators are extremal) is sampled exactly.
     Directions: signs in 1d, uniform angles in 2d, a seeded spherical set in
-    higher dimensions.
+    higher dimensions.  resolution must be finite and > 0, and n_dir >= 1.
     """
+    if not 0 < resolution < np.inf:
+        raise ValueError(f"resolution must be finite and positive, got {resolution}")
+    if not n_dir >= 1:
+        raise ValueError(f"n_dir must be at least 1, got {n_dir}")
     center = np.atleast_1d(np.asarray(center, dtype=float))
     n = center.size
     n_r = max(2, int(round((r_outer - r_inner) / resolution)) + 1)
@@ -242,8 +246,10 @@ def gaussian_lower_bound_scan(M: float, mu: float, field: ExponentField,
         raise ValueError(f"inner radius must be positive, got {r2}")
     if not r1 > r2:
         raise ValueError(f"need r1 > r2, got r1={r1}, r2={r2}")
-    if not M > 0:
-        raise ValueError(f"amplitude M must be positive, got {M}")
+    if not 0 < M < np.inf:
+        raise ValueError(f"amplitude M must be finite and positive, got {M}")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be finite and positive, got {mu}")
     n_axes = len(center) if center is not None else (field.domain.n_axes if field.domain else 2)
     c = np.zeros(n_axes) if center is None else np.atleast_1d(np.asarray(center, dtype=float))
 
@@ -263,6 +269,15 @@ def gaussian_lower_bound_scan(M: float, mu: float, field: ExponentField,
 
 # -- maximum principle and Hopf slope ------------------------------------------
 
+def _zero_tol(zero_tol: Optional[float], default: float) -> float:
+    """zero_tol as a float, default when None; a ValueError unless finite and >= 0."""
+    if zero_tol is None:
+        return default
+    if not 0 <= zero_tol < math.inf:
+        raise ValueError(f"zero_tol must be finite and >= 0, got {zero_tol}")
+    return float(zero_tol)
+
+
 def strong_max_principle_check(u: GridFunction, interior_margin: float,
                                zero_tol: Optional[float] = None) -> MaxPrincipleResult:
     """Classify a nonnegative grid function.
@@ -270,11 +285,11 @@ def strong_max_principle_check(u: GridFunction, interior_margin: float,
     identically_zero when max |u| <= zero_tol; strictly_positive when the
     minimum over the margin-shrunk interior exceeds zero_tol; violation
     otherwise (an interior zero next to positive values).  Default zero_tol
-    is 1e-10 times max |u|.
+    is 1e-10 times max |u|; a given one must be finite and >= 0.
     """
     vals = u.values.reshape(-1)
     max_abs = float(np.abs(vals).max())
-    tol = 1e-10 * max_abs if zero_tol is None else float(zero_tol)
+    tol = _zero_tol(zero_tol, 1e-10 * max_abs)
     if vals.min() < -tol:
         raise ValueError(f"u takes the negative value {vals.min()}; hypothesis u >= 0 fails")
     if max_abs <= tol:
@@ -291,9 +306,10 @@ def strong_max_principle_check(u: GridFunction, interior_margin: float,
 def hopf_slope(u: GridFunction, y, nu, steps, zero_tol: Optional[float] = None) -> HopfResult:
     """Inward difference quotients (u(y + h nu) - u(y)) / h and their min.
 
-    Requires u(y) to vanish within zero_tol and every probe point to stay in
-    the grid box.  The caller asserts c0 > 0 when testing the boundary-slope
-    property; an identically vanishing u gives quotients 0.
+    Requires u(y) to vanish within zero_tol (finite and >= 0; default 1e-10
+    max(1, max |u|)) and every probe point to stay in the grid box.  The
+    caller asserts c0 > 0 when testing the boundary-slope property; an
+    identically vanishing u gives quotients 0.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
@@ -302,7 +318,7 @@ def hopf_slope(u: GridFunction, y, nu, steps, zero_tol: Optional[float] = None) 
     if np.any(steps <= 0):
         raise ValueError("steps must be positive")
     uy = float(u.interp(y)[0])
-    tol = 1e-10 * max(1.0, float(np.abs(u.values).max())) if zero_tol is None else float(zero_tol)
+    tol = _zero_tol(zero_tol, 1e-10 * max(1.0, float(np.abs(u.values).max())))
     if abs(uy) > tol:
         raise ValueError(f"|u(y)| = {abs(uy)} exceeds zero_tol = {tol}")
     probes = y[None, :] + steps[:, None] * nu[None, :]

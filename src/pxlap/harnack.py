@@ -164,8 +164,8 @@ def weak_harnack_check(u: GridFunction, center, radius: float, t0: float = 1.0,
     enforcement: "strict" raises when violated, "shift" evaluates u + 1
     (requiring u >= 0), "off" skips the hypothesis check.
     """
-    if not t0 > 0:
-        raise ValueError(f"t0 must be positive, got {t0}")
+    if not 0 < t0 < np.inf:
+        raise ValueError(f"t0 must be finite and positive, got {t0}")
     inner = Ball(center, radius)
     outer = inner.dilate(2.0)
     if not u.box.contains_ball(outer):
@@ -203,8 +203,10 @@ def caccioppoli_check(u: GridFunction, gamma: float, eta: GridFunction,
     asserts the sign regime (gamma > 0 for supersolution-type hypotheses,
     gamma < 0 for the reversed one) and supplies the probe constant.
     """
-    if gamma == 0.0:
-        raise ValueError("gamma must be nonzero")
+    if not 0 < abs(gamma) < np.inf:
+        raise ValueError(f"gamma must be finite and nonzero, got {gamma}")
+    if not 0 <= C_probe < np.inf:
+        raise ValueError(f"C_probe must be finite and >= 0, got {C_probe}")
     if not (u.same_lattice(eta) and u.same_lattice(H)):
         raise ValueError("u, eta and H must share one lattice")
     if np.any(eta.values < -1e-12):
@@ -247,9 +249,15 @@ def caccioppoli_check(u: GridFunction, gamma: float, eta: GridFunction,
 
 def local_bound_check(u: GridFunction, inner, outer, t: float,
                       C_probe: float) -> LocalBoundResult:
-    """sup over the inner region against C_probe * (1 + L^t norm over outer)."""
+    """sup over the inner region against C_probe * (1 + L^t norm over outer).
+
+    C_probe must be finite and >= 0.  t = inf takes the max of |u| over the
+    nodes of the outer region, a ball (as ``lq_ball_norm``) or a box.
+    """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
+    if not 0 <= C_probe < np.inf:
+        raise ValueError(f"C_probe must be finite and >= 0, got {C_probe}")
     _require_nested(inner, outer)
     nodes = u.nodes()
     mask = inner.contains(nodes)
@@ -258,6 +266,8 @@ def local_bound_check(u: GridFunction, inner, outer, t: float,
     sup_inner = float(u.values.reshape(-1)[mask].max())
     if isinstance(outer, Ball):
         norm = lq_ball_norm(u, t, outer)
+    elif t == np.inf:
+        norm = float(np.abs(u.values.reshape(-1)[outer.contains(nodes)]).max())
     else:
         centers, vols = midpoint_data(u)
         w = np.where(outer.contains(centers), vols, 0.0)
@@ -371,19 +381,22 @@ def weak_harnack_t_limit(n_axes: int, p_minus: float) -> float:
 
 # -- cutoff builders ----------------------------------------------------------
 
+def _scaled_distance(like: GridFunction, center, rho: float) -> np.ndarray:
+    """|x - c| / rho at the lattice nodes; rho must be finite and > 0."""
+    if not 0 < rho < np.inf:
+        raise ValueError(f"rho must be finite and positive, got {rho}")
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    return np.linalg.norm(like.nodes() - c, axis=1) / rho
+
+
 def hat_cutoff(like: GridFunction, center, rho: float) -> GridFunction:
     """Tent cutoff max(0, 1 - |x - c| / rho) sampled on the lattice."""
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    pts = like.nodes()
-    vals = np.maximum(0.0, 1.0 - np.linalg.norm(pts - c, axis=1) / rho)
-    return like.like(vals)
+    return like.like(np.maximum(0.0, 1.0 - _scaled_distance(like, center, rho)))
 
 
 def bump_cutoff(like: GridFunction, center, rho: float) -> GridFunction:
     """Polynomial bump (1 - (|x - c| / rho)^2)^2, clipped at 0; its gradient
     is bounded by C / rho."""
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    pts = like.nodes()
-    q = np.linalg.norm(pts - c, axis=1) / rho
+    q = _scaled_distance(like, center, rho)
     vals = np.where(q < 1.0, (1.0 - q**2) ** 2, 0.0)
     return like.like(vals)

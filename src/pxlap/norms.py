@@ -120,9 +120,9 @@ def sobolev_norm(u: GridFunction, field: ExponentField,
 
 
 def lt_average(u: GridFunction, t: float, ball: Ball) -> float:
-    """(mean over node samples in the closed ball of |u|^t)^(1/t)."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    """(mean over node samples in the closed ball of |u|^t)^(1/t), t finite and > 0."""
+    if not 0 < t < np.inf:
+        raise ValueError(f"t must be finite and positive, got {t}")
     vals = np.abs(u.values.reshape(-1)[ball_node_mask(u, ball)])
     return float(np.mean(vals**t) ** (1.0 / t))
 

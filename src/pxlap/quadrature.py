@@ -74,9 +74,15 @@ class CellGeometry:
         return values.reshape(-1)[self.corner_idx]
 
     def corner_gradients(self, values: np.ndarray) -> np.ndarray:
-        """Vertex-rule gradients, shape (ncells, 2^n corners, n_axes)."""
+        """Vertex-rule gradients, shape (ncells, 2^n corners, n_axes).
+
+        Each cell's values are taken relative to its first corner before the
+        stencil product; the stencils annihilate constants, so a cell on
+        which u is constant gets exact zeros rather than rounding.
+        """
         nc, n = self.grad_stencils.shape[:2]
         uc = self.corner_values(values)
+        uc -= uc[:, :1]
         return (uc @ self.grad_stencils.reshape(nc * n, nc).T).reshape(-1, nc, n)
 
 

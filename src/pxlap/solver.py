@@ -143,84 +143,55 @@ class SmoothFunction:
 
 # -- discrete operator -------------------------------------------------------
 
-@dataclass(frozen=True)
-class _InteriorPattern:
-    """Band layout of the interior Newton matrix and its scatter map.
+class _Lattice:
+    """The discrete operator of one lattice and nodal p: its data and its action.
+
+    Holds the cell geometry, p at the nodes and at the cell corners, the
+    interior nodes, the band layout of the Newton matrix and the fixed basis
+    of ``hessian_blocks``; the hat norms are computed the first time they are
+    asked for.  It is built by ``_lattice``, which keeps the last one, so a
+    solve, the weak residual of its solution and any later solve or energy
+    on the same lattice and p share it.  Its arrays are read-only.  eps
+    enters only through w = sqrt(|g|^2 + eps^2) and f only through the
+    source weights src = node_weights * f, so ``energy`` and ``gradient``
+    take both, and the iterate's ``corners``, as arguments: one instance
+    serves every stage and every source.
 
     The unknowns are the interior nodes in lexicographic order, longest axis
-    outermost: every cell couples all its corners, so the half-bandwidth is
-    the sum of the axis strides, the least any axis order gives.
-    The upper triangle is kept in LAPACK band form, entry (i, j), i <= j, at
+    outermost (``interior``; the residual and the hat norms follow it too):
+    every cell couples all its corners, so the half-bandwidth is the sum of
+    the axis strides, the least any axis order gives.  The upper triangle of
+    the Newton matrix is kept in LAPACK band form, entry (i, j), i <= j, at
     [bandwidth + i - j, j] of a Fortran-ordered (bandwidth + 1, m) array.
     scatter[e] is the flat slot the e-th entry of the raveled (ncells, 2^n,
     2^n) block array adds into; entries below the diagonal or touching a
     boundary node go to a sentinel slot dropped after summation.
     """
 
-    interior: np.ndarray  # flat node indices of the unknowns, in band order
-    bandwidth: int
-    scatter: np.ndarray   # int32, one slot per block entry
-
-    @classmethod
-    def build(cls, geo: CellGeometry, boundary_mask: np.ndarray) -> "_InteriorPattern":
-        bmask = boundary_mask.reshape(-1)
-        axes = np.argsort([-d for d in boundary_mask.shape], kind="stable")
-        nodes = np.arange(bmask.size).reshape(boundary_mask.shape).transpose(axes).ravel()
-        interior = nodes[~bmask[nodes]]
-        m = interior.size
-        pos = np.full(bmask.size, -1, dtype=np.int64)
-        pos[interior] = np.arange(m)
-        local = pos[geo.corner_idx]  # (ncells, 2^n)
-        nc = local.shape[1]
-        rows = np.repeat(local, nc, axis=1).ravel()
-        cols = np.tile(local, (1, nc)).ravel()
-        keep = (rows >= 0) & (rows <= cols)
-        bw = int(np.max(cols[keep] - rows[keep], initial=0))
-        scatter = np.full(rows.size, (bw + 1) * m, dtype=np.int32)
-        scatter[keep] = (cols[keep] + 1) * bw + rows[keep]
-        return cls(interior, bw, scatter)
-
-    def matrix(self, blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Sum the (ncells, 2^n, 2^n) cell blocks into the upper band storage.
-
-        The sums are taken in a flat array of (bandwidth + 1) m + 1 entries,
-        the last one the sentinel slot, which is out when given (its old
-        contents are overwritten) and a new array otherwise; the result is
-        the Fortran-ordered (bandwidth + 1, m) view of it without the sentinel.
-        """
-        ldab, m = self.bandwidth + 1, self.interior.size
-        if out is None:
-            out = np.empty(ldab * m + 1)
-        out.fill(0.0)
-        np.add.at(out, self.scatter, blocks.reshape(-1))
-        return out[:-1].reshape((ldab, m), order="F")
-
-
-class _Lattice:
-    """The part of the discrete operator fixed by the lattice and the nodal p.
-
-    Holds the cell geometry, p at the nodes and at the cell corners, the
-    interior nodes in C order, the band layout of the Newton matrix
-    (``_InteriorPattern``) and the fixed basis of ``hessian_blocks``; the
-    hat norms are computed the first time they are asked for.  It is built
-    by ``_lattice``, which keeps the last one, so a solve, the weak residual
-    of its solution and any later solve or energy on the same lattice and p
-    share it.  Its arrays are read-only.
-    """
-
     def __init__(self, grid: GridFunction, p_node: np.ndarray):
         self.origin = grid.origin.copy()
         self.geo = geo = CellGeometry.build(grid)
+        self.nc = nc = geo.corner_idx.shape[1]
         self.p_node = np.array(p_node, dtype=float)
         self.p_corner = self.p_node[geo.corner_idx]  # (ncells, 2^n)
-        bmask = grid.boundary_mask()
-        self.interior = np.flatnonzero(~bmask.reshape(-1))
-        self.pattern = _InteriorPattern.build(geo, bmask)
+        bmask = grid.boundary_mask().reshape(-1)
+        self.axes = tuple(np.argsort([-d for d in grid.dims], kind="stable"))  # of the unknowns
+        nodes = np.arange(bmask.size).reshape(grid.dims).transpose(self.axes).ravel()
+        self.interior = nodes[~bmask[nodes]]
+        m = self.interior.size
+        pos = np.full(bmask.size, -1, dtype=np.int64)
+        pos[self.interior] = np.arange(m)
+        local = pos[geo.corner_idx]  # (ncells, 2^n)
+        rows = np.repeat(local, nc, axis=1).ravel()
+        cols = np.tile(local, (1, nc)).ravel()
+        keep = (rows >= 0) & (rows <= cols)
+        self.bandwidth = bw = int(np.max(cols[keep] - rows[keep], initial=0))
+        self.scatter = np.full(rows.size, (bw + 1) * m, dtype=np.int32)
+        self.scatter[keep] = (cols[keep] + 1) * bw + rows[keep]
         # basis[(k, ab), (j, l)]: corner k's share of the cell block per entry
         # ab, a <= b, of the pointwise Hessian, vol / 2^n (G_ka^T G_kb +
         # G_kb^T G_ka) for a < b and vol / 2^n G_ka^T G_ka for a = b.
         G = geo.grad_stencils  # (2^n k, n a, 2^n j)
-        nc = G.shape[0]
         a, b = np.triu_indices(geo.n_axes)
         pair = np.einsum("kaj,kal->kajl", G[:, a], G[:, b])
         pair = (pair + pair.transpose(0, 1, 3, 2)) * np.where(a == b, 0.5, 1.0)[:, None, None]
@@ -228,7 +199,7 @@ class _Lattice:
         self.hats = None  # (NormConfig, hat norms) of the last hat_norms call
         for arr in (geo.spacing, geo.corner_offsets, geo.corner_idx, geo.grad_stencils,
                     geo.node_weights, self.origin, self.p_node, self.p_corner, self.interior,
-                    self.pattern.interior, self.pattern.scatter, self.basis):
+                    self.scatter, self.basis):
             arr.flags.writeable = False
 
     def matches(self, grid: GridFunction, p_node: np.ndarray) -> bool:
@@ -238,7 +209,7 @@ class _Lattice:
 
     def hat_norms(self, cfg: NormConfig = NormConfig()) -> np.ndarray:
         """Variable-exponent Sobolev norms of the hat functions phi_i of the
-        interior nodes, in the C order of ``self.interior``; the last result is
+        interior nodes, in the order of ``self.interior``; the last result is
         kept and returned again for the same cfg.
 
         The value part has the closed form (node weight)^(1/p_i).  The
@@ -248,27 +219,27 @@ class _Lattice:
         c_m = (vol / 2^n) |grad phi_i|_m^p_m and p_m is p at that corner.
         The support of every interior hat is gathered from shifted slices of
         the cell lattice, one column per (corner j of the hat's node, corner
-        k) pair with a nonzero stencil, so the rows come out in C order.
-        Then ``log_luxemburg`` solves for t = log lambda for all nodes at
-        once.  Raises SolverError when a norm is not finite or its Newton
-        step has not fallen to cfg.bisection_tol within cfg.max_iter steps.
+        k) pair with a nonzero stencil, each slice taken with its axes in the
+        order of ``self.interior``.  Then ``log_luxemburg`` solves for t =
+        log lambda for all nodes at once.  Raises SolverError when a norm is
+        not finite or its Newton step has not fallen to cfg.bisection_tol
+        within cfg.max_iter steps.
         """
         hats = self.hats
         if hats is not None and hats[0] == cfg:
             return hats[1]
         geo = self.geo
         dims = geo.dims
-        nc = geo.corner_idx.shape[1]
-        p_cells = self.p_corner.reshape(tuple(d - 1 for d in dims) + (nc,))
+        p_cells = self.p_corner.reshape(tuple(d - 1 for d in dims) + (self.nc,))
         stencil_mag = np.linalg.norm(geo.grad_stencils, axis=1)  # (2^n k, 2^n j)
         ps, log_mags = [], []
         for j, off in enumerate(geo.corner_offsets):
             cells = tuple(slice(1 - o, d - 1 - o) for o, d in zip(off, dims))
             for k in np.flatnonzero(stencil_mag[:, j]):
-                ps.append(p_cells[cells + (k,)].ravel())
+                ps.append(p_cells[cells + (k,)].transpose(self.axes).ravel())
                 log_mags.append(np.log(stencil_mag[k, j]))
-        P = np.stack(ps, axis=1)  # (interior nodes in C order, support size)
-        log_c = np.log(geo.cell_vol / nc) + P * np.array(log_mags)
+        P = np.stack(ps, axis=1)  # (interior nodes, support size)
+        log_c = np.log(geo.cell_vol / self.nc) + P * np.array(log_mags)
 
         t, step = log_luxemburg(P, log_c, cfg)
         failed = np.count_nonzero(~(np.abs(step) <= cfg.bisection_tol))  # NaN fails too
@@ -281,54 +252,18 @@ class _Lattice:
         self.hats = (cfg, hat)
         return hat
 
-
-# The last _Lattice built.  One slot serves the repeated solves of one
-# problem family and a solve followed by its weak residual; a thread that
-# races another for it at worst builds its own.
-_lattice_cache = None
-
-
-def _lattice(grid: GridFunction, field: ExponentField) -> _Lattice:
-    """The _Lattice of grid and p, from the cache when the lattice and the
-    nodal values of p are equal to the cached ones.  The key holds values, not
-    the field object: a field can close over data changed in place."""
-    global _lattice_cache
-    p_node = field(grid.nodes())
-    lat = _lattice_cache
-    if lat is None or not lat.matches(grid, p_node):
-        lat = _lattice_cache = _Lattice(grid, p_node)
-    return lat
-
-
-class _Discretization:
-    """The eps-free data of the discrete energy: the shared ``_Lattice`` of
-    the lattice and p, whose arrays it exposes, and this problem's source
-    weights.  eps enters only through w = sqrt(|g|^2 + eps^2), so ``energy``,
-    ``gradient`` and ``hessian_blocks`` take it, and the iterate's
-    ``corners``, as arguments and one instance serves every stage.
-    """
-
-    def __init__(self, grid: GridFunction, field: ExponentField, f: GridFunction):
-        if not grid.same_lattice(f):
-            raise ValueError("solution and source live on different lattices")
-        self.lattice = lat = _lattice(grid, field)
-        self.geo, self.p_node, self.p_corner, self.interior = (
-            lat.geo, lat.p_node, lat.p_corner, lat.interior)
-        self.nc = self.geo.corner_idx.shape[1]
-        self.source_vec = self.geo.node_weights * f.values.reshape(-1)
-
     def corners(self, u_flat: np.ndarray) -> tuple:
         """(g, |g|^2): the vertex-rule gradients of u, (ncells, 2^n, n), and their
         squared norms, (ncells, 2^n)."""
         grads = self.geo.corner_gradients(u_flat)
         return grads, np.einsum("cka,cka->ck", grads, grads)
 
-    def energy(self, u_flat: np.ndarray, corners: tuple, eps: float) -> float:
+    def energy(self, u_flat: np.ndarray, corners: tuple, eps: float, src: np.ndarray) -> float:
         w = np.sqrt(corners[1] + eps**2)
         dens = np.where(w > 0, w**self.p_corner, 0.0) / self.p_corner
-        return float(self.geo.cell_vol / self.nc * dens.sum() + self.source_vec @ u_flat)
+        return float(self.geo.cell_vol / self.nc * dens.sum() + src @ u_flat)
 
-    def gradient(self, corners: tuple, eps: float) -> np.ndarray:
+    def gradient(self, corners: tuple, eps: float, src: np.ndarray) -> np.ndarray:
         grads, sq = corners
         w = np.sqrt(sq + eps**2)
         with np.errstate(divide="ignore", over="ignore"):
@@ -338,7 +273,7 @@ class _Discretization:
         per_corner = flux.reshape(-1, nc * n) @ self.geo.grad_stencils.reshape(nc * n, nc)
         g = np.bincount(self.geo.corner_idx.ravel(), minlength=self.p_node.size,
                         weights=(self.geo.cell_vol / nc) * per_corner.ravel())
-        return g + self.source_vec
+        return g + src
 
     def residual(self, g: np.ndarray, hat: np.ndarray) -> float:
         """Max over the interior nodes of |g_i| / hat_i, hat from ``hat_norms``."""
@@ -351,9 +286,9 @@ class _Discretization:
         The pointwise Hessian of w^p / p in the gradient g is M = c1 I + c2 g g^T
         with c1 = w^(p-2) and c2 = (p-2) c1 / w^2, so each cell block is
         sum_k G_k^T M_k G_k: one product of the upper triangles of the M_k,
-        (ncells, 2^n n(n+1)/2), with the fixed ``_Lattice.basis``.  The blocks
-        are written into out, a C-contiguous array of that shape, when given,
-        and into a new array otherwise.
+        (ncells, 2^n n(n+1)/2), with the fixed ``basis``.  The blocks are
+        written into out, a C-contiguous array of that shape, when given, and
+        into a new array otherwise.
         """
         grads, sq = corners
         # A tiny floor keeps c1 / w^2 finite at degenerate corners; the matrix
@@ -371,24 +306,59 @@ class _Discretization:
                 np.add(col, c1, out=col)
         if out is None:
             out = np.empty((ncells, nc, nc))
-        np.matmul(coef.reshape(ncells, -1), self.lattice.basis, out=out.reshape(ncells, nc * nc))
+        np.matmul(coef.reshape(ncells, -1), self.basis, out=out.reshape(ncells, nc * nc))
         return out
 
-    def hessian_vec(self, blocks: np.ndarray, interior: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def hessian_vec(self, blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Product of the interior Newton matrix with x, straight from its cell blocks.
 
         x and the result follow ``interior``; boundary nodes carry 0, so only
         interior-interior couplings contribute.
         """
         full = np.zeros(self.p_node.size)
-        full[interior] = x
+        full[self.interior] = x
         y = np.einsum("cjl,cl->cj", blocks, full[self.geo.corner_idx])
         return np.bincount(self.geo.corner_idx.ravel(), weights=y.ravel(),
-                           minlength=full.size)[interior]
+                           minlength=full.size)[self.interior]
 
-    def hat_norms(self, cfg: NormConfig = NormConfig()) -> np.ndarray:
-        """``_Lattice.hat_norms`` of the shared lattice."""
-        return self.lattice.hat_norms(cfg)
+    def band(self, blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Sum the (ncells, 2^n, 2^n) cell blocks into the upper band storage.
+
+        The sums are taken in a flat array of (bandwidth + 1) m + 1 entries,
+        the last one the sentinel slot, which is out when given (its old
+        contents are overwritten) and a new array otherwise; the result is
+        the Fortran-ordered (bandwidth + 1, m) view of it without the sentinel.
+        """
+        ldab, m = self.bandwidth + 1, self.interior.size
+        if out is None:
+            out = np.empty(ldab * m + 1)
+        out.fill(0.0)
+        np.add.at(out, self.scatter, blocks.reshape(-1))
+        return out[:-1].reshape((ldab, m), order="F")
+
+
+# The last _Lattice built.  One slot serves the repeated solves of one
+# problem family and a solve followed by its weak residual; a thread that
+# races another for it at worst builds its own.
+_lattice_cache = None
+
+
+def _lattice(grid: GridFunction, field: ExponentField, f: GridFunction) -> tuple:
+    """(the _Lattice of grid and p, the source weights node_weights * f).
+
+    The _Lattice comes from the cache when the lattice and the nodal values
+    of p are equal to the cached ones.  The key holds values, not the field
+    object: a field can close over data changed in place.  The source
+    weights are the caller's own, computed per call.
+    """
+    global _lattice_cache
+    if not grid.same_lattice(f):
+        raise ValueError("solution and source live on different lattices")
+    p_node = field(grid.nodes())
+    lat = _lattice_cache
+    if lat is None or not lat.matches(grid, p_node):
+        lat = _lattice_cache = _Lattice(grid, p_node)
+    return lat, lat.geo.node_weights * f.values.reshape(-1)
 
 
 def energy(u: GridFunction, field: ExponentField, f: GridFunction,
@@ -396,8 +366,8 @@ def energy(u: GridFunction, field: ExponentField, f: GridFunction,
     """Regularized variable-exponent energy with source term (see module doc);
     reg_eps must be finite and >= 0."""
     eps = _check_reg_eps(reg_eps)
-    disc = _Discretization(u, field, f)
-    return disc.energy(u.values.reshape(-1), disc.corners(u.values), eps)
+    lat, src = _lattice(u, field, f)
+    return lat.energy(u.values.reshape(-1), lat.corners(u.values), eps, src)
 
 
 def weak_residual(u: GridFunction, spec: ProblemSpec) -> float:
@@ -406,7 +376,7 @@ def weak_residual(u: GridFunction, spec: ProblemSpec) -> float:
     u must carry the Dirichlet data of spec on the boundary: a boundary value
     off it by more than rounding is a ValueError naming the largest deviation.
     """
-    disc = _Discretization(u, spec.field, spec.rhs)
+    lat, src = _lattice(u, spec.field, spec.rhs)
     bmask = u.boundary_mask()
     data = spec.dirichlet_values()[bmask]
     dev = np.abs(u.values[bmask] - data)
@@ -416,8 +386,8 @@ def weak_residual(u: GridFunction, spec: ProblemSpec) -> float:
         raise ValueError(f"u is off the Dirichlet data on the boundary by up to "
                          f"{dev[worst]:.3e}: {float(u.values[node])!r} against "
                          f"{float(data[worst])!r} at node {node}")
-    g = disc.gradient(disc.corners(u.values), float(spec.reg_eps))
-    return disc.residual(g, disc.hat_norms())
+    g = lat.gradient(lat.corners(u.values), float(spec.reg_eps), src)
+    return lat.residual(g, lat.hat_norms())
 
 
 def _pcg(matvec: Callable, precond: Callable, b: np.ndarray, rtol: float) -> tuple:
@@ -446,8 +416,8 @@ def _pcg(matvec: Callable, precond: Callable, b: np.ndarray, rtol: float) -> tup
     return x, len(iterates)
 
 
-def _line_search(disc: "_Discretization", u: np.ndarray, interior: np.ndarray,
-                 delta: np.ndarray, eps: float, alpha: float, accept: Callable) -> tuple:
+def _line_search(lat: _Lattice, src: np.ndarray, u: np.ndarray, delta: np.ndarray,
+                 eps: float, alpha: float, accept: Callable) -> tuple:
     """Halve the step alpha until the trial u + alpha delta passes accept(alpha, e1).
 
     delta moves the interior nodes and e1 is the trial's energy at eps.  A
@@ -457,10 +427,10 @@ def _line_search(disc: "_Discretization", u: np.ndarray, interior: np.ndarray,
     """
     for halvings in range(60):
         trial = u.copy()
-        trial[interior] += alpha * delta
+        trial[lat.interior] += alpha * delta
         if np.all(np.isfinite(trial)):
-            corners = disc.corners(trial)
-            e1 = disc.energy(trial, corners, eps)
+            corners = lat.corners(trial)
+            e1 = lat.energy(trial, corners, eps, src)
             if np.isfinite(e1) and accept(alpha, e1):
                 return alpha, halvings, (trial, corners, e1)
         alpha *= 0.5
@@ -515,7 +485,7 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     feed the next gradient and Newton matrix.
 
     The first step of a stage factors the band Newton matrix
-    (``_InteriorPattern``; LAPACK dpbtrf) and solves exactly.  The cell blocks
+    (``_Lattice.band``; LAPACK dpbtrf) and solves exactly.  The cell blocks
     and the band are two arrays of the solve, refilled at every step, and the
     band is factored in place, so a refactor overwrites the factor it replaces
     and concurrent solves share nothing they write.  Each later step
@@ -543,17 +513,16 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     at the stage eps where it stopped.
     """
     grid = spec.rhs
-    disc = _Discretization(grid, spec.field, spec.rhs)
-    pattern = disc.lattice.pattern
-    interior = pattern.interior
+    lat, src = _lattice(grid, spec.field, spec.rhs)
+    interior = lat.interior
 
-    nodal = _laplace_warm_start(spec, disc.geo)
+    nodal = _laplace_warm_start(spec, src)
     if not np.all(np.isfinite(nodal)):
         raise SolverError("warm start produced non-finite values")
     stages = _eps_schedule(spec)
     stage, eps = 0, stages[0]
-    u, corners, (scale, e2, e_start) = _ray_start(disc, nodal.reshape(-1), eps)
-    hat = disc.hat_norms()
+    u, corners, (scale, e2, e_start) = _ray_start(lat, src, nodal.reshape(-1), eps)
+    hat = lat.hat_norms()
     debug = _log.isEnabledFor(logging.DEBUG)
     if debug:
         _log.debug("start scale=%.6e energy_p2=%.6e energy=%.6e", scale, e2, e_start)
@@ -570,18 +539,18 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     # The solve's cell blocks and flat band (its last entry the sentinel
     # slot), taken only now: held through the start and the hat norms they
     # raised the peak RSS of a 64^2 solve by about 1 MB.
-    blocks = np.empty(disc.p_corner.shape + (disc.nc,))
-    band = np.empty((pattern.bandwidth + 1) * interior.size + 1)
+    blocks = np.empty(lat.p_corner.shape + (lat.nc,))
+    band = np.empty((lat.bandwidth + 1) * interior.size + 1)
     while True:
-        g = disc.gradient(corners, eps)
-        residual = disc.residual(g, hat)
+        g = lat.gradient(corners, eps, src)
+        residual = lat.residual(g, hat)
         last = stage == len(stages) - 1
         if residual <= (spec.tol if last else max(spec.tol, 1e-5)):
             if last:
                 break
             stage += 1
             eps = stages[stage]
-            trace.append(disc.energy(u, corners, eps))
+            trace.append(lat.energy(u, corners, eps, src))
             factor, gnorm_prev, cg_prev = None, np.inf, 0
             continue
         if it == spec.max_iter:
@@ -590,7 +559,7 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
         it += 1
 
         eps_h = max(eps, smooth0 * 0.25 ** (it - 1))
-        disc.hessian_blocks(corners, eps_h, out=blocks)
+        lat.hessian_blocks(corners, eps_h, out=blocks)
         gi = g[interior]
         gnorm = float(np.linalg.norm(gi))
 
@@ -601,12 +570,12 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
         if factor is not None and cg_prev <= _CG_NEAR:
             eta = min(_ETA_MAX, 0.9 * (gnorm / gnorm_prev) ** 2)
             delta, cg_iters = _pcg(
-                lambda x: disc.hessian_vec(blocks, interior, x),
+                lambda x: lat.hessian_vec(blocks, x),
                 lambda r: sla.cho_solve_banded((factor, False), r, check_finite=False),
                 -gi, eta)
         if not descends(delta):
             try:
-                factor = sla.cholesky_banded(pattern.matrix(blocks, out=band),
+                factor = sla.cholesky_banded(lat.band(blocks, out=band),
                                              overwrite_ab=True, check_finite=False)
                 linear = "factor"
                 delta = sla.cho_solve_banded((factor, False), -gi, check_finite=False)
@@ -619,13 +588,13 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
 
         slope = float(delta @ gi)
         e0 = trace[-1]
-        alpha, backtracks, step = _line_search(disc, u, interior, delta, eps, 1.0,
+        alpha, backtracks, step = _line_search(lat, src, u, delta, eps, 1.0,
                                                lambda a, e1: e1 <= e0 + 1e-4 * a * slope)
         if step is None:
             delta, direction = -gi, "steepest-rescue"
             gmax = float(np.abs(gi).max())
-            alpha, more, step = _line_search(disc, u, interior, delta, eps,
-                                             1.0 / max(1.0, gmax / disc.geo.cell_vol),
+            alpha, more, step = _line_search(lat, src, u, delta, eps,
+                                             1.0 / max(1.0, gmax / lat.geo.cell_vol),
                                              lambda a, e1: e1 < e0)
             backtracks += more
         if debug:
@@ -641,8 +610,9 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     return SolveResult(grid.like(u), trace, residual, it, not message, message)
 
 
-def _laplace_warm_start(spec: ProblemSpec, geo: CellGeometry) -> np.ndarray:
-    """The discrete p = 2 solution with the data of spec, as a nodal array.
+def _laplace_warm_start(spec: ProblemSpec, src: np.ndarray) -> np.ndarray:
+    """The discrete p = 2 solution with the data of spec, as a nodal array;
+    src is the solve's source weights node_weights * f.
 
     For p = 2 the vertex rule gives the interior operator vol sum_a T_a / h_a^2,
     a Kronecker sum of the 1d Dirichlet second differences T_a =
@@ -657,6 +627,7 @@ def _laplace_warm_start(spec: ProblemSpec, geo: CellGeometry) -> np.ndarray:
     the first node: constant data with no source comes back exactly.
     """
     grid = spec.rhs
+    cell_vol = float(np.prod(grid.spacing))
     data = spec.dirichlet_values()
     g0 = data.flat[0]
     nodal = data - g0
@@ -664,22 +635,22 @@ def _laplace_warm_start(spec: ProblemSpec, geo: CellGeometry) -> np.ndarray:
     nodal[inner] = 0.0
     # The p = 2 energy gradient at the interior: the source weights plus the
     # second differences, in which only the boundary neighbours are nonzero.
-    r = (geo.node_weights * grid.values.reshape(-1)).reshape(grid.dims)[inner]
+    r = src.reshape(grid.dims)[inner].copy()
     for a, h in enumerate(grid.spacing):
         for o in (0, 2):  # the lower and the upper neighbour along axis a
             nb = list(inner)
             nb[a] = slice(o, grid.dims[a] - 2 + o)
-            r -= (geo.cell_vol / h**2) * nodal[tuple(nb)]
+            r -= (cell_vol / h**2) * nodal[tuple(nb)]
     # 2 - 2 cos(t) written as 4 sin^2(t / 2), exact to rounding at small t
     eigs = [4.0 * np.sin(0.5 * np.pi * np.arange(1, N + 1) / (N + 1)) ** 2 / h**2
             for N, h in zip(r.shape, grid.spacing)]
     r = _sine_transform(r)
-    r /= geo.cell_vol * sum(np.ix_(*eigs))
+    r /= cell_vol * sum(np.ix_(*eigs))
     data[inner] = g0 - _sine_transform(r)
     return data
 
 
-def _ray_start(disc: _Discretization, u2: np.ndarray, eps: float) -> tuple:
+def _ray_start(lat: _Lattice, src: np.ndarray, u2: np.ndarray, eps: float) -> tuple:
     """The start of the Newton loop: g0 + s (u2 - g0) for constant data g0, else u2.
 
     With constant data the ray g0 + s w, w = u2 - g0, keeps the data, and its
@@ -701,23 +672,23 @@ def _ray_start(disc: _Discretization, u2: np.ndarray, eps: float) -> tuple:
 
     Returns (u, corners, (s, energy of u2, energy of u)), energies at eps.
     """
-    g2, S = corners2 = disc.corners(u2)
-    e2 = disc.energy(u2, corners2, eps)
+    g2, S = corners2 = lat.corners(u2)
+    e2 = lat.energy(u2, corners2, eps, src)
     g0 = u2[0]
-    if np.any(np.delete(u2, disc.interior) != g0):
+    if np.any(np.delete(u2, lat.interior) != g0):
         return u2, corners2, (1.0, e2, e2)
     w = u2 - g0
-    q = float(disc.source_vec @ w)
+    q = float(src @ w)
     s = 0.0
     if q < 0.0:
         keep = S > 0.0
-        p = disc.p_corner[keep]
-        log_c = np.log(disc.geo.cell_vol / disc.nc / -q) + 0.5 * p * np.log(S[keep])
+        p = lat.p_corner[keep]
+        log_c = np.log(lat.geo.cell_vol / lat.nc / -q) + 0.5 * p * np.log(S[keep])
         t, _ = log_luxemburg((p - 1.0)[None, :], log_c[None, :], NormConfig())
         s = float(np.exp(-t[0]))
     if s != 1.0:
         u, corners = g0 + s * w, (g2 * s, S * (s * s))
-        e = disc.energy(u, corners, eps)
+        e = lat.energy(u, corners, eps, src)
         if e <= e2:
             return u, corners, (s, e2, e)
     return u2, corners2, (1.0, e2, e2)

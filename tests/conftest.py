@@ -142,60 +142,57 @@ def reference_ball_cell_weights(g, ball, subdiv=8):
     return w
 
 
-def reference_gradient(disc, u_flat, eps):
-    """Energy gradient of a _Discretization with einsum stencils and np.add.at."""
-    geo = disc.geo
+def reference_gradient(lat, u_flat, eps, src):
+    """Energy gradient of a _Lattice with einsum stencils and np.add.at."""
+    geo = lat.geo
     grads = reference_corner_gradients(geo, u_flat)
     w = np.sqrt(np.sum(grads**2, axis=2) + eps**2)
     with np.errstate(divide="ignore", over="ignore"):
-        coef = np.where(w > 0, np.where(w > 0, w, 1.0) ** (disc.p_corner - 2.0), 0.0)
+        coef = np.where(w > 0, np.where(w > 0, w, 1.0) ** (lat.p_corner - 2.0), 0.0)
     per_corner = np.einsum("kaj,cka->cj", geo.grad_stencils, coef[:, :, None] * grads)
     g = np.zeros_like(u_flat)
-    np.add.at(g, geo.corner_idx.ravel(), (geo.cell_vol / disc.nc) * per_corner.ravel())
-    return g + disc.source_vec
+    np.add.at(g, geo.corner_idx.ravel(), (geo.cell_vol / lat.nc) * per_corner.ravel())
+    return g + src
 
 
 def reference_warm_start(spec):
-    """The p = 2 warm start as one band Newton step: the p = 2 discretization's
+    """The p = 2 warm start as one band Newton step: the p = 2 operator's
     gradient at the lifted boundary data, solved with the band Cholesky of its
     Newton matrix.  Returns the full nodal array."""
-    from pxlap.solver import _Discretization, _InteriorPattern
-
     grid = spec.rhs
-    lap = _Discretization(grid, px.constant_exponent(2.0, domain=spec.domain), grid)
-    pattern = _InteriorPattern.build(lap.geo, grid.boundary_mask())
-    interior = pattern.interior
+    lap, src = solver._lattice(grid, px.constant_exponent(2.0, domain=spec.domain), grid)
+    interior = lap.interior
     u = spec.dirichlet_values().reshape(-1).copy()
     u[interior] = 0.0
     corners = lap.corners(u)
-    H = pattern.matrix(lap.hessian_blocks(corners, 0.0))
+    H = lap.band(lap.hessian_blocks(corners, 0.0))
     factor = sla.cholesky_banded(H, overwrite_ab=True, check_finite=False)
-    u[interior] -= sla.cho_solve_banded((factor, False), lap.gradient(corners, 0.0)[interior],
+    u[interior] -= sla.cho_solve_banded((factor, False), lap.gradient(corners, 0.0, src)[interior],
                                         check_finite=False)
     return u.reshape(grid.dims)
 
 
-def reference_hat_norms(disc, interior_flat, cfg=px.NormConfig()):
+def reference_hat_norms(lat, interior_flat, cfg=px.NormConfig()):
     """Hat-function Sobolev norms by a 120-step bisection over sorted triples.
 
     Every (node, cell, corner) triple of the vertex rule is collected, sorted
     by node and padded to a rectangle; the gradient part's Luxemburg norm is
     bracketed by doubling and halving, then bisected for all nodes at once.
     """
-    geo = disc.geo
-    val_part = geo.node_weights[interior_flat] ** (1.0 / disc.p_node[interior_flat])
+    geo = lat.geo
+    val_part = geo.node_weights[interior_flat] ** (1.0 / lat.p_node[interior_flat])
 
     stencil_mag = np.linalg.norm(geo.grad_stencils, axis=1)  # (2^n k, 2^n j)
-    vol = geo.cell_vol / disc.nc
+    vol = geo.cell_vol / lat.nc
     ncells = geo.n_cells
     node_ids, mags, ps = [], [], []
-    for k in range(disc.nc):
-        for j in range(disc.nc):
+    for k in range(lat.nc):
+        for j in range(lat.nc):
             if stencil_mag[k, j] == 0.0:
                 continue
             node_ids.append(geo.corner_idx[:, j])
             mags.append(np.full(ncells, stencil_mag[k, j]))
-            ps.append(disc.p_corner[:, k])
+            ps.append(lat.p_corner[:, k])
     node_ids = np.concatenate(node_ids)
     mags = np.concatenate(mags)
     ps = np.concatenate(ps)

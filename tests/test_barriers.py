@@ -40,6 +40,39 @@ def test_barrier_params_reject_vanishing_normalizer():
         px.subsolution_mu_sweep(template, px.constant_exponent(2.0), [8.0, 3000.0], 0.05)
 
 
+@pytest.mark.parametrize("name, value", [("delta", math.inf), ("delta", math.nan),
+                                         ("a_level", math.inf), ("a_level", math.nan),
+                                         ("a_level", -1.0)])
+def test_barrier_params_reject_bad_values(name, value):
+    args = {"x0": [0.0, 0.0], "delta": 1.0, "mu": 8.0, "a_level": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        px.BarrierParams(**args)
+
+
+@pytest.mark.parametrize("resolution, n_dir, message", [
+    (-1.0, 32, "resolution must be finite and positive"),
+    (0.0, 32, "resolution must be finite and positive"),
+    (math.nan, 32, "resolution must be finite and positive"),
+    (math.inf, 32, "resolution must be finite and positive"),
+    (0.1, 0, "n_dir must be at least 1"),
+])
+def test_annulus_samples_reject_bad_values(resolution, n_dir, message):
+    with pytest.raises(ValueError, match=message):
+        annulus_samples([0.0, 0.0], 0.5, 1.0, resolution, n_dir)
+
+
+@pytest.mark.parametrize("M, mu, message", [
+    (1.0, 0.0, "mu must be finite and positive"),
+    (1.0, math.nan, "mu must be finite and positive"),
+    (1.0, math.inf, "mu must be finite and positive"),
+    (math.inf, 4.0, "M must be finite and positive"),
+    (math.nan, 4.0, "M must be finite and positive"),
+])
+def test_gaussian_scan_rejects_bad_values(M, mu, message):
+    with pytest.raises(ValueError, match=message):
+        px.gaussian_lower_bound_scan(M, mu, px.constant_exponent(2.0), (0.5, 1.0), 0.05,
+                                     center=[0.0, 0.0])
+
 def test_barrier_radial_monotone():
     params = px.BarrierParams([0.0, 0.0], 0.7, 9.0, 2.0)
     rs = np.linspace(1e-3, 3.0, 200)
@@ -241,6 +274,17 @@ def test_max_principle_classifications():
     with pytest.raises(ValueError, match="negative"):
         px.strong_max_principle_check(pos.like(pos.values - 1.0), 0.2)
 
+
+@pytest.mark.parametrize("zero_tol", [math.nan, math.inf, -1.0])
+def test_zero_tol_must_be_finite(zero_tol):
+    # a NaN tolerance fails every comparison it is in: a positive u would be
+    # classified a violation, and a u(y) of 0.3 would pass as vanishing
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    u = px.GridFunction.from_callable(box, 16, lambda p: 0.3 + p[:, 0])
+    with pytest.raises(ValueError, match="zero_tol must be finite and >= 0"):
+        px.strong_max_principle_check(u, 0.2, zero_tol)
+    with pytest.raises(ValueError, match="zero_tol must be finite and >= 0"):
+        px.hopf_slope(u, [0.0, 0.5], [1.0, 0.0], [0.0625, 0.125], zero_tol)
 
 def test_max_principle_solved_harmonic():
     box = px.Box([0.0, 0.0], [1.0, 1.0])

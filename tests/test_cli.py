@@ -150,6 +150,32 @@ def test_check_error_nonzero_exit_names_check(tmp_path, capsys):
     assert "escapes" in report[0]["detail"]["message"]
 
 
+BARRIER_P2 = {"kind": "barrier", "center": [0.0, 0.0], "delta": 1.0, "mu": 8.0,
+              "exponent": {"kind": "constant", "value": 2.0}, "resolution": 0.05}
+
+
+@pytest.mark.parametrize("check, name", [
+    ({"kind": "weak-harnack", "center": [0.5], "radius": 0.1, "t0": "inf",
+      "min_value": "shift"}, "t0"),
+    ({"kind": "caccioppoli", "center": [0.5], "rho": 0.2, "c_probe": float("nan")}, "C_probe"),
+    ({"kind": "local-bound", "inner_center": [0.5], "inner_radius": 0.1, "outer_radius": 0.2,
+      "c_probe": float("nan")}, "C_probe"),
+    ({**BARRIER_P2, "a_level": float("nan")}, "a_level"),
+    ({**BARRIER_P2, "resolution": -1}, "resolution"),
+    ({"kind": "caccioppoli", "center": [0.5], "rho": float("nan")}, "rho"),
+    ({"kind": "max-principle", "margin": 0.1, "zero_tol": float("nan")}, "zero_tol"),
+])
+def test_bad_check_parameter_is_an_error_record(tmp_path, check, name):
+    # json reads NaN and Infinity and float() reads "inf": such a parameter
+    # gives an error record naming it, not an ok record with null or wrong numbers
+    out = tmp_path / "out"
+    cfg = manufactured_config(out, [check])
+    cfg["problem"]["dirichlet"] = {"kind": "constant", "value": 2.0}  # u >= 1 for caccioppoli
+    assert main(["verify", write_config(tmp_path, cfg)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report[0]["status"] == "error"
+    assert f"{name} must be finite" in report[0]["detail"]["message"]
+
 def test_solve_subcommand_writes_solution(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, manufactured_config(out, []))

@@ -3,6 +3,7 @@ import pytest
 
 import pxlap as px
 from conftest import random_grid, reference_caccioppoli
+from pxlap.quadrature import lq_ball_norm
 
 
 def affine_u(cells=512):
@@ -185,6 +186,12 @@ def test_weak_harnack_hypothesis_modes():
         px.weak_harnack_check(u, [0.0], 0.25, 0.0)
 
 
+@pytest.mark.parametrize("t0", [np.inf, np.nan, 0.0, -1.0])
+def test_weak_harnack_rejects_bad_t0(t0):
+    u = px.GridFunction.constant(px.Box([-1.0], [1.0]), 64, 2.5)
+    with pytest.raises(ValueError, match="t0 must be finite and positive"):
+        px.weak_harnack_check(u, [0.0], 0.25, t0)
+
 # -- caccioppoli -----------------------------------------------------------------
 
 def caccioppoli_setup(cells=2048):
@@ -226,6 +233,18 @@ def test_caccioppoli_hypothesis_errors():
         px.caccioppoli_check(low, 1.0, eta, H, field, 1.0)
 
 
+@pytest.mark.parametrize("gamma, C_probe, message", [
+    (np.inf, 1.0, "gamma must be finite and nonzero"),
+    (np.nan, 1.0, "gamma must be finite and nonzero"),
+    (1.0, np.nan, "C_probe must be finite and >= 0"),
+    (1.0, np.inf, "C_probe must be finite and >= 0"),
+    (1.0, -1.0, "C_probe must be finite and >= 0"),
+])
+def test_caccioppoli_rejects_bad_parameters(gamma, C_probe, message):
+    u, eta, H, field = caccioppoli_setup(128)
+    with pytest.raises(ValueError, match=message):
+        px.caccioppoli_check(u, gamma, eta, H, field, C_probe)
+
 def test_caccioppoli_source_term_enters():
     u, eta, _, field = caccioppoli_setup(512)
     H1 = u.like(np.ones(u.dims))
@@ -234,6 +253,14 @@ def test_caccioppoli_source_term_enters():
     assert r1.source_term > 0
     assert r1.rhs > r0.rhs
 
+
+@pytest.mark.parametrize("cutoff", ["hat_cutoff", "bump_cutoff"])
+@pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -1.0])
+def test_cutoffs_reject_bad_rho(cutoff, rho):
+    # a NaN rho gave a cutoff of zeros, and the Caccioppoli check 0 <= 0
+    u = caccioppoli_setup(128)[0]
+    with pytest.raises(ValueError, match="rho must be finite and positive"):
+        getattr(px, cutoff)(u, [0.5], rho)
 
 @pytest.mark.parametrize("n_axes", [2, 3])
 @pytest.mark.parametrize("gamma", [1.0, -0.5])
@@ -267,6 +294,25 @@ def test_local_bound_trivial_and_nested():
     with pytest.raises(ValueError, match="not contained"):
         px.local_bound_check(u0, px.Ball([0.0], 0.5), px.Ball([0.4], 0.2), 1.0, 1.0)
 
+
+@pytest.mark.parametrize("C_probe", [np.nan, np.inf, -1.0])
+def test_local_bound_rejects_bad_c_probe(C_probe):
+    u = px.GridFunction.constant(px.Box([0.0], [1.0]), 64, 5.0)
+    with pytest.raises(ValueError, match="C_probe must be finite and >= 0"):
+        px.local_bound_check(u, px.Ball([0.5], 0.2), px.Ball([0.5], 0.45), 1.0, C_probe)
+
+
+def test_local_bound_sup_norm_over_a_box():
+    # t = inf takes the max of |u| over the outer region's nodes, for a box
+    # as for a ball; u = 4x + y - 1 peaks at the corner (0.75, 0.75) of the box
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    u = px.GridFunction.from_callable(box, 16, lambda pts: 4.0 * pts[:, 0] + pts[:, 1] - 1.0)
+    inner = px.Ball([0.5, 0.5], 0.1)
+    r = px.local_bound_check(u, inner, px.Box([0.25, 0.25], [0.75, 0.75]), np.inf, 1.0)
+    assert r.norm_outer == pytest.approx(2.75, rel=1e-12)
+    assert r.bound_value == pytest.approx(3.75, rel=1e-12)
+    ball = px.local_bound_check(u, inner, px.Ball([0.5, 0.5], 0.25), np.inf, 1.0)
+    assert ball.norm_outer == lq_ball_norm(u, np.inf, px.Ball([0.5, 0.5], 0.25))
 
 def test_local_bound_solved_example():
     box = px.Box([0.0], [1.0])

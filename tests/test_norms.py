@@ -38,6 +38,14 @@ def test_modular_rejects_nonpositive_lambda():
             px.modular(g, f, lam)
 
 
+@pytest.mark.parametrize("t", [np.inf, np.nan, 0.0, -1.0])
+def test_lt_average_rejects_bad_t(t):
+    # at t = inf the mean of |u|^t over a ball is inf or 0, and its 1/t-th
+    # power 1.0, whatever u is
+    g = grid_1d(0.0, 1.0, 16, lambda x: 2.0 + x)
+    with pytest.raises(ValueError, match="t must be finite and positive"):
+        px.lt_average(g, t, px.Ball([0.5], 0.2))
+
 def test_modular_decreasing_in_lambda():
     g = grid_1d(0.0, 1.0, 32, lambda x: 1.0 + x)
     f = px.piecewise_exponent(0, 0.5, 2.0, 3.0)

@@ -29,6 +29,17 @@ def test_corner_and_center_gradients_match_einsum(n_axes):
     assert np.abs(center_gradients(g) - ref_c).max() <= 1e-13 * np.abs(ref_c).max()
 
 
+@pytest.mark.parametrize("n_axes", [1, 2, 3])
+@pytest.mark.parametrize("c", [0.3, 1e8])
+def test_corner_gradients_vanish_on_constants(n_axes, c):
+    # exact zeros, not rounding: at reg_eps = 0 and p < 2 the flux |g|^(p-1)
+    # of a 1e-16 corner gradient is far above a solver tolerance
+    g = random_grid(n_axes)
+    geo = CellGeometry.build(g)
+    grads = geo.corner_gradients(np.full(g.dims, c))
+    assert grads.shape == (geo.n_cells, 2**n_axes, n_axes)
+    assert np.all(grads == 0.0)
+
 @given(n_axes=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), subdiv=st.integers(1, 9))
 def test_ball_cell_weights_match_per_cell_loop(n_axes, seed, subdiv):
     # Anisotropic lattices and balls from inside one cell to past the box.

@@ -15,7 +15,7 @@ import pxlap.solver as solver
 from conftest import (grid_1d, pointwise_reference, reference_gradient, reference_hat_norms,
                       reference_warm_start)
 from pxlap.quadrature import CellGeometry
-from pxlap.solver import _Discretization, _InteriorPattern, _Lattice
+from pxlap.solver import _Lattice, _lattice
 
 
 def problem_1d(lo, hi, cells, p, f_const, dirichlet, **kw):
@@ -251,7 +251,7 @@ def test_warm_start_matches_band_reference(nodes, seed):
     f = f.like(rng.standard_normal(f.dims))
     data = f.like(rng.standard_normal(f.dims))
     spec = px.ProblemSpec(box, px.constant_exponent(2.0, domain=box), f, data)
-    got = solver._laplace_warm_start(spec, CellGeometry.build(f))
+    got = warm_start(spec)
     ref = reference_warm_start(spec)
     assert got.shape == ref.shape == f.dims
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
@@ -274,12 +274,17 @@ def test_p2_solve_is_the_warm_start(monkeypatch):
 
 # -- the start on the ray of the warm start ---------------------------------------
 
+def warm_start(spec):
+    """The p = 2 warm start of spec, as a nodal array."""
+    return solver._laplace_warm_start(spec, _lattice(spec.rhs, spec.field, spec.rhs)[1])
+
+
 def ray_start(spec):
     """The start of a solve, the p = 2 warm start scaled along its ray, as
     (nodal array, (s, energy of the warm start, energy of the start))."""
-    disc = _Discretization(spec.rhs, spec.field, spec.rhs)
-    u2 = solver._laplace_warm_start(spec, disc.geo).reshape(-1)
-    u, _, record = solver._ray_start(disc, u2, solver._eps_schedule(spec)[0])
+    lat, src = _lattice(spec.rhs, spec.field, spec.rhs)
+    u2 = solver._laplace_warm_start(spec, src).reshape(-1)
+    u, _, record = solver._ray_start(lat, src, u2, solver._eps_schedule(spec)[0])
     return u.reshape(spec.rhs.dims), record
 
 
@@ -298,7 +303,7 @@ def test_ray_start_matches_the_closed_form(n_axes, p):
              else px.constant_exponent(p, domain=box))
     spec = px.ProblemSpec(box, field, f, 0.0, reg_eps=0.0)
     geo = CellGeometry.build(f)
-    w = solver._laplace_warm_start(spec, geo).reshape(-1)
+    w = warm_start(spec).reshape(-1)
     q = float(np.sum(geo.node_weights * f.values.reshape(-1) * w))
     mags = np.linalg.norm(geo.corner_gradients(w), axis=-1)
     if p == "affine":
@@ -308,14 +313,14 @@ def test_ray_start_matches_the_closed_form(n_axes, p):
         expected = brentq(dphi, 1e-3, 1e3, xtol=1e-14, rtol=1e-14)
     else:
         expected = (-q / (geo.cell_vol / 2**n_axes * np.sum(mags**p))) ** (1.0 / (p - 1.0))
-    disc = _Discretization(f, spec.field, f)
-    u, (grads, sq), (s, e2, e) = solver._ray_start(disc, w, 0.0)
+    lat, src = _lattice(f, spec.field, f)
+    u, (grads, sq), (s, e2, e) = solver._ray_start(lat, src, w, 0.0)
     assert s == pytest.approx(expected, rel=1e-9 if p == "affine" else 1e-10)
     if p == 2.0:
         assert s == pytest.approx(1.0, abs=1e-12) and u is w
     np.testing.assert_allclose(u, s * w, rtol=1e-15)
     np.testing.assert_allclose(grads, geo.corner_gradients(u), rtol=1e-13, atol=1e-13)
-    assert e <= e2 and e == disc.energy(u, (grads, sq), 0.0)
+    assert e <= e2 and e == lat.energy(u, (grads, sq), 0.0, src)
 
 
 @given(n=st.integers(1, 3), p=st.floats(1.2, 6.0), ramp=st.booleans(),
@@ -332,7 +337,7 @@ def test_ray_start_never_raises_the_energy(n, p, ramp, seed):
     field = px.constant_exponent(p, domain=box)
     spec = px.ProblemSpec(box, field, f, data)
     eps = solver._eps_schedule(spec)[0]
-    u2 = f.like(solver._laplace_warm_start(spec, CellGeometry.build(f)))
+    u2 = f.like(warm_start(spec))
     start, (s, e2, e) = ray_start(spec)
     assert s >= 0.0 and e <= e2
     bmask = f.boundary_mask()
@@ -382,15 +387,18 @@ def test_ray_start_moves_with_constant_data(n, p, c, seed):
 def test_constant_data_is_its_own_start(n_axes):
     # At reg_eps = 0 the flux |g|^(p-1) of a rounding-sized corner gradient is
     # far above tol for p near 1 ((1e-16)^0.2 = 6e-4), so the start must be
-    # the constant data exactly; it then converges with no Newton step.
-    box = px.Box([0.0] * n_axes, [1.0] * n_axes)
-    f = px.GridFunction.constant(box, 9, 0.0)
-    spec = px.ProblemSpec(box, px.constant_exponent(1.2, domain=box), f, 0.3, reg_eps=0.0)
-    assert ray_start(spec)[1][0] == 0.0
-    res = px.solve_dirichlet(spec)
-    assert res.converged and res.iterations == 0 and res.message == ""
-    assert np.all(res.solution.values == 0.3)
-    assert px.weak_residual(res.solution, spec) <= spec.tol
+    # the constant data exactly and its corner gradients exact zeros; it then
+    # converges with no Newton step and a weak residual of 0, on a unit and
+    # on an anisotropic lattice.
+    for hi, cells, c in (([1.0] * 3, (9, 9, 9), 0.3), ([1.0, 2.0, 0.5], (9, 6, 4), 1e8)):
+        box = px.Box([0.0] * n_axes, hi[:n_axes])
+        f = px.GridFunction.constant(box, cells[:n_axes], 0.0)
+        spec = px.ProblemSpec(box, px.constant_exponent(1.2, domain=box), f, c, reg_eps=0.0)
+        assert ray_start(spec)[1][0] == 0.0
+        res = px.solve_dirichlet(spec)
+        assert res.converged and res.iterations == 0 and res.message == ""
+        assert np.all(res.solution.values == c)
+        assert res.residual == 0.0 == px.weak_residual(res.solution, spec)
 
 
 @pytest.mark.parametrize("n_axes, p", [(1, 1.5), (2, 3.0), (3, 6.0)])
@@ -403,12 +411,12 @@ def test_nonconstant_data_start_at_the_warm_start(n_axes, p):
         lambda pts: -10.0 * (1.0 + 0.5 * np.cos(3.0 * pts.sum(axis=1))))
     ramp = lambda pts: 0.5 + pts[:, 0]
     spec = px.ProblemSpec(box, px.constant_exponent(p, domain=box), f, ramp)
-    disc = _Discretization(f, spec.field, f)
-    u2 = solver._laplace_warm_start(spec, disc.geo).reshape(-1)
+    lat, src = _lattice(f, spec.field, f)
+    u2 = solver._laplace_warm_start(spec, src).reshape(-1)
     eps = solver._eps_schedule(spec)[0]
-    u, (grads, sq), (s, e2, e) = solver._ray_start(disc, u2, eps)
-    assert u is u2 and s == 1.0 and e == e2 == disc.energy(u2, (grads, sq), eps)
-    np.testing.assert_array_equal(grads, disc.geo.corner_gradients(u2))
+    u, (grads, sq), (s, e2, e) = solver._ray_start(lat, src, u2, eps)
+    assert u is u2 and s == 1.0 and e == e2 == lat.energy(u2, (grads, sq), eps, src)
+    np.testing.assert_array_equal(grads, lat.geo.corner_gradients(u2))
 
 
 def test_start_record_per_solve(caplog):
@@ -431,10 +439,10 @@ def test_long_1d_warm_start_memory_is_linear():
     box = px.Box([0.0], [1.0])
     f = px.GridFunction.constant(box, 20000, -2.0)
     spec = px.ProblemSpec(box, px.constant_exponent(2.0, domain=box), f, 0.0, reg_eps=0.0)
-    geo = CellGeometry.build(f)
+    src = CellGeometry.build(f).node_weights * f.values.reshape(-1)
     tracemalloc.start()
     try:
-        u = solver._laplace_warm_start(spec, geo)
+        u = solver._laplace_warm_start(spec, src)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -454,8 +462,7 @@ def test_anisotropic_lattice_gets_the_short_band():
         field = px.affine_exponent(2.5, [0.1, 0.1], box)
         spec = px.ProblemSpec(box, field, f, 0.0, reg_eps=1e-8, tol=1e-8)
         results.append(px.solve_dirichlet(spec))
-        pattern = _InteriorPattern.build(CellGeometry.build(f), f.boundary_mask())
-        bandwidths.append(pattern.bandwidth)
+        bandwidths.append(_lattice(f, field, f)[0].bandwidth)
     tall, wide = results
     assert bandwidths == [6, 6]
     assert tall.converged and wide.converged
@@ -465,7 +472,7 @@ def test_anisotropic_lattice_gets_the_short_band():
 
 # -- Newton matrix ---------------------------------------------------------------
 
-def reference_hessian(disc, interior, u_flat, reg_eps, eps_h):
+def reference_hessian(lat, u_flat, reg_eps, eps_h):
     """Interior Newton matrix via the pointwise Hessian tensor, COO and slicing.
 
     The straightforward assembly: the (ncells, 2^n, n, n) pointwise Hessians
@@ -473,46 +480,45 @@ def reference_hessian(disc, interior, u_flat, reg_eps, eps_h):
     matrix, and the interior rows and columns are sliced out.
     """
     eps = max(reg_eps, eps_h if eps_h is not None else 0.0, 1e-12)
-    grads = disc.geo.corner_gradients(u_flat)
+    grads = lat.geo.corner_gradients(u_flat)
     w = np.sqrt(np.sum(grads**2, axis=2) + eps**2)
-    c1 = w ** (disc.p_corner - 2.0)
-    c2 = (disc.p_corner - 2.0) * w ** (disc.p_corner - 4.0)
-    eye = np.eye(disc.geo.n_axes)
+    c1 = w ** (lat.p_corner - 2.0)
+    c2 = (lat.p_corner - 2.0) * w ** (lat.p_corner - 4.0)
+    eye = np.eye(lat.geo.n_axes)
     M = c1[:, :, None, None] * eye + c2[:, :, None, None] * (
         grads[:, :, :, None] * grads[:, :, None, :])
-    G = disc.geo.grad_stencils
-    blocks = np.einsum("kaj,ckab,kbl->cjl", G, M, G) * (disc.geo.cell_vol / disc.nc)
-    rows = np.repeat(disc.geo.corner_idx, disc.nc, axis=1).ravel()
-    cols = np.tile(disc.geo.corner_idx, (1, disc.nc)).ravel()
+    G = lat.geo.grad_stencils
+    blocks = np.einsum("kaj,ckab,kbl->cjl", G, M, G) * (lat.geo.cell_vol / lat.nc)
+    rows = np.repeat(lat.geo.corner_idx, lat.nc, axis=1).ravel()
+    cols = np.tile(lat.geo.corner_idx, (1, lat.nc)).ravel()
     nn = u_flat.size
     full = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
-    return full[interior][:, interior].tocsc()
+    return full[lat.interior][:, lat.interior].tocsc()
 
 
 def random_state(n_axes, seed=0):
-    """A discretization with p in [1.3, 4.3], its band layout and a rough random iterate."""
+    """An operator with p in [1.3, 4.3], its source weights and a rough random iterate."""
     cells = {1: 16, 2: 8, 3: 4}[n_axes]
     rng = np.random.default_rng(seed)
     box = px.Box([0.0] * n_axes, [1.0] * n_axes)
     field = px.affine_exponent(1.3, rng.uniform(0.0, 3.0 / n_axes, n_axes), box)
     f = px.GridFunction.from_callable(box, cells, lambda pts: np.cos(3.0 * pts.sum(axis=1)))
     u = f.like(rng.standard_normal(f.dims))
-    disc = _Discretization(u, field, f)
-    return disc, _InteriorPattern.build(disc.geo, u.boundary_mask()), u.values.reshape(-1)
+    return (*_lattice(u, field, f), u.values.reshape(-1))
 
 
-def newton_matrix(disc, pattern, u_flat, reg_eps, eps_h=None):
+def newton_matrix(lat, u_flat, reg_eps, eps_h=None):
     """The band Newton matrix at u, smoothed as solve_dirichlet smooths it."""
     eps_h = max(reg_eps, eps_h if eps_h is not None else 0.0)
-    return pattern.matrix(disc.hessian_blocks(disc.corners(u_flat), eps_h))
+    return lat.band(lat.hessian_blocks(lat.corners(u_flat), eps_h))
 
 
-def gradient_at(disc, u_flat, eps):
-    return disc.gradient(disc.corners(u_flat), eps)
+def gradient_at(lat, src, u_flat, eps):
+    return lat.gradient(lat.corners(u_flat), eps, src)
 
 
-def energy_at(disc, u_flat, eps):
-    return disc.energy(u_flat, disc.corners(u_flat), eps)
+def energy_at(lat, src, u_flat, eps):
+    return lat.energy(u_flat, lat.corners(u_flat), eps, src)
 
 
 def band_to_dense(H):
@@ -529,10 +535,10 @@ def band_to_dense(H):
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
 @pytest.mark.parametrize("reg_eps, eps_h", [(1e-8, None), (1e-3, 1e-1), (1e-2, 1e-4)])
 def test_hessian_matches_reference_assembly(n_axes, reg_eps, eps_h):
-    disc, pattern, u = random_state(n_axes)
-    H = newton_matrix(disc, pattern, u, reg_eps, eps_h)
-    ref = reference_hessian(disc, pattern.interior, u, reg_eps, eps_h)
-    bw = pattern.bandwidth
+    lat, _, u = random_state(n_axes)
+    H = newton_matrix(lat, u, reg_eps, eps_h)
+    ref = reference_hessian(lat, u, reg_eps, eps_h)
+    bw = lat.bandwidth
     assert H.shape == (bw + 1, ref.shape[0])
     coo = ref.tocoo()
     assert np.abs(coo.col - coo.row).max() <= bw  # nothing outside the band
@@ -547,16 +553,16 @@ def test_hessian_matches_reference_assembly(n_axes, reg_eps, eps_h):
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
 def test_hessian_is_derivative_of_gradient(n_axes):
-    disc, pattern, u = random_state(n_axes, seed=1)
-    interior = pattern.interior
-    H = band_to_dense(newton_matrix(disc, pattern, u, 0.05))
+    lat, src, u = random_state(n_axes, seed=1)
+    interior = lat.interior
+    H = band_to_dense(newton_matrix(lat, u, 0.05))
     step = 1e-6
     fd = np.empty_like(H)
     for col, node in enumerate(interior):
         e = np.zeros_like(u)
         e[node] = step
-        fd[:, col] = (gradient_at(disc, u + e, 0.05)
-                      - gradient_at(disc, u - e, 0.05))[interior] / (2.0 * step)
+        fd[:, col] = (gradient_at(lat, src, u + e, 0.05)
+                      - gradient_at(lat, src, u - e, 0.05))[interior] / (2.0 * step)
     assert np.abs(H - fd).max() <= 1e-6 * np.abs(H).max()
 
 
@@ -564,8 +570,8 @@ def test_hessian_is_derivative_of_gradient(n_axes):
 def test_solve_spd_rejects_indefinite_band(n_axes):
     # Shift the lowest eigenvalue below 0: the diagonal stays positive but the
     # band Cholesky meets a nonpositive pivot and must raise, not return NaN.
-    disc, pattern, u = random_state(n_axes, seed=3)
-    H = newton_matrix(disc, pattern, u, 0.05)
+    lat, _, u = random_state(n_axes, seed=3)
+    H = newton_matrix(lat, u, 0.05)
     eig = np.linalg.eigvalsh(band_to_dense(H))
     H[-1] -= 0.5 * (eig[0] + eig[1])
     assert np.all(H[-1] > 0.0)
@@ -576,33 +582,34 @@ def test_solve_spd_rejects_indefinite_band(n_axes):
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
 @pytest.mark.parametrize("eps_h", [None, 1e-1])
 def test_block_matvec_matches_band(n_axes, eps_h):
-    disc, pattern, u = random_state(n_axes, seed=5)
-    x = np.random.default_rng(n_axes).standard_normal(pattern.interior.size)
-    ref = band_to_dense(newton_matrix(disc, pattern, u, 1e-3, eps_h)) @ x
-    blocks = disc.hessian_blocks(disc.corners(u), max(1e-3, eps_h if eps_h is not None else 0.0))
-    y = disc.hessian_vec(blocks, pattern.interior, x)
+    lat, _, u = random_state(n_axes, seed=5)
+    x = np.random.default_rng(n_axes).standard_normal(lat.interior.size)
+    ref = band_to_dense(newton_matrix(lat, u, 1e-3, eps_h)) @ x
+    blocks = lat.hessian_blocks(lat.corners(u), max(1e-3, eps_h if eps_h is not None else 0.0))
+    y = lat.hessian_vec(blocks, x)
     assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
 def test_gradient_is_derivative_of_energy(n_axes):
-    disc, _, u = random_state(n_axes, seed=2)
-    g = gradient_at(disc, u, 0.05)
+    lat, src, u = random_state(n_axes, seed=2)
+    g = gradient_at(lat, src, u, 0.05)
     step = 1e-6
     fd = np.empty_like(g)
     for node in range(u.size):
         e = np.zeros_like(u)
         e[node] = step
-        fd[node] = (energy_at(disc, u + e, 0.05) - energy_at(disc, u - e, 0.05)) / (2.0 * step)
+        fd[node] = (energy_at(lat, src, u + e, 0.05)
+                    - energy_at(lat, src, u - e, 0.05)) / (2.0 * step)
     assert np.abs(g - fd).max() <= 1e-6 * np.abs(g).max()
 
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
 @pytest.mark.parametrize("reg_eps", [0.0, 1e-3])
 def test_gradient_matches_reference_scatter(n_axes, reg_eps):
-    disc, _, u = random_state(n_axes, seed=4)
-    ref = reference_gradient(disc, u, reg_eps)
-    assert np.abs(gradient_at(disc, u, reg_eps) - ref).max() <= 1e-13 * np.abs(ref).max()
+    lat, src, u = random_state(n_axes, seed=4)
+    ref = reference_gradient(lat, u, reg_eps, src)
+    assert np.abs(gradient_at(lat, src, u, reg_eps) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def random_exponent(kind, n, rng):
@@ -646,31 +653,31 @@ def test_derivatives_agree_on_random_fields(n, kind, eps_h, seed):
     u = u.reshape(-1)
     assert 1.2 - 1e-12 <= field.p1 and field.p2 <= 5.0 + 1e-12
 
-    disc = _Discretization(f, field, f)
-    pattern = _InteriorPattern.build(disc.geo, f.boundary_mask())
-    interior = pattern.interior
-    corners = disc.corners(u)
+    lat, src = _lattice(f, field, f)
+    interior = lat.interior
+    corners = lat.corners(u)
     assert np.any(corners[1] == 0.0)
 
-    H = band_to_dense(pattern.matrix(disc.hessian_blocks(corners, eps_h)))
-    ref = reference_hessian(disc, interior, u, 0.0, eps_h).toarray()
+    H = band_to_dense(lat.band(lat.hessian_blocks(corners, eps_h)))
+    ref = reference_hessian(lat, u, 0.0, eps_h).toarray()
     assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    g = gradient_at(disc, u, eps_h)
+    g = gradient_at(lat, src, u, eps_h)
     step = 1e-6
     fd = np.empty_like(g)
     for node in range(u.size):
         e = np.zeros_like(u)
         e[node] = step
-        fd[node] = (energy_at(disc, u + e, eps_h) - energy_at(disc, u - e, eps_h)) / (2.0 * step)
+        fd[node] = (energy_at(lat, src, u + e, eps_h)
+                    - energy_at(lat, src, u - e, eps_h)) / (2.0 * step)
     assert np.abs(g - fd).max() <= 1e-6 * np.abs(g).max()
 
     x = np.zeros_like(u)
     x[interior] = rng.standard_normal(interior.size)
-    x[np.unique(disc.geo.corner_idx[(corners[1] == 0.0).any(axis=1)])] = 0.0
-    hv = disc.hessian_vec(disc.hessian_blocks(corners, eps_h), interior, x[interior])
-    fd = (gradient_at(disc, u + step * x, eps_h)
-          - gradient_at(disc, u - step * x, eps_h))[interior] / (2.0 * step)
+    x[np.unique(lat.geo.corner_idx[(corners[1] == 0.0).any(axis=1)])] = 0.0
+    hv = lat.hessian_vec(lat.hessian_blocks(corners, eps_h), x[interior])
+    fd = (gradient_at(lat, src, u + step * x, eps_h)
+          - gradient_at(lat, src, u - step * x, eps_h))[interior] / (2.0 * step)
     assert np.abs(hv - fd).max() <= 1e-6 * np.abs(hv).max()
 
 
@@ -691,18 +698,17 @@ def test_dirty_buffers_give_the_same_blocks_and_band(nodes, kind, eps_h, seed):
     f = px.GridFunction.constant(px.Box(np.zeros(n), np.ones(n)),
                                  tuple(d - 1 for d in nodes), 0.0)
     f = f.like(rng.uniform(-2.0, 1.0, f.dims))
-    disc = _Discretization(f, random_exponent(kind, n, rng), f)
-    pattern = disc.lattice.pattern
-    corners = disc.corners(rng.standard_normal(f.values.size))
+    lat = _lattice(f, random_exponent(kind, n, rng), f)[0]
+    corners = lat.corners(rng.standard_normal(f.values.size))
 
-    fresh = disc.hessian_blocks(corners, eps_h)
+    fresh = lat.hessian_blocks(corners, eps_h)
     out = np.full_like(fresh, np.nan)
-    assert disc.hessian_blocks(corners, eps_h, out=out) is out
+    assert lat.hessian_blocks(corners, eps_h, out=out) is out
     assert np.array_equal(bits(out), bits(fresh))
 
-    band = pattern.matrix(fresh)
+    band = lat.band(fresh)
     buf = np.full(band.size + 1, np.nan)
-    got = pattern.matrix(fresh, out=buf)
+    got = lat.band(fresh, out=buf)
     assert got.shape == band.shape and np.shares_memory(got, buf)
     assert np.array_equal(bits(got), bits(band))
     try:
@@ -711,7 +717,7 @@ def test_dirty_buffers_give_the_same_blocks_and_band(nodes, kind, eps_h, seed):
     except np.linalg.LinAlgError:
         buf.fill(-1.0)  # a refused factor may leave the band as it was
     assert not np.array_equal(bits(buf[:-1]), bits(band.ravel(order="F")))
-    assert np.array_equal(bits(pattern.matrix(fresh, out=buf)), bits(band))
+    assert np.array_equal(bits(lat.band(fresh, out=buf)), bits(band))
 
 # -- hat norms --------------------------------------------------------------------
 
@@ -730,20 +736,36 @@ def exponent_in_band(kind, box):
 def test_hat_norms_match_reference_bisection(n_axes, kind):
     box = px.Box([0.0] * n_axes, [1.0] * n_axes)
     f = px.GridFunction.constant(box, {1: 16, 2: 8, 3: 4}[n_axes], -1.0)
-    disc = _Discretization(f, exponent_in_band(kind, box), f)
-    assert 1.3 - 1e-12 <= disc.p_node.min() and disc.p_node.max() <= 4.7 + 1e-12
-    ref = reference_hat_norms(disc, disc.interior)
-    assert np.abs(disc.hat_norms() - ref).max() <= 1e-9 * np.abs(ref).max()
+    lat = _lattice(f, exponent_in_band(kind, box), f)[0]
+    assert 1.3 - 1e-12 <= lat.p_node.min() and lat.p_node.max() <= 4.7 + 1e-12
+    ref = reference_hat_norms(lat, lat.interior)
+    assert np.abs(lat.hat_norms() - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 def test_hat_norms_on_anisotropic_lattice():
-    box = px.Box([0.0, 0.0], [1.0, 4.0])
-    f = px.GridFunction.constant(box, (6, 24), -1.0)
-    disc = _Discretization(f, px.affine_exponent(1.3, [1.0, 0.6], box), f)
-    interior = np.flatnonzero(~f.boundary_mask().reshape(-1))
-    assert np.array_equal(disc.interior, interior)
-    ref = reference_hat_norms(disc, interior)
-    assert np.abs(disc.hat_norms() - ref).max() <= 1e-9 * np.abs(ref).max()
+    # The residual, the Newton unknowns and the hats share one order of the
+    # interior nodes, longest axis outermost, which is not C order where the
+    # dims do not fall: the hats match the reference taken in that order, and
+    # the weak residual matches a reference taken in C order.
+    for cells, hi in (((6, 24), [1.0, 4.0]), ((24, 6), [4.0, 1.0]),
+                      ((5, 9, 3), [1.0, 2.0, 0.5])):
+        n = len(cells)
+        box = px.Box([0.0] * n, hi)
+        field = px.affine_exponent(1.3, 1.5 / (n * np.array(hi)), box)
+        f = px.GridFunction.from_callable(box, cells, lambda pts: -1.0 - pts[:, 0] * pts[:, 1])
+        lat, src = _lattice(f, field, f)
+        c_order = np.flatnonzero(~f.boundary_mask().reshape(-1))
+        assert np.array_equal(np.sort(lat.interior), c_order)
+        assert np.array_equal(lat.interior, c_order) == (list(cells) == sorted(cells)[::-1])
+        ref = reference_hat_norms(lat, lat.interior)
+        assert np.abs(lat.hat_norms() - ref).max() <= 1e-9 * np.abs(ref).max()
+
+        spec = px.ProblemSpec(box, field, f, 0.0, reg_eps=1e-3)
+        t = (f.nodes() - box.lo) / (box.hi - box.lo)
+        u = f.like((np.sin(np.pi * t).prod(axis=1) * (1.0 + t[:, 0])).reshape(f.dims))
+        g = reference_gradient(lat, u.values.reshape(-1), spec.reg_eps, src)
+        expected = np.max(np.abs(g[c_order]) / reference_hat_norms(lat, c_order))
+        assert px.weak_residual(u, spec) == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
@@ -755,24 +777,24 @@ def test_hat_norms_constant_p_closed_form(n_axes, p):
     # gradient part is (vol / 2^n * sum |grad phi|^p)^(1/p), the value part vol^(1/p).
     box = px.Box([0.0] * n_axes, [1.0, 2.0, 0.5][:n_axes])
     f = px.GridFunction.constant(box, (12, 6, 4)[:n_axes], -1.0)
-    disc = _Discretization(f, px.constant_exponent(p, domain=box), f)
+    lat = _lattice(f, px.constant_exponent(p, domain=box), f)[0]
     h = f.spacing
     vol = float(np.prod(h))
     grad_part = (vol * (np.sum(h**-2.0) ** (p / 2.0) + np.sum(h**-p))) ** (1.0 / p)
-    norms = disc.hat_norms()
+    norms = lat.hat_norms()
     assert np.abs(norms - (vol ** (1.0 / p) + grad_part)).max() <= 1e-12 * grad_part
 
 
 def test_hat_norms_raise_typed_errors():
     box = px.Box([0.0, 0.0], [1.0, 1.0])
     f = px.GridFunction.constant(box, 8, -1.0)
-    disc = _Discretization(f, px.affine_exponent(1.3, [3.0, 0.4], box), f)
-    assert np.all(np.isfinite(disc.hat_norms()))
+    lat = _lattice(f, px.affine_exponent(1.3, [3.0, 0.4], box), f)[0]
+    assert np.all(np.isfinite(lat.hat_norms()))
     with pytest.raises(solver.SolverError, match=r"hat norms: 49 of 49 nodes .* in 1 Newton steps"):
-        disc.hat_norms(px.NormConfig(max_iter=1))
+        lat.hat_norms(px.NormConfig(max_iter=1))
     # the p of node (1, 1) enters the hats of (1, 1) and of its interior
     # neighbours (2, 1) and (1, 2) along the cell edges
-    p_node = disc.p_node.copy()
+    p_node = lat.p_node.copy()
     p_node[1 * 9 + 1] = np.nan
     with pytest.raises(solver.SolverError, match=r"hat norms: 3 of 49 nodes are not finite"):
         _Lattice(f, p_node).hat_norms()
@@ -875,12 +897,12 @@ def test_cached_lattice_arrays_are_read_only():
     f = px.GridFunction.constant(box, 4, -1.0)
     spec = px.ProblemSpec(box, px.affine_exponent(2.5, [0.3, 0.2, 0.1], box), f, 0.0)
     res = px.solve_dirichlet(spec)
-    lat = _Discretization(res.solution, spec.field, f).lattice
+    lat = _lattice(res.solution, spec.field, f)[0]
     assert lat is solver._lattice_cache
     geo = lat.geo
     arrays = [geo.spacing, geo.corner_offsets, geo.corner_idx, geo.grad_stencils,
               geo.node_weights, lat.origin, lat.p_node, lat.p_corner, lat.interior,
-              lat.pattern.interior, lat.pattern.scatter, lat.basis, lat.hat_norms()]
+              lat.scatter, lat.basis, lat.hat_norms()]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
@@ -1214,7 +1236,7 @@ def test_debug_log_costs_nothing_when_off(monkeypatch):
 
 def test_line_search_stalled(monkeypatch):
     # An energy no step can lower defeats both the Armijo search and the rescue.
-    monkeypatch.setattr(_Discretization, "energy", lambda self, *args: 0.0)
+    monkeypatch.setattr(_Lattice, "energy", lambda self, *args: 0.0)
     res = px.solve_dirichlet(fallback_problem(max_iter=50))
     assert not res.converged
     assert res.message == "line search stalled"
@@ -1240,10 +1262,10 @@ def test_verdict_matches_the_residual_when_the_budget_runs_out(p, max_iter, conv
     # the trace holds the warm start's energy, one per step and one per stage change
     stages = solver._eps_schedule(spec)
     reached = len(res.energy_trace) - res.iterations
-    disc = _Discretization(res.solution, spec.field, spec.rhs)
+    lat, src = _lattice(res.solution, spec.field, spec.rhs)
     eps = stages[reached - 1]
-    at_stage = disc.residual(disc.gradient(disc.corners(res.solution.values), eps),
-                             disc.hat_norms())
+    at_stage = lat.residual(lat.gradient(lat.corners(res.solution.values), eps, src),
+                            lat.hat_norms())
     assert res.residual == at_stage
     if reached == len(stages):
         assert res.residual == px.weak_residual(res.solution, spec)
@@ -1368,8 +1390,7 @@ def test_pointwise_consistency_with_weak_pairing():
     for cells in (64, 128, 256):
         f0 = px.GridFunction.constant(box, cells, 0.0)
         u = f0.like(w.value(f0.nodes()))
-        disc = _Discretization(u, field, f0)
-        g = gradient_at(disc, u.values.reshape(-1), 0.0)
+        g = gradient_at(*_lattice(u, field, f0), u.values.reshape(-1), 0.0)
         i = cells // 2          # node at x0raw
         h = 1.0 / cells
         pairing = g[i] / h      # divide by int(phi) = h
