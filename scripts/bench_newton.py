@@ -12,8 +12,10 @@ peak resident set size, then writes everything to one JSON file.  The speed-up i
 and as the median of the ratios of the base and change runs made back to
 back, which a drifting host speed moves less.  The spread is given as the
 quartiles of each side's solve times and as the number of back-to-back
-pairs in which the change was faster; a difference smaller than the
-quartile spread, or won by few pairs, is not resolved:
+pairs in which the change was faster.  A case's ``resolved`` is true only
+when the change won every pair or lost every pair and the two medians differ
+by more than the base's interquartile range; anything less is not told
+apart from drift of the host's speed:
 
     python3 scripts/bench_newton.py --base HEAD~1 --out BENCH_newton.json
 
@@ -152,6 +154,14 @@ def summary(runs: list) -> dict:
     }
 
 
+def resolved(paired: list, base: dict, change: dict) -> bool:
+    """Whether the change won every back-to-back pair or lost every one, and
+    the medians differ by more than the base's interquartile range."""
+    q1, _, q3 = base["quartiles_time_s"]
+    one_sided = all(p > 1.0 for p in paired) or all(p < 1.0 for p in paired)
+    return one_sided and abs(base["median_time_s"] - change["median_time_s"]) > q3 - q1
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--worker", choices=sorted(CASES), help=argparse.SUPPRESS)
@@ -204,6 +214,7 @@ def main(argv=None) -> int:
             "median_paired_speedup": statistics.median(paired),
             "paired_speedups": paired,
             "pairs_change_won": sum(p > 1.0 for p in paired),
+            "resolved": resolved(paired, base, change),
             "runs": results[case],
         }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
@@ -215,7 +226,8 @@ def main(argv=None) -> int:
         print(f"{case:14s} base {quartiles(row['base'])} s  change "
               f"{quartiles(row['change'])} s (quartiles)  x{row['speedup']:.2f} "
               f"(paired x{row['median_paired_speedup']:.2f}, change won "
-              f"{row['pairs_change_won']}/{len(row['paired_speedups'])})  "
+              f"{row['pairs_change_won']}/{len(row['paired_speedups'])}, "
+              f"{'resolved' if row['resolved'] else 'not resolved'})  "
               f"factorizations {row['base']['factorizations']} -> "
               f"{row['change']['factorizations']}  weak_residual "
               f"{1e3 * row['base']['median_weak_residual_s']:.1f} -> "

@@ -27,8 +27,8 @@ import numpy as np
 from .exponent import ExponentField, band_of_samples
 from .grid import Ball, GridFunction
 from .norms import lt_average
-from .quadrature import (ball_node_mask, cell_corners, cell_means, center_gradients, lq_ball_norm,
-                         midpoint_data)
+from .quadrature import (ball_node_mask, cell_corners, cell_means, center_gradients,
+                         harnack_dilate, lq_norm, midpoint_data)
 
 __all__ = [
     "HarnackReport", "OscillationTrace", "WeakHarnackResult", "CaccioppoliResult",
@@ -102,34 +102,22 @@ class LocalBoundResult:
     norm_outer: float
 
 
-def _ball_node_values(u: GridFunction, ball: Ball) -> np.ndarray:
-    return u.values.reshape(-1)[ball_node_mask(u, ball)]
-
-
 def harnack_mu(f: GridFunction, ball: Ball, q0: float, field: ExponentField) -> float:
     """Source scale mu of the Harnack bound (see module docstring).
 
     Requires R <= 1, the 4R dilate inside the grid box, and the exponent
     q0 > max(1, n / p_minus^4R); q0 = inf uses the nodal max norm.
     """
-    R = ball.radius
-    if R > 1.0 + 1e-12:
-        raise ValueError(f"ball radius must be <= 1, got {R}")
-    big = ball.dilate(4.0)
-    if not f.box.contains_ball(big):
-        raise ValueError(f"the 4R dilate of the ball (radius {big.radius}) escapes the grid box")
-    p_minus = float(field(f.nodes()[ball_node_mask(f, ball, 4.0)]).min())
+    big, p_minus = harnack_dilate(f, ball, field)
     n = f.n_axes
     lower = max(1.0, n / p_minus)
     if not q0 > lower:
         raise ValueError(
             f"q0 must exceed max(1, n/p_minus^(4R)) = {lower} (n={n}, p_minus={p_minus}); got {q0}"
         )
-    if np.all(f.values == 0.0):
-        return 0.0
-    norm = lq_ball_norm(f, q0, big)
+    norm = lq_norm(f, q0, big)
     scale = 0.0 if q0 == np.inf else n / q0
-    return float((R ** (1.0 - scale) * norm) ** (1.0 / (p_minus - 1.0)))
+    return float((ball.radius ** (1.0 - scale) * norm) ** (1.0 / (p_minus - 1.0)))
 
 
 def harnack_check(u: GridFunction, ball: Ball, mu: float,
@@ -141,18 +129,15 @@ def harnack_check(u: GridFunction, ball: Ball, mu: float,
     dilate violates the nonnegativity hypothesis and raises.  When a field
     is supplied the report carries its band over B_4R, else (nan, nan).
     """
-    nodes = u.nodes()
-    inside4 = ball.dilate(4.0).contains(nodes)
-    vals4 = u.values.reshape(-1)[inside4]
-    if vals4.size and vals4.min() < 0.0:
-        raise ValueError(f"u takes the negative value {vals4.min()} inside B_4R")
-    vals = _ball_node_values(u, ball)
+    flat = u.values.reshape(-1)
+    inside4 = ball_node_mask(u, ball, 4.0)
+    if flat[inside4].min() < 0.0:
+        raise ValueError(f"u takes the negative value {flat[inside4].min()} inside B_4R")
+    vals = flat[ball_node_mask(u, ball)]
     sup_u, inf_u = float(vals.max()), float(vals.min())
     R = ball.radius
     c_emp = sup_u / (inf_u + R + R * mu)
-    p_band = (float("nan"), float("nan"))
-    if field is not None and np.any(inside4):
-        p_band = band_of_samples(field, nodes[inside4])
+    p_band = (np.nan, np.nan) if field is None else band_of_samples(field, u.nodes()[inside4])
     return HarnackReport(ball, sup_u, inf_u, float(mu), c_emp, p_band)
 
 
@@ -170,7 +155,7 @@ def weak_harnack_check(u: GridFunction, center, radius: float, t0: float = 1.0,
     outer = inner.dilate(2.0)
     if not u.box.contains_ball(outer):
         raise ValueError("the 2r ball escapes the grid box")
-    vals_outer = _ball_node_values(u, outer)
+    vals_outer = u.values.reshape(-1)[ball_node_mask(u, outer)]
     work = u
     if min_value == "shift":
         if vals_outer.min() < -1e-12:
@@ -184,7 +169,7 @@ def weak_harnack_check(u: GridFunction, center, radius: float, t0: float = 1.0,
             )
     elif min_value != "off":
         raise ValueError(f"unknown min_value mode {min_value!r}")
-    lhs = float(_ball_node_values(work, inner).min())
+    lhs = float(work.values.reshape(-1)[ball_node_mask(u, inner)].min())
     rhs = lt_average(work, t0, outer)
     return WeakHarnackResult(lhs, rhs, lhs / rhs, t0, radius)
 
@@ -251,27 +236,19 @@ def local_bound_check(u: GridFunction, inner, outer, t: float,
                       C_probe: float) -> LocalBoundResult:
     """sup over the inner region against C_probe * (1 + L^t norm over outer).
 
-    C_probe must be finite and >= 0.  t = inf takes the max of |u| over the
-    nodes of the outer region, a ball (as ``lq_ball_norm``) or a box.
+    C_probe must be finite and >= 0.  The norm is ``lq_norm`` over the outer
+    region, a ball or a box; t = inf takes the max of |u| over its nodes.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     if not 0 <= C_probe < np.inf:
         raise ValueError(f"C_probe must be finite and >= 0, got {C_probe}")
     _require_nested(inner, outer)
-    nodes = u.nodes()
-    mask = inner.contains(nodes)
+    mask = inner.contains(u.nodes())
     if not np.any(mask):
         raise ValueError("inner region contains no grid nodes")
     sup_inner = float(u.values.reshape(-1)[mask].max())
-    if isinstance(outer, Ball):
-        norm = lq_ball_norm(u, t, outer)
-    elif t == np.inf:
-        norm = float(np.abs(u.values.reshape(-1)[outer.contains(nodes)]).max())
-    else:
-        centers, vols = midpoint_data(u)
-        w = np.where(outer.contains(centers), vols, 0.0)
-        norm = float(np.sum(w * np.abs(cell_means(u)) ** t) ** (1.0 / t))
+    norm = lq_norm(u, t, outer)
     bound = C_probe * (1.0 + norm)
     return LocalBoundResult(sup_inner, bound, bool(sup_inner <= bound), norm)
 
@@ -310,15 +287,13 @@ def holder_estimate(u: GridFunction, center, radii) -> OscillationTrace:
         raise ValueError("largest ball escapes the grid box")
     nodes = u.nodes()
     flat = u.values.reshape(-1)
-    dist = np.linalg.norm(nodes - center, axis=1)
     oscs = np.empty(radii.size)
     for i, r in enumerate(radii):
-        sel = dist <= r * (1.0 + 1e-12) + 1e-15
+        sel = Ball(center, r).contains(nodes)
         cnt = int(np.count_nonzero(sel))
         if cnt == 0 or (i == radii.size - 1 and cnt < 2):
             raise ValueError(f"ball of radius {r} holds {cnt} samples, need >= 2")
-        vals = flat[sel]
-        oscs[i] = float(vals.max() - vals.min())
+        oscs[i] = np.ptp(flat[sel])
     fit_mask = oscs > 1e-13
     if not np.any(fit_mask):
         return OscillationTrace(center, radii, oscs, None, None, constant=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exponent import ExponentField
 from .grid import Ball, GridFunction
-from .quadrature import ball_node_mask, cell_means, center_gradients, midpoint_data
+from .quadrature import ball_node_mask, cell_means, center_gradients, midpoint_data, power_sum_root
 
 __all__ = ["NormConfig", "BracketError", "modular", "luxemburg_norm",
            "sobolev_norm", "lt_average", "dual_exponent", "log_luxemburg"]
@@ -123,8 +123,8 @@ def lt_average(u: GridFunction, t: float, ball: Ball) -> float:
     """(mean over node samples in the closed ball of |u|^t)^(1/t), t finite and > 0."""
     if not 0 < t < np.inf:
         raise ValueError(f"t must be finite and positive, got {t}")
-    vals = np.abs(u.values.reshape(-1)[ball_node_mask(u, ball)])
-    return float(np.mean(vals**t) ** (1.0 / t))
+    vals = u.values.reshape(-1)[ball_node_mask(u, ball)]
+    return power_sum_root(vals, np.ones(vals.size), t, mean=True)
 
 
 def dual_exponent(field: ExponentField) -> ExponentField:

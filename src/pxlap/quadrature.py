@@ -5,7 +5,9 @@ midpoint rule: field values at cell centers times cell volumes.  The solver
 integrates gradient terms with the vertex rule: the gradient of the
 multilinear interpolant evaluated at every cell corner, each corner carrying
 vol / 2^n of the cell.  Ball-restricted integrals weight cut cells by the
-contained volume fraction, estimated by subsampling.
+contained volume fraction, estimated by subsampling.  This module is the
+one place where a lattice and a Ball or Box become node samples, cell
+weights, L^q norms, or a Harnack ball's 4R dilate and least exponent.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .grid import Ball, GridFunction
 
-__all__ = ["CellGeometry", "midpoint_data", "ball_cell_weights", "lq_ball_norm"]
+__all__ = ["CellGeometry", "midpoint_data", "ball_cell_weights", "lq_norm"]
 
 
 @dataclass
@@ -159,17 +161,45 @@ def ball_node_mask(g: GridFunction, ball: Ball, dilate: float = 1.0) -> np.ndarr
     return mask
 
 
-def lq_ball_norm(g: GridFunction, q: float, ball: Ball) -> float:
-    """L^q norm of the grid function over the closed ball.
+def harnack_dilate(g: GridFunction, ball: Ball, field) -> tuple:
+    """(the 4R dilate, p_minus over its nodes) of a Harnack ball of radius
+    R <= 1 whose 4R dilate lies in the grid box; a ValueError otherwise."""
+    if ball.radius > 1.0 + 1e-12:
+        raise ValueError(f"ball radius must be <= 1, got {ball.radius}")
+    big = ball.dilate(4.0)
+    if not g.box.contains_ball(big):
+        raise ValueError(f"the 4R dilate of the ball (radius {big.radius}) escapes the grid box")
+    return big, float(field(g.nodes()[ball_node_mask(g, ball, 4.0)]).min())
 
-    Finite q integrates |u|^q with midpoint values on ball-weighted cells.
-    q = inf returns the max of |u| over the nodes inside the ball, the only
-    consistent discrete analogue of an essential sup.
+
+def power_sum_root(values: np.ndarray, weights: np.ndarray, q: float,
+                   mean: bool = False) -> float:
+    """(sum w_i |v_i|^q)^(1/q) over the samples of positive weight, the sum
+    divided by sum w_i when mean is set; q finite and > 0.  Evaluated as
+    m (sum w_i (|v_i| / m)^q)^(1/q), m the largest such |v_i|, so no power
+    overflows at large q."""
+    keep = weights > 0
+    v, w = np.abs(values[keep]), weights[keep]
+    m = v.max(initial=0.0)
+    if m == 0.0:
+        return 0.0
+    total = np.sum(w * (v / m) ** q) / (w.sum() if mean else 1.0)
+    return float(m * total ** (1.0 / q))
+
+
+def lq_norm(g: GridFunction, q: float, region) -> float:
+    """L^q norm of the grid function over the closed region, a Ball or a Box.
+
+    Finite q integrates |u|^q with midpoint values on ``ball_cell_weights``
+    of a ball or on the cells whose centers lie in a box.  q = inf returns the
+    max of |u| over the region's nodes, the discrete essential sup.
     """
-    if q == np.inf:
-        return float(np.abs(g.values.reshape(-1)[ball_node_mask(g, ball)]).max())
     if not q > 0:
         raise ValueError(f"integrability exponent must be positive, got {q}")
-    w = ball_cell_weights(g, ball)
-    vals = np.abs(cell_means(g))
-    return float(np.sum(w * vals**q) ** (1.0 / q))
+    ball = isinstance(region, Ball)
+    if q == np.inf:
+        mask = ball_node_mask(g, region) if ball else region.contains(g.nodes())
+        return float(np.abs(g.values.reshape(-1)[mask]).max())
+    centers, vols = midpoint_data(g)
+    w = ball_cell_weights(g, region) if ball else np.where(region.contains(centers), vols, 0.0)
+    return power_sum_root(cell_means(g), w, q)

@@ -1,8 +1,8 @@
 """Check reports: JSON objects, CSV aggregate, schema.
 
 Report bodies are deterministic for a fixed config and seed: keys are
-sorted, floats use repr, and wall-clock metadata goes to a separate
-run_meta.json that is excluded from the determinism contract.
+sorted, floats use repr or null when not finite, and wall-clock metadata
+goes to a separate run_meta.json excluded from the determinism contract.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def _clean(v):
         return bool(v)
     if isinstance(v, (np.floating, float)):
         f = float(v)
-        return None if np.isnan(f) else f
+        return f if np.isfinite(f) else None
     if isinstance(v, (np.integer, int)):
         return int(v)
     if isinstance(v, np.ndarray):
@@ -91,7 +91,8 @@ def write_reports(records: list, outdir, meta: dict | None = None) -> dict:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     objs = [r.to_obj() for r in records]
-    (out / "report.json").write_text(json.dumps(objs, indent=2, sort_keys=True) + "\n")
+    body = json.dumps(objs, indent=2, sort_keys=True, allow_nan=False)
+    (out / "report.json").write_text(body + "\n")
     with open(out / "report.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)

@@ -551,7 +551,7 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
             stage += 1
             eps = stages[stage]
             trace.append(lat.energy(u, corners, eps, src))
-            factor, gnorm_prev, cg_prev = None, np.inf, 0
+            factor = None
             continue
         if it == spec.max_iter:
             message = f"iteration budget exhausted (residual {residual:.3e})"

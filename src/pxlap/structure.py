@@ -23,7 +23,7 @@ import numpy as np
 
 from .exponent import ExponentField
 from .grid import Ball, GridFunction, as_points
-from .quadrature import ball_cell_weights, ball_node_mask
+from .quadrature import ball_cell_weights, harnack_dilate
 
 __all__ = [
     "StructureBounds", "FluxPair", "SampleSet", "Violation", "StructureReport",
@@ -263,14 +263,7 @@ def mu_general(bounds: StructureBounds, ball: Ball, field: ExponentField) -> flo
     powers of mu across scales are what make the Harnack constant
     radius-independent for log-Hoelder exponents.
     """
-    R = ball.radius
-    if R > 1.0 + 1e-12:
-        raise ValueError(f"ball radius must be <= 1, got {R}")
-    big = ball.dilate(4.0)
-    if not bounds.lattice.box.contains_ball(big):
-        raise ValueError(f"the 4R dilate of the ball (radius {big.radius}) escapes the grid box")
-    inside = ball_node_mask(bounds.lattice, ball, 4.0)
-    p_minus = float(field(bounds.lattice.nodes()[inside]).min())
+    big, p_minus = harnack_dilate(bounds.lattice, ball, field)
     e = 1.0 / (p_minus - 1.0)
     n = bounds.lattice.n_axes
     measure = float(np.sum(ball_cell_weights(bounds.lattice, big)))
@@ -279,7 +272,7 @@ def mu_general(bounds: StructureBounds, ball: Ball, field: ExponentField) -> flo
         # ||c||_{L^q} of the constant c over the 4R ball is c |ball|^(1/q); n/q = 0 at q = inf
         if c == 0.0:
             return 0.0
-        return float((R ** (power_shift - n / q) * c * measure ** (1.0 / q)) ** e)
+        return float((ball.radius ** (power_shift - n / q) * c * measure ** (1.0 / q)) ** e)
 
     return term(bounds.f_src, bounds.q2, 1.0) + term(bounds.g0, bounds.q0, 0.0) \
         + term(bounds.g1, bounds.q1, 0.0)

@@ -6,7 +6,7 @@ from hypothesis import settings
 import pxlap as px
 import pxlap.solver as solver
 from pxlap.grid import as_points
-from pxlap.quadrature import CellGeometry, lq_ball_norm, midpoint_data
+from pxlap.quadrature import CellGeometry, lq_norm, midpoint_data
 
 # Property tests draw a fixed example sequence and have no per-example
 # deadline, so they are reproducible and do not flake on a loaded host.
@@ -275,7 +275,7 @@ def reference_structure_check(pair, bounds, field, samples, with_gradient_term):
 
 def reference_mu_general(bounds, ball, field):
     """mu_general with f, g0, g1 as constant grids on the bounds' lattice and
-    their L^q norms over the 4R ball from lq_ball_norm."""
+    their L^q norms over the 4R ball from lq_norm."""
     R, big = ball.radius, ball.dilate(4.0)
     nodes = bounds.lattice.nodes()
     e = 1.0 / (float(field(nodes[big.contains(nodes)]).min()) - 1.0)
@@ -287,5 +287,5 @@ def reference_mu_general(bounds, ball, field):
         if np.all(g.values == 0.0):
             continue
         scale = 0.0 if q == np.inf else n / q
-        total += float((R ** (shift - scale) * lq_ball_norm(g, q, big)) ** e)
+        total += float((R ** (shift - scale) * lq_norm(g, q, big)) ** e)
     return total

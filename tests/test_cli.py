@@ -176,6 +176,36 @@ def test_bad_check_parameter_is_an_error_record(tmp_path, check, name):
     assert report[0]["status"] == "error"
     assert f"{name} must be finite" in report[0]["detail"]["message"]
 
+def test_large_exponents_give_finite_numbers_and_strict_json(tmp_path):
+    # (u + 1)^1e4 and u^1000 overflow for u = 5 + x; the L^t average and the
+    # L^t norm factor out their largest sample, so both checks report finite
+    # numbers, and report.json carries no Infinity or NaN literal
+    out = tmp_path / "out"
+    cfg = {"seed": 0, "output": str(out),
+           "problem": {"domain": [[0.0, 1.0], [0.0, 1.0]], "cells": 16,
+                       "exponent": {"kind": "constant", "value": 3.0},
+                       "rhs": {"kind": "constant", "value": -1.0},
+                       "dirichlet": {"kind": "affine", "offset": 5.0, "coeffs": [1.0, 0.0]}},
+           "checks": [{"kind": "weak-harnack", "center": [0.5, 0.5], "radius": 0.2, "t0": 1e4},
+                      {"kind": "local-bound", "inner_center": [0.5, 0.5], "inner_radius": 0.1,
+                       "outer_radius": 0.3, "t": 1000.0}]}
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", path]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    weak, local = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert weak["status"] == local["status"] == "ok"
+    u = px.solve_dirichlet(build_problem(cfg["problem"], tmp_path)).solution
+    shifted = u.values.reshape(-1)[px.Ball([0.5, 0.5], 0.4).contains(u.nodes())] + 1.0
+    assert shifted.min() <= weak["rhs"] <= shifted.max()
+    assert weak["ratio"] == weak["lhs"] / weak["rhs"]
+    assert 0.0 < local["detail"]["norm_outer"] < np.inf
+    assert local["rhs"] == 1.0 + local["detail"]["norm_outer"]
+    assert local["detail"]["holds"] is (local["lhs"] <= local["rhs"]) is True
+
+
 def test_solve_subcommand_writes_solution(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, manufactured_config(out, []))

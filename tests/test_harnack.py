@@ -3,7 +3,7 @@ import pytest
 
 import pxlap as px
 from conftest import random_grid, reference_caccioppoli
-from pxlap.quadrature import lq_ball_norm
+from pxlap.quadrature import lq_norm
 
 
 def affine_u(cells=512):
@@ -312,7 +312,7 @@ def test_local_bound_sup_norm_over_a_box():
     assert r.norm_outer == pytest.approx(2.75, rel=1e-12)
     assert r.bound_value == pytest.approx(3.75, rel=1e-12)
     ball = px.local_bound_check(u, inner, px.Ball([0.5, 0.5], 0.25), np.inf, 1.0)
-    assert ball.norm_outer == lq_ball_norm(u, np.inf, px.Ball([0.5, 0.5], 0.25))
+    assert ball.norm_outer == lq_norm(u, np.inf, px.Ball([0.5, 0.5], 0.25))
 
 def test_local_bound_solved_example():
     box = px.Box([0.0], [1.0])

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import pxlap as px
 from conftest import (random_grid, reference_ball_cell_weights, reference_cell_means,
                       reference_center_gradients, reference_corner_gradients)
-from pxlap.quadrature import CellGeometry, ball_cell_weights, cell_means, center_gradients
+from pxlap.quadrature import (CellGeometry, ball_cell_weights, cell_means, center_gradients, lq_norm,
+                              midpoint_data)
 
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
@@ -50,3 +51,31 @@ def test_ball_cell_weights_match_per_cell_loop(n_axes, seed, subdiv):
     ball = px.Ball(rng.uniform(box.lo, box.hi), rng.uniform(0.01, 1.5))
     got = ball_cell_weights(g, ball, subdiv)
     assert np.array_equal(got, reference_ball_cell_weights(g, ball, subdiv))
+
+
+@given(n_axes=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), box_region=st.booleans(),
+       q=st.floats(1.0, 1e4), k=st.integers(-200, 200))
+def test_lq_norm_is_finite_homogeneous_and_matches_the_plain_sum(n_axes, seed, box_region, q, k):
+    # |u|^q overflows from q of a few hundred on; lq_norm factors out the
+    # largest sample, so it stays finite and scales exactly with u
+    rng = np.random.default_rng(seed)
+    g = random_grid(n_axes, seed)
+    nodes = g.nodes()
+    ball = px.Ball(nodes[rng.integers(nodes.shape[0])], rng.uniform(0.05, 1.0))
+    if box_region:
+        lo = rng.uniform(g.box.lo, g.box.hi)
+        region = px.Box(lo, lo + rng.uniform(0.1, 1.5, n_axes))
+        centers, vols = midpoint_data(g)
+        w = np.where(region.contains(centers), vols, 0.0)
+    else:
+        region, w = ball, ball_cell_weights(g, ball)
+    got = lq_norm(g, q, region)
+    assert np.isfinite(got)
+    c = 10.0**k
+    assert lq_norm(g.like(c * g.values), q, region) == pytest.approx(c * got, rel=1e-12)
+    if q <= 50:
+        plain = np.sum(w * np.abs(cell_means(g)) ** q) ** (1.0 / q)
+        assert got == pytest.approx(plain, rel=1e-13)
+    avg = px.lt_average(g, q, ball)
+    assert np.isfinite(avg)
+    assert avg <= np.abs(g.values.reshape(-1)[ball.contains(nodes)]).max()

@@ -68,3 +68,18 @@ def test_dirichlet_data_must_be_finite():
     spec = px.ProblemSpec(box, field, f, lambda pts: np.where(pts[:, 0] > 0.5, np.inf, 0.0))
     with pytest.raises(ValueError, match="finite"):
         spec.dirichlet_values()
+
+
+def test_report_json_is_strict(tmp_path):
+    # inf has no JSON literal: it is written as null, like NaN, so that
+    # report.json parses without the Infinity / NaN extensions
+    rec = px.CheckRecord("norm", lhs=float("inf"), rhs=-np.inf,
+                         detail={"modular_at_lam": np.float64(np.inf), "list": [1.0, np.nan]})
+    paths = px.write_reports([rec], tmp_path / "out")
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    (obj,) = json.loads(paths["json"].read_text(), parse_constant=reject)
+    assert obj["lhs"] is None and obj["rhs"] is None
+    assert obj["detail"] == {"modular_at_lam": None, "list": [1.0, None]}
