@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .exponent import ExponentField
-from .grid import GridFunction, as_points
+from .grid import GridFunction, as_points, row_norm
 from .solver import SmoothFunction, p_laplacian_pointwise
 
 __all__ = [
@@ -164,8 +164,18 @@ def annulus_samples(center, r_inner: float, r_outer: float, resolution: float,
     else:
         rng = np.random.default_rng(seed)
         dirs = rng.normal(size=(n_dir, n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs /= row_norm(dirs)[:, None]
     return (center[None, None, :] + radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+
+
+def _barrier_samples(params: BarrierParams, field: ExponentField, resolution: float,
+                     n_dir: int) -> np.ndarray:
+    """The annulus samples of a barrier scan; a ValueError when they leave the
+    field's domain."""
+    pts = annulus_samples(params.x0, params.delta / 2.0, params.delta, resolution, n_dir)
+    if field.domain is not None and not np.all(field.domain.contains(pts)):
+        raise ValueError("annulus leaves the exponent field's domain")
+    return pts
 
 
 def barrier_subsolution_scan(params: BarrierParams, field: ExponentField,
@@ -177,10 +187,7 @@ def barrier_subsolution_scan(params: BarrierParams, field: ExponentField,
     The barrier's gradient never vanishes on the annulus for a_level > 0, so
     no regularization is needed; reg_eps is threaded through for uniformity.
     """
-    pts = annulus_samples(params.x0, params.delta / 2.0, params.delta, resolution, n_dir)
-    if field.domain is not None:
-        if not np.all(field.domain.contains(pts)):
-            raise ValueError("annulus leaves the exponent field's domain")
+    pts = _barrier_samples(params, field, resolution, n_dir)
     vals = p_laplacian_pointwise(barrier_smooth(params), field, pts, reg_eps)
     i = int(np.argmin(vals))
     return BarrierScan(params, float(vals[i]), pts[i], pts.shape[0])
@@ -193,12 +200,14 @@ def bracket_subsolution_mu(template: BarrierParams, field: ExponentField,
 
     Returns (lo, hi) with the scan minimum negative at lo and >= 0 at hi and
     hi - lo <= 2 * width.  Raises when the endpoints do not straddle a sign
-    change.
+    change.  The annulus depends on mu only through the barrier, so its
+    samples are built and domain-checked once.
     """
+    pts = _barrier_samples(template, field, resolution, n_dir)
 
     def scan_min(mu):
         p = BarrierParams(template.x0, template.delta, mu, template.a_level)
-        return barrier_subsolution_scan(p, field, resolution, n_dir=n_dir).min_operator_value
+        return float(p_laplacian_pointwise(barrier_smooth(p), field, pts).min())
 
     lo, hi = float(mu_lo), float(mu_hi)
     if not (scan_min(lo) < 0.0 <= scan_min(hi)):
@@ -255,11 +264,11 @@ def gaussian_lower_bound_scan(M: float, mu: float, field: ExponentField,
 
     w = _gaussian(c, M, mu)
     pts = annulus_samples(c, r2, r1, resolution, n_dir)
-    grad_p_sup = float(np.max(np.linalg.norm(field.gradient_at(pts), axis=1)))
+    grad_p_sup = float(np.max(row_norm(field.gradient_at(pts))))
     op = p_laplacian_pointwise(w, field, pts, reg_eps)
     g = w.gradient(pts)
     s = np.sqrt(np.einsum("mi,mi->m", g, g) + reg_eps**2)
-    p, r_sq = field(pts), np.sum((pts - c) ** 2, axis=1)
+    p, r_sq = field(pts), row_norm(pts - c, squared=True)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         q = (1.0 / mu) * np.exp(mu * r_sq) / M * s ** (2.0 - p) * op
     i = int(np.argmin(q))

@@ -16,7 +16,7 @@ import numpy as np
 from . import structure as st
 from .exponent import (ExponentField, affine_exponent, constant_exponent,
                        grid_exponent, piecewise_exponent, radial_exponent)
-from .grid import Box, GridFunction, read_gridfunction
+from .grid import Box, GridFunction, read_gridfunction, row_norm
 from .solver import ProblemSpec
 
 __all__ = ["ConfigError", "load_config", "build_problem", "build_exponent",
@@ -89,7 +89,7 @@ def _scalar_callable(cfg: dict):
         beta = float(cfg["exponent"])
         scale = float(cfg.get("scale", 1.0))
         off = float(cfg.get("offset", 0.0))
-        return lambda pts: off + scale * np.linalg.norm(pts - c, axis=1) ** beta
+        return lambda pts: off + scale * row_norm(pts - c) ** beta
     if kind == "ramp":
         a = int(cfg.get("axis", 0))
         t = float(cfg.get("threshold", 0.0))

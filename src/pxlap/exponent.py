@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import Ball, Box, GridFunction, as_points
+from .grid import Ball, Box, GridFunction, as_points, row_norm
 
 __all__ = [
     "ExponentField",
@@ -124,11 +124,11 @@ def radial_exponent(center, offset: float, slope: float, domain: Box) -> Exponen
     c = np.atleast_1d(np.asarray(center, dtype=float))
 
     def ev(pts):
-        return offset + slope * np.linalg.norm(pts - c, axis=1)
+        return offset + slope * row_norm(pts - c)
 
     def gr(pts):
         d = pts - c
-        r = np.linalg.norm(d, axis=1, keepdims=True)
+        r = row_norm(d)[:, None]
         with np.errstate(invalid="ignore", divide="ignore"):
             g = np.where(r > 0, slope * d / r, 0.0)
         return g
@@ -253,7 +253,7 @@ def log_holder_estimate(field: ExponentField, domain: Box, pair_budget: int,
     vals = field(pts)
 
     diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
+    dist = row_norm(diff)
     iu = np.triu_indices(n, k=1)
     seps = dist[iu]
     dp = np.abs(vals[:, None] - vals[None, :])[iu]
@@ -274,28 +274,27 @@ def log_holder_estimate(field: ExponentField, domain: Box, pair_budget: int,
         x = domain.lo + u[:, :na] * domain.widths
         scale = np.exp(np.log(1e-6) + u[:, na] * (np.log(0.5) - np.log(1e-6)))
         direc = ndtri(np.clip(u[:, na + 1:], 1e-12, 1 - 1e-12))
-        direc /= np.linalg.norm(direc, axis=1, keepdims=True)
+        direc /= row_norm(direc)[:, None]
         y = np.clip(x + scale[:, None] * direc, domain.lo, domain.hi)
-        sep = np.linalg.norm(x - y, axis=1)
+        sep = row_norm(x - y)
         good = (sep > 0) & (sep <= 0.5)
         if np.any(good):
             dpr = np.abs(field(x[good]) - field(y[good]))
             c_r = max(c_r, float(np.max(dpr * np.abs(np.log(sep[good])))))
         used += int(np.count_nonzero(good))
 
-    # k_r over balls at lattice centers with log-spaced radii.
+    # k_r over balls at lattice centers with log-spaced radii: one
+    # (radii, centers, nodes) mask, the band of each ball a masked max and min.
     r_cap = min(0.5, float(domain.diameter) / 2.0)
     h_min = float(np.min(domain.widths)) / max(1, round(n ** (1.0 / domain.n_axes)) - 1)
-    k_r = 1.0
-    radii = np.geomspace(max(2 * h_min, 1e-6 * r_cap), r_cap, 8) if r_cap > 2 * h_min else [r_cap]
-    center_idx = range(0, n, max(1, n // 64))
-    for r in radii:
-        for i in center_idx:
-            inside = dist[i] <= r
-            if np.count_nonzero(inside) < 2:
-                continue
-            gap = float(vals[inside].max() - vals[inside].min())
-            k_r = max(k_r, float(r ** (-gap)))
+    radii = np.geomspace(max(2 * h_min, 1e-6 * r_cap), r_cap, 8) if r_cap > 2 * h_min \
+        else np.array([r_cap])
+    inside = dist[::max(1, n // 64)] <= radii[:, None, None]
+    spread = np.broadcast_to(vals, inside.shape)
+    gap = np.where(np.count_nonzero(inside, axis=2) >= 2,
+                   np.max(spread, axis=2, where=inside, initial=-np.inf)
+                   - np.min(spread, axis=2, where=inside, initial=np.inf), 0.0)
+    k_r = float(np.max(radii[:, None] ** -gap, initial=1.0))
 
     return LogHolderCertificate(c_r=c_r, k_r=k_r, radius=float(domain.diameter) / 2.0,
                                 sample_count=used)

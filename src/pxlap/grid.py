@@ -33,6 +33,21 @@ def as_points(x) -> np.ndarray:
     return a
 
 
+def row_norm(x, squared: bool = False) -> np.ndarray:
+    """Euclidean norm along the last axis of a point batch, e.g. (m, n) -> (m,);
+    the sum of squares when squared is set.
+
+    The column squares are summed in axis order before the square root, which
+    is bitwise np.linalg.norm(x, axis=-1) for n <= 3 and several times faster
+    on short rows.
+    """
+    x = np.asarray(x, dtype=float)
+    s = x[..., 0] * x[..., 0]
+    for a in range(1, x.shape[-1]):
+        s += x[..., a] * x[..., a]
+    return s if squared else np.sqrt(s, out=s)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box [lo_1, hi_1] x ... x [lo_N, hi_N]."""
@@ -62,8 +77,14 @@ class Box:
 
     def contains(self, points, tol: float = 1e-12) -> np.ndarray:
         pts = as_points(points)
+        if pts.shape[1] != self.n_axes:
+            raise ValueError(f"points have {pts.shape[1]} coordinates, box has {self.n_axes}")
         slack = tol * np.maximum(1.0, np.abs(self.widths))
-        return np.all((pts >= self.lo - slack) & (pts <= self.hi + slack), axis=1)
+        lo, hi = self.lo - slack, self.hi + slack
+        inside = (pts[:, 0] >= lo[0]) & (pts[:, 0] <= hi[0])
+        for a in range(1, self.n_axes):
+            inside &= (pts[:, a] >= lo[a]) & (pts[:, a] <= hi[a])
+        return inside
 
     def contains_ball(self, ball: "Ball") -> bool:
         """Whether the closed ball lies in the box, up to an absolute 1e-12."""
@@ -100,8 +121,7 @@ class Ball:
 
     def contains(self, points, tol: float = 1e-12) -> np.ndarray:
         pts = as_points(points)
-        d = np.linalg.norm(pts - self.center, axis=1)
-        return d <= self.radius * (1.0 + tol) + tol * 1e-3
+        return row_norm(pts - self.center) <= self.radius * (1.0 + tol) + tol * 1e-3
 
     def dilate(self, factor: float) -> "Ball":
         return Ball(self.center, factor * self.radius)

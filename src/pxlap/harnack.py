@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .exponent import ExponentField, band_of_samples
-from .grid import Ball, GridFunction
+from .grid import Ball, GridFunction, row_norm
 from .norms import lt_average
 from .quadrature import (ball_node_mask, cell_corners, cell_means, center_gradients,
                          harnack_dilate, lq_norm, midpoint_data)
@@ -201,8 +201,8 @@ def caccioppoli_check(u: GridFunction, gamma: float, eta: GridFunction,
     u_mid = cell_means(u)
     eta_mid = np.maximum(cell_means(eta), 0.0)
     H_mid = cell_means(H)
-    gu = np.linalg.norm(center_gradients(u), axis=1)
-    ge = np.linalg.norm(center_gradients(eta), axis=1)
+    gu = row_norm(center_gradients(u))
+    ge = row_norm(center_gradients(eta))
     p_mid = field(centers)
 
     active = (eta_mid > 0) | (ge > 0)
@@ -361,7 +361,7 @@ def _scaled_distance(like: GridFunction, center, rho: float) -> np.ndarray:
     if not 0 < rho < np.inf:
         raise ValueError(f"rho must be finite and positive, got {rho}")
     c = np.atleast_1d(np.asarray(center, dtype=float))
-    return np.linalg.norm(like.nodes() - c, axis=1) / rho
+    return row_norm(like.nodes() - c) / rho
 
 
 def hat_cutoff(like: GridFunction, center, rho: float) -> GridFunction:

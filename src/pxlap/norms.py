@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponent import ExponentField
-from .grid import Ball, GridFunction
+from .grid import Ball, GridFunction, row_norm
 from .quadrature import ball_node_mask, cell_means, center_gradients, midpoint_data, power_sum_root
 
 __all__ = ["NormConfig", "BracketError", "modular", "luxemburg_norm",
@@ -87,11 +87,17 @@ def _luxemburg_samples(absvals, pvals, weights, cfg: NormConfig) -> float:
 
 def modular(u: GridFunction, field: ExponentField, lam: float) -> float:
     """Quadrature of integral (|u| / lam)^p(x) dx over the grid box; lam must
-    be finite and positive."""
+    be finite and positive.  A ValueError naming lam when the quadrature
+    overflows, rather than an infinite modular."""
     if not 0 < lam < np.inf:
         raise ValueError(f"modular scale lambda must be finite and positive, got {lam}")
     centers, vols = midpoint_data(u)
-    return float(np.sum(vols * (np.abs(cell_means(u)) / lam) ** field(centers)))
+    absvals, p = np.abs(cell_means(u)), field(centers)
+    try:
+        with np.errstate(over="raise"):
+            return float(np.sum(vols * (absvals / lam) ** p))
+    except FloatingPointError:
+        raise ValueError(f"modular at lambda = {lam} overflows the float range") from None
 
 
 def luxemburg_norm(u: GridFunction, field: ExponentField,
@@ -114,7 +120,7 @@ def sobolev_norm(u: GridFunction, field: ExponentField,
     centers, vols = midpoint_data(u)
     pvals = field(centers)
     value_part = _luxemburg_samples(np.abs(cell_means(u)), pvals, vols, cfg)
-    gmag = np.linalg.norm(center_gradients(u), axis=1)
+    gmag = row_norm(center_gradients(u))
     grad_part = _luxemburg_samples(gmag, pvals, vols, cfg)
     return value_part + grad_part
 

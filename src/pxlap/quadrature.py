@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Ball, GridFunction
+from .grid import Ball, GridFunction, row_norm
 
 __all__ = ["CellGeometry", "midpoint_data", "ball_cell_weights", "lq_norm"]
 
@@ -130,23 +130,27 @@ def ball_cell_weights(g: GridFunction, ball: Ball, subdiv: int = 8) -> np.ndarra
 
     Cells fully inside keep their volume; cells fully outside get zero; cut
     cells are weighted by the inside fraction of a subdiv^n subsample.  The
-    loop runs over the subdiv^n sample offsets, each a batch over the cut
-    cells, so memory stays linear in the number of cut cells.
+    loop runs over the subdiv offsets of the first axis, each one batch over
+    the cut cells times the subdiv^(n-1) offsets of the other axes, so memory
+    stays linear in the number of cut cells.
     """
     centers, vols = midpoint_data(g)
     half = 0.5 * np.linalg.norm(g.spacing)
-    d = np.linalg.norm(centers - ball.center, axis=1)
+    d = row_norm(centers - ball.center)
     w = np.where(d + half <= ball.radius, vols, 0.0)
     cut = (d - half < ball.radius) & (d + half > ball.radius)
     if np.any(cut):
-        offs = [(np.arange(subdiv) + 0.5) / subdiv - 0.5 for _ in range(g.n_axes)]
+        n = g.n_axes
+        offs = [(np.arange(subdiv) + 0.5) / subdiv - 0.5 for _ in range(n)]
         mesh = np.meshgrid(*offs, indexing="ij")
-        rel = np.stack([m.ravel() for m in mesh], axis=1) * g.spacing
+        rel = (np.stack([m.ravel() for m in mesh], axis=1) * g.spacing).reshape(subdiv, -1, n)
         cut_centers = centers[cut]
-        inside = np.zeros(cut_centers.shape[0], dtype=np.int64)
-        for r in rel:
-            inside += ball.contains(cut_centers + r)
-        w[cut] = vols[cut] * (inside / rel.shape[0])
+        ncut = cut_centers.shape[0]
+        inside = np.zeros(ncut, dtype=np.int64)
+        for block in rel:
+            pts = (cut_centers[:, None, :] + block).reshape(-1, n)
+            inside += np.count_nonzero(ball.contains(pts).reshape(ncut, -1), axis=1)
+        w[cut] = vols[cut] * (inside / subdiv**n)
     return w
 
 

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .exponent import ExponentField
-from .grid import Ball, GridFunction, as_points
+from .grid import Ball, GridFunction, as_points, row_norm
 from .quadrature import ball_cell_weights, harnack_dilate
 
 __all__ = [
@@ -173,7 +173,7 @@ def structure_sample_lattice(like: GridFunction, m0: float, seed: int = 0,
     rng = np.random.default_rng(seed)
     n = like.n_axes
     dirs = rng.normal(size=(n_dir, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs /= row_norm(dirs)[:, None]
     mags = np.geomspace(1e-3, 1e3, n_radii)
     xis = (mags[:, None, None] * dirs[None, :, :]).reshape(-1, n)
 
@@ -197,19 +197,19 @@ def _check(pair: FluxPair, bounds: StructureBounds, field: ExponentField,
         raise ValueError(f"sample state |s| = {bad} exceeds m0 = {bounds.m0}")
     pts, s, xi = samples.points, samples.states, samples.gradients
     p = field(pts)
-    xin = np.linalg.norm(xi, axis=1)
+    xin = row_norm(xi)
     A = np.asarray(pair.A(pts, s, xi), dtype=float).reshape(xi.shape)
     Bv = np.asarray(pair.B(pts, s, xi), dtype=float).reshape(s.shape)
     for name, vals in (("A", A), ("B", Bv)):
-        bad = ~np.isfinite(vals.reshape(samples.size, -1)).all(axis=1)
-        if np.any(bad):
-            i = int(np.argmax(bad))
+        if not np.isfinite(vals).all():
+            i = int(np.argmin(np.isfinite(vals.reshape(samples.size, -1)).all(axis=1)))
             raise ValueError(f"flux {name} is not finite at sample {i} "
                              f"(x = {pts[i]}, s = {s[i]}, xi = {xi[i]})")
     alpha = bounds.alpha if alpha_override is None else float(alpha_override)
 
     report = StructureReport(samples.size, tuple(conditions))
     abs_s = np.abs(s)
+    s_growth, xi_growth = abs_s ** (p - 1.0), xin ** (p - 1.0)
 
     def record(name, lhs, rhs, slack):
         report.max_slack[name] = float(slack.max(initial=-np.inf))
@@ -219,16 +219,18 @@ def _check(pair: FluxPair, bounds: StructureBounds, field: ExponentField,
                                                float(slack[i])))
 
     if "1" in conditions:
-        lhs = np.sum(A * xi, axis=1)
+        lhs = A[:, 0] * xi[:, 0]
+        for a in range(1, xi.shape[1]):
+            lhs += A[:, a] * xi[:, a]
         rhs = alpha * xin**p - bounds.c0 * abs_s**p - bounds.g0
         record("1", lhs, rhs, rhs - lhs)
     if "2" in conditions:
-        lhs = np.linalg.norm(A, axis=1)
-        rhs = bounds.g1 + bounds.c1 * abs_s ** (p - 1.0) + bounds.k1 * xin ** (p - 1.0)
+        lhs = row_norm(A)
+        rhs = bounds.g1 + bounds.c1 * s_growth + bounds.k1 * xi_growth
         record("2", lhs, rhs, lhs - rhs)
     if "3" in conditions:
         lhs = np.abs(Bv)
-        rhs = bounds.f_src + bounds.c2 * abs_s ** (p - 1.0) + bounds.k2 * xin ** (p - 1.0)
+        rhs = bounds.f_src + bounds.c2 * s_growth + bounds.k2 * xi_growth
         if with_gradient_term:
             rhs = rhs + bounds.b * xin**p
         record("3'" if with_gradient_term else "3", lhs, rhs, lhs - rhs)
@@ -301,7 +303,7 @@ def p_laplacian_flux(field: ExponentField) -> FluxPair:
 
     def A(pts, s, xi):
         p = field(pts)
-        mag = np.linalg.norm(xi, axis=1)
+        mag = row_norm(xi)
         with np.errstate(divide="ignore", over="ignore"):
             coef = np.where(mag > 0, np.where(mag > 0, mag, 1.0) ** (p - 2.0), 0.0)
         return coef[:, None] * xi

@@ -331,3 +331,30 @@ def test_hopf_solved_positive_solution():
     res = px.solve_dirichlet(px.ProblemSpec(box, field, f, lambda p: p[:, 0], reg_eps=1e-8))
     r = px.hopf_slope(res.solution, [0.0], [1.0], [1.0 / 128, 2.0 / 128, 4.0 / 128])
     assert r.c0_estimate > 0.9
+
+
+def bracket_reference(template, field, mu_lo, mu_hi, resolution, width):
+    """The bisection of bracket_subsolution_mu with a full scan at every mu."""
+
+    def scan_min(mu):
+        p = px.BarrierParams(template.x0, template.delta, mu, template.a_level)
+        return px.barrier_subsolution_scan(p, field, resolution).min_operator_value
+
+    lo, hi = mu_lo, mu_hi
+    assert scan_min(lo) < 0.0 <= scan_min(hi)
+    while hi - lo > 2.0 * width:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if scan_min(mid) < 0.0 else (lo, mid)
+    return lo, hi
+
+
+@pytest.mark.parametrize("field, center", [
+    (px.constant_exponent(2.0), [0.0, 0.0]),
+    (px.constant_exponent(2.0), [0.0, 0.0, 0.0]),
+    (px.affine_exponent(2.5, [0.4, 0.2], UNIT_SQUARE), [0.5, 0.5]),
+    (px.affine_exponent(2.5, [0.3, 0.2, 0.1], px.Box([0.0] * 3, [1.0] * 3)), [0.5, 0.5, 0.5]),
+])
+def test_bracket_matches_bisection_over_full_scans(field, center):
+    template = px.BarrierParams(center, 0.4, 2.0, 1.0)
+    got = px.bracket_subsolution_mu(template, field, 1.0, 40.0, 0.05, width=0.01)
+    assert got == bracket_reference(template, field, 1.0, 40.0, 0.05, 0.01)

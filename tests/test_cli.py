@@ -176,6 +176,17 @@ def test_bad_check_parameter_is_an_error_record(tmp_path, check, name):
     assert report[0]["status"] == "error"
     assert f"{name} must be finite" in report[0]["detail"]["message"]
 
+def test_norm_check_overflow_is_an_error_record(tmp_path):
+    # the modular at lam = 1e-200 overflows: an error record naming lam,
+    # not an ok record whose modular_at_lam is null
+    out = tmp_path / "out"
+    cfg = manufactured_config(out, [{"kind": "norm", "lam": 1e-200}])
+    assert main(["verify", write_config(tmp_path, cfg)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report[0]["check"] == "norm" and report[0]["status"] == "error"
+    assert "lambda = 1e-200" in report[0]["detail"]["message"]
+
+
 def test_large_exponents_give_finite_numbers_and_strict_json(tmp_path):
     # (u + 1)^1e4 and u^1000 overflow for u = 5 + x; the L^t average and the
     # L^t norm factor out their largest sample, so both checks report finite

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pxlap as px
+from pxlap.exponent import _dyadic_lattice
 
 
 def test_band_constant_field():
@@ -119,3 +120,33 @@ def test_dual_exponent():
     assert np.allclose(d(pts), f(pts) / (f(pts) - 1.0))
     assert d.p1 == pytest.approx(1.5)   # conjugate of 3
     assert d.p2 == pytest.approx(2.0)   # conjugate of 2
+
+
+def scale_bound_reference(field, domain, pair_budget):
+    """k_r of log_holder_estimate as the loop over radii and centres."""
+    pts = _dyadic_lattice(domain, pair_budget)
+    n, vals = pts.shape[0], field(pts)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    r_cap = min(0.5, float(domain.diameter) / 2.0)
+    h_min = float(np.min(domain.widths)) / max(1, round(n ** (1.0 / domain.n_axes)) - 1)
+    radii = np.geomspace(max(2 * h_min, 1e-6 * r_cap), r_cap, 8) if r_cap > 2 * h_min else [r_cap]
+    k_r = 1.0
+    for r in radii:
+        for i in range(0, n, max(1, n // 64)):
+            inside = dist[i] <= r
+            if np.count_nonzero(inside) >= 2:
+                k_r = max(k_r, float(r ** -(vals[inside].max() - vals[inside].min())))
+    return k_r
+
+
+@pytest.mark.parametrize("field, budget", [
+    (px.affine_exponent(2.0, [1.0], px.Box([0.0], [0.5])), 400),
+    (px.radial_exponent([0.2, 0.7], 1.5, 2.0, px.Box([0.0, 0.0], [1.0, 1.0])), 20000),
+    (px.affine_exponent(2.5, [0.3, -0.2, 0.4], px.Box([0.0] * 3, [1.0, 0.5, 1.0])), 200000),
+    (px.constant_exponent(3.0), 1000),
+])
+def test_scale_bound_matches_loop_over_balls(field, budget):
+    domain = field.domain or px.Box([0.0], [1.0])
+    cert = px.log_holder_estimate(field, domain, budget)
+    ref = scale_bound_reference(field, domain, budget)
+    assert abs(cert.k_r - ref) <= np.spacing(ref)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import pxlap as px
 from conftest import grid_1d
+from pxlap.grid import row_norm
 
 
 def test_dims_validation():
@@ -94,3 +97,41 @@ def test_box_contains_ball_tolerance():
     assert not box.contains_ball(px.Ball([0.5 + 1e-9, 0.5], 0.5))
     assert not box.contains_ball(px.Ball([0.5, 0.5 - 1e-9], 0.5))
     assert not px.Box([0.0], [1.0]).contains_ball(px.Ball([0.9], 0.2))
+
+
+@given(n=st.integers(1, 3), log_scale=st.floats(-100.0, 100.0), seed=st.integers(0, 2**32 - 1))
+def test_row_norm_and_contains_match_the_axis_reductions(n, log_scale, seed):
+    # Points on and next to the ball's sphere r (1 + 1e-12) + 1e-15 and the
+    # box faces lo - slack, hi + slack, at magnitudes 1e-100 .. 1e100; the
+    # column-wise kernels give the masks of the np.linalg.norm / np.all forms.
+    rng = np.random.default_rng(seed)
+    scale, tol = 10.0**log_scale, 1e-12
+    ball = px.Ball(scale * rng.normal(size=n), scale * rng.uniform(0.1, 2.0))
+    dirs = rng.normal(size=(64, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    edge = ball.radius * (1.0 + tol) + tol * 1e-3
+    dist = np.array([ball.radius, edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)])
+    dist = np.concatenate([dist, ball.radius * rng.uniform(0.0, 2.0, 4)])
+    pts = ball.center + dist[rng.integers(dist.size, size=64)][:, None] * dirs
+    assert np.array_equal(row_norm(pts), np.linalg.norm(pts, axis=1))
+    assert np.array_equal(row_norm(pts, squared=True), np.sum(pts**2, axis=1))
+    ref = np.linalg.norm(pts - ball.center, axis=1) <= ball.radius * (1.0 + tol) + tol * 1e-3
+    assert np.array_equal(ball.contains(pts), ref)
+
+    box = px.Box(ball.center, ball.center + scale * rng.uniform(0.1, 2.0, n))
+    slack = tol * np.maximum(1.0, np.abs(box.widths))
+    lo, hi = box.lo - slack, box.hi + slack
+    faces = np.stack([lo, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+                      hi, np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf),
+                      box.lo, box.hi, 0.5 * (box.lo + box.hi), box.hi + box.widths])
+    pts = faces[rng.integers(faces.shape[0], size=(64, n)), np.arange(n)]
+    ref = np.all((pts >= lo) & (pts <= hi), axis=1)
+    assert np.array_equal(box.contains(pts), ref)
+
+
+def test_box_contains_rejects_points_of_another_width():
+    for box, pts in ((px.Box([0.0, 0.0], [1.0, 1.0]), [[0.5]]),
+                     (px.Box([0.0], [1.0]), [[0.5, 0.5]]),
+                     (px.Box([0.0, 0.0], [1.0, 1.0]), np.zeros((3, 3)))):
+        with pytest.raises(ValueError, match="coordinates"):
+            box.contains(pts)

@@ -30,6 +30,13 @@ def test_modular_piecewise_exact():
     assert px.modular(g, f, 2.0) == pytest.approx(0.3125, abs=1e-14)
 
 
+def test_modular_overflow_is_an_error_naming_lambda():
+    # (5 / 1e-200)^3 is past the float range: an error, not an infinite modular
+    g = grid_1d(0.0, 1.0, 8, lambda x: np.full_like(x, 5.0))
+    with pytest.raises(ValueError, match="lambda = 1e-200 overflows"):
+        px.modular(g, px.constant_exponent(3.0), 1e-200)
+
+
 def test_modular_rejects_nonpositive_lambda():
     g = grid_1d(0.0, 1.0, 8, lambda x: x)
     f = px.constant_exponent(2.0)
