@@ -5,27 +5,35 @@ at 128^2 and 256^2 cells, 3d affine p at 24^3 and 32^3), five times for each
 of base and change, interleaved, each solve in its own process pinned to one
 CPU with one BLAS thread.  Per size it records the wall time of the solve,
 Newton iterations, LAPACK band factorizations (all of the solve's, the warm
-start's too where a tree factors for it), CG iterations, the weak residual
-against tol, the wall time of that ``weak_residual`` call, the minor page
-faults taken during the solve (the change in ``ru_minflt``) and the worker's
-peak resident set size, then writes everything to one JSON file.  The speed-up is given as the ratio of the median times
-and as the median of the ratios of the base and change runs made back to
-back, which a drifting host speed moves less.  The spread is given as the
-quartiles of each side's solve times and as the number of back-to-back
+start's too where a tree factors for it) and the time spent in them, CG
+iterations, the weak residual against tol, the wall time of that
+``weak_residual`` call, the minor page faults taken during the solve (the
+change in ``ru_minflt``) and the worker's peak resident set size, then writes
+everything to one JSON file.
+
+Other load on the pinned CPU slows a worker as much as a slower tree does.
+So each worker also times the host reference kernel of ``perfbench/hostref.py``
+(imported, not copied) right before and right after its solve, and divides the
+solve time by the host factor around it, the mean of the two kernel times over
+the kernel's nominal time: the host-scaled time.  The speed-up is given as the
+ratio of the median times and as the median of the ratios of the base and
+change runs made back to back, both raw and host-scaled.  The spread is given
+as the quartiles of each side's solve times and as the number of back-to-back
 pairs in which the change was faster.  A case's ``resolved`` is true only
-when the change won every pair or lost every pair and the two medians differ
-by more than the base's interquartile range; anything less is not told
-apart from drift of the host's speed:
+when, on the host-scaled times, the change won every pair or lost every pair
+and the two medians differ by more than the base's interquartile range;
+anything less is not told apart from drift of the host's speed:
 
     python3 scripts/bench_newton.py --base HEAD~1 --out BENCH_newton.json
 
 The base tree is the ``src`` of ``--base`` exported with ``git archive``; the
-change is the working tree's ``src``.  Factorizations are counted by wrapping
-``scipy.linalg.cholesky_banded`` and ``scipy.linalg.solveh_banded``; CG
-iterations are read from the ``pxlap`` debug log (a tree that logs no Newton
-records reports 0).  The counting adds well under a millisecond per solve.
-The peak RSS is the worker process's ``ru_maxrss`` after the weak residual,
-so it covers the interpreter, numpy and scipy as well as the solve.
+change is the working tree's ``src``.  Factorizations are counted and timed by
+wrapping ``scipy.linalg.cholesky_banded`` and ``scipy.linalg.solveh_banded``;
+CG iterations are read from the ``pxlap`` debug log (a tree that logs no
+Newton records reports 0).  The counting adds well under a millisecond per
+solve.  The peak RSS is the worker process's ``ru_maxrss`` after the weak
+residual, so it covers the interpreter, numpy, scipy and the reference
+kernel's few MB as well as the solve.
 """
 
 from __future__ import annotations
@@ -68,13 +76,19 @@ def worker(case: str) -> dict:
 
     import pxlap as px
 
-    factorizations = []
+    sys.path.insert(0, str(REPO / "perfbench"))
+    from hostref import HostReference
+
+    factorizations = []  # the seconds of each call
     for name in ("cholesky_banded", "solveh_banded"):
         real = getattr(sla, name)
 
         def counted(*args, _real=real, **kwargs):
-            factorizations.append(1)
-            return _real(*args, **kwargs)
+            t0 = time.perf_counter()
+            try:
+                return _real(*args, **kwargs)
+            finally:
+                factorizations.append(time.perf_counter() - t0)
 
         setattr(sla, name, counted)
 
@@ -99,21 +113,29 @@ def worker(case: str) -> dict:
     f = px.GridFunction.constant(box, cells, -1.0)
     spec = px.ProblemSpec(box, field, f, 0.0, reg_eps=1e-8, tol=1e-7)
 
+    host = HostReference()
+    host.sample()
     faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     res = px.solve_dirichlet(spec)
     t1 = time.perf_counter()
     minor_faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
-    weak_residual = px.weak_residual(res.solution, spec)
+    host_factor = host.bracket()
     t2 = time.perf_counter()
+    weak_residual = px.weak_residual(res.solution, spec)
+    t3 = time.perf_counter()
     return {
         "time_s": t1 - t0,
-        "weak_residual_s": t2 - t1,
+        "host_factor": host_factor,
+        "host_samples_s": host.samples,
+        "scaled_time_s": (t1 - t0) / host_factor,
+        "weak_residual_s": t3 - t2,
         "iterations": res.iterations,
         "converged": bool(res.converged),
         "weak_residual": weak_residual,
         "tol": spec.tol,
         "factorizations": len(factorizations),
+        "factorization_s": sum(factorizations),
         "cg_iterations": sum(cg_iters),
         "minor_faults": minor_faults,
         # ru_maxrss is in KiB on Linux
@@ -139,9 +161,14 @@ def run_one(src: Path, case: str, cpu: int) -> dict:
 
 def summary(runs: list) -> dict:
     times = [r["time_s"] for r in runs]
+    scaled = [r["scaled_time_s"] for r in runs]
     return {
         "median_time_s": statistics.median(times),
         "quartiles_time_s": statistics.quantiles(times, n=4, method="inclusive"),
+        "median_scaled_time_s": statistics.median(scaled),
+        "quartiles_scaled_time_s": statistics.quantiles(scaled, n=4, method="inclusive"),
+        "median_host_factor": statistics.median(r["host_factor"] for r in runs),
+        "median_factorization_s": statistics.median(r["factorization_s"] for r in runs),
         "median_weak_residual_s": statistics.median(r["weak_residual_s"] for r in runs),
         "iterations": sorted({r["iterations"] for r in runs}),
         "factorizations": sorted({r["factorizations"] for r in runs}),
@@ -155,11 +182,13 @@ def summary(runs: list) -> dict:
 
 
 def resolved(paired: list, base: dict, change: dict) -> bool:
-    """Whether the change won every back-to-back pair or lost every one, and
-    the medians differ by more than the base's interquartile range."""
-    q1, _, q3 = base["quartiles_time_s"]
+    """Whether, on host-scaled times (paired: their base / change ratios), the
+    change won every back-to-back pair or lost every one, and the medians
+    differ by more than the base's interquartile range."""
+    q1, _, q3 = base["quartiles_scaled_time_s"]
     one_sided = all(p > 1.0 for p in paired) or all(p < 1.0 for p in paired)
-    return one_sided and abs(base["median_time_s"] - change["median_time_s"]) > q3 - q1
+    return (one_sided
+            and abs(base["median_scaled_time_s"] - change["median_scaled_time_s"]) > q3 - q1)
 
 
 def main(argv=None) -> int:
@@ -187,9 +216,11 @@ def main(argv=None) -> int:
                     rec = run_one(sides[side], case, cpu)
                     results[case][side].append(rec)
                     print(f"{case:14s} {side:6s} {rec['time_s']:8.3f} s  "
+                          f"host x{rec['host_factor']:.2f}  "
                           f"weak_residual {1e3 * rec['weak_residual_s']:6.1f} ms  "
                           f"it={rec['iterations']:3d} "
-                          f"factor={rec['factorizations']:3d} cg={rec['cg_iterations']:4d} "
+                          f"factor={rec['factorizations']:3d} "
+                          f"({1e3 * rec['factorization_s']:.0f} ms) cg={rec['cg_iterations']:4d} "
                           f"faults={rec['minor_faults']:6d} "
                           f"rss={rec['peak_rss_mb']:6.1f} MB",
                           file=sys.stderr, flush=True)
@@ -206,15 +237,20 @@ def main(argv=None) -> int:
     }
     for case in CASES:
         base, change = (summary(results[case][s]) for s in ("base", "change"))
-        paired = [b["time_s"] / c["time_s"]
-                  for b, c in zip(results[case]["base"], results[case]["change"])]
+        pairs = list(zip(results[case]["base"], results[case]["change"]))
+        paired = [b["time_s"] / c["time_s"] for b, c in pairs]
+        scaled = [b["scaled_time_s"] / c["scaled_time_s"] for b, c in pairs]
         report["cases"][case] = {
             "base": base, "change": change,
             "speedup": base["median_time_s"] / change["median_time_s"],
             "median_paired_speedup": statistics.median(paired),
             "paired_speedups": paired,
             "pairs_change_won": sum(p > 1.0 for p in paired),
-            "resolved": resolved(paired, base, change),
+            "scaled_speedup": base["median_scaled_time_s"] / change["median_scaled_time_s"],
+            "median_paired_scaled_speedup": statistics.median(scaled),
+            "paired_scaled_speedups": scaled,
+            "pairs_change_won_scaled": sum(p > 1.0 for p in scaled),
+            "resolved": resolved(scaled, base, change),
             "runs": results[case],
         }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
@@ -226,10 +262,14 @@ def main(argv=None) -> int:
         print(f"{case:14s} base {quartiles(row['base'])} s  change "
               f"{quartiles(row['change'])} s (quartiles)  x{row['speedup']:.2f} "
               f"(paired x{row['median_paired_speedup']:.2f}, change won "
-              f"{row['pairs_change_won']}/{len(row['paired_speedups'])}, "
+              f"{row['pairs_change_won']}/{len(row['paired_speedups'])}; host-scaled "
+              f"x{row['scaled_speedup']:.2f}, paired x{row['median_paired_scaled_speedup']:.2f}, "
+              f"change won {row['pairs_change_won_scaled']}/{len(row['paired_scaled_speedups'])}, "
               f"{'resolved' if row['resolved'] else 'not resolved'})  "
               f"factorizations {row['base']['factorizations']} -> "
-              f"{row['change']['factorizations']}  weak_residual "
+              f"{row['change']['factorizations']} "
+              f"({1e3 * row['base']['median_factorization_s']:.0f} -> "
+              f"{1e3 * row['change']['median_factorization_s']:.0f} ms)  weak_residual "
               f"{1e3 * row['base']['median_weak_residual_s']:.1f} -> "
               f"{1e3 * row['change']['median_weak_residual_s']:.1f} ms  "
               f"minor faults {row['base']['median_minor_faults']:.0f} -> "

@@ -160,12 +160,14 @@ class _Lattice:
     The unknowns are the interior nodes in lexicographic order, longest axis
     outermost (``interior``; the residual and the hat norms follow it too):
     every cell couples all its corners, so the half-bandwidth is the sum of
-    the axis strides, the least any axis order gives.  The upper triangle of
-    the Newton matrix is kept in LAPACK band form, entry (i, j), i <= j, at
-    [bandwidth + i - j, j] of a Fortran-ordered (bandwidth + 1, m) array.
-    scatter[e] is the flat slot the e-th entry of the raveled (ncells, 2^n,
-    2^n) block array adds into; entries below the diagonal or touching a
-    boundary node go to a sentinel slot dropped after summation.
+    the axis strides, the least any axis order gives.  The lower triangle of
+    the Newton matrix is kept in LAPACK band form, entry (i, j), i >= j, at
+    [i - j, j] of a Fortran-ordered (bandwidth + 1, m) array, the layout in
+    which LAPACK's blocked dpbtrf factors it fastest.  scatter[e] is the flat
+    slot the e-th entry of the raveled (ncells, 2^n, 2^n) block array adds
+    into: a block entry (r, c), r <= c, goes to the lower entry (c, r) of the
+    symmetric matrix; entries with r > c or touching a boundary node go to a
+    sentinel slot dropped after summation.
     """
 
     def __init__(self, grid: GridFunction, p_node: np.ndarray):
@@ -187,7 +189,7 @@ class _Lattice:
         keep = (rows >= 0) & (rows <= cols)
         self.bandwidth = bw = int(np.max(cols[keep] - rows[keep], initial=0))
         self.scatter = np.full(rows.size, (bw + 1) * m, dtype=np.int32)
-        self.scatter[keep] = (cols[keep] + 1) * bw + rows[keep]
+        self.scatter[keep] = rows[keep] * bw + cols[keep]
         # basis[(k, ab), (j, l)]: corner k's share of the cell block per entry
         # ab, a <= b, of the pointwise Hessian, vol / 2^n (G_ka^T G_kb +
         # G_kb^T G_ka) for a < b and vol / 2^n G_ka^T G_ka for a = b.
@@ -322,7 +324,7 @@ class _Lattice:
                            minlength=full.size)[self.interior]
 
     def band(self, blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Sum the (ncells, 2^n, 2^n) cell blocks into the upper band storage.
+        """Sum the (ncells, 2^n, 2^n) cell blocks into the lower band storage.
 
         The sums are taken in a flat array of (bandwidth + 1) m + 1 entries,
         the last one the sentinel slot, which is out when given (its old
@@ -391,29 +393,36 @@ def weak_residual(u: GridFunction, spec: ProblemSpec) -> float:
 
 
 def _pcg(matvec: Callable, precond: Callable, b: np.ndarray, rtol: float) -> tuple:
-    """Preconditioned CG (``scipy.sparse.linalg.cg``) for H x = b from x0 = 0.
+    """Preconditioned CG for H x = b from x0 = 0 (Hestenes-Stiefel).
 
-    Stops when ||b - H x|| < rtol ||b|| and returns (x, iterations), or
-    (None, iterations) when that is not met within _CG_CAP iterations.  SciPy
-    reports a solve that ran out of iterations without testing its last
-    iterate, so that one is tested here, with one product.  With
-    an SPD preconditioner and x0 = 0 every iterate lowers the quadratic model
+    Stops when the recursive residual r = b - H x meets ||r|| < rtol ||b||
+    and returns (x, iterations), or (None, iterations) when that is not met
+    within _CG_CAP iterations or when r.z or p.Hp is not positive (NaN
+    included): an indefinite matrix or preconditioner, or b = 0.  With an
+    SPD preconditioner and x0 = 0 every iterate lowers the quadratic model
     below its value at 0, so a returned x is a descent direction when b is
     minus the gradient.
     """
-    # Imported here: scipy.sparse adds about 35 ms to importing pxlap, and
-    # only solves that reach a CG step need it.
-    import scipy.sparse.linalg as spla
-
-    def operator(f):
-        return spla.LinearOperator((b.size, b.size), matvec=f, dtype=b.dtype)
-
-    iterates = []
-    x, info = spla.cg(operator(matvec), b, rtol=rtol, maxiter=_CG_CAP, M=operator(precond),
-                      callback=iterates.append)
-    if info != 0 and not np.linalg.norm(b - matvec(x)) < rtol * np.linalg.norm(b):
-        x = None
-    return x, len(iterates)
+    x, r, p = np.zeros_like(b), b.copy(), np.zeros_like(b)
+    stop = rtol * np.linalg.norm(b)
+    rz_prev = 1.0  # any finite value: p is 0 before the first iteration
+    for its in range(_CG_CAP):
+        z = precond(r)
+        rz = float(r @ z)
+        if not rz > 0.0:
+            return None, its
+        p = z + (rz / rz_prev) * p
+        q = matvec(p)
+        pq = float(p @ q)
+        if not pq > 0.0:
+            return None, its
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        if np.linalg.norm(r) < stop:
+            return x, its + 1
+        rz_prev = rz
+    return None, _CG_CAP
 
 
 def _line_search(lat: _Lattice, src: np.ndarray, u: np.ndarray, delta: np.ndarray,
@@ -484,17 +493,19 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     corner gradients come from the line-search trial that accepts it and
     feed the next gradient and Newton matrix.
 
-    The first step of a stage factors the band Newton matrix
-    (``_Lattice.band``; LAPACK dpbtrf) and solves exactly.  The cell blocks
-    and the band are two arrays of the solve, refilled at every step, and the
-    band is factored in place, so a refactor overwrites the factor it replaces
-    and concurrent solves share nothing they write.  Each later step
-    of the stage is solved by CG preconditioned with that stale factor, to the
-    Eisenstat-Walker (choice 2) forcing tolerance eta ||g||, eta =
-    min(_ETA_MAX, 0.9 (||g_k|| / ||g_k-1||)^2).  When CG does not meet that
-    tolerance within _CG_CAP iterations or returns a direction that is not a
-    finite descent direction, the current matrix is factored and the step
-    solved exactly.  When the previous step's CG took more than _CG_NEAR
+    The first step of a stage factors the Newton matrix, kept as its lower
+    band (``_Lattice.band``; LAPACK dpbtrf and dpbtrs with lower=True), and
+    solves exactly.  The cell blocks and the band are two arrays of the
+    solve, refilled at every step, and the band is factored in place, so a
+    refactor overwrites the factor it replaces and concurrent solves share
+    nothing they write.  Each later step of the stage is solved by CG
+    (``_pcg``) preconditioned with that stale factor, its products taken from
+    the cell blocks (``_Lattice.hessian_vec``), to the Eisenstat-Walker
+    (choice 2) forcing tolerance eta ||g||, eta = min(_ETA_MAX, 0.9 (||g_k|| /
+    ||g_k-1||)^2).  When CG does not meet that tolerance within _CG_CAP
+    iterations, meets nonpositive curvature, or returns a direction that is
+    not a finite descent direction, the current matrix is factored and the
+    step solved exactly.  When the previous step's CG took more than _CG_NEAR
     iterations (a capped one included), the factor has gone stale and the
     step refactors without trying CG first, so capped CG work is not thrown
     away step after step.  A matrix that is not positive definite, or an
@@ -571,14 +582,14 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
             eta = min(_ETA_MAX, 0.9 * (gnorm / gnorm_prev) ** 2)
             delta, cg_iters = _pcg(
                 lambda x: lat.hessian_vec(blocks, x),
-                lambda r: sla.cho_solve_banded((factor, False), r, check_finite=False),
+                lambda r: sla.cho_solve_banded((factor, True), r, check_finite=False),
                 -gi, eta)
         if not descends(delta):
             try:
-                factor = sla.cholesky_banded(lat.band(blocks, out=band),
+                factor = sla.cholesky_banded(lat.band(blocks, out=band), lower=True,
                                              overwrite_ab=True, check_finite=False)
                 linear = "factor"
-                delta = sla.cho_solve_banded((factor, False), -gi, check_finite=False)
+                delta = sla.cho_solve_banded((factor, True), -gi, check_finite=False)
             except np.linalg.LinAlgError:
                 factor, linear, delta = None, "fallback", None
         direction = "newton"

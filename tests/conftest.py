@@ -166,8 +166,8 @@ def reference_warm_start(spec):
     u[interior] = 0.0
     corners = lap.corners(u)
     H = lap.band(lap.hessian_blocks(corners, 0.0))
-    factor = sla.cholesky_banded(H, overwrite_ab=True, check_finite=False)
-    u[interior] -= sla.cho_solve_banded((factor, False), lap.gradient(corners, 0.0, src)[interior],
+    factor = sla.cholesky_banded(H, lower=True, overwrite_ab=True, check_finite=False)
+    u[interior] -= sla.cho_solve_banded((factor, True), lap.gradient(corners, 0.0, src)[interior],
                                         check_finite=False)
     return u.reshape(grid.dims)
 

@@ -1,6 +1,11 @@
 import logging
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -522,13 +527,13 @@ def energy_at(lat, src, u_flat, eps):
 
 
 def band_to_dense(H):
-    """Expand the upper band storage of the Newton matrix to a dense symmetric matrix."""
+    """Expand the lower band storage of the Newton matrix to a dense symmetric matrix."""
     bw, m = H.shape[0] - 1, H.shape[1]
     dense = np.zeros((m, m))
     for d in range(bw + 1):
-        idx = np.arange(d, m)
-        dense[idx - d, idx] = H[bw - d, d:]
-        dense[idx, idx - d] = H[bw - d, d:]
+        idx = np.arange(m - d)
+        dense[idx + d, idx] = H[d, :m - d]
+        dense[idx, idx + d] = H[d, :m - d]
     return dense
 
 
@@ -546,8 +551,8 @@ def test_hessian_matches_reference_assembly(n_axes, reg_eps, eps_h):
     # the band solve agrees with a sparse direct solve of the reference matrix
     rhs = np.random.default_rng(n_axes).standard_normal(ref.shape[0])
     x_ref = spla.spsolve(ref, rhs)
-    factor = solver.sla.cholesky_banded(H, overwrite_ab=True, check_finite=False)
-    x = solver.sla.cho_solve_banded((factor, False), rhs, check_finite=False)
+    factor = solver.sla.cholesky_banded(H, lower=True, overwrite_ab=True, check_finite=False)
+    x = solver.sla.cho_solve_banded((factor, True), rhs, check_finite=False)
     assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
 
@@ -573,10 +578,10 @@ def test_solve_spd_rejects_indefinite_band(n_axes):
     lat, _, u = random_state(n_axes, seed=3)
     H = newton_matrix(lat, u, 0.05)
     eig = np.linalg.eigvalsh(band_to_dense(H))
-    H[-1] -= 0.5 * (eig[0] + eig[1])
-    assert np.all(H[-1] > 0.0)
+    H[0] -= 0.5 * (eig[0] + eig[1])
+    assert np.all(H[0] > 0.0)
     with pytest.raises(np.linalg.LinAlgError):
-        solver.sla.cholesky_banded(H, overwrite_ab=True, check_finite=False)
+        solver.sla.cholesky_banded(H, lower=True, overwrite_ab=True, check_finite=False)
 
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
@@ -712,7 +717,8 @@ def test_dirty_buffers_give_the_same_blocks_and_band(nodes, kind, eps_h, seed):
     assert got.shape == band.shape and np.shares_memory(got, buf)
     assert np.array_equal(bits(got), bits(band))
     try:
-        factor = solver.sla.cholesky_banded(got, overwrite_ab=True, check_finite=False)
+        factor = solver.sla.cholesky_banded(got, lower=True, overwrite_ab=True,
+                                            check_finite=False)
         assert np.shares_memory(factor, buf)  # factored in place
     except np.linalg.LinAlgError:
         buf.fill(-1.0)  # a refused factor may leave the band as it was
@@ -1200,6 +1206,108 @@ def test_pcg_keeps_a_solve_that_meets_rtol_on_its_last_iteration():
             assert np.linalg.norm(b - d * x) < 1e-8 * np.linalg.norm(b)
         else:
             assert x is None
+
+
+def spd(rng, m, spread):
+    """A random symmetric matrix with eigenvalues spread over [1, spread]."""
+    q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    return (q * np.geomspace(1.0, spread, m)) @ q.T
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("precond", ["jacobi", "perturbed-inverse"])
+@pytest.mark.parametrize("rtol", [1e-2, 1e-6])
+def test_pcg_matches_scipy_cg(seed, precond, rtol):
+    # The same Hestenes-Stiefel recurrence and stop rule as SciPy's cg from
+    # x0 = 0, so on an SPD system that converges within the cap the iterate
+    # and the iteration count agree.
+    rng = np.random.default_rng(seed)
+    m = 40
+    A = spd(rng, m, 300.0) + np.diag(rng.uniform(1.0, 1e3, m))  # badly scaled
+    b = rng.standard_normal(m)
+    if precond == "jacobi":
+        P = np.diag(1.0 / np.diag(A))
+    else:  # the inverse of a nearby SPD matrix, as a stale factor is
+        P = np.linalg.inv(A + spd(rng, m, 300.0))
+    iterates = []
+    x_ref, info = spla.cg(A, b, rtol=rtol, maxiter=solver._CG_CAP, M=P,
+                          callback=iterates.append)
+    assert info == 0 and len(iterates) < solver._CG_CAP
+    x, its = solver._pcg(lambda v: A @ v, lambda r: P @ r, b, rtol)
+    assert its == len(iterates)
+    assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+
+@pytest.mark.parametrize("neg, small", [(-10.0, 1.0), (-1.0, 1e-2), (-0.1, 1e-4)])
+def test_pcg_gives_up_on_an_indefinite_matrix(neg, small):
+    # One negative eigenvalue, weakly excited by b: CG runs some iterations,
+    # then meets a direction of nonpositive curvature and returns no iterate
+    # rather than one built from a division by it.
+    d = np.append(np.arange(1.0, 13.0), neg)
+    b = np.ones(d.size)
+    b[-1] = small
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, its = solver._pcg(lambda v: d * v, lambda r: r, b, 1e-10)
+    assert x is None and 0 < its < solver._CG_CAP
+
+
+def test_pcg_gives_up_on_an_indefinite_preconditioner_or_zero_rhs():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solver._pcg(lambda v: v, lambda r: -r, np.ones(5), 1e-8) == (None, 0)
+        assert solver._pcg(lambda v: v, lambda r: r, np.zeros(5), 1e-8) == (None, 0)
+
+
+def test_negative_curvature_in_cg_forces_refactor(monkeypatch, caplog):
+    # Every CG product meets p.Hp < 0 on its first iteration, so each step
+    # after a stage's first refactors and solves exactly, and the solve
+    # converges as with one factorization per step.
+    caplog.set_level(logging.DEBUG, logger="pxlap")
+    real = _Lattice.hessian_vec
+    monkeypatch.setattr(_Lattice, "hessian_vec", lambda self, blocks, x: -real(self, blocks, x))
+    pcg, returned = solver._pcg, []
+
+    def recorded(*args):
+        returned.append(pcg(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(solver, "_pcg", recorded)
+    factors = count_calls(monkeypatch, solver.sla, "cholesky_banded")
+    spec = continuation_problem()
+    res = px.solve_dirichlet(spec)
+    assert res.converged and res.residual <= spec.tol
+    assert_nonincreasing(res.energy_trace)
+    recs = newton_records(caplog)
+    assert returned and returned == [(None, 0)] * len(returned)
+    assert all((r["linear"], r["direction"], r["cg_iters"]) == ("factor", "newton", "0")
+               for r in recs)
+    assert len(factors) == len(recs) == res.iterations
+
+
+def test_solve_imports_no_sparse_module():
+    # A solve that takes CG steps runs on numpy and scipy.linalg alone.
+    script = """if True:
+        import logging, sys
+        import pxlap as px
+        linear = []
+        class Records(logging.Handler):
+            def emit(self, record):
+                linear.extend(kv[7:] for kv in record.getMessage().split() if kv.startswith("linear="))
+        logging.getLogger("pxlap").addHandler(Records())
+        logging.getLogger("pxlap").setLevel(logging.DEBUG)
+        box = px.Box([0.0, 0.0], [1.0, 1.0])
+        res = px.solve_dirichlet(px.ProblemSpec(box, px.constant_exponent(3.0, domain=box),
+                                                px.GridFunction.constant(box, 16, -1.0), 0.0))
+        assert res.converged and "pcg" in linear, linear
+        print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+    """
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_non_descent_cg_direction_forces_refactor(monkeypatch, caplog):
