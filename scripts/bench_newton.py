@@ -13,10 +13,11 @@ everything to one JSON file.
 
 Other load on the pinned CPU slows a worker as much as a slower tree does.
 So each worker also times the host reference kernel of ``perfbench/hostref.py``
-(imported, not copied) right before and right after its solve, and divides the
-solve time by the host factor around it, the mean of the two kernel times over
-the kernel's nominal time: the host-scaled time.  The speed-up is given as the
-ratio of the median times and as the median of the ratios of the base and
+right before and right after its solve, and divides the solve time by the host
+factor around it, the mean of the two kernel times over the kernel's nominal
+time: the host-scaled time.  The kernel and the one-BLAS-thread settings of
+``perfbench/bench_env.py`` are imported, not copied.  The speed-up is given as
+the ratio of the median times and as the median of the ratios of the base and
 change runs made back to back, both raw and host-scaled.  The spread is given
 as the quartiles of each side's solve times and as the number of back-to-back
 pairs in which the change was faster.  A case's ``resolved`` is true only
@@ -28,12 +29,11 @@ anything less is not told apart from drift of the host's speed:
 
 The base tree is the ``src`` of ``--base`` exported with ``git archive``; the
 change is the working tree's ``src``.  Factorizations are counted and timed by
-wrapping ``scipy.linalg.cholesky_banded`` and ``scipy.linalg.solveh_banded``;
-CG iterations are read from the ``pxlap`` debug log (a tree that logs no
-Newton records reports 0).  The counting adds well under a millisecond per
-solve.  The peak RSS is the worker process's ``ru_maxrss`` after the weak
-residual, so it covers the interpreter, numpy, scipy and the reference
-kernel's few MB as well as the solve.
+wrapping ``scipy.linalg.cholesky_banded``; CG iterations are read from
+``SolveResult.history`` (a tree without it reports 0).  The counting adds well
+under a millisecond per solve.  The peak RSS is the worker process's
+``ru_maxrss`` after the weak residual, so it covers the interpreter, numpy,
+scipy and the reference kernel's few MB as well as the solve.
 """
 
 from __future__ import annotations
@@ -62,13 +62,11 @@ CASES = {
 
 REPEATS = 5  # runs per side and case
 
-THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+PERFBENCH = str(REPO / "perfbench")  # hostref and bench_env, imported read-only
 
 
 def worker(case: str) -> dict:
     """Solve one case in this process and return its record."""
-    import logging
     import resource
     import time
 
@@ -76,33 +74,20 @@ def worker(case: str) -> dict:
 
     import pxlap as px
 
-    sys.path.insert(0, str(REPO / "perfbench"))
+    sys.path.insert(0, PERFBENCH)
     from hostref import HostReference
 
     factorizations = []  # the seconds of each call
-    for name in ("cholesky_banded", "solveh_banded"):
-        real = getattr(sla, name)
+    real = sla.cholesky_banded
 
-        def counted(*args, _real=real, **kwargs):
-            t0 = time.perf_counter()
-            try:
-                return _real(*args, **kwargs)
-            finally:
-                factorizations.append(time.perf_counter() - t0)
+    def counted(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return real(*args, **kwargs)
+        finally:
+            factorizations.append(time.perf_counter() - t0)
 
-        setattr(sla, name, counted)
-
-    cg_iters = []
-
-    class NewtonRecords(logging.Handler):
-        def emit(self, record):
-            msg = record.getMessage()
-            if msg.startswith("newton "):
-                cg_iters.append(int(dict(kv.split("=") for kv in msg.split()[1:])["cg_iters"]))
-
-    logger = logging.getLogger("pxlap")
-    logger.addHandler(NewtonRecords())
-    logger.setLevel(logging.DEBUG)
+    sla.cholesky_banded = counted
 
     n_axes, cells = CASES[case]
     box = px.Box([0.0] * n_axes, [1.0] * n_axes)
@@ -136,7 +121,7 @@ def worker(case: str) -> dict:
         "tol": spec.tol,
         "factorizations": len(factorizations),
         "factorization_s": sum(factorizations),
-        "cg_iterations": sum(cg_iters),
+        "cg_iterations": sum(r.get("cg_iters", 0) for r in getattr(res, "history", [])),
         "minor_faults": minor_faults,
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
@@ -151,8 +136,8 @@ def export_base(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run_one(src: Path, case: str, cpu: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src), **{k: "1" for k in THREAD_ENV})
+def run_one(src: Path, case: str, cpu: int, threads: dict) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src), **threads)
     out = subprocess.run([sys.executable, __file__, "--worker", case], env=env, check=True,
                          capture_output=True, text=True,
                          preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
@@ -202,6 +187,9 @@ def main(argv=None) -> int:
         return 0
     if not args.base or not args.out:
         ap.error("--base and --out are required")
+    sys.path.insert(0, PERFBENCH)
+    from bench_env import BLAS_THREADS
+
     cpu = min(os.sched_getaffinity(0))
     rev = subprocess.run(["git", "-C", str(REPO), "rev-parse", args.base], check=True,
                          capture_output=True, text=True).stdout.strip()
@@ -213,7 +201,7 @@ def main(argv=None) -> int:
             order = ("base", "change") if rep % 2 == 0 else ("change", "base")
             for case in CASES:
                 for side in order:
-                    rec = run_one(sides[side], case, cpu)
+                    rec = run_one(sides[side], case, cpu, BLAS_THREADS)
                     results[case][side].append(rec)
                     print(f"{case:14s} {side:6s} {rec['time_s']:8.3f} s  "
                           f"host x{rec['host_factor']:.2f}  "

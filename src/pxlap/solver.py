@@ -25,7 +25,7 @@ Sobolev norm of phi_i.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -113,12 +113,21 @@ class ProblemSpec:
 
 @dataclass
 class SolveResult:
+    """The solution of ``solve_dirichlet`` and what the solve did.
+
+    energy_trace must be nonincreasing.  history holds dicts of plain Python
+    values: the start record (scale, energy_p2, energy), then one record per
+    Newton step (stage_eps, it, residual, step, backtracks, direction,
+    linear, cg_iters, eps_h); the ``pxlap`` debug log is a view of it.
+    """
+
     solution: GridFunction
     energy_trace: list
     residual: float
     iterations: int
     converged: bool
     message: str = ""
+    history: list = field(default_factory=list)
 
     def __post_init__(self):
         tr = np.asarray(self.energy_trace, dtype=float)
@@ -481,8 +490,7 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     ``norms.log_luxemburg``), and s = 1 when the scaled start does not lower
     the first stage energy; with other data it starts from u2.  For p = 2,
     s = 1 to rounding and the problem is converged, to rounding, before the
-    first Newton step.  A debug record per solve gives s and the energies of
-    u2 and of the start.  Then one loop runs Newton with Armijo backtracking
+    first Newton step.  Then one loop runs Newton with Armijo backtracking
     on the energy at the current eps of the continuation schedule
     (``_eps_schedule``).  Each pass takes the gradient and the residual at
     that eps; when the residual meets the stage tolerance (max(tol, 1e-5)
@@ -521,7 +529,9 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
 
     A converged result satisfies weak_residual <= tol, and its residual is
     weak_residual of the solution; an unconverged one reports the residual
-    at the stage eps where it stopped.
+    at the stage eps where it stopped.  ``SolveResult.history`` records the
+    start (s and the energies of u2 and of the start) and each Newton step, a
+    stalled one too.
     """
     grid = spec.rhs
     lat, src = _lattice(grid, spec.field, spec.rhs)
@@ -534,9 +544,10 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     stage, eps = 0, stages[0]
     u, corners, (scale, e2, e_start) = _ray_start(lat, src, nodal.reshape(-1), eps)
     hat = lat.hat_norms()
+    history = [{"scale": scale, "energy_p2": e2, "energy": e_start}]
     debug = _log.isEnabledFor(logging.DEBUG)
     if debug:
-        _log.debug("start scale=%.6e energy_p2=%.6e energy=%.6e", scale, e2, e_start)
+        _log_record(history[-1])
 
     # Newton-matrix smoothing scale from the steepest slope of the start; it
     # decays by 0.25 per Newton step over the whole solve.
@@ -608,17 +619,25 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
                                              1.0 / max(1.0, gmax / lat.geo.cell_vol),
                                              lambda a, e1: e1 < e0)
             backtracks += more
+        history.append({"stage_eps": eps, "it": it, "residual": residual,
+                        "step": alpha if step is not None else 0.0, "backtracks": backtracks,
+                        "direction": direction, "linear": linear, "cg_iters": cg_iters,
+                        "eps_h": eps_h})
         if debug:
-            _log.debug("newton stage_eps=%.3e it=%d residual=%.6e step=%.6e backtracks=%d "
-                       "direction=%s linear=%s cg_iters=%d eps_h=%.3e", eps, it, residual,
-                       alpha if step is not None else 0.0, backtracks, direction, linear,
-                       cg_iters, eps_h)
+            _log_record(history[-1])
         if step is None:
             message = "line search stalled"
             break
         u, corners, e1 = step
-        trace.append(min(e1, e0))
-    return SolveResult(grid.like(u), trace, residual, it, not message, message)
+        trace.append(e1)
+    return SolveResult(grid.like(u), trace, residual, it, not message, message, history)
+
+
+def _log_record(record: dict) -> None:
+    """Write one ``SolveResult.history`` record to the ``pxlap`` debug log, as
+    ``start`` or ``newton`` and its fields as key=value."""
+    _log.debug("%s %s", "newton" if "it" in record else "start",
+               " ".join(f"{k}={v}" for k, v in record.items()))
 
 
 def _laplace_warm_start(spec: ProblemSpec, src: np.ndarray) -> np.ndarray:

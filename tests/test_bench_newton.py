@@ -1,0 +1,62 @@
+"""The verdict of scripts/bench_newton.py on synthetic runs: every speed claim cites it."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_newton.py"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench_newton", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def runs(scaled_times, host_factor=0.5, weak_residual=1e-9):
+    """Worker records with the given host-scaled solve times."""
+    return [{"time_s": t * host_factor, "scaled_time_s": t, "host_factor": host_factor,
+             "factorization_s": 0.01, "weak_residual_s": 0.002, "iterations": 10,
+             "factorizations": 4, "cg_iterations": 21, "minor_faults": 3000,
+             "peak_rss_mb": 99.0, "converged": True, "weak_residual": weak_residual,
+             "tol": 1e-7} for t in scaled_times]
+
+
+def verdict(bench, base_times, change_times):
+    """resolved as the script takes it: on the base / change ratios of the pairs."""
+    base, change = runs(base_times), runs(change_times)
+    paired = [b["scaled_time_s"] / c["scaled_time_s"] for b, c in zip(base, change)]
+    return bench.resolved(paired, bench.summary(base), bench.summary(change))
+
+
+BASE = [1.00, 1.01, 1.02, 1.03, 1.04]  # quartiles 1.01, 1.02, 1.03: IQR 0.02
+
+
+def test_summary_of_synthetic_runs(bench):
+    row = bench.summary(runs(BASE))
+    assert row["median_scaled_time_s"] == 1.02 and row["median_time_s"] == 0.51
+    assert row["quartiles_scaled_time_s"] == pytest.approx([1.01, 1.02, 1.03], abs=1e-12)
+    assert row["all_converged"] and row["cg_iterations"] == [21]
+    assert not bench.summary(runs(BASE[:4]) + runs([1.0], weak_residual=1e-6))["all_converged"]
+
+
+def test_every_pair_won_and_medians_apart_is_resolved(bench):
+    assert verdict(bench, BASE, [0.90, 0.91, 0.92, 0.93, 0.94])
+
+
+def test_every_pair_lost_and_medians_apart_is_resolved(bench):
+    assert verdict(bench, BASE, [1.10, 1.11, 1.12, 1.13, 1.14])
+
+
+def test_one_lost_pair_is_not_resolved(bench):
+    # the medians are 0.09 apart, more than four times the base IQR
+    assert not verdict(bench, BASE, [0.90, 0.91, 1.05, 0.93, 0.94])
+
+
+def test_medians_inside_the_base_iqr_are_not_resolved(bench):
+    # every pair won, but the medians are 0.05 apart and the base IQR is 0.10
+    base = [1.00, 1.05, 1.10, 1.15, 1.20]
+    assert not verdict(bench, base, [t - 0.05 for t in base])

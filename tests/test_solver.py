@@ -1,5 +1,7 @@
+import json
 import logging
 import os
+import statistics
 import subprocess
 import sys
 import threading
@@ -157,23 +159,21 @@ def test_discrete_comparison_bounds():
     assert res.solution.values.max() <= g.max() + tol_c
 
 
-def test_smoothing_scale_reads_every_axis(caplog):
+def test_smoothing_scale_reads_every_axis():
     # The Newton-matrix smoothing scale comes from the steepest warm-start
     # slope over all axes: a steep ramp along y and the same ramp along x get
     # the same scale, hence the same iterations and mirrored solutions.  The
     # scale exceeds reg_eps, so it is the first step's eps_h.
-    caplog.set_level(logging.DEBUG, logger="pxlap")
     box = px.Box([0.0, 0.0], [1.0, 1.0])
     f = px.GridFunction.constant(box, 12, -1.0)
     field = px.constant_exponent(3.0, domain=box)
     results, scales = [], []
     for ramp in (lambda pts: 40.0 * pts[:, 1], lambda pts: 40.0 * pts[:, 0]):
-        caplog.clear()
         spec = px.ProblemSpec(box, field, f, ramp, reg_eps=1e-8, tol=1e-8)
         results.append(px.solve_dirichlet(spec))
-        first = newton_records(caplog)[0]
-        assert first["eps_h"] == f"{smoothing_scale(spec):.3e}"
-        scales.append(float(first["eps_h"]))
+        first = results[-1].history[1]
+        assert first["eps_h"] == smoothing_scale(spec)
+        scales.append(first["eps_h"])
     along_y, along_x = results
     assert scales[0] == pytest.approx(scales[1], rel=1e-12)
     assert scales[0] >= 0.3
@@ -424,15 +424,13 @@ def test_nonconstant_data_start_at_the_warm_start(n_axes, p):
     np.testing.assert_array_equal(grads, lat.geo.corner_gradients(u2))
 
 
-def test_start_record_per_solve(caplog):
-    caplog.set_level(logging.DEBUG, logger="pxlap")
-    spec = continuation_problem()
+def test_start_record_per_solve():
+    spec = cos_problem()
     res = px.solve_dirichlet(spec)
-    starts = [dict(kv.split("=") for kv in r.getMessage().split()[1:])
-              for r in caplog.records if r.name == "pxlap" and r.getMessage().startswith("start ")]
-    assert len(starts) == 1 and res.converged
+    starts = [r for r in res.history if "scale" in r]
+    assert starts == res.history[:1] and res.converged
     s, e2, e = ray_start(spec)[1]
-    assert starts[0] == {"scale": f"{s:.6e}", "energy_p2": f"{e2:.6e}", "energy": f"{e:.6e}"}
+    assert starts[0] == {"scale": s, "energy_p2": e2, "energy": e}
     assert 0.0 < s < 1.0 and e < e2
     assert res.energy_trace[0] == e
 
@@ -1011,20 +1009,13 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def newton_records(caplog):
-    """The per-iteration debug records of the solver, as dicts of strings."""
-    return [dict(kv.split("=") for kv in r.getMessage().split()[1:])
-            for r in caplog.records if r.name == "pxlap" and r.getMessage().startswith("newton ")]
-
-
 @pytest.mark.parametrize("owner, name, fake, linear", [
     (solver.sla, "cholesky_banded", indefinite_factor, "fallback"),
     (solver.sla, "cho_solve_banded", lambda real, cb, rhs, **kw: np.full_like(rhs, np.nan),
      "factor"),
     (solver.sla, "cho_solve_banded", lambda real, cb, rhs, **kw: -real(cb, rhs, **kw), "factor"),
 ], ids=["factor-error", "non-finite", "non-descent"])
-def test_gradient_direction_fallback(monkeypatch, caplog, owner, name, fake, linear):
-    caplog.set_level(logging.DEBUG, logger="pxlap")
+def test_gradient_direction_fallback(monkeypatch, owner, name, fake, linear):
     exact_steps_only(monkeypatch)
     fake_every_call(monkeypatch, owner, name, fake)
     factors = count_calls(monkeypatch, solver.sla, "cholesky_banded")
@@ -1033,14 +1024,13 @@ def test_gradient_direction_fallback(monkeypatch, caplog, owner, name, fake, lin
     assert res.message.startswith("iteration budget exhausted")
     assert_nonincreasing(res.energy_trace)
     assert res.energy_trace[-1] < res.energy_trace[0]
-    recs = newton_records(caplog)
+    recs = res.history[1:]
     assert [(r["direction"], r["linear"]) for r in recs] == [("gradient-fallback", linear)] * 6
 
 
-def test_steepest_descent_rescue(monkeypatch, caplog):
+def test_steepest_descent_rescue(monkeypatch):
     # A direction so long that all 60 Armijo trials overshoot: only the
     # conservative gradient step of the rescue can lower the energy.
-    caplog.set_level(logging.DEBUG, logger="pxlap")
     exact_steps_only(monkeypatch)
     fake_every_call(monkeypatch, solver.sla, "cho_solve_banded",
                     lambda real, cb, rhs, **kw: 1e30 * real(cb, rhs, **kw))
@@ -1049,16 +1039,18 @@ def test_steepest_descent_rescue(monkeypatch, caplog):
     assert len(res.energy_trace) == 5
     assert_nonincreasing(res.energy_trace)
     assert res.energy_trace[-1] < res.energy_trace[0]
-    recs = newton_records(caplog)
+    recs = res.history[1:]
     assert [r["direction"] for r in recs] == ["steepest-rescue"] * 4
-    assert all(int(r["backtracks"]) >= 60 for r in recs)
+    assert all(r["backtracks"] >= 60 for r in recs)
 
 
-def continuation_problem(cells=16, amp=1.0):
-    box = px.Box([0.0, 0.0], [1.0, 1.0])
+def cos_problem(cells=16, p=1.5, n_axes=2, amp=1.0, **kw):
+    """Zero data, constant p and the source -amp (1 + 0.5 cos(3 sum x)) on the
+    unit box; at p = 1.5 the solve runs the whole continuation ladder."""
+    box = px.Box([0.0] * n_axes, [1.0] * n_axes)
     f = px.GridFunction.from_callable(
         box, cells, lambda pts: -amp * (1.0 + 0.5 * np.cos(3.0 * pts.sum(axis=1))))
-    return px.ProblemSpec(box, px.constant_exponent(1.5, domain=box), f, 0.0)
+    return px.ProblemSpec(box, px.constant_exponent(p, domain=box), f, 0.0, **kw)
 
 
 def smoothing_scale(spec):
@@ -1071,35 +1063,34 @@ def smoothing_scale(spec):
 
 
 @pytest.mark.parametrize("amp", [1.0, 100.0], ids=["mild", "steep"])
-def test_smoothing_decays_over_the_whole_solve(caplog, amp):
+def test_smoothing_decays_over_the_whole_solve(amp):
     # The Newton-matrix smoothing decays by 0.25 per Newton step across
     # stage boundaries: each stage starts where the previous one stopped
     # instead of going back to the warm-start scale.  The steep source makes
     # that scale exceed the first stage eps, so the first stage decays it.
-    caplog.set_level(logging.DEBUG, logger="pxlap")
-    spec = continuation_problem(amp=amp)
+    spec = cos_problem(amp=amp)
     scale = smoothing_scale(spec)
     res = px.solve_dirichlet(spec)
     assert res.converged and res.residual <= spec.tol
     assert_nonincreasing(res.energy_trace)
-    recs = newton_records(caplog)
+    recs = res.history[1:]
     assert len(recs) == res.iterations
-    eps_h = [float(r["eps_h"]) for r in recs]
+    eps_h = [r["eps_h"] for r in recs]
     assert all(b <= a for a, b in zip(eps_h, eps_h[1:]))
     first = [r for r in recs if r["stage_eps"] == recs[0]["stage_eps"]]
     eps0 = solver._eps_schedule(spec)[0]
-    assert [r["eps_h"] for r in first] == [
-        f"{max(eps0, scale * 0.25 ** k):.3e}" for k in range(len(first))]
+    assert [r["eps_h"] for r in first] == [max(eps0, scale * 0.25 ** k)
+                                          for k in range(len(first))]
     # the first step of a stage, after i steps in all, smooths at scale * 0.25^i;
     # the record's it is the step number over the whole solve
-    assert [r["it"] for r in recs] == [str(i) for i in range(1, len(recs) + 1)]
+    assert [r["it"] for r in recs] == list(range(1, len(recs) + 1))
     for i, r in enumerate(recs):
         if i == 0 or r["stage_eps"] != recs[i - 1]["stage_eps"]:
-            assert r["eps_h"] == f"{max(float(r['stage_eps']), scale * 0.25 ** i):.3e}"
+            assert r["eps_h"] == max(r["stage_eps"], scale * 0.25 ** i)
     if amp == 1.0:
         assert scale == eps0 and res.iterations <= 20
     else:
-        assert scale > eps0 and float(first[0]["eps_h"]) > eps0
+        assert scale > eps0 and first[0]["eps_h"] > eps0
 
 
 def affine_cube(cells):
@@ -1113,26 +1104,24 @@ def affine_cube(cells):
     (lambda: problem_1d(-1.0, 1.0, 512, 3.0, 1.0, 0.0, reg_eps=1e-8, tol=1e-9), 6),
     (lambda: affine_cube(8), 4),
 ], ids=["1d-p3", "3d-affine"])
-def test_single_stage_keeps_its_iteration_count(caplog, make, iterations):
+def test_single_stage_keeps_its_iteration_count(make, iterations):
     # A p >= 2 solve is one stage that starts from the warm-start scale, so
     # carrying the smoothing across stages leaves it exactly as it was.
-    caplog.set_level(logging.DEBUG, logger="pxlap")
     spec = make()
     res = px.solve_dirichlet(spec)
-    recs = newton_records(caplog)
+    recs = res.history[1:]
     assert res.converged and len({r["stage_eps"] for r in recs}) == 1
     assert res.iterations == iterations == len(recs)
-    assert recs[0]["eps_h"] == f"{max(spec.reg_eps, smoothing_scale(spec)):.3e}"
+    assert recs[0]["eps_h"] == max(spec.reg_eps, smoothing_scale(spec))
 
 
-def test_one_factor_per_stage_then_pcg(monkeypatch, caplog):
-    caplog.set_level(logging.DEBUG, logger="pxlap")
+def test_one_factor_per_stage_then_pcg(monkeypatch):
     factors = count_calls(monkeypatch, solver.sla, "cholesky_banded")
-    spec = continuation_problem()
+    spec = cos_problem()
     res = px.solve_dirichlet(spec)
     assert res.converged and res.residual <= spec.tol
     assert_nonincreasing(res.energy_trace)
-    recs = newton_records(caplog)
+    recs = res.history[1:]
     assert len(recs) == res.iterations
     stages = [r["stage_eps"] for r in recs]
     firsts = [i for i in range(len(recs)) if i == 0 or stages[i] != stages[i - 1]]
@@ -1140,57 +1129,47 @@ def test_one_factor_per_stage_then_pcg(monkeypatch, caplog):
     for i, r in enumerate(recs):
         assert r["direction"] == "newton"
         assert r["linear"] == ("factor" if i in firsts else "pcg")
-        assert int(r["cg_iters"]) == 0 if i in firsts else 1 <= int(r["cg_iters"]) <= solver._CG_CAP
+        assert r["cg_iters"] == 0 if i in firsts else 1 <= r["cg_iters"] <= solver._CG_CAP
     assert len(factors) == len(firsts)  # one per stage, none for the warm start
 
 
-def degenerate_problem():
-    box = px.Box([0.0, 0.0], [1.0, 1.0])
-    f = px.GridFunction.from_callable(box, 8,
-                                      lambda pts: -1.0 - 0.5 * np.cos(3.0 * pts.sum(axis=1)))
-    return px.ProblemSpec(box, px.constant_exponent(6.0, domain=box), f, 0.0)
-
-
-@pytest.mark.parametrize("make", [continuation_problem, degenerate_problem],
-                         ids=["continuation", "backtracking"])
-def test_one_corner_evaluation_per_iterate(monkeypatch, caplog, make):
+@pytest.mark.parametrize("cells, p", [(16, 1.5), (8, 6.0)], ids=["continuation", "backtracking"])
+def test_one_corner_evaluation_per_iterate(monkeypatch, cells, p):
     # The warm start's corner gradients, then one evaluation per line-search
     # trial: the accepted trial's corners feed the next step's gradient and
     # Newton matrix and the next stage's first energy.
-    caplog.set_level(logging.DEBUG, logger="pxlap")
     calls = count_calls(monkeypatch, CellGeometry, "corner_gradients")
-    res = px.solve_dirichlet(make())
+    res = px.solve_dirichlet(cos_problem(cells, p))
     assert res.converged
-    recs = newton_records(caplog)
+    recs = res.history[1:]
     assert len(recs) == res.iterations > 0
-    assert len(calls) == 1 + sum(int(r["backtracks"]) + 1 for r in recs)
-    if make is degenerate_problem:
-        assert sum(int(r["backtracks"]) for r in recs) > 0
+    assert len(calls) == 1 + sum(r["backtracks"] + 1 for r in recs)
+    if p == 6.0:
+        assert sum(r["backtracks"] for r in recs) > 0
 
 
-def test_stale_preconditioner_forces_refactor(monkeypatch, caplog):
+def test_stale_preconditioner_forces_refactor(monkeypatch):
     # Plain CG (the identity as the preconditioner) often needs more than
     # the cap to meet the forcing tolerance; each such step refactors, and
     # so does the step after any CG solve that took more than _CG_NEAR
     # iterations, without running CG.
-    caplog.set_level(logging.DEBUG, logger="pxlap")
     pcg = solver._pcg
     monkeypatch.setattr(solver, "_pcg", lambda matvec, precond, b, rtol: pcg(matvec, lambda r: r, b, rtol))
     factors = count_calls(monkeypatch, solver.sla, "cholesky_banded")
-    spec = continuation_problem(amp=100.0)
+    spec = cos_problem(amp=100.0)
     res = px.solve_dirichlet(spec)
     assert res.converged and res.residual <= spec.tol
     assert_nonincreasing(res.energy_trace)
-    recs = newton_records(caplog)
+    recs = res.history[1:]
     assert all(r["direction"] == "newton" for r in recs)
-    capped = [r for r in recs if r["cg_iters"] == str(solver._CG_CAP)]
+    capped = [r for r in recs if r["cg_iters"] == solver._CG_CAP]
     assert len(capped) >= 3 and all(r["linear"] == "factor" for r in capped)
     near = [i for i in range(1, len(recs))
-            if solver._CG_NEAR < int(recs[i - 1]["cg_iters"]) < solver._CG_CAP]
+            if solver._CG_NEAR < recs[i - 1]["cg_iters"] < solver._CG_CAP]
     assert near
     for prev, r in zip(recs, recs[1:]):
-        if int(prev["cg_iters"]) > solver._CG_NEAR:
-            assert (r["linear"], r["cg_iters"]) == ("factor", "0")
+        if prev["cg_iters"] > solver._CG_NEAR:
+            assert (r["linear"], r["cg_iters"]) == ("factor", 0)
     assert len(factors) == sum(r["linear"] == "factor" for r in recs)
 
 
@@ -1259,11 +1238,10 @@ def test_pcg_gives_up_on_an_indefinite_preconditioner_or_zero_rhs():
         assert solver._pcg(lambda v: v, lambda r: r, np.zeros(5), 1e-8) == (None, 0)
 
 
-def test_negative_curvature_in_cg_forces_refactor(monkeypatch, caplog):
+def test_negative_curvature_in_cg_forces_refactor(monkeypatch):
     # Every CG product meets p.Hp < 0 on its first iteration, so each step
     # after a stage's first refactors and solves exactly, and the solve
     # converges as with one factorization per step.
-    caplog.set_level(logging.DEBUG, logger="pxlap")
     real = _Lattice.hessian_vec
     monkeypatch.setattr(_Lattice, "hessian_vec", lambda self, blocks, x: -real(self, blocks, x))
     pcg, returned = solver._pcg, []
@@ -1274,13 +1252,13 @@ def test_negative_curvature_in_cg_forces_refactor(monkeypatch, caplog):
 
     monkeypatch.setattr(solver, "_pcg", recorded)
     factors = count_calls(monkeypatch, solver.sla, "cholesky_banded")
-    spec = continuation_problem()
+    spec = cos_problem()
     res = px.solve_dirichlet(spec)
     assert res.converged and res.residual <= spec.tol
     assert_nonincreasing(res.energy_trace)
-    recs = newton_records(caplog)
+    recs = res.history[1:]
     assert returned and returned == [(None, 0)] * len(returned)
-    assert all((r["linear"], r["direction"], r["cg_iters"]) == ("factor", "newton", "0")
+    assert all((r["linear"], r["direction"], r["cg_iters"]) == ("factor", "newton", 0)
                for r in recs)
     assert len(factors) == len(recs) == res.iterations
 
@@ -1288,17 +1266,12 @@ def test_negative_curvature_in_cg_forces_refactor(monkeypatch, caplog):
 def test_solve_imports_no_sparse_module():
     # A solve that takes CG steps runs on numpy and scipy.linalg alone.
     script = """if True:
-        import logging, sys
+        import sys
         import pxlap as px
-        linear = []
-        class Records(logging.Handler):
-            def emit(self, record):
-                linear.extend(kv[7:] for kv in record.getMessage().split() if kv.startswith("linear="))
-        logging.getLogger("pxlap").addHandler(Records())
-        logging.getLogger("pxlap").setLevel(logging.DEBUG)
         box = px.Box([0.0, 0.0], [1.0, 1.0])
         res = px.solve_dirichlet(px.ProblemSpec(box, px.constant_exponent(3.0, domain=box),
                                                 px.GridFunction.constant(box, 16, -1.0), 0.0))
+        linear = [r["linear"] for r in res.history[1:]]
         assert res.converged and "pcg" in linear, linear
         print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
     """
@@ -1310,8 +1283,7 @@ def test_solve_imports_no_sparse_module():
     assert out.stdout.strip() == "[]"
 
 
-def test_non_descent_cg_direction_forces_refactor(monkeypatch, caplog):
-    caplog.set_level(logging.DEBUG, logger="pxlap")
+def test_non_descent_cg_direction_forces_refactor(monkeypatch):
     pcg = solver._pcg
 
     def uphill(*args):
@@ -1320,13 +1292,13 @@ def test_non_descent_cg_direction_forces_refactor(monkeypatch, caplog):
 
     monkeypatch.setattr(solver, "_pcg", uphill)
     factors = count_calls(monkeypatch, solver.sla, "cholesky_banded")
-    spec = continuation_problem()
+    spec = cos_problem()
     res = px.solve_dirichlet(spec)
     assert res.converged and res.residual <= spec.tol
     assert_nonincreasing(res.energy_trace)
-    recs = newton_records(caplog)
+    recs = res.history[1:]
     assert all(r["linear"] == "factor" and r["direction"] == "newton" for r in recs)
-    assert any(int(r["cg_iters"]) > 0 for r in recs)
+    assert any(r["cg_iters"] > 0 for r in recs)
     assert len(factors) == len(recs)
 
 
@@ -1336,7 +1308,7 @@ def test_debug_log_costs_nothing_when_off(monkeypatch):
     level = solver._log.level
     solver._log.setLevel(logging.INFO)
     try:
-        res = px.solve_dirichlet(continuation_problem())
+        res = px.solve_dirichlet(cos_problem())
     finally:
         solver._log.setLevel(level)
     assert res.converged and res.iterations > 0 and emitted == []
@@ -1350,6 +1322,39 @@ def test_line_search_stalled(monkeypatch):
     assert res.message == "line search stalled"
     assert res.iterations == 1
     assert res.energy_trace == [0.0]
+    assert len(res.history) == res.iterations + 1 and res.history[-1]["step"] == 0.0
+
+
+def test_debug_log_is_a_view_of_the_history(caplog):
+    # The one reader of the pxlap debug text: a start line, then a newton
+    # line per step, each carrying its history record's fields and values.
+    caplog.set_level(logging.DEBUG, logger="pxlap")
+    res = px.solve_dirichlet(cos_problem())
+    lines = [r.getMessage().split() for r in caplog.records if r.name == "pxlap"]
+    assert [words[0] for words in lines] == ["start"] + ["newton"] * res.iterations
+    for words, record in zip(lines, res.history, strict=True):
+        fields = dict(kv.split("=") for kv in words[1:])
+        assert list(fields) == list(record)
+        assert {k: type(v)(fields[k]) for k, v in record.items()} == record
+
+
+@pytest.mark.parametrize("spec, lo, hi", [
+    (cos_problem(256, 1.3, n_axes=1, reg_eps=1e-10, tol=1e-8), 1e-7, 1e-6),  # 4.833e-7 today
+    (cos_problem(24, 1.1, reg_eps=0.0, tol=1e-7), 1e-3, 1e-1),                # 8.937e-3 today
+], ids=["1d-p1.3", "2d-p1.1"])
+def test_kink_stall_exhausts_the_budget(spec, lo, hi):
+    # Today's failure, pinned: at the last eps some corner gradient is of the
+    # size of reg_eps, so the Newton model holds only in a region that small.
+    # Each last-stage step is cut by about 11 halvings and the residual does
+    # not move (176 and 161 of the 200 steps, median 11 backtracks).  A fix
+    # of the stall flips this test.
+    res = px.solve_dirichlet(spec)
+    assert not res.converged
+    assert res.message.startswith("iteration budget exhausted")
+    assert lo <= res.residual <= hi
+    last = [r for r in res.history[1:] if r["stage_eps"] == spec.reg_eps]
+    assert len(last) >= 150
+    assert statistics.median(r["backtracks"] for r in last) >= 10
 
 
 @pytest.mark.parametrize("p, max_iter, converged", [
@@ -1365,6 +1370,8 @@ def test_verdict_matches_the_residual_when_the_budget_runs_out(p, max_iter, conv
     res = px.solve_dirichlet(spec)
     assert res.iterations == max_iter
     assert res.converged == converged == (res.residual <= spec.tol)
+    assert len(res.history) == res.iterations + 1
+    assert json.loads(json.dumps(res.history)) == res.history
     assert res.message == ("" if converged else
                            f"iteration budget exhausted (residual {res.residual:.3e})")
     # the trace holds the warm start's energy, one per step and one per stage change
