@@ -22,6 +22,7 @@ import numpy as np
 
 from .exponent import ExponentField
 from .grid import GridFunction, as_points, row_norm
+from .quadrature import node_mask
 from .solver import SmoothFunction, p_laplacian_pointwise
 
 __all__ = [
@@ -303,11 +304,7 @@ def strong_max_principle_check(u: GridFunction, interior_margin: float,
         raise ValueError(f"u takes the negative value {vals.min()}; hypothesis u >= 0 fails")
     if max_abs <= tol:
         return MaxPrincipleResult("identically_zero", max_abs, max_abs, tol)
-    inner = u.box.shrink(interior_margin)
-    mask = inner.contains(u.nodes())
-    if not np.any(mask):
-        raise ValueError(f"margin {interior_margin} leaves no interior nodes")
-    interior_min = float(vals[mask].min())
+    interior_min = float(vals[node_mask(u, u.box.shrink(interior_margin))].min())
     cls = "strictly_positive" if interior_min > tol else "violation"
     return MaxPrincipleResult(cls, max_abs, interior_min, tol)
 
@@ -315,14 +312,17 @@ def strong_max_principle_check(u: GridFunction, interior_margin: float,
 def hopf_slope(u: GridFunction, y, nu, steps, zero_tol: Optional[float] = None) -> HopfResult:
     """Inward difference quotients (u(y + h nu) - u(y)) / h and their min.
 
-    Requires u(y) to vanish within zero_tol (finite and >= 0; default 1e-10
-    max(1, max |u|)) and every probe point to stay in the grid box.  The
-    caller asserts c0 > 0 when testing the boundary-slope property; an
-    identically vanishing u gives quotients 0.
+    Requires a direction nu of finite, nonzero length, u(y) to vanish within
+    zero_tol (finite and >= 0; default 1e-10 max(1, max |u|)) and every probe
+    point to stay in the grid box.  The caller asserts c0 > 0 when testing the
+    boundary-slope property; an identically vanishing u gives quotients 0.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    nu = nu / np.linalg.norm(nu)
+    length = float(np.linalg.norm(nu))
+    if not 0 < length < np.inf:
+        raise ValueError("direction must be finite and nonzero")
+    nu = nu / length
     steps = np.asarray(steps, dtype=float)
     if np.any(steps <= 0):
         raise ValueError("steps must be positive")

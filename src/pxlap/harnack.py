@@ -27,8 +27,8 @@ import numpy as np
 from .exponent import ExponentField, band_of_samples
 from .grid import Ball, GridFunction, row_norm
 from .norms import lt_average
-from .quadrature import (ball_node_mask, cell_corners, cell_means, center_gradients,
-                         harnack_dilate, lq_norm, midpoint_data)
+from .quadrature import (cell_corners, cell_means, center_gradients,
+                         harnack_dilate, lq_norm, midpoint_data, node_mask)
 
 __all__ = [
     "HarnackReport", "OscillationTrace", "WeakHarnackResult", "CaccioppoliResult",
@@ -130,10 +130,10 @@ def harnack_check(u: GridFunction, ball: Ball, mu: float,
     is supplied the report carries its band over B_4R, else (nan, nan).
     """
     flat = u.values.reshape(-1)
-    inside4 = ball_node_mask(u, ball, 4.0)
+    inside4 = node_mask(u, ball, 4.0)
     if flat[inside4].min() < 0.0:
         raise ValueError(f"u takes the negative value {flat[inside4].min()} inside B_4R")
-    vals = flat[ball_node_mask(u, ball)]
+    vals = flat[node_mask(u, ball)]
     sup_u, inf_u = float(vals.max()), float(vals.min())
     R = ball.radius
     c_emp = sup_u / (inf_u + R + R * mu)
@@ -155,7 +155,7 @@ def weak_harnack_check(u: GridFunction, center, radius: float, t0: float = 1.0,
     outer = inner.dilate(2.0)
     if not u.box.contains_ball(outer):
         raise ValueError("the 2r ball escapes the grid box")
-    vals_outer = u.values.reshape(-1)[ball_node_mask(u, outer)]
+    vals_outer = u.values.reshape(-1)[node_mask(u, outer)]
     work = u
     if min_value == "shift":
         if vals_outer.min() < -1e-12:
@@ -169,7 +169,7 @@ def weak_harnack_check(u: GridFunction, center, radius: float, t0: float = 1.0,
             )
     elif min_value != "off":
         raise ValueError(f"unknown min_value mode {min_value!r}")
-    lhs = float(work.values.reshape(-1)[ball_node_mask(u, inner)].min())
+    lhs = float(work.values.reshape(-1)[node_mask(u, inner)].min())
     rhs = lt_average(work, t0, outer)
     return WeakHarnackResult(lhs, rhs, lhs / rhs, t0, radius)
 
@@ -237,17 +237,16 @@ def local_bound_check(u: GridFunction, inner, outer, t: float,
     """sup over the inner region against C_probe * (1 + L^t norm over outer).
 
     C_probe must be finite and >= 0.  The norm is ``lq_norm`` over the outer
-    region, a ball or a box; t = inf takes the max of |u| over its nodes.
+    region, a ball or a box; t = inf takes the max of |u| over its nodes.  An
+    inner region with no node, or an outer one that ``lq_norm`` rejects, is a
+    ValueError naming it.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     if not 0 <= C_probe < np.inf:
         raise ValueError(f"C_probe must be finite and >= 0, got {C_probe}")
     _require_nested(inner, outer)
-    mask = inner.contains(u.nodes())
-    if not np.any(mask):
-        raise ValueError("inner region contains no grid nodes")
-    sup_inner = float(u.values.reshape(-1)[mask].max())
+    sup_inner = float(u.values.reshape(-1)[node_mask(u, inner)].max())
     norm = lq_norm(u, t, outer)
     bound = C_probe * (1.0 + norm)
     return LocalBoundResult(sup_inner, bound, bool(sup_inner <= bound), norm)
@@ -318,7 +317,10 @@ def harnack_stability(u: GridFunction, f: GridFunction, center, R: float,
     """Harnack reports over radii R, R/2, ..., with a c_emp drift flag.
 
     Drift is max(c_emp) / min(c_emp); a drift above 2 is flagged anomalous.
+    levels must be an integer >= 1.
     """
+    if not (isinstance(levels, (int, np.integer)) and levels >= 1):
+        raise ValueError(f"levels must be an integer >= 1, got {levels!r}")
     reports = []
     for k in range(levels):
         ball = Ball(center, R / 2**k)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exponent import ExponentField
 from .grid import Ball, GridFunction, row_norm
-from .quadrature import ball_node_mask, cell_means, center_gradients, midpoint_data, power_sum_root
+from .quadrature import cell_means, center_gradients, midpoint_data, node_mask, power_sum_root
 
 __all__ = ["NormConfig", "BracketError", "modular", "luxemburg_norm",
            "sobolev_norm", "lt_average", "dual_exponent", "log_luxemburg"]
@@ -129,7 +129,7 @@ def lt_average(u: GridFunction, t: float, ball: Ball) -> float:
     """(mean over node samples in the closed ball of |u|^t)^(1/t), t finite and > 0."""
     if not 0 < t < np.inf:
         raise ValueError(f"t must be finite and positive, got {t}")
-    vals = u.values.reshape(-1)[ball_node_mask(u, ball)]
+    vals = u.values.reshape(-1)[node_mask(u, ball)]
     return power_sum_root(vals, np.ones(vals.size), t, mean=True)
 
 

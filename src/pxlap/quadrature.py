@@ -154,14 +154,20 @@ def ball_cell_weights(g: GridFunction, ball: Ball, subdiv: int = 8) -> np.ndarra
     return w
 
 
-def ball_node_mask(g: GridFunction, ball: Ball, dilate: float = 1.0) -> np.ndarray:
-    """Mask of the lattice nodes in the closed ball dilated by the given factor;
-    a ValueError naming the ball (and the dilate) when it holds no node."""
-    mask = ball.dilate(dilate).contains(g.nodes())
+def _region_name(region) -> str:
+    if isinstance(region, Ball):
+        return f"ball at {region.center}, radius {region.radius}"
+    return f"box {region.lo}..{region.hi}"
+
+
+def node_mask(g: GridFunction, region, dilate: float = 1.0) -> np.ndarray:
+    """Mask of the lattice nodes in the closed region, a Box or a Ball, the
+    ball dilated by the given factor; a ValueError naming the region (and the
+    dilate) when it holds no node."""
+    mask = (region.dilate(dilate) if isinstance(region, Ball) else region).contains(g.nodes())
     if not np.any(mask):
-        where = "" if dilate == 1.0 else f" its {dilate:g}R dilate (radius {ball.radius * dilate})"
-        raise ValueError(f"ball at {ball.center}, radius {ball.radius}: "
-                         f"no grid nodes inside{where}")
+        where = "" if dilate == 1.0 else f" its {dilate:g}R dilate (radius {region.radius * dilate})"
+        raise ValueError(f"{_region_name(region)}: no grid nodes inside{where}")
     return mask
 
 
@@ -173,7 +179,7 @@ def harnack_dilate(g: GridFunction, ball: Ball, field) -> tuple:
     big = ball.dilate(4.0)
     if not g.box.contains_ball(big):
         raise ValueError(f"the 4R dilate of the ball (radius {big.radius}) escapes the grid box")
-    return big, float(field(g.nodes()[ball_node_mask(g, ball, 4.0)]).min())
+    return big, float(field(g.nodes()[node_mask(g, ball, 4.0)]).min())
 
 
 def power_sum_root(values: np.ndarray, weights: np.ndarray, q: float,
@@ -196,14 +202,17 @@ def lq_norm(g: GridFunction, q: float, region) -> float:
 
     Finite q integrates |u|^q with midpoint values on ``ball_cell_weights``
     of a ball or on the cells whose centers lie in a box.  q = inf returns the
-    max of |u| over the region's nodes, the discrete essential sup.
+    max of |u| over the region's nodes, the discrete essential sup.  A region
+    with no node (q = inf) or no cell weight (finite q) is a ValueError
+    naming it.
     """
     if not q > 0:
         raise ValueError(f"integrability exponent must be positive, got {q}")
-    ball = isinstance(region, Ball)
     if q == np.inf:
-        mask = ball_node_mask(g, region) if ball else region.contains(g.nodes())
-        return float(np.abs(g.values.reshape(-1)[mask]).max())
+        return float(np.abs(g.values.reshape(-1)[node_mask(g, region)]).max())
     centers, vols = midpoint_data(g)
-    w = ball_cell_weights(g, region) if ball else np.where(region.contains(centers), vols, 0.0)
+    w = (ball_cell_weights(g, region) if isinstance(region, Ball)
+         else np.where(region.contains(centers), vols, 0.0))
+    if not np.any(w > 0):
+        raise ValueError(f"{_region_name(region)}: no cell weight inside")
     return power_sum_root(cell_means(g), w, q)

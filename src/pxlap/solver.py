@@ -479,7 +479,8 @@ def _eps_schedule(spec: ProblemSpec) -> list:
 
 
 def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
-    """Damped inexact Newton descent on the discrete energy.
+    """Damped inexact Newton descent on the discrete energy: ``_newton`` from
+    ``_ray_start`` over the stages of ``_eps_schedule``.
 
     The p = 2 problem with the same data is solved in closed form in the sine
     eigenbasis of the lattice Laplacian (``_laplace_warm_start``; no band
@@ -490,16 +491,36 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     ``norms.log_luxemburg``), and s = 1 when the scaled start does not lower
     the first stage energy; with other data it starts from u2.  For p = 2,
     s = 1 to rounding and the problem is converged, to rounding, before the
-    first Newton step.  Then one loop runs Newton with Armijo backtracking
-    on the energy at the current eps of the continuation schedule
-    (``_eps_schedule``).  Each pass takes the gradient and the residual at
-    that eps; when the residual meets the stage tolerance (max(tol, 1e-5)
-    before the last stage, tol at the last) eps moves to the next stage,
-    whose first energy is appended to the trace, and the solve ends
-    converged at the last stage.  Otherwise the solve ends when max_iter
-    Newton steps have been taken, or takes one more step.  Each iterate's
-    corner gradients come from the line-search trial that accepts it and
-    feed the next gradient and Newton matrix.
+    first Newton step.
+
+    A converged result satisfies weak_residual <= tol, and its residual is
+    weak_residual of the solution; an unconverged one reports the residual
+    at the stage eps where it stopped.  ``SolveResult.history`` records the
+    start (s and the energies of u2 and of the start) and each Newton step, a
+    stalled one too.
+    """
+    lat, src = _lattice(spec.rhs, spec.field, spec.rhs)
+    stages = _eps_schedule(spec)
+    u, corners, start = _ray_start(spec, lat, src, stages[0])
+    return _newton(spec.rhs, lat, src, u, corners, stages, spec.tol, spec.max_iter, [start])
+
+
+def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, u: np.ndarray, corners: tuple,
+            stages: list, tol: float, max_iter: int, history: list) -> SolveResult:
+    """Newton with Armijo backtracking from u over the eps stages, largest first.
+
+    u is a flat nodal array on the lattice of grid that carries the Dirichlet
+    data, corners its ``_Lattice.corners``, src the source weights and
+    history a list whose last record is the start's, with its energy at
+    stages[0] under "energy"; the Newton step records are appended to it.
+    Each pass takes the gradient and the residual at the current stage eps;
+    when the residual meets the stage tolerance (max(tol, 1e-5) before the
+    last stage, tol at the last) eps moves to the next stage, whose first
+    energy is appended to the trace, and the loop ends converged at the last
+    stage.  Otherwise it ends when max_iter Newton steps have been taken, or
+    takes one more step.  Each iterate's corner gradients come from the
+    line-search trial that accepts it and feed the next gradient and Newton
+    matrix.
 
     The first step of a stage factors the Newton matrix, kept as its lower
     band (``_Lattice.band``; LAPACK dpbtrf and dpbtrs with lower=True), and
@@ -520,42 +541,25 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     exact step that is not a finite descent direction, gives way to the
     gradient direction.  When no Armijo step lowers the energy, a
     steepest-descent rescue tries a conservative gradient step.  The Newton
-    matrix of step k (counted over the whole solve) is built with the
-    smoothing eps_h = max(eps, smooth0 0.25^(k-1)), smooth0 1e-2 times the
-    steepest slope of the start along any axis, at least 1e-2.  It stays
-    positive definite, so directions remain descent directions for the stage
-    energy; the stage energy decreases when eps does, so the trace is
-    nonincreasing.
-
-    A converged result satisfies weak_residual <= tol, and its residual is
-    weak_residual of the solution; an unconverged one reports the residual
-    at the stage eps where it stopped.  ``SolveResult.history`` records the
-    start (s and the energies of u2 and of the start) and each Newton step, a
-    stalled one too.
+    matrix of step k is built with the smoothing eps_h = max(eps, smooth0
+    0.25^(k-1)), smooth0 1e-2 times the steepest slope of u along any axis,
+    at least 1e-2.  It stays positive definite, so directions remain descent
+    directions for the stage energy; the stage energy decreases when eps
+    does, so the trace is nonincreasing.
     """
-    grid = spec.rhs
-    lat, src = _lattice(grid, spec.field, spec.rhs)
     interior = lat.interior
-
-    nodal = _laplace_warm_start(spec, src)
-    if not np.all(np.isfinite(nodal)):
-        raise SolverError("warm start produced non-finite values")
-    stages = _eps_schedule(spec)
-    stage, eps = 0, stages[0]
-    u, corners, (scale, e2, e_start) = _ray_start(lat, src, nodal.reshape(-1), eps)
     hat = lat.hat_norms()
-    history = [{"scale": scale, "energy_p2": e2, "energy": e_start}]
     debug = _log.isEnabledFor(logging.DEBUG)
     if debug:
         _log_record(history[-1])
 
-    # Newton-matrix smoothing scale from the steepest slope of the start; it
-    # decays by 0.25 per Newton step over the whole solve.
-    start = u.reshape(grid.dims)
-    steepest = max(float(np.abs(np.diff(start, axis=a)).max()) / grid.spacing[a]
-                   for a in range(grid.n_axes))
+    # Newton-matrix smoothing scale from the steepest slope of u; it decays
+    # by 0.25 per Newton step.
+    steepest = max(float(np.abs(np.diff(u.reshape(grid.dims), axis=a)).max()) / h
+                   for a, h in enumerate(grid.spacing))
     smooth0 = 1e-2 * max(1.0, steepest)
-    trace = [e_start]
+    stage, eps = 0, stages[0]
+    trace = [history[-1]["energy"]]
     factor, gnorm_prev, cg_prev = None, np.inf, 0
     it, message = 0, ""
     # The solve's cell blocks and flat band (its last entry the sentinel
@@ -567,7 +571,7 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
         g = lat.gradient(corners, eps, src)
         residual = lat.residual(g, hat)
         last = stage == len(stages) - 1
-        if residual <= (spec.tol if last else max(spec.tol, 1e-5)):
+        if residual <= (tol if last else max(tol, 1e-5)):
             if last:
                 break
             stage += 1
@@ -575,7 +579,7 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
             trace.append(lat.energy(u, corners, eps, src))
             factor = None
             continue
-        if it == spec.max_iter:
+        if it == max_iter:
             message = f"iteration budget exhausted (residual {residual:.3e})"
             break
         it += 1
@@ -680,8 +684,10 @@ def _laplace_warm_start(spec: ProblemSpec, src: np.ndarray) -> np.ndarray:
     return data
 
 
-def _ray_start(lat: _Lattice, src: np.ndarray, u2: np.ndarray, eps: float) -> tuple:
-    """The start of the Newton loop: g0 + s (u2 - g0) for constant data g0, else u2.
+def _ray_start(spec: ProblemSpec, lat: _Lattice, src: np.ndarray, eps: float) -> tuple:
+    """The start of the Newton loop: g0 + s (u2 - g0) for constant data g0, else
+    u2, the p = 2 solution of ``_laplace_warm_start``; src is the solve's
+    source weights.  A u2 with a non-finite value is a SolverError.
 
     With constant data the ray g0 + s w, w = u2 - g0, keeps the data, and its
     corner gradients and squared norms are s g2 and s^2 S, g2 and S = |g2|^2
@@ -700,13 +706,17 @@ def _ray_start(lat: _Lattice, src: np.ndarray, u2: np.ndarray, eps: float) -> tu
     When the start's energy at eps is not at most that of u2 (rounding, or an
     s that is not finite), s = 1 and the start is u2.
 
-    Returns (u, corners, (s, energy of u2, energy of u)), energies at eps.
+    Returns (u, corners, the ``SolveResult.history`` start record {"scale": s,
+    "energy_p2": energy of u2, "energy": energy of u}), energies at eps.
     """
+    u2 = _laplace_warm_start(spec, src).reshape(-1)
+    if not np.all(np.isfinite(u2)):
+        raise SolverError("warm start produced non-finite values")
     g2, S = corners2 = lat.corners(u2)
     e2 = lat.energy(u2, corners2, eps, src)
     g0 = u2[0]
     if np.any(np.delete(u2, lat.interior) != g0):
-        return u2, corners2, (1.0, e2, e2)
+        return u2, corners2, {"scale": 1.0, "energy_p2": e2, "energy": e2}
     w = u2 - g0
     q = float(src @ w)
     s = 0.0
@@ -720,8 +730,8 @@ def _ray_start(lat: _Lattice, src: np.ndarray, u2: np.ndarray, eps: float) -> tu
         u, corners = g0 + s * w, (g2 * s, S * (s * s))
         e = lat.energy(u, corners, eps, src)
         if e <= e2:
-            return u, corners, (s, e2, e)
-    return u2, corners2, (1.0, e2, e2)
+            return u, corners, {"scale": s, "energy_p2": e2, "energy": e}
+    return u2, corners2, {"scale": 1.0, "energy_p2": e2, "energy": e2}
 
 
 def _sine_transform(x: np.ndarray) -> np.ndarray:

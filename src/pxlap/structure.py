@@ -161,8 +161,13 @@ def structure_sample_lattice(like: GridFunction, m0: float, seed: int = 0,
 
     Points: a stride of the grid nodes.  States: 0 plus a log ladder up to
     m0.  Gradients: log-spaced magnitudes 1e-3 .. 1e3 along seeded unit
-    directions.
+    directions.  max_nodes, n_radii and n_dir must be integers >= 1 and
+    n_states one >= 0, else a ValueError names the count.
     """
+    for name, value, least in (("n_states", n_states, 0), ("n_radii", n_radii, 1),
+                               ("n_dir", n_dir, 1), ("max_nodes", max_nodes, 1)):
+        if not (isinstance(value, (int, np.integer)) and value >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     nodes = like.nodes()
     stride = max(1, nodes.shape[0] // max_nodes)
     pts = nodes[::stride]

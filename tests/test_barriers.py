@@ -273,6 +273,10 @@ def test_max_principle_classifications():
     assert px.strong_max_principle_check(pos.like(vals), 0.2).classification == "violation"
     with pytest.raises(ValueError, match="negative"):
         px.strong_max_principle_check(pos.like(pos.values - 1.0), 0.2)
+    # a margin that leaves no node: the shrunk box lies between the nodes 4/9 and 5/9
+    pos9 = px.GridFunction.from_callable(box, 9, lambda p: 0.3 + p[:, 0])
+    with pytest.raises(ValueError, match=r"^box \[0\.49 0\.49\]\.\.\[0\.51 0\.51\]: no grid"):
+        px.strong_max_principle_check(pos9, 0.49)
 
 
 @pytest.mark.parametrize("zero_tol", [math.nan, math.inf, -1.0])
@@ -321,6 +325,16 @@ def test_hopf_errors():
         px.hopf_slope(cone, [0.0, 0.0], [1.0, 0.0], [0.125])  # u(0) = 1, not a zero
     with pytest.raises(ValueError, match="exits"):
         px.hopf_slope(cone, [1.0, 0.0], [1.0, 0.0], [0.5])  # outward step leaves box
+
+
+@pytest.mark.parametrize("direction", [[0.0, 0.0], [np.nan, 1.0], [-np.inf, 0.0]],
+                         ids=["zero", "nan", "inf"])
+def test_hopf_rejects_a_direction_without_length(direction):
+    # a zero direction used to divide by zero and then report a probe outside the box
+    box = px.Box([-1.0, -1.0], [1.0, 1.0])
+    cone = px.GridFunction.from_callable(box, 32, lambda p: 1.0 - np.linalg.norm(p, axis=1))
+    with pytest.raises(ValueError, match="^direction must be finite and nonzero$"):
+        px.hopf_slope(cone, [1.0, 0.0], direction, [0.125])
 
 
 def test_hopf_solved_positive_solution():

@@ -291,6 +291,27 @@ def test_structure_check_rejects_nan_b(tmp_path, capsys):
     assert "b must be finite" in capsys.readouterr().err
 
 
+def test_unsampled_region_and_empty_structure_samples_are_error_records(tmp_path):
+    # An 8-cell square: the local-bound outer ball (radius 0.002) holds no
+    # cell weight, and n_radii = 0 builds no structure sample.  Both used to
+    # be ok records, holds: true with norm_outer 0.0 and 0 samples.
+    out = tmp_path / "out"
+    cfg = manufactured_config(out, [
+        {"kind": "local-bound", "inner_center": [0.5, 0.5], "inner_radius": 0.001,
+         "outer_radius": 0.002},
+        {"kind": "structure", "flux": "p-laplacian", "alpha": 1.0, "k1": 1.0, "m0": 1.0,
+         "samples": {"n_radii": 0}},
+    ])
+    cfg["problem"].update(domain=[[0.0, 1.0], [0.0, 1.0]], cells=8,
+                          rhs={"kind": "constant", "value": -1.0})
+    assert main(["verify", write_config(tmp_path, cfg)]) == 1
+    local, structure = json.loads((out / "report.json").read_text())
+    assert local["status"] == structure["status"] == "error"
+    assert local["detail"]["message"] == ("ball at [0.5 0.5], radius 0.002: "
+                                          "no cell weight inside")
+    assert structure["detail"]["message"] == "n_radii must be an integer >= 1, got 0"
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("reg_eps", -1.0, r"problem: reg_eps must be finite and >= 0, got -1\.0"),
     ("exponent", {"kind": "constant", "value": 0.5},

@@ -81,6 +81,18 @@ def test_mu_dilate_without_nodes():
         px.harnack_mu(f, px.Ball([0.51, 0.51], 0.001), np.inf, field)
 
 
+def test_mu_over_a_dilate_without_cell_weight():
+    # The 4R dilate of radius 0.002 holds the node (0.5, 0.5) but no cell
+    # weight: q0 = inf reads f there, a finite q0 used to give mu = 0.
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    f = px.GridFunction.constant(box, 8, -1.0)
+    field = px.constant_exponent(2.0, domain=box)
+    ball = px.Ball([0.5, 0.5], 0.0005)
+    assert px.harnack_mu(f, ball, np.inf, field) == pytest.approx(0.0005, rel=1e-12)
+    with pytest.raises(ValueError, match=r"radius 0\.002: no cell weight inside"):
+        px.harnack_mu(f, ball, 4.0, field)
+
+
 # -- harnack_check --------------------------------------------------------------
 
 def test_check_constant_function():
@@ -141,6 +153,15 @@ def test_stability_drift_flag():
     assert len(out["reports"]) == 3
     assert out["drift"] <= 2.0
     assert not out["anomalous"]
+
+
+@pytest.mark.parametrize("levels", [0, -1, 2.5])
+def test_stability_rejects_bad_levels(levels):
+    # levels = 0 used to fail in min() of an empty list
+    box = px.Box([0.0], [1.0])
+    u = px.GridFunction.constant(box, 64, 1.0)
+    with pytest.raises(ValueError, match=rf"^levels must be an integer >= 1, got {levels}$"):
+        px.harnack_stability(u, u, [0.5], 0.1, np.inf, px.constant_exponent(2.0), levels)
 
 
 def test_dependence_probe_monotone():
@@ -293,6 +314,16 @@ def test_local_bound_trivial_and_nested():
     assert r5.holds  # 5 <= 1 * (1 + ||5||_{L1} approx 4.5) on the 0.45-ball
     with pytest.raises(ValueError, match="not contained"):
         px.local_bound_check(u0, px.Ball([0.0], 0.5), px.Ball([0.4], 0.2), 1.0, 1.0)
+
+
+def test_local_bound_rejects_regions_the_lattice_does_not_sample():
+    # An outer ball with no cell weight used to give norm_outer 0.0 and a
+    # verdict; an inner ball between the nodes has no sup.
+    u = px.GridFunction.constant(px.Box([0.0, 0.0], [1.0, 1.0]), 8, 0.5)
+    with pytest.raises(ValueError, match=r"radius 0\.002: no cell weight inside"):
+        px.local_bound_check(u, px.Ball([0.5, 0.5], 0.001), px.Ball([0.5, 0.5], 0.002), 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^ball at \[0\.51 0\.51\], radius 0\.001: no grid"):
+        px.local_bound_check(u, px.Ball([0.51, 0.51], 0.001), px.Ball([0.5, 0.5], 0.3), 1.0, 1.0)
 
 
 @pytest.mark.parametrize("C_probe", [np.nan, np.inf, -1.0])

@@ -69,13 +69,35 @@ def test_lq_norm_is_finite_homogeneous_and_matches_the_plain_sum(n_axes, seed, b
         w = np.where(region.contains(centers), vols, 0.0)
     else:
         region, w = ball, ball_cell_weights(g, ball)
-    got = lq_norm(g, q, region)
-    assert np.isfinite(got)
-    c = 10.0**k
-    assert lq_norm(g.like(c * g.values), q, region) == pytest.approx(c * got, rel=1e-12)
-    if q <= 50:
-        plain = np.sum(w * np.abs(cell_means(g)) ** q) ** (1.0 / q)
-        assert got == pytest.approx(plain, rel=1e-13)
+    if not np.any(w > 0):  # a box that misses every cell center has no L^q norm
+        with pytest.raises(ValueError, match=r"^box \[.*\]\.\.\[.*\]: no cell weight inside$"):
+            lq_norm(g, q, region)
+    else:
+        got = lq_norm(g, q, region)
+        assert np.isfinite(got)
+        c = 10.0**k
+        assert lq_norm(g.like(c * g.values), q, region) == pytest.approx(c * got, rel=1e-12)
+        if q <= 50:
+            plain = np.sum(w * np.abs(cell_means(g)) ** q) ** (1.0 / q)
+            assert got == pytest.approx(plain, rel=1e-13)
     avg = px.lt_average(g, q, ball)
     assert np.isfinite(avg)
     assert avg <= np.abs(g.values.reshape(-1)[ball.contains(nodes)]).max()
+
+
+def test_lq_norm_rejects_a_region_the_lattice_does_not_sample():
+    # The ball of radius 0.002 at the node (0.5, 0.5) of the 1/8 lattice holds
+    # that node but none of the cell subsamples; the box holds neither a node
+    # nor a cell center.  Each used to give a norm of 0, or numpy's
+    # "zero-size array" error.
+    g = px.GridFunction.constant(px.Box([0.0, 0.0], [1.0, 1.0]), 8, -1.0)
+    ball = px.Ball([0.5, 0.5], 0.002)
+    assert lq_norm(g, np.inf, ball) == 1.0
+    with pytest.raises(ValueError,
+                       match=r"^ball at \[0\.5 0\.5\], radius 0\.002: no cell weight inside$"):
+        lq_norm(g, 4.0, ball)
+    gap = px.Box([0.51, 0.51], [0.55, 0.55])
+    for q, what in ((1.0, "cell weight"), (np.inf, "grid nodes")):
+        with pytest.raises(ValueError,
+                           match=rf"^box \[0\.51 0\.51\]\.\.\[0\.55 0\.55\]: no {what} inside$"):
+            lq_norm(g, q, gap)

@@ -193,7 +193,7 @@ def full_eps_ladder(spec):
     return stages + [spec.reg_eps]
 
 
-def test_zero_reg_eps_ladder_stops_at_the_hessian_floor(monkeypatch):
+def test_zero_reg_eps_ladder_stops_at_the_hessian_floor():
     box = px.Box([0.0, 0.0], [1.0, 1.0])
     f = px.GridFunction.constant(box, 16, -1.0)
     spec = px.ProblemSpec(box, px.constant_exponent(1.5, domain=box), f, 0.0, reg_eps=0.0)
@@ -201,9 +201,11 @@ def test_zero_reg_eps_ladder_stops_at_the_hessian_floor(monkeypatch):
     assert len(stages) <= 7 and stages[-1] == 0.0
     res = px.solve_dirichlet(spec)
     assert res.converged and res.residual <= spec.tol
-    monkeypatch.setattr(solver, "_eps_schedule", full_eps_ladder)
-    assert len(full_eps_ladder(spec)) == 150
-    old = px.solve_dirichlet(spec)
+    ladder = full_eps_ladder(spec)
+    assert len(ladder) == 150 and ladder[0] == stages[0]
+    lat, src = _lattice(f, spec.field, f)
+    u, corners, start = solver._ray_start(spec, lat, src, ladder[0])
+    old = solver._newton(f, lat, src, u, corners, ladder, spec.tol, spec.max_iter, [start])
     assert old.converged and res.iterations == old.iterations
 
 
@@ -274,7 +276,7 @@ def test_p2_solve_is_the_warm_start(monkeypatch):
     assert res.converged and res.iterations == 0
     assert factors == []
     assert px.weak_residual(res.solution, spec) <= spec.tol
-    assert ray_start(spec)[1][0] == pytest.approx(1.0, abs=1e-12)
+    assert ray_start(spec)[1]["scale"] == pytest.approx(1.0, abs=1e-12)
 
 
 # -- the start on the ray of the warm start ---------------------------------------
@@ -286,10 +288,9 @@ def warm_start(spec):
 
 def ray_start(spec):
     """The start of a solve, the p = 2 warm start scaled along its ray, as
-    (nodal array, (s, energy of the warm start, energy of the start))."""
+    (nodal array, start record)."""
     lat, src = _lattice(spec.rhs, spec.field, spec.rhs)
-    u2 = solver._laplace_warm_start(spec, src).reshape(-1)
-    u, _, record = solver._ray_start(lat, src, u2, solver._eps_schedule(spec)[0])
+    u, _, record = solver._ray_start(spec, lat, src, solver._eps_schedule(spec)[0])
     return u.reshape(spec.rhs.dims), record
 
 
@@ -319,10 +320,11 @@ def test_ray_start_matches_the_closed_form(n_axes, p):
     else:
         expected = (-q / (geo.cell_vol / 2**n_axes * np.sum(mags**p))) ** (1.0 / (p - 1.0))
     lat, src = _lattice(f, spec.field, f)
-    u, (grads, sq), (s, e2, e) = solver._ray_start(lat, src, w, 0.0)
+    u, (grads, sq), record = solver._ray_start(spec, lat, src, 0.0)
+    s, e2, e = record["scale"], record["energy_p2"], record["energy"]
     assert s == pytest.approx(expected, rel=1e-9 if p == "affine" else 1e-10)
     if p == 2.0:
-        assert s == pytest.approx(1.0, abs=1e-12) and u is w
+        assert s == pytest.approx(1.0, abs=1e-12) and np.array_equal(u, w)
     np.testing.assert_allclose(u, s * w, rtol=1e-15)
     np.testing.assert_allclose(grads, geo.corner_gradients(u), rtol=1e-13, atol=1e-13)
     assert e <= e2 and e == lat.energy(u, (grads, sq), 0.0, src)
@@ -343,8 +345,8 @@ def test_ray_start_never_raises_the_energy(n, p, ramp, seed):
     spec = px.ProblemSpec(box, field, f, data)
     eps = solver._eps_schedule(spec)[0]
     u2 = f.like(warm_start(spec))
-    start, (s, e2, e) = ray_start(spec)
-    assert s >= 0.0 and e <= e2
+    start, record = ray_start(spec)
+    assert record["scale"] >= 0.0 and record["energy"] <= record["energy_p2"]
     bmask = f.boundary_mask()
     assert np.array_equal(start[bmask], u2.values[bmask])
     before = px.energy(u2, field, f, eps)
@@ -381,9 +383,9 @@ def test_ray_start_moves_with_constant_data(n, p, c, seed):
     f = px.GridFunction.constant(box, tuple(rng.integers(3, {1: 30, 2: 10, 3: 6}[n], size=n)), 0.0)
     f = f.like(rng.uniform(-2.0, 1.0, f.dims))
     field = px.constant_exponent(p, domain=box)
-    zero, (s0, *_) = ray_start(px.ProblemSpec(box, field, f, 0.0))
-    moved, (s, *_) = ray_start(px.ProblemSpec(box, field, f, c))
-    assert s == pytest.approx(s0, rel=1e-9, abs=1e-12)
+    zero, record0 = ray_start(px.ProblemSpec(box, field, f, 0.0))
+    moved, record = ray_start(px.ProblemSpec(box, field, f, c))
+    assert record["scale"] == pytest.approx(record0["scale"], rel=1e-9, abs=1e-12)
     np.testing.assert_allclose(moved - c, zero, rtol=0.0,
                                atol=1e-9 * (abs(c) + np.abs(zero).max()))
 
@@ -399,7 +401,7 @@ def test_constant_data_is_its_own_start(n_axes):
         box = px.Box([0.0] * n_axes, hi[:n_axes])
         f = px.GridFunction.constant(box, cells[:n_axes], 0.0)
         spec = px.ProblemSpec(box, px.constant_exponent(1.2, domain=box), f, c, reg_eps=0.0)
-        assert ray_start(spec)[1][0] == 0.0
+        assert ray_start(spec)[1]["scale"] == 0.0
         res = px.solve_dirichlet(spec)
         assert res.converged and res.iterations == 0 and res.message == ""
         assert np.all(res.solution.values == c)
@@ -417,10 +419,11 @@ def test_nonconstant_data_start_at_the_warm_start(n_axes, p):
     ramp = lambda pts: 0.5 + pts[:, 0]
     spec = px.ProblemSpec(box, px.constant_exponent(p, domain=box), f, ramp)
     lat, src = _lattice(f, spec.field, f)
-    u2 = solver._laplace_warm_start(spec, src).reshape(-1)
+    u2 = warm_start(spec).reshape(-1)
     eps = solver._eps_schedule(spec)[0]
-    u, (grads, sq), (s, e2, e) = solver._ray_start(lat, src, u2, eps)
-    assert u is u2 and s == 1.0 and e == e2 == lat.energy(u2, (grads, sq), eps, src)
+    u, (grads, sq), record = solver._ray_start(spec, lat, src, eps)
+    assert np.array_equal(u, u2) and record["scale"] == 1.0
+    assert record["energy"] == record["energy_p2"] == lat.energy(u2, (grads, sq), eps, src)
     np.testing.assert_array_equal(grads, lat.geo.corner_gradients(u2))
 
 
@@ -429,10 +432,10 @@ def test_start_record_per_solve():
     res = px.solve_dirichlet(spec)
     starts = [r for r in res.history if "scale" in r]
     assert starts == res.history[:1] and res.converged
-    s, e2, e = ray_start(spec)[1]
-    assert starts[0] == {"scale": s, "energy_p2": e2, "energy": e}
-    assert 0.0 < s < 1.0 and e < e2
-    assert res.energy_trace[0] == e
+    record = ray_start(spec)[1]
+    assert starts[0] == record and list(record) == ["scale", "energy_p2", "energy"]
+    assert 0.0 < record["scale"] < 1.0 and record["energy"] < record["energy_p2"]
+    assert res.energy_trace[0] == record["energy"]
 
 
 def test_long_1d_warm_start_memory_is_linear():
@@ -1386,6 +1389,52 @@ def test_verdict_matches_the_residual_when_the_budget_runs_out(p, max_iter, conv
         assert res.residual == px.weak_residual(res.solution, spec)
     else:  # a stage within its tolerance would have moved on
         assert res.residual > max(spec.tol, 1e-5)
+
+
+def restart(spec, u, stages):
+    """_newton on the lattice of spec from the flat nodal array u over stages,
+    with a start record that holds only u's energy at stages[0]."""
+    lat, src = _lattice(spec.rhs, spec.field, spec.rhs)
+    corners = lat.corners(u)
+    history = [{"energy": lat.energy(u, corners, stages[0], src)}]
+    res = solver._newton(spec.rhs, lat, src, u, corners, stages, spec.tol, spec.max_iter,
+                         history)
+    assert res.history is history
+    return res
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_newton_restarted_at_its_solution_takes_no_step(p):
+    # The loop takes its start and stages as given, as nested iteration needs:
+    # from a converged solution, at the last stage alone, it is done at once.
+    spec = cos_problem(p=p)
+    res = px.solve_dirichlet(spec)
+    u = res.solution.values.reshape(-1)
+    again = restart(spec, u, solver._eps_schedule(spec)[-1:])
+    assert again.converged and again.iterations == 0 and again.message == ""
+    assert again.solution.values.tobytes() == res.solution.values.tobytes()
+    assert len(again.history) == 1 and again.energy_trace == [again.history[0]["energy"]]
+    assert again.residual == res.residual
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_newton_restarted_off_its_solution_converges_back(p):
+    # The interior of the solution times 1 + 0.1 N(0, 1), over the solve's
+    # stages: the loop meets tol again, with one record per Newton step.  For
+    # p = 3 a residual under tol leaves u loose (seeds 0-5 land 5e-10 to 9e-8
+    # relative from the solve's solution; seed 0 1.2e-8 at p = 1.5 and 2.0e-8
+    # at p = 3), so the bound is 1e-7.
+    spec = cos_problem(p=p)
+    res = px.solve_dirichlet(spec)
+    u = res.solution.values.reshape(-1).copy()
+    interior = _lattice(spec.rhs, spec.field, spec.rhs)[0].interior
+    u[interior] *= 1.0 + 0.1 * np.random.default_rng(0).standard_normal(interior.size)
+    again = restart(spec, u, solver._eps_schedule(spec))
+    assert again.converged and again.iterations >= 1
+    assert len(again.history) == again.iterations + 1
+    assert px.weak_residual(again.solution, spec) == again.residual <= spec.tol
+    rel = np.abs(again.solution.values - res.solution.values).max()
+    assert rel <= 1e-7 * np.abs(res.solution.values).max()
 
 
 # -- weak residual -------------------------------------------------------------

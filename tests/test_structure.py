@@ -309,6 +309,19 @@ def test_mu_general_dilate_without_nodes():
         px.mu_general(b, px.Ball([0.013], 0.001), field)
 
 
+@pytest.mark.parametrize("name, value, least", [
+    ("max_nodes", 0, 1), ("n_radii", 0, 1), ("n_dir", 0, 1), ("n_dir", 2.5, 1),
+    ("n_states", -1, 0),
+])
+def test_sample_lattice_rejects_bad_counts(name, value, least):
+    # max_nodes = 0 divided by zero; n_radii = 0 or n_dir = 0 built no sample
+    # and the check passed over none
+    _, like, _ = setup_1d()
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {least}, got {value}$"):
+        px.structure_sample_lattice(like, 1.0, **{name: value})
+    assert np.all(px.structure_sample_lattice(like, 1.0, n_states=0).states == 0.0)
+
+
 def test_sample_lattice_deterministic():
     _, like, _ = setup_1d()
     s1 = px.structure_sample_lattice(like, 1.0, seed=42)
