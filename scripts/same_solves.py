@@ -7,6 +7,11 @@ and 128^2 cells.  The solution bytes, energy traces, residuals, messages, iterat
 histories and ``verify-harness`` report.json bytes must be equal, else exit status 1:
 
     python3 scripts/same_solves.py --base HEAD~1
+
+For each problem that differs it also prints whether the iterations, the message and
+the step records are equal, the largest relative difference of the solution, the
+energy trace, the residual and the step records' floats, and for report.json that of
+its float leaves and every other leaf that differs.
 """
 
 from __future__ import annotations
@@ -59,15 +64,85 @@ def worker(tmp: Path) -> dict:
     return out
 
 
+def differing(a: dict, b: dict) -> list:
+    """The fields of two records whose pickled bytes differ, or that one lacks."""
+    return [key for key in sorted(a.keys() | b.keys())
+            if key not in a or key not in b or pickle.dumps(a[key]) != pickle.dumps(b[key])]
+
+
 def compare(base: dict, change: dict) -> list:
     """'name: field' for each field whose pickled bytes differ between the sides, or
     that one side lacks, and 'name: missing on one side' for each unmatched problem."""
     diffs = [f"{name}: missing on one side" for name in sorted(base.keys() ^ change.keys())]
     for name in sorted(base.keys() & change.keys()):
-        a, b = base[name], change[name]
-        diffs += [f"{name}: {key}" for key in sorted(a.keys() | b.keys())
-                  if key not in a or key not in b or pickle.dumps(a[key]) != pickle.dumps(b[key])]
+        diffs += [f"{name}: {key}" for key in differing(base[name], change[name])]
     return diffs
+
+
+def rel_diff(a, b) -> float:
+    """max |a - b| / max(|a|, |b|) over two float sequences, 0 where they are equal
+    (NaN with NaN too), inf where their lengths differ or one is NaN."""
+    import numpy as np
+
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return float("inf")
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    return float(np.max(np.where(same, 0.0, np.nan_to_num(rel, nan=np.inf)), initial=0.0))
+
+
+def leaves(x, path: str = "") -> dict:
+    """{path: value} of every leaf of nested dicts and lists, in their order."""
+    if isinstance(x, dict):
+        return {k: v for key, val in x.items() for k, v in leaves(val, f"{path}.{key}").items()}
+    if isinstance(x, list):
+        return {k: v for i, val in enumerate(x) for k, v in leaves(val, f"{path}[{i}]").items()}
+    return {path: x}
+
+
+def leaf_diffs(a, b) -> tuple:
+    """(the largest relative difference over the float leaves that both sides have
+    at one path, 'path: a != b' for every other leaf that differs or that one side
+    lacks).  Integers, strings, booleans and None are compared exactly."""
+    la, lb = leaves(a), leaves(b)
+    floats, others = ([], []), []
+    for path in list(la) + [q for q in lb if q not in la]:
+        va, vb = la.get(path, "<missing>"), lb.get(path, "<missing>")
+        if isinstance(va, float) and isinstance(vb, float):
+            floats[0].append(va)
+            floats[1].append(vb)
+        elif type(va) is not type(vb) or va != vb:
+            others.append(f"{path}: {va!r} != {vb!r}")
+    return rel_diff(*floats), others
+
+
+def explain(a: dict, b: dict) -> list:
+    """Lines that say what differs between two records of one problem, and by how much."""
+    import json
+
+    import numpy as np
+
+    def equal(key):
+        return "equal" if pickle.dumps(a.get(key)) == pickle.dumps(b.get(key)) else "differ"
+
+    step_rel, step_others = leaf_diffs(a.get("history"), b.get("history"))
+    steps = (equal("history") if step_rel == 0.0 and not step_others else
+             "equal but for floats" if not step_others else
+             "differ: " + "; ".join(step_others[:5]) + (" ..." if len(step_others) > 5 else ""))
+    sol = [np.frombuffer(r.get("solution", b""), dtype=float) for r in (a, b)]
+    lines = [f"  iterations {equal('iterations')}, message {equal('message')}, "
+             f"step records {steps}",
+             f"  max relative difference: solution {rel_diff(*sol):.2e}, energy trace "
+             f"{rel_diff(a.get('energy_trace', []), b.get('energy_trace', [])):.2e}, residual "
+             f"{rel_diff(a.get('residual', np.nan), b.get('residual', np.nan)):.2e}, "
+             f"step record floats {step_rel:.2e}"]
+    if "report.json" in a and "report.json" in b:
+        rel, others = leaf_diffs(*(json.loads(r["report.json"]) for r in (a, b)))
+        lines.append(f"  report.json: max relative difference of its floats {rel:.2e}"
+                     + "".join(f"; {o}" for o in others))
+    return lines
 
 
 def main(argv=None) -> int:
@@ -93,8 +168,12 @@ def main(argv=None) -> int:
                            env=dict(os.environ, PYTHONPATH=str(src), **BLAS_THREADS),
                            stdout=subprocess.DEVNULL)
             runs[side] = pickle.loads(dest.read_bytes())
-    diffs = compare(runs["base"], runs["change"])
-    print("\n".join(diffs) or f"all {len(runs['base'])} problems equal")
+    base, change = runs["base"], runs["change"]
+    diffs = compare(base, change)
+    print("\n".join(diffs) or f"all {len(base)} problems equal")
+    for name in sorted(base.keys() & change.keys()):
+        if differing(base[name], change[name]):
+            print("\n".join([f"{name}:"] + explain(base[name], change[name])))
     return 1 if diffs else 0
 
 

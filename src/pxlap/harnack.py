@@ -186,7 +186,9 @@ def caccioppoli_check(u: GridFunction, gamma: float, eta: GridFunction,
 
     with p-, p+ the exponent band over the support of eta.  The caller
     asserts the sign regime (gamma > 0 for supersolution-type hypotheses,
-    gamma < 0 for the reversed one) and supplies the probe constant.
+    gamma < 0 for the reversed one) and supplies the probe constant.  A
+    cutoff that vanishes with its gradient on every cell, so that the lattice
+    does not sample its support, is a ValueError naming it.
     """
     if not 0 < abs(gamma) < np.inf:
         raise ValueError(f"gamma must be finite and nonzero, got {gamma}")
@@ -207,8 +209,7 @@ def caccioppoli_check(u: GridFunction, gamma: float, eta: GridFunction,
 
     active = (eta_mid > 0) | (ge > 0)
     if not np.any(active):
-        zero = CaccioppoliResult(0.0, 0.0, True, 0.0, 0.0, 0.0, field.p1, field.p2)
-        return zero
+        raise ValueError("cutoff eta: no cell weight inside its support")
     support_nodes = np.unique(cell_corners(np.arange(u.values.size).reshape(u.dims))[active])
     p_support = np.concatenate([p_mid[active],
                                 field(u.nodes()[support_nodes])])

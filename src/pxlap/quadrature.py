@@ -26,16 +26,19 @@ __all__ = ["CellGeometry", "midpoint_data", "ball_cell_weights", "lq_norm"]
 class CellGeometry:
     """Corner indexing and per-corner gradient stencils of a uniform lattice.
 
-    corner_idx[c, k] is the flat node index of corner k of cell c.  For the
-    multilinear interpolant on cell c, its gradient at corner k is
-    grad_stencils[k] @ u[corner_idx[c]], an (n_axes,) vector.
+    Every per-corner array is corner-major, its last axis the cell index, so
+    an elementwise pass over one corner (or one axis and corner) runs over a
+    contiguous row of n_cells entries.  corner_idx[k, c] is the flat node
+    index of corner k of cell c.  For the multilinear interpolant on cell c,
+    its gradient along axis a at corner k is grad_stencils[a, k] @
+    u[corner_idx[:, c]].
     """
 
     dims: tuple
     spacing: np.ndarray
     corner_offsets: np.ndarray  # (2^n, n) in {0, 1}
-    corner_idx: np.ndarray      # (ncells, 2^n)
-    grad_stencils: np.ndarray   # (2^n, n, 2^n)
+    corner_idx: np.ndarray      # (2^n, ncells)
+    grad_stencils: np.ndarray   # (n, 2^n, 2^n)
     cell_vol: float
     node_weights: np.ndarray    # (nnodes,) lumped vertex-rule weights
 
@@ -46,18 +49,18 @@ class CellGeometry:
         ncorner = 2**n
         nnodes = int(np.prod(dims))
         offsets = _corner_offsets(n)
-        corner_idx = cell_corners(np.arange(nnodes).reshape(dims))
+        corner_idx = np.ascontiguousarray(cell_corners(np.arange(nnodes).reshape(dims)).T)
 
         # Gradient of the multilinear interpolant at corner k, axis a: the
         # one-sided difference along the cell edge through k in direction a.
-        G = np.zeros((ncorner, n, ncorner))
+        G = np.zeros((n, ncorner, ncorner))
         ofs_list = [tuple(o) for o in offsets]
         for k, off in enumerate(offsets):
             for a in range(n):
                 hi = tuple(1 if i == a else o for i, o in enumerate(off))
                 lo = tuple(0 if i == a else o for i, o in enumerate(off))
-                G[k, a, ofs_list.index(hi)] += 1.0 / g.spacing[a]
-                G[k, a, ofs_list.index(lo)] -= 1.0 / g.spacing[a]
+                G[a, k, ofs_list.index(hi)] += 1.0 / g.spacing[a]
+                G[a, k, ofs_list.index(lo)] -= 1.0 / g.spacing[a]
 
         vol = float(np.prod(g.spacing))
         w = np.bincount(corner_idx.ravel(), minlength=nnodes) * (vol / ncorner)
@@ -69,23 +72,25 @@ class CellGeometry:
 
     @property
     def n_cells(self) -> int:
-        return self.corner_idx.shape[0]
+        return self.corner_idx.shape[1]
 
     def corner_values(self, values: np.ndarray) -> np.ndarray:
-        """Gather nodal values to (ncells, 2^n)."""
+        """Gather nodal values to (2^n, ncells)."""
         return values.reshape(-1)[self.corner_idx]
 
     def corner_gradients(self, values: np.ndarray) -> np.ndarray:
-        """Vertex-rule gradients, shape (ncells, 2^n corners, n_axes).
+        """Vertex-rule gradients, shape (n_axes, 2^n corners, ncells): one
+        (n 2^n, 2^n) @ (2^n, ncells) product of the stencils with the corner
+        values.
 
         Each cell's values are taken relative to its first corner before the
-        stencil product; the stencils annihilate constants, so a cell on
-        which u is constant gets exact zeros rather than rounding.
+        product; the stencils annihilate constants, so a cell on which u is
+        constant gets exact zeros rather than rounding.
         """
-        nc, n = self.grad_stencils.shape[:2]
+        n, nc = self.grad_stencils.shape[:2]
         uc = self.corner_values(values)
-        uc -= uc[:, :1]
-        return (uc @ self.grad_stencils.reshape(nc * n, nc).T).reshape(-1, nc, n)
+        uc -= uc[0]
+        return (self.grad_stencils.reshape(n * nc, nc) @ uc).reshape(n, nc, -1)
 
 
 def midpoint_data(g: GridFunction) -> tuple:

@@ -166,25 +166,35 @@ class _Lattice:
     take both, and the iterate's ``corners``, as arguments: one instance
     serves every stage and every source.
 
+    Every per-corner array is corner-major like ``CellGeometry``'s, the cell
+    index last: p_corner and |g|^2 are (2^n, ncells), the corner gradients
+    (n, 2^n, ncells), the Hessian coefficients (2^n, n(n+1)/2, ncells) and
+    the cell blocks (2^n, 2^n, ncells).  So each elementwise pass of a Newton
+    step runs over contiguous rows of ncells entries, and each product with
+    a fixed matrix (the stencils, ``basis``) is one GEMM with that matrix on
+    the left.
+
     The unknowns are the interior nodes in lexicographic order, longest axis
     outermost (``interior``; the residual and the hat norms follow it too):
     every cell couples all its corners, so the half-bandwidth is the sum of
     the axis strides, the least any axis order gives.  The lower triangle of
     the Newton matrix is kept in LAPACK band form, entry (i, j), i >= j, at
     [i - j, j] of a Fortran-ordered (bandwidth + 1, m) array, the layout in
-    which LAPACK's blocked dpbtrf factors it fastest.  scatter[e] is the flat
-    slot the e-th entry of the raveled (ncells, 2^n, 2^n) block array adds
-    into: a block entry (r, c), r <= c, goes to the lower entry (c, r) of the
-    symmetric matrix; entries with r > c or touching a boundary node go to a
-    sentinel slot dropped after summation.
+    which LAPACK's blocked dpbtrf factors it fastest.  A block entry (j, l)
+    of a cell couples the unknowns r and c of its corners j and l and goes
+    to the lower entry (c, r) when both are interior and r <= c.  Which of
+    the two holds is the same for every cell, so only the pairs (j, l) with
+    r <= c are kept, in ``band_pairs``: scatter[e, c] is the flat band slot
+    that block entry band_pairs[e] of cell c adds into, or a sentinel slot
+    dropped after summation when a corner is a boundary node.
     """
 
     def __init__(self, grid: GridFunction, p_node: np.ndarray):
         self.origin = grid.origin.copy()
         self.geo = geo = CellGeometry.build(grid)
-        self.nc = nc = geo.corner_idx.shape[1]
+        self.nc = nc = geo.corner_idx.shape[0]
         self.p_node = np.array(p_node, dtype=float)
-        self.p_corner = self.p_node[geo.corner_idx]  # (ncells, 2^n)
+        self.p_corner = self.p_node[geo.corner_idx]  # (2^n, ncells)
         bmask = grid.boundary_mask().reshape(-1)
         self.axes = tuple(np.argsort([-d for d in grid.dims], kind="stable"))  # of the unknowns
         nodes = np.arange(bmask.size).reshape(grid.dims).transpose(self.axes).ravel()
@@ -192,25 +202,33 @@ class _Lattice:
         m = self.interior.size
         pos = np.full(bmask.size, -1, dtype=np.int64)
         pos[self.interior] = np.arange(m)
-        local = pos[geo.corner_idx]  # (ncells, 2^n)
-        rows = np.repeat(local, nc, axis=1).ravel()
-        cols = np.tile(local, (1, nc)).ravel()
-        keep = (rows >= 0) & (rows <= cols)
-        self.bandwidth = bw = int(np.max(cols[keep] - rows[keep], initial=0))
-        self.scatter = np.full(rows.size, (bw + 1) * m, dtype=np.int32)
-        self.scatter[keep] = rows[keep] * bw + cols[keep]
-        # basis[(k, ab), (j, l)]: corner k's share of the cell block per entry
-        # ab, a <= b, of the pointwise Hessian, vol / 2^n (G_ka^T G_kb +
-        # G_kb^T G_ka) for a < b and vol / 2^n G_ka^T G_ka for a = b.
-        G = geo.grad_stencils  # (2^n k, n a, 2^n j)
+        local = pos[geo.corner_idx]  # (2^n, ncells)
+        keeps = {}  # (j, l): the cells whose corners j and l are interior, r <= c
+        for j in range(nc):
+            for l in range(nc):
+                keep = (local[j] >= 0) & (local[j] <= local[l])
+                if keep.any():
+                    keeps[j, l] = keep
+        self.band_pairs = np.array(list(keeps), dtype=np.intp).reshape(-1, 2)
+        self.bandwidth = bw = int(max((np.max(local[l][keep] - local[j][keep])
+                                       for (j, l), keep in keeps.items()), default=0))
+        self.scatter = np.full((len(keeps), geo.n_cells), (bw + 1) * m, dtype=np.int32)
+        for row, ((j, l), keep) in zip(self.scatter, keeps.items()):
+            row[keep] = local[j][keep] * bw + local[l][keep]
+        # basis[(j, l), (k, ab)]: corner k's share of the cell block entry
+        # (j, l) per entry ab, a <= b, of the pointwise Hessian, vol / 2^n
+        # (G_ka^T G_kb + G_kb^T G_ka) for a < b and vol / 2^n G_ka^T G_ka for
+        # a = b.
+        G = geo.grad_stencils  # (n a, 2^n k, 2^n j)
         a, b = np.triu_indices(geo.n_axes)
-        pair = np.einsum("kaj,kal->kajl", G[:, a], G[:, b])
+        pair = np.einsum("akj,akl->kajl", G[a], G[b])
         pair = (pair + pair.transpose(0, 1, 3, 2)) * np.where(a == b, 0.5, 1.0)[:, None, None]
-        self.basis = pair.reshape(nc * a.size, nc * nc) * (geo.cell_vol / nc)
+        self.basis = np.ascontiguousarray(pair.reshape(nc * a.size, nc * nc).T)
+        self.basis *= geo.cell_vol / nc
         self.hats = None  # (NormConfig, hat norms) of the last hat_norms call
         for arr in (geo.spacing, geo.corner_offsets, geo.corner_idx, geo.grad_stencils,
                     geo.node_weights, self.origin, self.p_node, self.p_corner, self.interior,
-                    self.scatter, self.basis):
+                    self.band_pairs, self.scatter, self.basis):
             arr.flags.writeable = False
 
     def matches(self, grid: GridFunction, p_node: np.ndarray) -> bool:
@@ -241,13 +259,13 @@ class _Lattice:
             return hats[1]
         geo = self.geo
         dims = geo.dims
-        p_cells = self.p_corner.reshape(tuple(d - 1 for d in dims) + (self.nc,))
-        stencil_mag = np.linalg.norm(geo.grad_stencils, axis=1)  # (2^n k, 2^n j)
+        p_cells = self.p_corner.reshape((self.nc,) + tuple(d - 1 for d in dims))
+        stencil_mag = np.linalg.norm(geo.grad_stencils, axis=0)  # (2^n k, 2^n j)
         ps, log_mags = [], []
         for j, off in enumerate(geo.corner_offsets):
             cells = tuple(slice(1 - o, d - 1 - o) for o, d in zip(off, dims))
             for k in np.flatnonzero(stencil_mag[:, j]):
-                ps.append(p_cells[cells + (k,)].transpose(self.axes).ravel())
+                ps.append(p_cells[(k,) + cells].transpose(self.axes).ravel())
                 log_mags.append(np.log(stencil_mag[k, j]))
         P = np.stack(ps, axis=1)  # (interior nodes, support size)
         log_c = np.log(geo.cell_vol / self.nc) + P * np.array(log_mags)
@@ -264,24 +282,29 @@ class _Lattice:
         return hat
 
     def corners(self, u_flat: np.ndarray) -> tuple:
-        """(g, |g|^2): the vertex-rule gradients of u, (ncells, 2^n, n), and their
-        squared norms, (ncells, 2^n)."""
+        """(g, |g|^2): the vertex-rule gradients of u, (n, 2^n, ncells), and their
+        squared norms, (2^n, ncells)."""
         grads = self.geo.corner_gradients(u_flat)
-        return grads, np.einsum("cka,cka->ck", grads, grads)
+        return grads, np.einsum("akc,akc->kc", grads, grads)
 
     def energy(self, u_flat: np.ndarray, corners: tuple, eps: float, src: np.ndarray) -> float:
         w = np.sqrt(corners[1] + eps**2)
         dens = np.where(w > 0, w**self.p_corner, 0.0) / self.p_corner
-        return float(self.geo.cell_vol / self.nc * dens.sum() + src @ u_flat)
+        # Summed in cell order, over a cell-major copy.  Where the line search
+        # stalls at the flux kink it accepts or rejects on energy differences
+        # of rounding size, so the summation order steers that trajectory;
+        # test_kink_stall_exhausts_the_budget pins the one this order gives.
+        return float(self.geo.cell_vol / self.nc * np.ascontiguousarray(dens.T).sum()
+                     + src @ u_flat)
 
     def gradient(self, corners: tuple, eps: float, src: np.ndarray) -> np.ndarray:
         grads, sq = corners
         w = np.sqrt(sq + eps**2)
         with np.errstate(divide="ignore", over="ignore"):
             coef = np.where(w > 0, np.where(w > 0, w, 1.0) ** (self.p_corner - 2.0), 0.0)
-        flux = coef[:, :, None] * grads
-        nc, n = self.nc, self.geo.n_axes
-        per_corner = flux.reshape(-1, nc * n) @ self.geo.grad_stencils.reshape(nc * n, nc)
+        flux = coef * grads
+        n, nc = self.geo.n_axes, self.nc
+        per_corner = self.geo.grad_stencils.reshape(n * nc, nc).T @ flux.reshape(n * nc, -1)
         g = np.bincount(self.geo.corner_idx.ravel(), minlength=self.p_node.size,
                         weights=(self.geo.cell_vol / nc) * per_corner.ravel())
         return g + src
@@ -292,14 +315,14 @@ class _Lattice:
 
     def hessian_blocks(self, corners: tuple, eps_h: float,
                        out: np.ndarray | None = None) -> np.ndarray:
-        """The (ncells, 2^n, 2^n) cell blocks of the energy Hessian at smoothing eps_h.
+        """The (2^n, 2^n, ncells) cell blocks of the energy Hessian at smoothing eps_h.
 
         The pointwise Hessian of w^p / p in the gradient g is M = c1 I + c2 g g^T
         with c1 = w^(p-2) and c2 = (p-2) c1 / w^2, so each cell block is
-        sum_k G_k^T M_k G_k: one product of the upper triangles of the M_k,
-        (ncells, 2^n n(n+1)/2), with the fixed ``basis``.  The blocks are
-        written into out, a C-contiguous array of that shape, when given, and
-        into a new array otherwise.
+        sum_k G_k^T M_k G_k: one product of the fixed ``basis`` with the upper
+        triangles of the M_k, (2^n n(n+1)/2, ncells).  The blocks are written
+        into out, a C-contiguous array of that shape, when given, and into a
+        new array otherwise.
         """
         grads, sq = corners
         # A tiny floor keeps c1 / w^2 finite at degenerate corners; the matrix
@@ -307,17 +330,17 @@ class _Lattice:
         w2 = sq + max(eps_h, 1e-12) ** 2
         c1 = np.sqrt(w2) ** (self.p_corner - 2.0)
         c2 = (self.p_corner - 2.0) * c1 / w2
-        ncells, nc, n = grads.shape
-        coef = np.empty((ncells, nc, n * (n + 1) // 2))
+        n, nc, ncells = grads.shape
+        coef = np.empty((nc, n * (n + 1) // 2, ncells))
         for j, (a, b) in enumerate(zip(*np.triu_indices(n))):
-            col = coef[:, :, j]
-            np.multiply(grads[:, :, a], grads[:, :, b], out=col)
+            col = coef[:, j]
+            np.multiply(grads[a], grads[b], out=col)
             np.multiply(c2, col, out=col)
             if a == b:
                 np.add(col, c1, out=col)
         if out is None:
-            out = np.empty((ncells, nc, nc))
-        np.matmul(coef.reshape(ncells, -1), self.basis, out=out.reshape(ncells, nc * nc))
+            out = np.empty((nc, nc, ncells))
+        np.matmul(self.basis, coef.reshape(-1, ncells), out=out.reshape(nc * nc, ncells))
         return out
 
     def hessian_vec(self, blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -328,23 +351,26 @@ class _Lattice:
         """
         full = np.zeros(self.p_node.size)
         full[self.interior] = x
-        y = np.einsum("cjl,cl->cj", blocks, full[self.geo.corner_idx])
+        y = np.einsum("jlc,lc->jc", blocks, full[self.geo.corner_idx])
         return np.bincount(self.geo.corner_idx.ravel(), weights=y.ravel(),
                            minlength=full.size)[self.interior]
 
     def band(self, blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Sum the (ncells, 2^n, 2^n) cell blocks into the lower band storage.
+        """Sum the (2^n, 2^n, ncells) cell blocks into the lower band storage.
 
         The sums are taken in a flat array of (bandwidth + 1) m + 1 entries,
         the last one the sentinel slot, which is out when given (its old
         contents are overwritten) and a new array otherwise; the result is
         the Fortran-ordered (bandwidth + 1, m) view of it without the sentinel.
+        Each kept pair (j, l) adds its contiguous row of ncells entries in one
+        ``np.add.at``.
         """
         ldab, m = self.bandwidth + 1, self.interior.size
         if out is None:
             out = np.empty(ldab * m + 1)
         out.fill(0.0)
-        np.add.at(out, self.scatter, blocks.reshape(-1))
+        for slots, (j, l) in zip(self.scatter, self.band_pairs):
+            np.add.at(out, slots, blocks[j, l])
         return out[:-1].reshape((ldab, m), order="F")
 
 
@@ -501,18 +527,21 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     """
     lat, src = _lattice(spec.rhs, spec.field, spec.rhs)
     stages = _eps_schedule(spec)
-    u, corners, start = _ray_start(spec, lat, src, stages[0])
-    return _newton(spec.rhs, lat, src, u, corners, stages, spec.tol, spec.max_iter, [start])
+    *start, record = _ray_start(spec, lat, src, stages[0])
+    return _newton(spec.rhs, lat, src, start, stages, spec.tol, spec.max_iter, [record])
 
 
-def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, u: np.ndarray, corners: tuple,
+def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
             stages: list, tol: float, max_iter: int, history: list) -> SolveResult:
     """Newton with Armijo backtracking from u over the eps stages, largest first.
 
-    u is a flat nodal array on the lattice of grid that carries the Dirichlet
-    data, corners its ``_Lattice.corners``, src the source weights and
-    history a list whose last record is the start's, with its energy at
-    stages[0] under "energy"; the Newton step records are appended to it.
+    start is the list [u, corners], which the loop empties: u is a flat nodal
+    array on the lattice of grid that carries the Dirichlet data and corners
+    its ``_Lattice.corners``.  So the start's corner arrays are freed once
+    the first step is accepted, where a caller's reference would hold them
+    through the whole loop.  src is the source weights and history a list
+    whose last record is the start's, with its energy at stages[0] under
+    "energy"; the Newton step records are appended to it.
     Each pass takes the gradient and the residual at the current stage eps;
     when the residual meets the stage tolerance (max(tol, 1e-5) before the
     last stage, tol at the last) eps moves to the next stage, whose first
@@ -547,6 +576,8 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, u: np.ndarray, c
     directions for the stage energy; the stage energy decreases when eps
     does, so the trace is nonincreasing.
     """
+    u, corners = start
+    start.clear()
     interior = lat.interior
     hat = lat.hat_norms()
     debug = _log.isEnabledFor(logging.DEBUG)
@@ -565,7 +596,7 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, u: np.ndarray, c
     # The solve's cell blocks and flat band (its last entry the sentinel
     # slot), taken only now: held through the start and the hat norms they
     # raised the peak RSS of a 64^2 solve by about 1 MB.
-    blocks = np.empty(lat.p_corner.shape + (lat.nc,))
+    blocks = np.empty((lat.nc,) + lat.p_corner.shape)
     band = np.empty((lat.bandwidth + 1) * interior.size + 1)
     while True:
         g = lat.gradient(corners, eps, src)

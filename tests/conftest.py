@@ -6,7 +6,7 @@ from hypothesis import settings
 import pxlap as px
 import pxlap.solver as solver
 from pxlap.grid import as_points
-from pxlap.quadrature import CellGeometry, lq_norm, midpoint_data
+from pxlap.quadrature import CellGeometry, cell_corners, lq_norm, midpoint_data
 
 # Property tests draw a fixed example sequence and have no per-example
 # deadline, so they are reproducible and do not flake on a loaded host.
@@ -82,14 +82,27 @@ def pointwise_reference(w, field, x, reg_eps=0.0):
 
 
 def reference_cell_means(g):
-    """Cell means as the mean of the corner values a CellGeometry gathers."""
+    """Cell means as the mean of the corner values a CellGeometry gathers, taken
+    per cell over a cell-major copy, so the sums run in the same order."""
     geo = CellGeometry.build(g)
-    return geo.corner_values(g.values).mean(axis=1)
+    return np.ascontiguousarray(geo.corner_values(g.values).T).mean(axis=1)
+
+
+def cell_major(geo, nodal):
+    """Nodal values per cell, (ncells, 2^n), from the shifted slices of
+    quadrature.cell_corners, not from the geometry's corner_idx."""
+    return cell_corners(np.reshape(nodal, geo.dims))
+
+
+def cell_major_idx(geo):
+    """The flat node index of every cell corner, (ncells, 2^n)."""
+    return cell_major(geo, np.arange(int(np.prod(geo.dims))))
 
 
 def reference_corner_gradients(geo, values):
-    """Vertex-rule corner gradients as one einsum over the stencils."""
-    return np.einsum("kaj,cj->cka", geo.grad_stencils, geo.corner_values(values))
+    """Vertex-rule corner gradients, cell-major (ncells, 2^n, n), as one einsum
+    of the stencils with the corner values of cell_major."""
+    return np.einsum("akj,cj->cka", geo.grad_stencils, cell_major(geo, values))
 
 
 def reference_center_gradients(geo, values):
@@ -101,13 +114,13 @@ def reference_caccioppoli(u, gamma, eta, H, field, C_probe):
     the support from corner_idx, center gradients from the einsum stencils."""
     geo = CellGeometry.build(u)
     centers, vols = midpoint_data(u)
-    u_mid, eta_mid, H_mid = (geo.corner_values(g.values).mean(axis=1) for g in (u, eta, H))
+    u_mid, eta_mid, H_mid = (geo.corner_values(g.values).mean(axis=0) for g in (u, eta, H))
     eta_mid = np.maximum(eta_mid, 0.0)
     gu = np.linalg.norm(reference_center_gradients(geo, u.values), axis=1)
     ge = np.linalg.norm(reference_center_gradients(geo, eta.values), axis=1)
     p_mid = field(centers)
     active = (eta_mid > 0) | (ge > 0)
-    support_nodes = np.unique(geo.corner_idx[active].ravel())
+    support_nodes = np.unique(geo.corner_idx[:, active].ravel())
     p_support = np.concatenate([p_mid[active], field(u.nodes()[support_nodes])])
     p_minus, p_plus = float(p_support.min()), float(p_support.max())
     w = np.where(active, vols, 0.0)
@@ -143,15 +156,16 @@ def reference_ball_cell_weights(g, ball, subdiv=8):
 
 
 def reference_gradient(lat, u_flat, eps, src):
-    """Energy gradient of a _Lattice with einsum stencils and np.add.at."""
+    """Energy gradient of a _Lattice, cell-major, with einsum stencils and np.add.at."""
     geo = lat.geo
     grads = reference_corner_gradients(geo, u_flat)
+    p = cell_major(geo, lat.p_node)
     w = np.sqrt(np.sum(grads**2, axis=2) + eps**2)
     with np.errstate(divide="ignore", over="ignore"):
-        coef = np.where(w > 0, np.where(w > 0, w, 1.0) ** (lat.p_corner - 2.0), 0.0)
-    per_corner = np.einsum("kaj,cka->cj", geo.grad_stencils, coef[:, :, None] * grads)
+        coef = np.where(w > 0, np.where(w > 0, w, 1.0) ** (p - 2.0), 0.0)
+    per_corner = np.einsum("akj,cka->cj", geo.grad_stencils, coef[:, :, None] * grads)
     g = np.zeros_like(u_flat)
-    np.add.at(g, geo.corner_idx.ravel(), (geo.cell_vol / lat.nc) * per_corner.ravel())
+    np.add.at(g, cell_major_idx(geo).ravel(), (geo.cell_vol / lat.nc) * per_corner.ravel())
     return g + src
 
 
@@ -182,17 +196,18 @@ def reference_hat_norms(lat, interior_flat, cfg=px.NormConfig()):
     geo = lat.geo
     val_part = geo.node_weights[interior_flat] ** (1.0 / lat.p_node[interior_flat])
 
-    stencil_mag = np.linalg.norm(geo.grad_stencils, axis=1)  # (2^n k, 2^n j)
+    stencil_mag = np.linalg.norm(geo.grad_stencils, axis=0)  # (2^n k, 2^n j)
     vol = geo.cell_vol / lat.nc
     ncells = geo.n_cells
+    corner_idx, p_corner = cell_major_idx(geo), cell_major(geo, lat.p_node)
     node_ids, mags, ps = [], [], []
     for k in range(lat.nc):
         for j in range(lat.nc):
             if stencil_mag[k, j] == 0.0:
                 continue
-            node_ids.append(geo.corner_idx[:, j])
+            node_ids.append(corner_idx[:, j])
             mags.append(np.full(ncells, stencil_mag[k, j]))
-            ps.append(lat.p_corner[:, k])
+            ps.append(p_corner[:, k])
     node_ids = np.concatenate(node_ids)
     mags = np.concatenate(mags)
     ps = np.concatenate(ps)

@@ -312,6 +312,21 @@ def test_unsampled_region_and_empty_structure_samples_are_error_records(tmp_path
     assert structure["detail"]["message"] == "n_radii must be an integer >= 1, got 0"
 
 
+def test_unsampled_cutoff_is_an_error_record(tmp_path):
+    # An 8-cell square with u = 2: a bump of radius 0.01 at (0.51, 0.51)
+    # vanishes at every node, so no cell samples the cutoff.  It used to be
+    # an ok record, holds: true with lhs = rhs = 0.
+    out = tmp_path / "out"
+    cfg = manufactured_config(out, [{"kind": "caccioppoli", "center": [0.51, 0.51],
+                                     "rho": 0.01}])
+    cfg["problem"].update(domain=[[0.0, 1.0], [0.0, 1.0]], cells=8, rhs=0.0,
+                          dirichlet={"kind": "constant", "value": 2.0})
+    assert main(["verify", write_config(tmp_path, cfg)]) == 1
+    (record,) = json.loads((out / "report.json").read_text())
+    assert record["status"] == "error"
+    assert record["detail"]["message"] == "cutoff eta: no cell weight inside its support"
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("reg_eps", -1.0, r"problem: reg_eps must be finite and >= 0, got -1\.0"),
     ("exponent", {"kind": "constant", "value": 0.5},

@@ -241,8 +241,8 @@ def test_caccioppoli_trivial_cases():
     r = px.caccioppoli_check(ones, 2.0, eta, H, field, C_probe=0.5)
     assert r.lhs == 0.0 and r.holds
     eta0 = u.like(np.zeros(u.dims))
-    r0 = px.caccioppoli_check(u, 1.0, eta0, H, field, C_probe=1.0)
-    assert r0.lhs == 0.0 and r0.rhs == 0.0 and r0.holds
+    with pytest.raises(ValueError, match="cutoff eta: no cell weight inside its support"):
+        px.caccioppoli_check(u, 1.0, eta0, H, field, C_probe=1.0)
 
 
 def test_caccioppoli_hypothesis_errors():

@@ -58,3 +58,53 @@ def test_a_report_or_a_problem_on_one_side_only_is_a_difference(same):
     change["cos/p6.0/2d-64"] = records()["solve2d-singular/0/0"]
     assert same.compare(records(), change) == ["cos/p6.0/2d-64: missing on one side",
                                                "verify-harness/0: report.json"]
+
+
+def test_explain_equal_but_for_rounding(same):
+    # the solution, the trace, the residual and one history float off by
+    # rounding: the counts, the message and the step path stay equal
+    base, change = records(), records()
+    rec = change["solve2d-singular/0/0"]
+    sol = np.frombuffer(rec["solution"], dtype=float).copy()
+    sol[4] *= 1.0 + 1e-13
+    rec["solution"] = sol.tobytes()
+    rec["energy_trace"][1] *= 1.0 + 2e-15
+    rec["residual"] *= 1.0 - 3e-14
+    rec["history"][1]["residual"] *= 1.0 + 4e-12
+    steps, rel = same.explain(base["solve2d-singular/0/0"], rec)
+    assert steps == "  iterations equal, message equal, step records equal but for floats"
+    words = rel.replace(",", "").split()
+    got = {key: float(words[words.index(key.split()[-1]) + 1])
+           for key in ("solution", "trace", "residual", "floats")}
+    assert got == pytest.approx({"solution": 1e-13, "trace": 2e-15, "residual": 3e-14,
+                                 "floats": 4e-12}, rel=0.02)
+    assert same.explain(base["verify-harness/0"], base["verify-harness/0"]) == [
+        "  iterations equal, message equal, step records equal",
+        "  max relative difference: solution 0.00e+00, energy trace 0.00e+00, residual 0.00e+00, "
+        "step record floats 0.00e+00",
+        "  report.json: max relative difference of its floats 0.00e+00"]
+
+
+def test_explain_names_what_is_not_rounding(same):
+    base, change = records(), records()
+    rec = change["verify-harness/0"]
+    rec["iterations"], rec["message"] = 2, "line search stalled"
+    rec["history"][1].update(cg_iters=3, linear="pcg")
+    rec["history"].append({"it": 2})
+    rec["energy_trace"].append(-0.3)
+    rec["report.json"] = b'[{"check": "norm", "lhs": 1.5}]'
+    base["verify-harness/0"]["report.json"] = b'[{"check": "harnack", "lhs": 1.0}]'
+    steps, rel, report = same.explain(base["verify-harness/0"], rec)
+    assert steps == ("  iterations differ, message differ, step records differ: "
+                     "[1].linear: 'factor' != 'pcg'; [1].cg_iters: 0 != 3; "
+                     "[2].it: '<missing>' != 2")
+    assert "energy trace inf" in rel
+    assert report == ("  report.json: max relative difference of its floats 3.33e-01; "
+                      "[0].check: 'harnack' != 'norm'")
+
+
+def test_rel_diff_of_nan_and_zero(same):
+    assert same.rel_diff([np.nan, 0.0, 1.0], [np.nan, 0.0, 1.0]) == 0.0
+    assert same.rel_diff([1.0], [np.nan]) == np.inf
+    assert same.rel_diff([0.0], [1e-300]) == 1.0
+    assert same.rel_diff([1.0, 2.0], [1.0]) == np.inf

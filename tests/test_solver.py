@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 import pxlap as px
 import pxlap.solver as solver
-from conftest import (grid_1d, pointwise_reference, reference_gradient, reference_hat_norms,
+from conftest import (cell_major, cell_major_idx, grid_1d, pointwise_reference,
+                      reference_corner_gradients, reference_gradient, reference_hat_norms,
                       reference_warm_start)
 from pxlap.quadrature import CellGeometry
 from pxlap.solver import _Lattice, _lattice
@@ -42,6 +44,17 @@ def test_energy_zero_field_zero_source():
     assert px.energy(u, field, f, reg_eps=0.0) == 0.0
     # with regularization only the eps^p/p term survives
     assert px.energy(u, field, f, reg_eps=0.1) == pytest.approx(0.1**2 / 2.0, rel=1e-12)
+
+
+def test_energy_on_a_lattice_without_interior_nodes():
+    # One cell, u = x: every corner gradient is (1, 0), so the p = 2 energy
+    # is vol |g|^2 / 2 = 1/2, and the operator has no unknown and no band.
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    u = px.GridFunction.from_callable(box, 1, lambda pts: pts[:, 0])
+    f = u.like(np.zeros(u.dims))
+    assert px.energy(u, px.constant_exponent(2.0, domain=box), f) == 0.5
+    lat = _lattice(u, px.constant_exponent(2.0, domain=box), f)[0]
+    assert lat.interior.size == lat.bandwidth == lat.scatter.size == 0
 
 
 def test_energy_linear_p2():
@@ -204,8 +217,8 @@ def test_zero_reg_eps_ladder_stops_at_the_hessian_floor():
     ladder = full_eps_ladder(spec)
     assert len(ladder) == 150 and ladder[0] == stages[0]
     lat, src = _lattice(f, spec.field, f)
-    u, corners, start = solver._ray_start(spec, lat, src, ladder[0])
-    old = solver._newton(f, lat, src, u, corners, ladder, spec.tol, spec.max_iter, [start])
+    *start, record = solver._ray_start(spec, lat, src, ladder[0])
+    old = solver._newton(f, lat, src, start, ladder, spec.tol, spec.max_iter, [record])
     assert old.converged and res.iterations == old.iterations
 
 
@@ -311,7 +324,7 @@ def test_ray_start_matches_the_closed_form(n_axes, p):
     geo = CellGeometry.build(f)
     w = warm_start(spec).reshape(-1)
     q = float(np.sum(geo.node_weights * f.values.reshape(-1) * w))
-    mags = np.linalg.norm(geo.corner_gradients(w), axis=-1)
+    mags = np.linalg.norm(geo.corner_gradients(w), axis=0)
     if p == "affine":
         pk = field(f.nodes())[geo.corner_idx]
         assert pk.min() < 2.0 < pk.max()
@@ -481,22 +494,24 @@ def test_anisotropic_lattice_gets_the_short_band():
 def reference_hessian(lat, u_flat, reg_eps, eps_h):
     """Interior Newton matrix via the pointwise Hessian tensor, COO and slicing.
 
-    The straightforward assembly: the (ncells, 2^n, n, n) pointwise Hessians
-    are sandwiched between corner stencils, summed into the full nodal
-    matrix, and the interior rows and columns are sliced out.
+    The straightforward assembly, cell-major: the (ncells, 2^n, n, n)
+    pointwise Hessians are sandwiched between corner stencils, summed into
+    the full nodal matrix, and the interior rows and columns are sliced out.
     """
     eps = max(reg_eps, eps_h if eps_h is not None else 0.0, 1e-12)
-    grads = lat.geo.corner_gradients(u_flat)
+    grads = reference_corner_gradients(lat.geo, u_flat)
+    p = cell_major(lat.geo, lat.p_node)
     w = np.sqrt(np.sum(grads**2, axis=2) + eps**2)
-    c1 = w ** (lat.p_corner - 2.0)
-    c2 = (lat.p_corner - 2.0) * w ** (lat.p_corner - 4.0)
+    c1 = w ** (p - 2.0)
+    c2 = (p - 2.0) * w ** (p - 4.0)
     eye = np.eye(lat.geo.n_axes)
     M = c1[:, :, None, None] * eye + c2[:, :, None, None] * (
         grads[:, :, :, None] * grads[:, :, None, :])
     G = lat.geo.grad_stencils
-    blocks = np.einsum("kaj,ckab,kbl->cjl", G, M, G) * (lat.geo.cell_vol / lat.nc)
-    rows = np.repeat(lat.geo.corner_idx, lat.nc, axis=1).ravel()
-    cols = np.tile(lat.geo.corner_idx, (1, lat.nc)).ravel()
+    blocks = np.einsum("akj,ckab,bkl->cjl", G, M, G) * (lat.geo.cell_vol / lat.nc)
+    corner_idx = cell_major_idx(lat.geo)
+    rows = np.repeat(corner_idx, lat.nc, axis=1).ravel()
+    cols = np.tile(corner_idx, (1, lat.nc)).ravel()
     nn = u_flat.size
     full = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
     return full[lat.interior][:, lat.interior].tocsc()
@@ -680,7 +695,7 @@ def test_derivatives_agree_on_random_fields(n, kind, eps_h, seed):
 
     x = np.zeros_like(u)
     x[interior] = rng.standard_normal(interior.size)
-    x[np.unique(lat.geo.corner_idx[(corners[1] == 0.0).any(axis=1)])] = 0.0
+    x[np.unique(lat.geo.corner_idx[:, (corners[1] == 0.0).any(axis=0)])] = 0.0
     hv = lat.hessian_vec(lat.hessian_blocks(corners, eps_h), x[interior])
     fd = (gradient_at(lat, src, u + step * x, eps_h)
           - gradient_at(lat, src, u - step * x, eps_h))[interior] / (2.0 * step)
@@ -909,7 +924,7 @@ def test_cached_lattice_arrays_are_read_only():
     geo = lat.geo
     arrays = [geo.spacing, geo.corner_offsets, geo.corner_idx, geo.grad_stencils,
               geo.node_weights, lat.origin, lat.p_node, lat.p_corner, lat.interior,
-              lat.scatter, lat.basis, lat.hat_norms()]
+              lat.band_pairs, lat.scatter, lat.basis, lat.hat_norms()]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
@@ -1149,6 +1164,29 @@ def test_one_corner_evaluation_per_iterate(monkeypatch, cells, p):
     assert len(calls) == 1 + sum(r["backtracks"] + 1 for r in recs)
     if p == 6.0:
         assert sum(r["backtracks"] for r in recs) > 0
+
+
+def test_start_corners_are_freed_after_the_first_step(monkeypatch):
+    # _newton takes its start in a list that it empties, so once the first
+    # step is accepted nothing holds the start's corner gradients: by the
+    # second Newton step they are gone.
+    refs, alive = [], []
+    ray_start, hessian_blocks = solver._ray_start, _Lattice.hessian_blocks
+
+    def start(*args):
+        out = ray_start(*args)
+        refs.append(weakref.ref(out[1][0]))
+        return out
+
+    def blocks(self, *args, **kwargs):
+        alive.append(refs[0]() is not None)
+        return hessian_blocks(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_ray_start", start)
+    monkeypatch.setattr(_Lattice, "hessian_blocks", blocks)
+    res = px.solve_dirichlet(cos_problem(6, 3.0, n_axes=3))
+    assert res.converged and res.iterations >= 2
+    assert alive[:2] == [True, False]
 
 
 def test_stale_preconditioner_forces_refactor(monkeypatch):
@@ -1397,7 +1435,7 @@ def restart(spec, u, stages):
     lat, src = _lattice(spec.rhs, spec.field, spec.rhs)
     corners = lat.corners(u)
     history = [{"energy": lat.energy(u, corners, stages[0], src)}]
-    res = solver._newton(spec.rhs, lat, src, u, corners, stages, spec.tol, spec.max_iter,
+    res = solver._newton(spec.rhs, lat, src, [u, corners], stages, spec.tol, spec.max_iter,
                          history)
     assert res.history is history
     return res
