@@ -10,8 +10,10 @@ histories and ``verify-harness`` report.json bytes must be equal, else exit stat
 
 For each problem that differs it also prints whether the iterations, the message and
 the step records are equal, the largest relative difference of the solution, the
-energy trace, the residual and the step records' floats, and for report.json that of
-its float leaves and every other leaf that differs.
+energy trace, the residual and the step records' floats, every step record float
+whose value is equal but whose type differs (np.float64 against float), and for
+report.json the largest relative difference of its float leaves and every other leaf
+that differs.
 """
 
 from __future__ import annotations
@@ -105,17 +107,20 @@ def leaves(x, path: str = "") -> dict:
 def leaf_diffs(a, b) -> tuple:
     """(the largest relative difference over the float leaves that both sides have
     at one path, 'path: a != b' for every other leaf that differs or that one side
-    lacks).  Integers, strings, booleans and None are compared exactly."""
+    lacks, 'path: type != type' for every float leaf whose values are equal but
+    whose types differ).  Integers, strings, booleans and None are compared exactly."""
     la, lb = leaves(a), leaves(b)
-    floats, others = ([], []), []
+    floats, others, types = ([], []), [], []
     for path in list(la) + [q for q in lb if q not in la]:
         va, vb = la.get(path, "<missing>"), lb.get(path, "<missing>")
         if isinstance(va, float) and isinstance(vb, float):
             floats[0].append(va)
             floats[1].append(vb)
+            if type(va) is not type(vb) and va == vb:
+                types.append(f"{path}: {type(va).__name__} != {type(vb).__name__}")
         elif type(va) is not type(vb) or va != vb:
             others.append(f"{path}: {va!r} != {vb!r}")
-    return rel_diff(*floats), others
+    return rel_diff(*floats), others, types
 
 
 def explain(a: dict, b: dict) -> list:
@@ -127,10 +132,10 @@ def explain(a: dict, b: dict) -> list:
     def equal(key):
         return "equal" if pickle.dumps(a.get(key)) == pickle.dumps(b.get(key)) else "differ"
 
-    step_rel, step_others = leaf_diffs(a.get("history"), b.get("history"))
-    steps = (equal("history") if step_rel == 0.0 and not step_others else
-             "equal but for floats" if not step_others else
-             "differ: " + "; ".join(step_others[:5]) + (" ..." if len(step_others) > 5 else ""))
+    step_rel, step_others, step_types = leaf_diffs(a.get("history"), b.get("history"))
+    steps = ("differ: " + "; ".join(step_others[:5]) + (" ..." if len(step_others) > 5 else "")
+             if step_others else "equal but for floats" if step_rel != 0.0 else
+             "equal but for types" if step_types else equal("history"))
     sol = [np.frombuffer(r.get("solution", b""), dtype=float) for r in (a, b)]
     lines = [f"  iterations {equal('iterations')}, message {equal('message')}, "
              f"step records {steps}",
@@ -138,10 +143,12 @@ def explain(a: dict, b: dict) -> list:
              f"{rel_diff(a.get('energy_trace', []), b.get('energy_trace', [])):.2e}, residual "
              f"{rel_diff(a.get('residual', np.nan), b.get('residual', np.nan)):.2e}, "
              f"step record floats {step_rel:.2e}"]
+    if step_types:
+        lines.append("  step record types differ: " + "; ".join(step_types))
     if "report.json" in a and "report.json" in b:
-        rel, others = leaf_diffs(*(json.loads(r["report.json"]) for r in (a, b)))
+        rel, others, types = leaf_diffs(*(json.loads(r["report.json"]) for r in (a, b)))
         lines.append(f"  report.json: max relative difference of its floats {rel:.2e}"
-                     + "".join(f"; {o}" for o in others))
+                     + "".join(f"; {o}" for o in others + types))
     return lines
 
 

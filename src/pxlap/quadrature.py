@@ -24,59 +24,69 @@ __all__ = ["CellGeometry", "midpoint_data", "ball_cell_weights", "lq_norm"]
 
 @dataclass
 class CellGeometry:
-    """Corner indexing and per-corner gradient stencils of a uniform lattice.
+    """Corner slices and per-corner gradient stencils of a uniform lattice.
 
-    Every per-corner array is corner-major, its last axis the cell index, so
-    an elementwise pass over one corner (or one axis and corner) runs over a
-    contiguous row of n_cells entries.  corner_idx[k, c] is the flat node
-    index of corner k of cell c.  For the multilinear interpolant on cell c,
-    its gradient along axis a at corner k is grad_stencils[a, k] @
-    u[corner_idx[:, c]].
+    Corner k of every cell is the shifted slice corner_slices[k] of the nodal
+    array.  Every per-corner array is corner-major, its last axis the cell
+    index, so an elementwise pass over one corner (or one axis and corner)
+    runs over a contiguous row of n_cells entries.  For the multilinear
+    interpolant on cell c, its gradient along axis a at corner k is
+    grad_stencils[a, k] @ corner_values(u)[:, c].
     """
 
     dims: tuple
     spacing: np.ndarray
     corner_offsets: np.ndarray  # (2^n, n) in {0, 1}
-    corner_idx: np.ndarray      # (2^n, ncells)
+    corner_slices: tuple        # 2^n tuples of n slices
     grad_stencils: np.ndarray   # (n, 2^n, 2^n)
     cell_vol: float
-    node_weights: np.ndarray    # (nnodes,) lumped vertex-rule weights
+    node_weights: np.ndarray = None  # (nnodes,) lumped vertex-rule weights
 
     @classmethod
     def build(cls, g: GridFunction) -> "CellGeometry":
         dims = g.dims
         n = len(dims)
         ncorner = 2**n
-        nnodes = int(np.prod(dims))
-        offsets = _corner_offsets(n)
-        corner_idx = np.ascontiguousarray(cell_corners(np.arange(nnodes).reshape(dims)).T)
-
         # Gradient of the multilinear interpolant at corner k, axis a: the
-        # one-sided difference along the cell edge through k in direction a.
+        # one-sided difference along the cell edge through k in direction a,
+        # from k with the offset bit of axis a cleared to k with it set.
         G = np.zeros((n, ncorner, ncorner))
-        ofs_list = [tuple(o) for o in offsets]
-        for k, off in enumerate(offsets):
-            for a in range(n):
-                hi = tuple(1 if i == a else o for i, o in enumerate(off))
-                lo = tuple(0 if i == a else o for i, o in enumerate(off))
-                G[a, k, ofs_list.index(hi)] += 1.0 / g.spacing[a]
-                G[a, k, ofs_list.index(lo)] -= 1.0 / g.spacing[a]
-
+        k = np.arange(ncorner)
+        for a, h in enumerate(g.spacing):
+            bit = 1 << (n - 1 - a)
+            G[a, k, k | bit] = 1.0 / h
+            G[a, k, k & ~bit] = -1.0 / h
         vol = float(np.prod(g.spacing))
-        w = np.bincount(corner_idx.ravel(), minlength=nnodes) * (vol / ncorner)
-        return cls(dims, g.spacing.copy(), offsets, corner_idx, G, vol, w)
+        geo = cls(dims, g.spacing.copy(), _corner_offsets(n), _corner_slices(dims), G, vol)
+        geo.node_weights = geo.corner_sums(np.ones((ncorner, geo.n_cells))) * (vol / ncorner)
+        return geo
 
     @property
     def n_axes(self) -> int:
         return len(self.dims)
 
     @property
+    def cell_dims(self) -> tuple:
+        return tuple(d - 1 for d in self.dims)
+
+    @property
     def n_cells(self) -> int:
-        return self.corner_idx.shape[1]
+        return int(np.prod(self.cell_dims))
 
     def corner_values(self, values: np.ndarray) -> np.ndarray:
-        """Gather nodal values to (2^n, ncells)."""
-        return values.reshape(-1)[self.corner_idx]
+        """Gather nodal values to (2^n, ncells), one slice copy per corner."""
+        v = np.reshape(values, self.dims)
+        out = np.empty((len(self.corner_slices),) + self.cell_dims)
+        for row, corner in zip(out, self.corner_slices):
+            row[...] = v[corner]
+        return out.reshape(len(out), -1)
+
+    def corner_sums(self, rows: np.ndarray) -> np.ndarray:
+        """The adjoint of ``corner_values``: rows added onto the nodes in corner order."""
+        out = np.zeros(self.dims)
+        for row, corner in zip(rows.reshape((len(rows),) + self.cell_dims), self.corner_slices):
+            out[corner] += row
+        return out.reshape(-1)
 
     def corner_gradients(self, values: np.ndarray) -> np.ndarray:
         """Vertex-rule gradients, shape (n_axes, 2^n corners, ncells): one
@@ -108,12 +118,16 @@ def _corner_offsets(n: int) -> np.ndarray:
     return np.array(list(itertools.product((0, 1), repeat=n)), dtype=int)
 
 
+def _corner_slices(dims: tuple) -> tuple:
+    """Corner k of every cell as one shifted slice of the nodal array, per
+    corner in the order of CellGeometry."""
+    return tuple(tuple(slice(o, d - 1 + o) for o, d in zip(off, dims))
+                 for off in _corner_offsets(len(dims)))
+
+
 def cell_corners(values: np.ndarray) -> np.ndarray:
-    """Nodal values per cell, (ncells, 2^n): corner k of every cell is one
-    shifted slice of the nodal array, in the corner order of CellGeometry."""
-    dims = values.shape
-    corners = [values[tuple(slice(o, d - 1 + o) for o, d in zip(off, dims))]
-               for off in _corner_offsets(values.ndim)]
+    """Nodal values per cell, (ncells, 2^n), in the corner order of CellGeometry."""
+    corners = [values[corner] for corner in _corner_slices(values.shape)]
     return np.stack(corners, axis=-1).reshape(-1, len(corners))
 
 

@@ -181,40 +181,37 @@ class _Lattice:
     the Newton matrix is kept in LAPACK band form, entry (i, j), i >= j, at
     [i - j, j] of a Fortran-ordered (bandwidth + 1, m) array, the layout in
     which LAPACK's blocked dpbtrf factors it fastest.  A block entry (j, l)
-    of a cell couples the unknowns r and c of its corners j and l and goes
-    to the lower entry (c, r) when both are interior and r <= c.  Which of
-    the two holds is the same for every cell, so only the pairs (j, l) with
-    r <= c are kept, in ``band_pairs``: scatter[e, c] is the flat band slot
-    that block entry band_pairs[e] of cell c adds into, or a sentinel slot
-    dropped after summation when a corner is a boundary node.
+    of a cell couples the unknowns r and c of its corners j and l; c - r is
+    the same for every cell, and the cells whose corners j and l are both
+    interior form one box.  So ``pairs`` keeps each (j, l) with c - r >= 0
+    and a box that is not empty, as its band row c - r, the slice of that
+    row its corner j unknowns fill and the slice of its box of cells.
     """
 
     def __init__(self, grid: GridFunction, p_node: np.ndarray):
         self.origin = grid.origin.copy()
         self.geo = geo = CellGeometry.build(grid)
-        self.nc = nc = geo.corner_idx.shape[0]
+        self.nc = nc = len(geo.corner_slices)
         self.p_node = np.array(p_node, dtype=float)
-        self.p_corner = self.p_node[geo.corner_idx]  # (2^n, ncells)
-        bmask = grid.boundary_mask().reshape(-1)
+        self.p_corner = geo.corner_values(self.p_node)  # (2^n, ncells)
         self.axes = tuple(np.argsort([-d for d in grid.dims], kind="stable"))  # of the unknowns
-        nodes = np.arange(bmask.size).reshape(grid.dims).transpose(self.axes).ravel()
-        self.interior = nodes[~bmask[nodes]]
-        m = self.interior.size
-        pos = np.full(bmask.size, -1, dtype=np.int64)
-        pos[self.interior] = np.arange(m)
-        local = pos[geo.corner_idx]  # (2^n, ncells)
-        keeps = {}  # (j, l): the cells whose corners j and l are interior, r <= c
-        for j in range(nc):
-            for l in range(nc):
-                keep = (local[j] >= 0) & (local[j] <= local[l])
-                if keep.any():
-                    keeps[j, l] = keep
-        self.band_pairs = np.array(list(keeps), dtype=np.intp).reshape(-1, 2)
-        self.bandwidth = bw = int(max((np.max(local[l][keep] - local[j][keep])
-                                       for (j, l), keep in keeps.items()), default=0))
-        self.scatter = np.full((len(keeps), geo.n_cells), (bw + 1) * m, dtype=np.int32)
-        for row, ((j, l), keep) in zip(self.scatter, keeps.items()):
-            row[keep] = local[j][keep] * bw + local[l][keep]
+        nodes = np.arange(grid.values.size).reshape(grid.dims).transpose(self.axes)
+        nodes = nodes[(slice(1, -1),) * geo.n_axes]
+        self.unknowns, self.interior = nodes.shape, nodes.ravel()  # as a lattice, and flat
+        # In the unknowns' axis order: along an axis of N interior nodes the box
+        # runs from 1 - lo to N - hi, lo and hi the pair's least and greatest offset.
+        inner, offsets = np.array(self.unknowns), geo.corner_offsets[:, self.axes]
+        strides = np.cumprod((1,) + self.unknowns[:0:-1])[::-1]
+        pairs = []  # (j, l, (the corner j unknowns..., c - r), the cells)
+        for j, oj in enumerate(offsets):
+            for l, ol in enumerate(offsets):
+                lo, hi = np.minimum(oj, ol), np.maximum(oj, ol)
+                diag = int(strides @ (ol - oj))
+                if diag >= 0 and np.all(hi - lo < inner):
+                    pairs.append((j, l, tuple(map(slice, oj - lo, inner + oj - hi)) + (diag,),
+                                  tuple(map(slice, 1 - lo, inner + 1 - hi))))
+        self.pairs = tuple(pairs)
+        self.bandwidth = max((at[-1] for _, _, at, _ in pairs), default=0)
         # basis[(j, l), (k, ab)]: corner k's share of the cell block entry
         # (j, l) per entry ab, a <= b, of the pointwise Hessian, vol / 2^n
         # (G_ka^T G_kb + G_kb^T G_ka) for a < b and vol / 2^n G_ka^T G_ka for
@@ -226,9 +223,8 @@ class _Lattice:
         self.basis = np.ascontiguousarray(pair.reshape(nc * a.size, nc * nc).T)
         self.basis *= geo.cell_vol / nc
         self.hats = None  # (NormConfig, hat norms) of the last hat_norms call
-        for arr in (geo.spacing, geo.corner_offsets, geo.corner_idx, geo.grad_stencils,
-                    geo.node_weights, self.origin, self.p_node, self.p_corner, self.interior,
-                    self.band_pairs, self.scatter, self.basis):
+        for arr in (geo.spacing, geo.corner_offsets, geo.grad_stencils, geo.node_weights,
+                    self.origin, self.p_node, self.p_corner, self.interior, self.basis):
             arr.flags.writeable = False
 
     def matches(self, grid: GridFunction, p_node: np.ndarray) -> bool:
@@ -259,7 +255,7 @@ class _Lattice:
             return hats[1]
         geo = self.geo
         dims = geo.dims
-        p_cells = self.p_corner.reshape((self.nc,) + tuple(d - 1 for d in dims))
+        p_cells = self.p_corner.reshape((self.nc,) + geo.cell_dims)
         stencil_mag = np.linalg.norm(geo.grad_stencils, axis=0)  # (2^n k, 2^n j)
         ps, log_mags = [], []
         for j, off in enumerate(geo.corner_offsets):
@@ -305,9 +301,7 @@ class _Lattice:
         flux = coef * grads
         n, nc = self.geo.n_axes, self.nc
         per_corner = self.geo.grad_stencils.reshape(n * nc, nc).T @ flux.reshape(n * nc, -1)
-        g = np.bincount(self.geo.corner_idx.ravel(), minlength=self.p_node.size,
-                        weights=(self.geo.cell_vol / nc) * per_corner.ravel())
-        return g + src
+        return self.geo.corner_sums((self.geo.cell_vol / nc) * per_corner) + src
 
     def residual(self, g: np.ndarray, hat: np.ndarray) -> float:
         """Max over the interior nodes of |g_i| / hat_i, hat from ``hat_norms``."""
@@ -351,27 +345,24 @@ class _Lattice:
         """
         full = np.zeros(self.p_node.size)
         full[self.interior] = x
-        y = np.einsum("jlc,lc->jc", blocks, full[self.geo.corner_idx])
-        return np.bincount(self.geo.corner_idx.ravel(), weights=y.ravel(),
-                           minlength=full.size)[self.interior]
+        y = np.einsum("jlc,lc->jc", blocks, self.geo.corner_values(full))
+        return self.geo.corner_sums(y)[self.interior]
 
     def band(self, blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Sum the (2^n, 2^n, ncells) cell blocks into the lower band storage.
-
-        The sums are taken in a flat array of (bandwidth + 1) m + 1 entries,
-        the last one the sentinel slot, which is out when given (its old
-        contents are overwritten) and a new array otherwise; the result is
-        the Fortran-ordered (bandwidth + 1, m) view of it without the sentinel.
-        Each kept pair (j, l) adds its contiguous row of ncells entries in one
-        ``np.add.at``.
-        """
-        ldab, m = self.bandwidth + 1, self.interior.size
+        """Sum the (2^n, 2^n, ncells) cell blocks into the lower band storage:
+        out, a Fortran-ordered (bandwidth + 1, m) array whose old contents are
+        overwritten, when given, else a new one.  Each of ``pairs`` adds its
+        box of blocks to one slice of its band row, seen as an array over the
+        unknowns' lattice."""
+        ldab = self.bandwidth + 1
         if out is None:
-            out = np.empty(ldab * m + 1)
+            out = np.empty((ldab, self.interior.size), order="F")
         out.fill(0.0)
-        for slots, (j, l) in zip(self.scatter, self.band_pairs):
-            np.add.at(out, slots, blocks[j, l])
-        return out[:-1].reshape((ldab, m), order="F")
+        rows = out.T.reshape(self.unknowns + (ldab,), copy=False)
+        cells = blocks.reshape(blocks.shape[:2] + self.geo.cell_dims)
+        for j, l, at, box in self.pairs:
+            rows[at] += cells[j, l].transpose(self.axes)[box]
+        return out
 
 
 # The last _Lattice built.  One slot serves the repeated solves of one
@@ -586,18 +577,18 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
 
     # Newton-matrix smoothing scale from the steepest slope of u; it decays
     # by 0.25 per Newton step.
-    steepest = max(float(np.abs(np.diff(u.reshape(grid.dims), axis=a)).max()) / h
+    steepest = max(float(np.abs(np.diff(u.reshape(grid.dims), axis=a)).max() / h)
                    for a, h in enumerate(grid.spacing))
     smooth0 = 1e-2 * max(1.0, steepest)
     stage, eps = 0, stages[0]
     trace = [history[-1]["energy"]]
     factor, gnorm_prev, cg_prev = None, np.inf, 0
     it, message = 0, ""
-    # The solve's cell blocks and flat band (its last entry the sentinel
-    # slot), taken only now: held through the start and the hat norms they
-    # raised the peak RSS of a 64^2 solve by about 1 MB.
+    # The solve's cell blocks and band, taken only now: held through the
+    # start and the hat norms they raised the peak RSS of a 64^2 solve by
+    # about 1 MB.
     blocks = np.empty((lat.nc,) + lat.p_corner.shape)
-    band = np.empty((lat.bandwidth + 1) * interior.size + 1)
+    band = np.empty((lat.bandwidth + 1, interior.size), order="F")
     while True:
         g = lat.gradient(corners, eps, src)
         residual = lat.residual(g, hat)

@@ -89,8 +89,8 @@ def reference_cell_means(g):
 
 
 def cell_major(geo, nodal):
-    """Nodal values per cell, (ncells, 2^n), from the shifted slices of
-    quadrature.cell_corners, not from the geometry's corner_idx."""
+    """Nodal values per cell, (ncells, 2^n), from quadrature.cell_corners, not
+    from the geometry's corner_values."""
     return cell_corners(np.reshape(nodal, geo.dims))
 
 
@@ -111,7 +111,7 @@ def reference_center_gradients(geo, values):
 
 def reference_caccioppoli(u, gamma, eta, H, field, C_probe):
     """The integrals of caccioppoli_check on a CellGeometry: cell values and
-    the support from corner_idx, center gradients from the einsum stencils."""
+    the support from cell_major_idx, center gradients from the einsum stencils."""
     geo = CellGeometry.build(u)
     centers, vols = midpoint_data(u)
     u_mid, eta_mid, H_mid = (geo.corner_values(g.values).mean(axis=0) for g in (u, eta, H))
@@ -120,7 +120,7 @@ def reference_caccioppoli(u, gamma, eta, H, field, C_probe):
     ge = np.linalg.norm(reference_center_gradients(geo, eta.values), axis=1)
     p_mid = field(centers)
     active = (eta_mid > 0) | (ge > 0)
-    support_nodes = np.unique(geo.corner_idx[:, active].ravel())
+    support_nodes = np.unique(cell_major_idx(geo)[active].ravel())
     p_support = np.concatenate([p_mid[active], field(u.nodes()[support_nodes])])
     p_minus, p_plus = float(p_support.min()), float(p_support.max())
     w = np.where(active, vols, 0.0)

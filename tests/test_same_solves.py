@@ -108,3 +108,24 @@ def test_rel_diff_of_nan_and_zero(same):
     assert same.rel_diff([1.0], [np.nan]) == np.inf
     assert same.rel_diff([0.0], [1e-300]) == 1.0
     assert same.rel_diff([1.0, 2.0], [1.0]) == np.inf
+
+
+def test_explain_names_leaves_that_differ_only_in_type(same):
+    # np.float64 against float at equal values: the pickles differ, the float
+    # difference is 0, and each such leaf is named with both type names
+    base, change = records(), records()
+    history = base["verify-harness/0"]["history"]
+    history[0]["energy"] = np.float64(history[0]["energy"])
+    history[1]["eps_h"] = np.float64(history[1]["eps_h"])
+    assert same.compare(base, change) == ["verify-harness/0: history"]
+    steps, rel, types, report = same.explain(base["verify-harness/0"], change["verify-harness/0"])
+    assert steps == "  iterations equal, message equal, step records equal but for types"
+    assert rel.endswith("step record floats 0.00e+00")
+    assert types == ("  step record types differ: [0].energy: float64 != float; "
+                     "[1].eps_h: float64 != float")
+    assert report == "  report.json: max relative difference of its floats 0.00e+00"
+    # a float that also moved counts as a float difference, not a type one
+    history[1]["eps_h"] = np.float64(2e-2)
+    steps, rel, types, _ = same.explain(base["verify-harness/0"], change["verify-harness/0"])
+    assert steps.endswith("step records equal but for floats")
+    assert types == "  step record types differ: [0].energy: float64 != float"

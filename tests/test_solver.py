@@ -54,7 +54,7 @@ def test_energy_on_a_lattice_without_interior_nodes():
     f = u.like(np.zeros(u.dims))
     assert px.energy(u, px.constant_exponent(2.0, domain=box), f) == 0.5
     lat = _lattice(u, px.constant_exponent(2.0, domain=box), f)[0]
-    assert lat.interior.size == lat.bandwidth == lat.scatter.size == 0
+    assert lat.interior.size == lat.bandwidth == len(lat.pairs) == 0
 
 
 def test_energy_linear_p2():
@@ -326,7 +326,7 @@ def test_ray_start_matches_the_closed_form(n_axes, p):
     q = float(np.sum(geo.node_weights * f.values.reshape(-1) * w))
     mags = np.linalg.norm(geo.corner_gradients(w), axis=0)
     if p == "affine":
-        pk = field(f.nodes())[geo.corner_idx]
+        pk = field(f.nodes())[cell_major_idx(geo).T]
         assert pk.min() < 2.0 < pk.max()
         dphi = lambda s: geo.cell_vol / 2**n_axes * np.sum(mags**pk * s ** (pk - 1.0)) + q
         expected = brentq(dphi, 1e-3, 1e3, xtol=1e-14, rtol=1e-14)
@@ -572,6 +572,29 @@ def test_hessian_matches_reference_assembly(n_axes, reg_eps, eps_h):
     assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
 
+@pytest.mark.parametrize("cells, bandwidth", [((2, 7), 1), ((7, 2), 1), ((2, 3, 4), 3),
+                                               ((2, 2, 2), 0), ((1, 5), 0)])
+def test_thin_lattice_band_matches_reference_assembly(cells, bandwidth):
+    # An axis with a single interior node (2 cells) or none (1 cell): the
+    # corner pairs that differ along it have no cell with both corners
+    # interior and fill nothing, so the band and the block products hold
+    # only the couplings along the other axes.
+    n = len(cells)
+    box = px.Box([0.0] * n, [1.0] * n)
+    f = px.GridFunction.constant(box, cells, 0.0)
+    lat = _lattice(f, px.affine_exponent(1.3, np.full(n, 1.0 / n), box), f)[0]
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(f.values.size)
+    H = newton_matrix(lat, u, 1e-3)
+    ref = reference_hessian(lat, u, 1e-3, None).toarray()
+    assert lat.bandwidth == bandwidth and H.shape == (bandwidth + 1, ref.shape[0])
+    scale = np.abs(ref).max(initial=0.0)
+    assert np.abs(band_to_dense(H) - ref).max(initial=0.0) <= 1e-12 * scale
+    x = rng.standard_normal(lat.interior.size)
+    y = lat.hessian_vec(lat.hessian_blocks(lat.corners(u), 1e-3), x)
+    assert np.abs(y - ref @ x).max(initial=0.0) <= 1e-12 * scale * np.abs(x).sum()
+
+
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
 def test_hessian_is_derivative_of_gradient(n_axes):
     lat, src, u = random_state(n_axes, seed=1)
@@ -695,7 +718,7 @@ def test_derivatives_agree_on_random_fields(n, kind, eps_h, seed):
 
     x = np.zeros_like(u)
     x[interior] = rng.standard_normal(interior.size)
-    x[np.unique(lat.geo.corner_idx[:, (corners[1] == 0.0).any(axis=0)])] = 0.0
+    x[np.unique(cell_major_idx(lat.geo)[(corners[1] == 0.0).any(axis=0)])] = 0.0
     hv = lat.hessian_vec(lat.hessian_blocks(corners, eps_h), x[interior])
     fd = (gradient_at(lat, src, u + step * x, eps_h)
           - gradient_at(lat, src, u - step * x, eps_h))[interior] / (2.0 * step)
@@ -728,7 +751,7 @@ def test_dirty_buffers_give_the_same_blocks_and_band(nodes, kind, eps_h, seed):
     assert np.array_equal(bits(out), bits(fresh))
 
     band = lat.band(fresh)
-    buf = np.full(band.size + 1, np.nan)
+    buf = np.full(band.shape[::-1], np.nan).T
     got = lat.band(fresh, out=buf)
     assert got.shape == band.shape and np.shares_memory(got, buf)
     assert np.array_equal(bits(got), bits(band))
@@ -738,7 +761,7 @@ def test_dirty_buffers_give_the_same_blocks_and_band(nodes, kind, eps_h, seed):
         assert np.shares_memory(factor, buf)  # factored in place
     except np.linalg.LinAlgError:
         buf.fill(-1.0)  # a refused factor may leave the band as it was
-    assert not np.array_equal(bits(buf[:-1]), bits(band.ravel(order="F")))
+    assert not np.array_equal(bits(buf), bits(band))
     assert np.array_equal(bits(lat.band(fresh, out=buf)), bits(band))
 
 # -- hat norms --------------------------------------------------------------------
@@ -922,12 +945,28 @@ def test_cached_lattice_arrays_are_read_only():
     lat = _lattice(res.solution, spec.field, f)[0]
     assert lat is solver._lattice_cache
     geo = lat.geo
-    arrays = [geo.spacing, geo.corner_offsets, geo.corner_idx, geo.grad_stencils,
-              geo.node_weights, lat.origin, lat.p_node, lat.p_corner, lat.interior,
-              lat.band_pairs, lat.scatter, lat.basis, lat.hat_norms()]
+    arrays = [geo.spacing, geo.corner_offsets, geo.grad_stencils, geo.node_weights,
+              lat.origin, lat.p_node, lat.p_corner, lat.interior, lat.basis, lat.hat_norms()]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
+
+
+def test_lattice_data_retains_little_memory():
+    # The lattice data of 16^3 cells keep 0.43 MB under tracemalloc: the
+    # corners are slices and the band pairs slices of boxes, where index
+    # arrays of the cell corners and of the band slots took 1.25 MB.
+    box = px.Box([0.0] * 3, [1.0] * 3)
+    f = px.GridFunction.constant(box, 16, -1.0)
+    p_node = px.affine_exponent(2.5, [0.2, 0.2, 0.2], box)(f.nodes())
+    tracemalloc.start()
+    try:
+        lat = _Lattice(f, p_node)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert lat.interior.size == 15**3
+    assert retained <= 0.6e6
 
 
 def test_one_band_buffer_per_solve(monkeypatch):
@@ -1366,17 +1405,30 @@ def test_line_search_stalled(monkeypatch):
     assert len(res.history) == res.iterations + 1 and res.history[-1]["step"] == 0.0
 
 
+def steep_ramp_problem():
+    # Data 5 x: the start's steepest slope exceeds 1, so the Newton-matrix
+    # smoothing scale is 1e-2 times that slope.
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    f = px.GridFunction.constant(box, 16, -1.0)
+    return px.ProblemSpec(box, px.constant_exponent(3.0, domain=box), f,
+                          lambda pts: 5.0 * pts[:, 0])
+
+
 def test_debug_log_is_a_view_of_the_history(caplog):
     # The one reader of the pxlap debug text: a start line, then a newton
-    # line per step, each carrying its history record's fields and values.
+    # line per step, each carrying its history record's fields and values,
+    # all plain Python ints, floats and strings.
     caplog.set_level(logging.DEBUG, logger="pxlap")
-    res = px.solve_dirichlet(cos_problem())
-    lines = [r.getMessage().split() for r in caplog.records if r.name == "pxlap"]
-    assert [words[0] for words in lines] == ["start"] + ["newton"] * res.iterations
-    for words, record in zip(lines, res.history, strict=True):
-        fields = dict(kv.split("=") for kv in words[1:])
-        assert list(fields) == list(record)
-        assert {k: type(v)(fields[k]) for k, v in record.items()} == record
+    for spec in (cos_problem(), steep_ramp_problem()):
+        caplog.clear()
+        res = px.solve_dirichlet(spec)
+        lines = [r.getMessage().split() for r in caplog.records if r.name == "pxlap"]
+        assert [words[0] for words in lines] == ["start"] + ["newton"] * res.iterations
+        for words, record in zip(lines, res.history, strict=True):
+            fields = dict(kv.split("=") for kv in words[1:])
+            assert list(fields) == list(record)
+            assert {k: type(v)(fields[k]) for k, v in record.items()} == record
+            assert {type(v) for v in record.values()} <= {int, float, str}
 
 
 @pytest.mark.parametrize("spec, lo, hi", [
