@@ -42,12 +42,16 @@ __all__ = ["ProblemSpec", "SolveResult", "SolverError", "SmoothFunction",
 _log = logging.getLogger("pxlap")
 
 # Inexact Newton (see solve_dirichlet): the cap on the Eisenstat-Walker
-# forcing term, the CG iteration count past which the stale band factor is
-# replaced, and the count past which the next step refactors without trying
-# CG first.
+# forcing term, the fraction of its opening residual at which a stage before
+# the last ends, the CG iteration count past which the stale band factor is
+# replaced, the count past which the next step refactors without trying CG
+# first, and the number of line-search halvings of a CG step from which the
+# next step does so too.
 _ETA_MAX = 0.02
+_STAGE_DROP = 0.1
 _CG_CAP = 20
 _CG_NEAR = 15
+_CG_CUTS = 10
 
 
 class SolverError(RuntimeError):
@@ -534,11 +538,13 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
     whose last record is the start's, with its energy at stages[0] under
     "energy"; the Newton step records are appended to it.
     Each pass takes the gradient and the residual at the current stage eps;
-    when the residual meets the stage tolerance (max(tol, 1e-5) before the
-    last stage, tol at the last) eps moves to the next stage, whose first
-    energy is appended to the trace, and the loop ends converged at the last
-    stage.  Otherwise it ends when max_iter Newton steps have been taken, or
-    takes one more step.  Each iterate's corner gradients come from the
+    when the residual meets the stage tolerance eps moves to the next stage,
+    whose first energy is appended to the trace, and the loop ends converged
+    at the last stage.  The last stage's tolerance is tol; an earlier stage
+    only starts the next one, so it ends at max(tol, _STAGE_DROP r0), r0 the
+    residual of the pass that opened it (the start's for the first stage).
+    Otherwise it ends when max_iter Newton steps have been taken, or takes
+    one more step.  Each iterate's corner gradients come from the
     line-search trial that accepts it and feed the next gradient and Newton
     matrix.
 
@@ -557,15 +563,18 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
     step solved exactly.  When the previous step's CG took more than _CG_NEAR
     iterations (a capped one included), the factor has gone stale and the
     step refactors without trying CG first, so capped CG work is not thrown
-    away step after step.  A matrix that is not positive definite, or an
-    exact step that is not a finite descent direction, gives way to the
-    gradient direction.  When no Armijo step lowers the energy, a
-    steepest-descent rescue tries a conservative gradient step.  The Newton
-    matrix of step k is built with the smoothing eps_h = max(eps, smooth0
-    0.25^(k-1)), smooth0 1e-2 times the steepest slope of u along any axis,
-    at least 1e-2.  It stays positive definite, so directions remain descent
-    directions for the stage energy; the stage energy decreases when eps
-    does, so the trace is nonincreasing.
+    away step after step.  So does the step after a CG direction that the
+    line search halved _CG_CUTS times or more: near the kink of a p < 2
+    energy a stale factor can give a descent direction that only a tiny step
+    follows, and the same direction again at every step.  A matrix that is
+    not positive definite, or an exact step that is not a finite descent
+    direction, gives way to the gradient direction.  When no Armijo step
+    lowers the energy, a steepest-descent rescue tries a conservative
+    gradient step.  The Newton matrix of step k is built with the smoothing
+    eps_h = max(eps, smooth0 0.25^(k-1)), smooth0 1e-2 times the steepest
+    slope of u along any axis, at least 1e-2.  It stays positive definite,
+    so directions remain descent directions for the stage energy; the stage
+    energy decreases when eps does, so the trace is nonincreasing.
     """
     u, corners = start
     start.clear()
@@ -583,7 +592,7 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
     stage, eps = 0, stages[0]
     trace = [history[-1]["energy"]]
     factor, gnorm_prev, cg_prev = None, np.inf, 0
-    it, message = 0, ""
+    it, message, r0 = 0, "", None
     # The solve's cell blocks and band, taken only now: held through the
     # start and the hat norms they raised the peak RSS of a 64^2 solve by
     # about 1 MB.
@@ -592,14 +601,15 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
     while True:
         g = lat.gradient(corners, eps, src)
         residual = lat.residual(g, hat)
+        r0 = residual if r0 is None else r0
         last = stage == len(stages) - 1
-        if residual <= (tol if last else max(tol, 1e-5)):
+        if residual <= (tol if last else max(tol, _STAGE_DROP * r0)):
             if last:
                 break
             stage += 1
             eps = stages[stage]
             trace.append(lat.energy(u, corners, eps, src))
-            factor = None
+            factor, r0 = None, None
             continue
         if it == max_iter:
             message = f"iteration budget exhausted (residual {residual:.3e})"
@@ -645,6 +655,8 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
                                              1.0 / max(1.0, gmax / lat.geo.cell_vol),
                                              lambda a, e1: e1 < e0)
             backtracks += more
+        if linear == "pcg" and backtracks >= _CG_CUTS:
+            factor = None
         history.append({"stage_eps": eps, "it": it, "residual": residual,
                         "step": alpha if step is not None else 0.0, "backtracks": backtracks,
                         "direction": direction, "linear": linear, "cg_iters": cg_iters,
