@@ -1,11 +1,14 @@
-"""Large-size Newton benchmark: a base revision against the working tree.
+"""Newton benchmark at fixed sizes: a base revision against the working tree.
 
-Runs solve_dirichlet at sizes the perfbench workloads do not reach (2d p = 1.5
-at 128^2 and 256^2 cells, 3d affine p at 24^3 and 32^3), five times for each
-of base and change, interleaved, each solve in its own process pinned to one
-CPU with one BLAS thread.  Per size it records the wall time of the solve,
-Newton iterations, LAPACK band factorizations (all of the solve's, the warm
-start's too where a tree factors for it) and the time spent in them, CG
+Runs solve_dirichlet on 2d p = 1.5 at 64^2 cells (the size of the perfbench
+``solve2d-singular`` workload, with f = -1; its band of half-bandwidth 64 is
+stored with 65 sub-diagonals so that LAPACK factors it blocked) and at sizes
+the perfbench workloads do not reach (2d p = 1.5 at 128^2 and 256^2 cells, 3d
+affine p at 24^3 and 32^3), five times for each of base and change,
+interleaved, each solve in its own process pinned to one CPU with one BLAS
+thread.  Per size it records the wall time of the solve, Newton iterations,
+LAPACK band factorizations (all of the solve's, the warm start's too where a
+tree factors for it) and the time spent in them, in all and per call, CG
 iterations, the weak residual against tol, the wall time of that
 ``weak_residual`` call, the minor page faults taken during the solve (the
 change in ``ru_minflt``) and the worker's peak resident set size, then writes
@@ -54,6 +57,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 CASES = {
+    "2d-p1.5-64": (2, 64),
     "2d-p1.5-128": (2, 128),
     "2d-p1.5-256": (2, 256),
     "3d-affine-24": (3, 24),
@@ -154,6 +158,8 @@ def summary(runs: list) -> dict:
         "quartiles_scaled_time_s": statistics.quantiles(scaled, n=4, method="inclusive"),
         "median_host_factor": statistics.median(r["host_factor"] for r in runs),
         "median_factorization_s": statistics.median(r["factorization_s"] for r in runs),
+        "median_factorization_per_call_s": statistics.median(
+            r["factorization_s"] / max(r["factorizations"], 1) for r in runs),
         "median_weak_residual_s": statistics.median(r["weak_residual_s"] for r in runs),
         "iterations": sorted({r["iterations"] for r in runs}),
         "factorizations": sorted({r["factorizations"] for r in runs}),
@@ -257,7 +263,9 @@ def main(argv=None) -> int:
               f"factorizations {row['base']['factorizations']} -> "
               f"{row['change']['factorizations']} "
               f"({1e3 * row['base']['median_factorization_s']:.0f} -> "
-              f"{1e3 * row['change']['median_factorization_s']:.0f} ms)  weak_residual "
+              f"{1e3 * row['change']['median_factorization_s']:.0f} ms; per call "
+              f"{1e3 * row['base']['median_factorization_per_call_s']:.2f} -> "
+              f"{1e3 * row['change']['median_factorization_per_call_s']:.2f} ms)  weak_residual "
               f"{1e3 * row['base']['median_weak_residual_s']:.1f} -> "
               f"{1e3 * row['change']['median_weak_residual_s']:.1f} ms  "
               f"minor faults {row['base']['median_minor_faults']:.0f} -> "

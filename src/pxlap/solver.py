@@ -53,9 +53,28 @@ _CG_CAP = 20
 _CG_NEAR = 15
 _CG_CUTS = 10
 
+# LAPACK's dpbtrf factors a band by the Level-3 blocked algorithm (Du Croz,
+# Mayes & Radicati, LAPACK Working Note 21, 1990) only when ILAENV gives it a
+# block size above 1, and netlib's ILAENV does so only for more than 64
+# sub-diagonals; with fewer it runs the unblocked, Level-2 dpbtf2.  So a band
+# whose half-bandwidth lies in _PAD_BANDWIDTH is stored with 65 sub-diagonals,
+# the extra ones zero (``_band_rows``).  Its solves (dpbtrs) then run over 65
+# sub-diagonals too: at half-bandwidths 50 and 51 the factorization gains a
+# few percent and the solves lose as much, and from 52 on both are faster on
+# every lattice shape measured (one core: 1.54 -> 1.14 ms per factorization
+# at 64 on a 63^2 interior).
+_PAD_BANDWIDTH = (52, 64)
+
 
 class SolverError(RuntimeError):
     pass
+
+
+def _band_rows(bandwidth: int) -> int:
+    """The row count of the LAPACK band storage of a half-bandwidth: bandwidth + 1,
+    or 66 (65 sub-diagonals, the blocked dpbtrf) inside _PAD_BANDWIDTH."""
+    lo, hi = _PAD_BANDWIDTH
+    return hi + 2 if lo <= bandwidth <= hi else bandwidth + 1
 
 
 def _check_reg_eps(reg_eps) -> float:
@@ -183,8 +202,11 @@ class _Lattice:
     every cell couples all its corners, so the half-bandwidth is the sum of
     the axis strides, the least any axis order gives.  The lower triangle of
     the Newton matrix is kept in LAPACK band form, entry (i, j), i >= j, at
-    [i - j, j] of a Fortran-ordered (bandwidth + 1, m) array, the layout in
-    which LAPACK's blocked dpbtrf factors it fastest.  A block entry (j, l)
+    [i - j, j] of a Fortran-ordered (band_rows, m) array, the layout in which
+    LAPACK's dpbtrf factors it fastest.  band_rows is bandwidth + 1, or more
+    where zero rows past the bandwidth let dpbtrf take its blocked algorithm
+    (``_band_rows``); the Cholesky factor of a band keeps its envelope, so
+    those rows stay zero in the factor too.  A block entry (j, l)
     of a cell couples the unknowns r and c of its corners j and l; c - r is
     the same for every cell, and the cells whose corners j and l are both
     interior form one box.  So ``pairs`` keeps each (j, l) with c - r >= 0
@@ -216,12 +238,14 @@ class _Lattice:
                                   tuple(map(slice, 1 - lo, inner + 1 - hi))))
         self.pairs = tuple(pairs)
         self.bandwidth = max((at[-1] for _, _, at, _ in pairs), default=0)
+        self.band_rows = _band_rows(self.bandwidth)
         # basis[(j, l), (k, ab)]: corner k's share of the cell block entry
         # (j, l) per entry ab, a <= b, of the pointwise Hessian, vol / 2^n
         # (G_ka^T G_kb + G_kb^T G_ka) for a < b and vol / 2^n G_ka^T G_ka for
         # a = b.
         G = geo.grad_stencils  # (n a, 2^n k, 2^n j)
         a, b = np.triu_indices(geo.n_axes)
+        self.upper = tuple(zip(a.tolist(), b.tolist()))  # the ab, in basis's order
         pair = np.einsum("akj,akl->kajl", G[a], G[b])
         pair = (pair + pair.transpose(0, 1, 3, 2)) * np.where(a == b, 0.5, 1.0)[:, None, None]
         self.basis = np.ascontiguousarray(pair.reshape(nc * a.size, nc * nc).T)
@@ -330,7 +354,7 @@ class _Lattice:
         c2 = (self.p_corner - 2.0) * c1 / w2
         n, nc, ncells = grads.shape
         coef = np.empty((nc, n * (n + 1) // 2, ncells))
-        for j, (a, b) in enumerate(zip(*np.triu_indices(n))):
+        for j, (a, b) in enumerate(self.upper):
             col = coef[:, j]
             np.multiply(grads[a], grads[b], out=col)
             np.multiply(c2, col, out=col)
@@ -354,15 +378,15 @@ class _Lattice:
 
     def band(self, blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Sum the (2^n, 2^n, ncells) cell blocks into the lower band storage:
-        out, a Fortran-ordered (bandwidth + 1, m) array whose old contents are
-        overwritten, when given, else a new one.  Each of ``pairs`` adds its
+        out, a Fortran-ordered (k, m) array with k > bandwidth whose old
+        contents are overwritten, when given, else a new one with band_rows
+        rows.  Rows past the bandwidth are zero.  Each of ``pairs`` adds its
         box of blocks to one slice of its band row, seen as an array over the
         unknowns' lattice."""
-        ldab = self.bandwidth + 1
         if out is None:
-            out = np.empty((ldab, self.interior.size), order="F")
+            out = np.empty((self.band_rows, self.interior.size), order="F")
         out.fill(0.0)
-        rows = out.T.reshape(self.unknowns + (ldab,), copy=False)
+        rows = out.T.reshape(self.unknowns + (out.shape[0],), copy=False)
         cells = blocks.reshape(blocks.shape[:2] + self.geo.cell_dims)
         for j, l, at, box in self.pairs:
             rows[at] += cells[j, l].transpose(self.axes)[box]
@@ -549,11 +573,12 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
     matrix.
 
     The first step of a stage factors the Newton matrix, kept as its lower
-    band (``_Lattice.band``; LAPACK dpbtrf and dpbtrs with lower=True), and
-    solves exactly.  The cell blocks and the band are two arrays of the
-    solve, refilled at every step, and the band is factored in place, so a
-    refactor overwrites the factor it replaces and concurrent solves share
-    nothing they write.  Each later step of the stage is solved by CG
+    band (``_Lattice.band``, ``_Lattice.band_rows`` rows: LAPACK dpbtrf and
+    dpbtrs with lower=True take the sub-diagonal count from the array's
+    shape), and solves exactly.  The cell blocks and the band are two arrays
+    of the solve, refilled at every step, and the band is factored in place,
+    so a refactor overwrites the factor it replaces and concurrent solves
+    share nothing they write.  Each later step of the stage is solved by CG
     (``_pcg``) preconditioned with that stale factor, its products taken from
     the cell blocks (``_Lattice.hessian_vec``), to the Eisenstat-Walker
     (choice 2) forcing tolerance eta ||g||, eta = min(_ETA_MAX, 0.9 (||g_k|| /
@@ -597,7 +622,7 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
     # start and the hat norms they raised the peak RSS of a 64^2 solve by
     # about 1 MB.
     blocks = np.empty((lat.nc,) + lat.p_corner.shape)
-    band = np.empty((lat.bandwidth + 1, interior.size), order="F")
+    band = np.empty((lat.band_rows, interior.size), order="F")
     while True:
         g = lat.gradient(corners, eps, src)
         residual = lat.residual(g, hat)

@@ -40,6 +40,7 @@ def test_summary_of_synthetic_runs(bench):
     assert row["median_scaled_time_s"] == 1.02 and row["median_time_s"] == 0.51
     assert row["quartiles_scaled_time_s"] == pytest.approx([1.01, 1.02, 1.03], abs=1e-12)
     assert row["all_converged"] and row["cg_iterations"] == [21]
+    assert row["median_factorization_per_call_s"] == pytest.approx(0.0025, abs=1e-15)
     assert not bench.summary(runs(BASE[:4]) + runs([1.0], weak_residual=1e-6))["all_converged"]
 
 

@@ -489,6 +489,20 @@ def test_anisotropic_lattice_gets_the_short_band():
     assert np.abs(tall.solution.values - wide.solution.values.T).max() <= 1e-10
 
 
+def test_band_rows_pad_only_the_measured_half_bandwidths():
+    # dpbtrf blocks only past 64 sub-diagonals, so half-bandwidths 52-64 get
+    # 65 (66 rows); a 48^2 lattice (half-bandwidth 48, the verify-harness
+    # problem) and a 16^3 one (241) keep bandwidth + 1, a 64^2 one (64) pads.
+    assert solver._PAD_BANDWIDTH == (52, 64)
+    rows = [solver._band_rows(bw) for bw in (48, 51, 52, 64, 65, 241)]
+    assert rows == [49, 52, 66, 66, 66, 242]
+    for n, cells, bandwidth, band_rows in ((2, 48, 48, 49), (2, 64, 64, 66), (3, 16, 241, 242)):
+        box = px.Box([0.0] * n, [1.0] * n)
+        f = px.GridFunction.constant(box, cells, 0.0)
+        lat = _lattice(f, px.constant_exponent(1.5, domain=box), f)[0]
+        assert (lat.bandwidth, lat.band_rows) == (bandwidth, band_rows)
+
+
 # -- Newton matrix ---------------------------------------------------------------
 
 def reference_hessian(lat, u_flat, reg_eps, eps_h):
@@ -610,17 +624,44 @@ def test_hessian_is_derivative_of_gradient(n_axes):
     assert np.abs(H - fd).max() <= 1e-6 * np.abs(H).max()
 
 
-@pytest.mark.parametrize("n_axes", [1, 2, 3])
-def test_solve_spd_rejects_indefinite_band(n_axes):
+@pytest.mark.parametrize("n_axes, pad", [(n, pad) for pad in (False, True) for n in (1, 2, 3)],
+                         ids=["1", "2", "3", "padded-1", "padded-2", "padded-3"])
+def test_solve_spd_rejects_indefinite_band(n_axes, pad):
     # Shift the lowest eigenvalue below 0: the diagonal stays positive but the
     # band Cholesky meets a nonpositive pivot and must raise, not return NaN.
+    # Padded to 65 sub-diagonals the band goes through dpbtrf's blocked path.
     lat, _, u = random_state(n_axes, seed=3)
     H = newton_matrix(lat, u, 0.05)
     eig = np.linalg.eigvalsh(band_to_dense(H))
     H[0] -= 0.5 * (eig[0] + eig[1])
     assert np.all(H[0] > 0.0)
+    if pad:
+        H = np.asfortranarray(np.vstack([H, np.zeros((66 - H.shape[0], H.shape[1]))]))
     with pytest.raises(np.linalg.LinAlgError):
         solver.sla.cholesky_banded(H, lower=True, overwrite_ab=True, check_finite=False)
+
+
+def test_padded_band_factor_matches_the_unpadded_one():
+    # An 8^3-cell lattice has half-bandwidth 57, so its band carries 8 zero
+    # sub-diagonals past it.  Cholesky fill stays inside the band's envelope:
+    # the padded factor is 0 there and the unpadded factor elsewhere, to
+    # rounding, and so are its solves.
+    box = px.Box([0.0] * 3, [1.0] * 3)
+    f = px.GridFunction.from_callable(box, 8, lambda pts: np.cos(3.0 * pts.sum(axis=1)))
+    lat = _lattice(f, px.affine_exponent(1.3, [1.0, 0.6, 0.3], box), f)[0]
+    assert (lat.bandwidth, lat.band_rows) == (57, 66)
+    u = np.random.default_rng(8).standard_normal(f.values.size)
+    blocks = lat.hessian_blocks(lat.corners(u), 1e-3)
+    rows = lat.bandwidth + 1
+    padded = solver.sla.cholesky_banded(lat.band(blocks), lower=True, check_finite=False)
+    plain = lat.band(blocks, out=np.empty((rows, lat.interior.size), order="F"))
+    plain = solver.sla.cholesky_banded(plain, lower=True, check_finite=False)
+    assert padded.shape == (66, lat.interior.size) and np.all(padded[rows:] == 0.0)
+    assert np.abs(padded[:rows] - plain).max() <= 1e-13 * np.abs(plain).max()
+    rhs = np.random.default_rng(9).standard_normal(lat.interior.size)
+    x_pad, x = (solver.sla.cho_solve_banded((c, True), rhs, check_finite=False)
+                for c in (padded, plain))
+    assert np.abs(x_pad - x).max() <= 1e-13 * np.abs(x).max()
 
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
@@ -763,6 +804,15 @@ def test_dirty_buffers_give_the_same_blocks_and_band(nodes, kind, eps_h, seed):
         buf.fill(-1.0)  # a refused factor may leave the band as it was
     assert not np.array_equal(bits(buf), bits(band))
     assert np.array_equal(bits(lat.band(fresh, out=buf)), bits(band))
+    # Into a buffer with 3 more dirty rows than the band needs: exact zeros
+    # there, and the band's bits in the rows up to the bandwidth.
+    rows = lat.bandwidth + 1
+    extra = np.full((band.shape[1], rows + 3), np.nan).T
+    got = lat.band(fresh, out=extra)
+    assert got.shape == (rows + 3, band.shape[1]) and np.shares_memory(got, extra)
+    assert np.array_equal(bits(got[:rows]), bits(band[:rows]))
+    assert np.array_equal(bits(got[rows:]), bits(np.zeros((3, band.shape[1]))))
+    assert np.array_equal(bits(band[rows:]), bits(np.zeros_like(band[rows:])))
 
 # -- hat norms --------------------------------------------------------------------
 
@@ -1261,7 +1311,11 @@ def test_cut_cg_step_forces_refactor(monkeypatch):
     # solve sits at residual 3.032e-7 until the budget runs out.  After a CG
     # step halved _CG_CUTS times or more the next step refactors, and the
     # solve converges one step later.  The source is the `solve2d-singular`
-    # benchmark's two cosine modes drawn from the stream (504, 16).
+    # benchmark's two cosine modes drawn from the stream (504, 16).  The
+    # trajectory is that of the unpadded band (half-bandwidth 64 stored as
+    # 65 rows): the padded band's blocked factor differs in rounding, and
+    # with it this solve converges in 12 steps without a halved CG step.
+    monkeypatch.setattr(solver, "_band_rows", lambda bandwidth: bandwidth + 1)
     rng = np.random.default_rng([504, 16])
     waves = rng.integers(1, 3, size=(2, 2))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=2)
