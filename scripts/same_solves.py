@@ -3,8 +3,9 @@
 Each tree (the base's ``src`` by ``git archive``) solves, in one process, seeds 0-3 x
 inputs 0-7 of ``solve2d-singular`` and ``solve3d-degenerate``, the ``verify-harness``
 problem at seeds 0-3, and f = -1 - 0.5 cos(3 sum x) at p = 6, 1.1 and 3 on 64^2, 12^3
-and 128^2 cells.  The solution bytes, energy traces, residuals, messages, iterations,
-histories and ``verify-harness`` report.json bytes must be equal, else exit status 1:
+and 128^2 cells: 77 problems.  The solution bytes, energy traces, residuals, messages,
+iterations, histories and ``verify-harness`` report.json bytes must be equal, else exit
+status 1:
 
     python3 scripts/same_solves.py --base HEAD~1
 
@@ -14,6 +15,14 @@ energy trace, the residual and the step records' floats, every step record float
 whose value is equal but whose type differs (np.float64 against float), and for
 report.json the largest relative difference of its float leaves and every other leaf
 that differs.
+
+Each tree also solves the kink family, 42 problems with the same source and zero data
+where p < 2 and the last eps is tiny: 1d, p = 1.2, 1.3 and 1.4 on 64, 128, 256 and 512
+cells at (reg_eps, tol) = (1e-10, 1e-8), (1e-10, 1e-10) and (1e-8, 1e-7), and 2d at
+reg_eps = 0, p = 1.1 and 1.2 on 24^2, 32^2 and 48^2 cells.  Changes to the line search
+and the continuation are meant to move these, so they are not compared bit for bit:
+one line per side gives their stalls (unconverged solves) and Newton steps in total,
+and then each kink problem that takes more steps on the working tree is named.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 IMPORTS = [str(REPO / "scripts"), str(REPO / "perfbench")]  # read-only
+KINK = "kink/"
 
 
 def worker(tmp: Path) -> dict:
@@ -56,14 +66,42 @@ def worker(tmp: Path) -> dict:
         out[f"verify-harness/{seed}"] = rec = record(w.spec)
         pxlap.cli.main(["verify", str(w.config), "--output", str(w.outdir)])
         rec["report.json"] = (w.outdir / "report.json").read_bytes()
-    cos = lambda x: -1.0 - 0.5 * np.cos(3.0 * x.sum(axis=1))
+
+    def cos(n, cells, p, **kw):
+        box = px.Box([0.0] * n, [1.0] * n)
+        f = px.GridFunction.from_callable(
+            box, cells, lambda x: -1.0 - 0.5 * np.cos(3.0 * x.sum(axis=1)))
+        return record(px.ProblemSpec(box, px.constant_exponent(p, domain=box), f, 0.0, **kw))
+
     for p in (6.0, 1.1, 3.0):
         for n, cells in ((2, 64), (3, 12), (2, 128)):
-            box = px.Box([0.0] * n, [1.0] * n)
-            f = px.GridFunction.from_callable(box, cells, cos)
-            out[f"cos/p{p}/{n}d-{cells}"] = record(
-                px.ProblemSpec(box, px.constant_exponent(p, domain=box), f, 0.0))
+            out[f"cos/p{p}/{n}d-{cells}"] = cos(n, cells, p)
+    for p in (1.2, 1.3, 1.4):
+        for cells in (64, 128, 256, 512):
+            for reg_eps, tol in ((1e-10, 1e-8), (1e-10, 1e-10), (1e-8, 1e-7)):
+                out[f"{KINK}p{p}/1d-{cells}/eps{reg_eps:g}-tol{tol:g}"] = cos(
+                    1, cells, p, reg_eps=reg_eps, tol=tol)
+    for p in (1.1, 1.2):
+        for cells in (24, 32, 48):
+            out[f"{KINK}p{p}/2d-{cells}/eps0-tol1e-07"] = cos(2, cells, p, reg_eps=0.0)
     return out
+
+
+def split(run: dict) -> tuple:
+    """(the problems compared bit for bit, the kink family) of one side's records."""
+    kink = {name: rec for name, rec in run.items() if name.startswith(KINK)}
+    return {name: rec for name, rec in run.items() if name not in kink}, kink
+
+
+def kink_lines(base: dict, change: dict) -> list:
+    """One line per side with the kink family's stalls and Newton steps in total,
+    then one per kink problem that takes more steps on the change."""
+    lines = [f"kink family, {side}: {sum(r['message'] != '' for r in run.values())} of "
+             f"{len(run)} stall, {sum(r['iterations'] for r in run.values())} Newton steps"
+             for side, run in (("base", base), ("change", change))]
+    return lines + [f"{name}: {base[name]['iterations']} -> {change[name]['iterations']} "
+                    "Newton steps" for name in sorted(base.keys() & change.keys())
+                    if change[name]["iterations"] > base[name]["iterations"]]
 
 
 def differing(a: dict, b: dict) -> list:
@@ -175,12 +213,13 @@ def main(argv=None) -> int:
                            env=dict(os.environ, PYTHONPATH=str(src), **BLAS_THREADS),
                            stdout=subprocess.DEVNULL)
             runs[side] = pickle.loads(dest.read_bytes())
-    base, change = runs["base"], runs["change"]
+    (base, base_kink), (change, change_kink) = split(runs["base"]), split(runs["change"])
     diffs = compare(base, change)
     print("\n".join(diffs) or f"all {len(base)} problems equal")
     for name in sorted(base.keys() & change.keys()):
         if differing(base[name], change[name]):
             print("\n".join([f"{name}:"] + explain(base[name], change[name])))
+    print("\n".join(kink_lines(base_kink, change_kink)))
     return 1 if diffs else 0
 
 

@@ -124,6 +124,9 @@ def build_problem(cfg: dict, base: Path | None = None) -> ProblemSpec:
             dirichlet = build_scalar_field(diricfg, box, cells, base)
         else:
             dirichlet = float(diricfg)
+        for key in ("reg_eps", "tol", "max_iter"):
+            if isinstance(cfg.get(key), bool):
+                raise ConfigError(f"problem key {key!r} must be a number, got {cfg[key]!r}")
         max_iter = cfg.get("max_iter", 200)
         if not (isinstance(max_iter, (int, float)) and float(max_iter).is_integer()):
             raise ConfigError(f"problem key 'max_iter' must be an integer, got {max_iter!r}")

@@ -44,14 +44,12 @@ _log = logging.getLogger("pxlap")
 # Inexact Newton (see solve_dirichlet): the cap on the Eisenstat-Walker
 # forcing term, the fraction of its opening residual at which a stage before
 # the last ends, the CG iteration count past which the stale band factor is
-# replaced, the count past which the next step refactors without trying CG
-# first, and the number of line-search halvings of a CG step from which the
-# next step does so too.
+# replaced, and the count past which the next step refactors without trying
+# CG first.
 _ETA_MAX = 0.02
 _STAGE_DROP = 0.1
 _CG_CAP = 20
 _CG_NEAR = 15
-_CG_CUTS = 10
 
 # LAPACK's dpbtrf factors a band by the Level-3 blocked algorithm (Du Croz,
 # Mayes & Radicati, LAPACK Working Note 21, 1990) only when ILAENV gives it a
@@ -78,8 +76,8 @@ def _band_rows(bandwidth: int) -> int:
 
 
 def _check_reg_eps(reg_eps) -> float:
-    """reg_eps as a float; a ValueError naming it unless it is finite and >= 0."""
-    if not 0 <= reg_eps < np.inf:
+    """reg_eps as a float; a ValueError naming it unless it is a finite number >= 0."""
+    if isinstance(reg_eps, bool) or not 0 <= reg_eps < np.inf:
         raise ValueError(f"reg_eps must be finite and >= 0, got {reg_eps}")
     return float(reg_eps)
 
@@ -92,8 +90,8 @@ class ProblemSpec:
     same lattice; only its boundary values are used.  reg_eps (finite, >= 0)
     smooths the gradient norm, tol (finite, > 0) bounds the converged weak
     residual and max_iter (an integer >= 1) caps the Newton steps of the
-    whole solve, all continuation stages together.  A field out of range, or
-    a non-finite rhs value, is a ValueError naming it.
+    whole solve, all continuation stages together.  A field out of range or
+    a bool, or a non-finite rhs value, is a ValueError naming it.
     """
 
     domain: Box
@@ -106,9 +104,10 @@ class ProblemSpec:
 
     def __post_init__(self):
         _check_reg_eps(self.reg_eps)
-        if not 0 < self.tol < np.inf:
+        if isinstance(self.tol, bool) or not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+        if isinstance(self.max_iter, bool) or not (
+                isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
         if not np.all(np.isfinite(self.rhs.values)):
             raise ValueError("rhs must be finite at every node")
@@ -314,12 +313,7 @@ class _Lattice:
     def energy(self, u_flat: np.ndarray, corners: tuple, eps: float, src: np.ndarray) -> float:
         w = np.sqrt(corners[1] + eps**2)
         dens = np.where(w > 0, w**self.p_corner, 0.0) / self.p_corner
-        # Summed in cell order, over a cell-major copy.  Where the line search
-        # stalls at the flux kink it accepts or rejects on energy differences
-        # of rounding size, so the summation order steers that trajectory;
-        # test_kink_stall_exhausts_the_budget pins the one this order gives.
-        return float(self.geo.cell_vol / self.nc * np.ascontiguousarray(dens.T).sum()
-                     + src @ u_flat)
+        return float(self.geo.cell_vol / self.nc * dens.sum() + src @ u_flat)
 
     def gradient(self, corners: tuple, eps: float, src: np.ndarray) -> np.ndarray:
         grads, sq = corners
@@ -481,12 +475,12 @@ def _pcg(matvec: Callable, precond: Callable, b: np.ndarray, rtol: float) -> tup
 
 def _line_search(lat: _Lattice, src: np.ndarray, u: np.ndarray, delta: np.ndarray,
                  eps: float, alpha: float, accept: Callable) -> tuple:
-    """Halve the step alpha until the trial u + alpha delta passes accept(alpha, e1).
+    """Halve alpha until the trial u + alpha delta passes accept(alpha, e1, corners).
 
-    delta moves the interior nodes and e1 is the trial's energy at eps.  A
-    trial with a non-finite value or energy is rejected, the first without
-    being evaluated.  At most 60 trials.  Returns (alpha, halvings, step),
-    where step is (trial, its corners, e1), or None when no trial passed.
+    delta moves the interior nodes; e1 and corners are the trial's energy at
+    eps and its ``_Lattice.corners``.  A trial with a non-finite value or
+    energy is rejected, the first without being evaluated.  At most 60 trials.
+    Returns (alpha, halvings, step), step (trial, corners, e1) or None if none passed.
     """
     for halvings in range(60):
         trial = u.copy()
@@ -494,7 +488,7 @@ def _line_search(lat: _Lattice, src: np.ndarray, u: np.ndarray, delta: np.ndarra
         if np.all(np.isfinite(trial)):
             corners = lat.corners(trial)
             e1 = lat.energy(trial, corners, eps, src)
-            if np.isfinite(e1) and accept(alpha, e1):
+            if np.isfinite(e1) and accept(alpha, e1, corners):
                 return alpha, halvings, (trial, corners, e1)
         alpha *= 0.5
     return alpha, 60, None
@@ -552,7 +546,7 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
 
 def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
             stages: list, tol: float, max_iter: int, history: list) -> SolveResult:
-    """Newton with Armijo backtracking from u over the eps stages, largest first.
+    """Newton with backtracking from u over the eps stages, largest first.
 
     start is the list [u, corners], which the loop empties: u is a flat nodal
     array on the lattice of grid that carries the Dirichlet data and corners
@@ -588,18 +582,19 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
     step solved exactly.  When the previous step's CG took more than _CG_NEAR
     iterations (a capped one included), the factor has gone stale and the
     step refactors without trying CG first, so capped CG work is not thrown
-    away step after step.  So does the step after a CG direction that the
-    line search halved _CG_CUTS times or more: near the kink of a p < 2
-    energy a stale factor can give a descent direction that only a tiny step
-    follows, and the same direction again at every step.  A matrix that is
-    not positive definite, or an exact step that is not a finite descent
-    direction, gives way to the gradient direction.  When no Armijo step
-    lowers the energy, a steepest-descent rescue tries a conservative
-    gradient step.  The Newton matrix of step k is built with the smoothing
-    eps_h = max(eps, smooth0 0.25^(k-1)), smooth0 1e-2 times the steepest
-    slope of u along any axis, at least 1e-2.  It stays positive definite,
-    so directions remain descent directions for the stage energy; the stage
-    energy decreases when eps does, so the trace is nonincreasing.
+    away step after step.  A matrix that is not positive definite, or an
+    exact step that is not a finite descent direction, gives way to the
+    gradient direction.  The Newton matrix of step k is built with the
+    smoothing eps_h = max(eps, smooth0 0.25^(k-1)), smooth0 1e-2 times the
+    steepest slope of u along any axis, at least 1e-2.  It stays positive
+    definite, so directions remain descent directions for the stage energy.
+    The line search (``_line_search``) accepts Armijo, E <= e0 + 1e-4 alpha
+    g.delta, or an energy within 1e-13 max(1, |e0|) of e0 whose slope grad
+    E.delta is at most 0.8 |g.delta| (approximate Wolfe; Hager & Zhang 2005),
+    as near tol a good step's energy drop is below the rounding of |E|.  When
+    no trial passes, a steepest-descent rescue tries a conservative gradient
+    step.  The stage energy decreases when eps does, so the trace is
+    nonincreasing up to that 1e-13, inside SolveResult's 1e-12 check.
     """
     u, corners = start
     start.clear()
@@ -671,17 +666,19 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
 
         slope = float(delta @ gi)
         e0 = trace[-1]
-        alpha, backtracks, step = _line_search(lat, src, u, delta, eps, 1.0,
-                                               lambda a, e1: e1 <= e0 + 1e-4 * a * slope)
+
+        def accept(a, e1, trial_corners):
+            return e1 <= e0 + 1e-4 * a * slope or (abs(e1 - e0) <= 1e-13 * max(1.0, abs(e0))
+                and lat.gradient(trial_corners, eps, src)[interior] @ delta <= 0.8 * abs(slope))
+
+        alpha, backtracks, step = _line_search(lat, src, u, delta, eps, 1.0, accept)
         if step is None:
             delta, direction = -gi, "steepest-rescue"
             gmax = float(np.abs(gi).max())
             alpha, more, step = _line_search(lat, src, u, delta, eps,
                                              1.0 / max(1.0, gmax / lat.geo.cell_vol),
-                                             lambda a, e1: e1 < e0)
+                                             lambda a, e1, _: e1 < e0)
             backtracks += more
-        if linear == "pcg" and backtracks >= _CG_CUTS:
-            factor = None
         history.append({"stage_eps": eps, "it": it, "residual": residual,
                         "step": alpha if step is not None else 0.0, "backtracks": backtracks,
                         "direction": direction, "linear": linear, "cg_iters": cg_iters,

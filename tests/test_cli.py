@@ -332,10 +332,15 @@ def test_unsampled_cutoff_is_an_error_record(tmp_path):
     ("exponent", {"kind": "constant", "value": 0.5},
      r"problem key 'exponent': need 1 < p1 <= p2 < inf, got p1=0\.5"),
     ("max_iter", 2.5, r"problem key 'max_iter' must be an integer, got 2\.5"),
-], ids=["negative-reg_eps", "exponent-below-one", "fractional-max_iter"])
+    ("reg_eps", True, r"problem key 'reg_eps' must be a number, got True"),
+    ("tol", True, r"problem key 'tol' must be a number, got True"),
+    ("max_iter", True, r"problem key 'max_iter' must be a number, got True"),
+], ids=["negative-reg_eps", "exponent-below-one", "fractional-max_iter", "bool-reg_eps",
+        "bool-tol", "bool-max_iter"])
 def test_bad_problem_value_is_a_config_error(tmp_path, capsys, key, value, message):
     # These used to end in a ValueError traceback with exit 1, the code of a
-    # failed check, or (max_iter) to run silently with int(2.5) = 2.
+    # failed check, or to run silently: max_iter 2.5 with int(2.5) = 2, a
+    # JSON true as tol or reg_eps 1.0, and as max_iter a one-step solve.
     cfg = manufactured_config(tmp_path / "out", [{"kind": "norm"}])
     cfg["problem"][key] = value
     with pytest.raises(ConfigError, match=message):

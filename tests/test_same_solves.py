@@ -129,3 +129,22 @@ def test_explain_names_leaves_that_differ_only_in_type(same):
     steps, rel, types, _ = same.explain(base["verify-harness/0"], change["verify-harness/0"])
     assert steps.endswith("step records equal but for floats")
     assert types == "  step record types differ: [0].energy: float64 != float"
+
+
+def kink_run(steps):
+    """Kink family records, as a worker writes them, of {cells: (iterations, converged)}."""
+    return {f"kink/p1.2/1d-{cells}/eps1e-10-tol1e-10": {
+        "iterations": it, "message": "" if ok else "iteration budget exhausted (residual 1e-09)"}
+        for cells, (it, ok) in steps.items()}
+
+
+def test_kink_family_is_reported_not_compared(same):
+    base, change = records(), records()
+    base |= kink_run({64: (200, False), 128: (30, True)})
+    change |= kink_run({64: (39, True), 128: (31, True)})
+    (base, base_kink), (change, change_kink) = same.split(base), same.split(change)
+    assert same.compare(base, change) == [] and len(base) == 2
+    assert same.kink_lines(base_kink, change_kink) == [
+        "kink family, base: 1 of 2 stall, 230 Newton steps",
+        "kink family, change: 0 of 2 stall, 70 Newton steps",
+        "kink/p1.2/1d-128/eps1e-10-tol1e-10: 30 -> 31 Newton steps"]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import os
@@ -240,12 +241,16 @@ def test_lattice_without_interior_is_rejected(lo, hi, cells, dims):
     ("max_iter", 2.5, r"max_iter must be a positive integer, got 2\.5"),
     ("max_iter", -3, r"max_iter must be a positive integer, got -3"),
     ("rhs", np.nan, r"rhs must be finite at every node"),
+    ("reg_eps", True, r"reg_eps must be finite and >= 0, got True"),
+    ("tol", True, r"tol must be finite and positive, got True"),
+    ("max_iter", True, r"max_iter must be a positive integer, got True"),
 ], ids=["reg_eps-nan", "reg_eps-inf", "tol-inf", "max_iter-fraction", "max_iter-negative",
-        "rhs-nan"])
+        "rhs-nan", "reg_eps-bool", "tol-bool", "max_iter-bool"])
 def test_problem_spec_rejects_bad_fields(name, value, message):
     # Each of these used to fail late or silently: a full iteration budget,
     # a stalled line search, a converged solve at tol = inf, a TypeError from
-    # range, an empty budget, or a non-finite warm start.
+    # range, an empty budget, or a non-finite warm start.  A bool ran as the
+    # number 1: reg_eps and tol 1.0, and a one-step solve.
     box = px.Box([0.0, 0.0], [1.0, 1.0])
     f = px.GridFunction.constant(box, 8, -1.0)
     kw = {}
@@ -1304,17 +1309,15 @@ def test_stale_preconditioner_forces_refactor(monkeypatch):
     assert len(factors) == sum(r["linear"] == "factor" for r in recs)
 
 
-def test_cut_cg_step_forces_refactor(monkeypatch):
-    # Near the kink of the p = 1.5 energy the stale factor's CG direction is
-    # a descent direction that the line search halves 21 times, and then the
-    # same direction comes again at every step: without the refactor this
-    # solve sits at residual 3.032e-7 until the budget runs out.  After a CG
-    # step halved _CG_CUTS times or more the next step refactors, and the
-    # solve converges one step later.  The source is the `solve2d-singular`
-    # benchmark's two cosine modes drawn from the stream (504, 16).  The
-    # trajectory is that of the unpadded band (half-bandwidth 64 stored as
-    # 65 rows): the padded band's blocked factor differs in rounding, and
-    # with it this solve converges in 12 steps without a halved CG step.
+def test_stale_factor_step_at_the_kink_is_not_cut(monkeypatch):
+    # On this input a CG step from the stale factor, near the kink of the
+    # p = 1.5 energy, once lowered the energy by less than the rounding of
+    # |E|; Armijo halved it 21 times, the same direction came again at every
+    # step, and the solve sat at residual 3.032e-7 until the budget ran out.
+    # It must converge with no step cut that far.  The source is the
+    # `solve2d-singular` benchmark's two cosine modes drawn from the stream
+    # (504, 16), on the unpadded band (half-bandwidth 64 stored as 65 rows)
+    # of that trajectory.
     monkeypatch.setattr(solver, "_band_rows", lambda bandwidth: bandwidth + 1)
     rng = np.random.default_rng([504, 16])
     waves = rng.integers(1, 3, size=(2, 2))
@@ -1329,15 +1332,10 @@ def test_cut_cg_step_forces_refactor(monkeypatch):
                           px.GridFunction((65, 65), box.lo, box.hi / 64, f), 0.0, max_iter=40)
     res = px.solve_dirichlet(spec)
     assert res.converged and res.residual <= spec.tol
+    assert res.residual == px.weak_residual(res.solution, spec)
+    assert res.iterations <= 12
     assert_nonincreasing(res.energy_trace)
-    recs = res.history[1:]
-    cut = [i for i, r in enumerate(recs) if r["backtracks"] >= solver._CG_CUTS]
-    assert cut and all(recs[i]["linear"] == "pcg" for i in cut)
-    assert all((recs[i + 1]["linear"], recs[i + 1]["cg_iters"]) == ("factor", 0) for i in cut)
-    monkeypatch.setattr(solver, "_CG_CUTS", float("inf"))
-    stuck = px.solve_dirichlet(spec)
-    assert not stuck.converged and stuck.message.startswith("iteration budget exhausted")
-    assert sum(r["backtracks"] >= 20 for r in stuck.history[1:]) >= 20
+    assert all(r["backtracks"] < 10 for r in res.history[1:])
 
 
 def test_pcg_keeps_a_solve_that_meets_rtol_on_its_last_iteration():
@@ -1482,8 +1480,11 @@ def test_debug_log_costs_nothing_when_off(monkeypatch):
 
 
 def test_line_search_stalled(monkeypatch):
-    # An energy no step can lower defeats both the Armijo search and the rescue.
-    monkeypatch.setattr(_Lattice, "energy", lambda self, *args: 0.0)
+    # An energy that rises at every call, so that no trial lowers it or ties
+    # e0, defeats both the line search and the rescue.  (A constant energy
+    # ties at every trial, and the slope test then accepts a descent step.)
+    calls = itertools.count()
+    monkeypatch.setattr(_Lattice, "energy", lambda self, *args: float(next(calls)))
     res = px.solve_dirichlet(fallback_problem(max_iter=50))
     assert not res.converged
     assert res.message == "line search stalled"
@@ -1518,25 +1519,50 @@ def test_debug_log_is_a_view_of_the_history(caplog):
             assert {type(v) for v in record.values()} <= {int, float, str}
 
 
-@pytest.mark.parametrize("spec, lo, hi", [
-    (cos_problem(256, 1.2, n_axes=1, reg_eps=1e-10, tol=1e-8), 1e-7, 1e-6),  # 1.999e-7 today
-    (cos_problem(24, 1.1, reg_eps=0.0, tol=1e-7), 1e-3, 1e-1),                # 2.022e-2 today
+@pytest.mark.parametrize("spec, lo, hi, cuts", [
+    (cos_problem(256, 1.2, n_axes=1, reg_eps=1e-10, tol=1e-10), 3e-10, 3e-9, (0, 2)),
+    (cos_problem(24, 1.1, reg_eps=0.0, tol=1e-7), 1e-3, 1e-1, (7, 60)),
 ], ids=["1d-p1.2", "2d-p1.1"])
-def test_kink_stall_exhausts_the_budget(spec, lo, hi):
+def test_kink_stall_exhausts_the_budget(spec, lo, hi, cuts):
     # Today's failure, pinned: at the last eps some corner gradient is of the
     # size of reg_eps or below (the 1d solution's smallest |u'| is 1.6e-11),
-    # so the Newton model holds only in a region that small.  The last-stage
-    # steps are cut by a median of 17 and 10 halvings and the residual does
-    # not move (171 and 170 of the 200 steps).  Which instances of a kink
-    # family stall moves with the stage tolerance; a fix of the stall flips
-    # this test.
+    # so the Newton model holds only in a region that small.  171 and 170 of
+    # the 200 steps are taken at the last eps, and the residual stays above
+    # tol.  The 1d steps are whole or halved at most twice (median 0) while
+    # the residual wanders between 6.1e-10 and 1.0e-9 (9.951e-10 at the end)
+    # over the last 50 steps; the 2d ones are cut by a median of 9 halvings
+    # (at most 11) and end at 6.292e-3.  Which instances of a kink family
+    # stall moves with the stage tolerance and the line search; a fix of the
+    # stall flips this test.
     res = px.solve_dirichlet(spec)
     assert not res.converged
     assert res.message.startswith("iteration budget exhausted")
     assert lo <= res.residual <= hi
     last = [r for r in res.history[1:] if r["stage_eps"] == spec.reg_eps]
     assert len(last) >= 150
-    assert statistics.median(r["backtracks"] for r in last) >= 10
+    assert cuts[0] <= statistics.median(r["backtracks"] for r in last) <= cuts[1]
+
+
+def test_kink_solve_converges_through_an_energy_tie():
+    # At tol 1e-8 this 1d kink problem stalled at residual 1.999e-7, its
+    # last-stage steps halved 17 times: the energy drop of a good step was
+    # below the rounding of |E|, and Armijo rejected it.  The line search
+    # now settles such ties by the slope along the step, and the solve
+    # converges in 39 steps.  Only the slope test can accept a step whose
+    # energy rose, here by 8.7e-19 at E = -4.7e-4.
+    spec = cos_problem(256, 1.2, n_axes=1, reg_eps=1e-10, tol=1e-8)
+    res = px.solve_dirichlet(spec)
+    assert res.converged and res.residual <= spec.tol
+    assert_nonincreasing(res.energy_trace)
+    # the trace holds the start's energy, then each accepted step's and each
+    # new stage's first, so a step's energy follows the previous entry
+    at, rises = 0, 0
+    for prev, r in zip(res.history, res.history[1:]):
+        at += "stage_eps" in prev and r["stage_eps"] != prev["stage_eps"]
+        rises += res.energy_trace[at + 1] > res.energy_trace[at]
+        at += 1
+    assert at == len(res.energy_trace) - 1
+    assert rises >= 1
 
 
 @pytest.mark.parametrize("p, max_iter, converged", [
