@@ -138,9 +138,10 @@ class SolveResult:
     """The solution of ``solve_dirichlet`` and what the solve did.
 
     energy_trace must be nonincreasing.  history holds dicts of plain Python
-    values: the start record (scale, energy_p2, energy), then one record per
-    Newton step (stage_eps, it, residual, step, backtracks, direction,
-    linear, cg_iters, eps_h); the ``pxlap`` debug log is a view of it.
+    values: the start record (scale, G, energy), then one record per Newton
+    step (stage_eps, it, residual, step, backtracks, direction, linear,
+    cg_iters, eps_h, and accept: the line-search test that passed, "armijo",
+    "slope", "rescue" or None); the ``pxlap`` debug log is a view of it.
     """
 
     solution: GridFunction
@@ -336,14 +337,15 @@ class _Lattice:
         The pointwise Hessian of w^p / p in the gradient g is M = c1 I + c2 g g^T
         with c1 = w^(p-2) and c2 = (p-2) c1 / w^2, so each cell block is
         sum_k G_k^T M_k G_k: one product of the fixed ``basis`` with the upper
-        triangles of the M_k, (2^n n(n+1)/2, ncells).  The blocks are written
-        into out, a C-contiguous array of that shape, when given, and into a
-        new array otherwise.
+        triangles of the M_k, (2^n n(n+1)/2, ncells).  eps_h > 0 (else a
+        ValueError) keeps c2 finite where g = 0 and the matrix positive
+        definite.  The blocks are written into out, a C-contiguous array of
+        that shape, when given, and into a new array otherwise.
         """
+        if not eps_h > 0.0:
+            raise ValueError(f"hessian_blocks needs eps_h > 0, got {eps_h}")
         grads, sq = corners
-        # A tiny floor keeps c1 / w^2 finite at degenerate corners; the matrix
-        # stays positive definite so Newton directions remain descent ones.
-        w2 = sq + max(eps_h, 1e-12) ** 2
+        w2 = sq + eps_h**2
         c1 = np.sqrt(w2) ** (self.p_corner - 2.0)
         c2 = (self.p_corner - 2.0) * c1 / w2
         n, nc, ncells = grads.shape
@@ -478,9 +480,10 @@ def _line_search(lat: _Lattice, src: np.ndarray, u: np.ndarray, delta: np.ndarra
     """Halve alpha until the trial u + alpha delta passes accept(alpha, e1, corners).
 
     delta moves the interior nodes; e1 and corners are the trial's energy at
-    eps and its ``_Lattice.corners``.  A trial with a non-finite value or
-    energy is rejected, the first without being evaluated.  At most 60 trials.
-    Returns (alpha, halvings, step), step (trial, corners, e1) or None if none passed.
+    eps and its ``_Lattice.corners``; accept returns the name of the test it
+    passed, or None.  A trial with a non-finite value or energy is rejected,
+    the first without being evaluated.  At most 60 trials.  Returns (alpha,
+    halvings, step), step (trial, corners, e1, name) or None if none passed.
     """
     for halvings in range(60):
         trial = u.copy()
@@ -488,29 +491,28 @@ def _line_search(lat: _Lattice, src: np.ndarray, u: np.ndarray, delta: np.ndarra
         if np.all(np.isfinite(trial)):
             corners = lat.corners(trial)
             e1 = lat.energy(trial, corners, eps, src)
-            if np.isfinite(e1) and accept(alpha, e1, corners):
-                return alpha, halvings, (trial, corners, e1)
+            if np.isfinite(e1) and (name := accept(alpha, e1, corners)):
+                return alpha, halvings, (trial, corners, e1, name)
         alpha *= 0.5
     return alpha, 60, None
 
 
-def _eps_schedule(spec: ProblemSpec) -> list:
-    """Regularization continuation stages, largest first.
+def _eps_schedule(spec: ProblemSpec, G: float) -> list:
+    """Regularization continuation stages, largest first, G the start's scale.
 
     Singular exponents (p < 2 somewhere) with a tiny target eps make plain
     Newton crawl where the gradient changes sign: steps keep overshooting
-    the kink of |d|^(p-2) d.  Solving a short ladder of smoothed problems
-    and warm-starting each from the last restores fast local convergence.
-    The stage energy decreases when eps does, so the concatenated energy
-    trace stays nonincreasing.  The ladder stops at the 1e-12 eps floor of
-    the Newton matrix (``hessian_blocks``): below it the matrix no longer
-    changes with eps, and such stages took no Newton step.
+    the kink of |d|^(p-2) d.  Solving a short ladder of smoothed problems,
+    1e-2 G, 1e-4 G, ..., and warm-starting each from the last restores fast
+    local convergence.  The stage energy decreases when eps does, so the
+    concatenated trace stays nonincreasing.  The ladder stops at the floor
+    1e-12 G of the Newton matrix's eps (``_newton``), where it stops moving.
     """
-    if spec.field.p1 >= 2.0 or spec.reg_eps >= 1e-3:
+    if spec.field.p1 >= 2.0 or spec.reg_eps >= 1e-3 * G:
         return [float(spec.reg_eps)]
     stages = []
-    e = 1e-2
-    while e > max(spec.reg_eps, 1e-12) * 10.0:
+    e = 1e-2 * G
+    while e > max(spec.reg_eps, 1e-12 * G) * 10.0:
         stages.append(e)
         e *= 0.01
     stages.append(float(spec.reg_eps))
@@ -526,21 +528,26 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     factorization).  Its solution u2 has the shape of the solution but, as
     the energy grows like |grad u|^p(x), not its size.  With constant data
     g0 the solve starts from g0 + s (u2 - g0), s the minimizer of the energy
-    at eps = 0 along that ray (``_ray_start``, a root taken by
-    ``norms.log_luxemburg``), and s = 1 when the scaled start does not lower
-    the first stage energy; with other data it starts from u2.  For p = 2,
-    s = 1 to rounding and the problem is converged, to rounding, before the
-    first Newton step.
+    at eps = 0 along that ray (``_ray_start``), and s = 1 when the scaled
+    start does not lower that energy; with other data it starts from u2.  For
+    p = 2, s = 1 to rounding and the problem is converged, to rounding,
+    before the first Newton step.  Every constant of the continuation
+    (``_eps_schedule``, ``_newton``) is a multiple of one scale G, the largest
+    corner-gradient norm of the start.  So for constant p and reg_eps = 0 the
+    data (t^(p-1) f, t g) at tolerance t^(p-1) tol give t times the steps of
+    (f, g) at tol, up to rounding.
 
     A converged result satisfies weak_residual <= tol, and its residual is
     weak_residual of the solution; an unconverged one reports the residual
     at the stage eps where it stopped.  ``SolveResult.history`` records the
-    start (s and the energies of u2 and of the start) and each Newton step, a
-    stalled one too.
+    start (s, G and its energy at the first stage eps) and each Newton step,
+    a stalled one too.
     """
     lat, src = _lattice(spec.rhs, spec.field, spec.rhs)
-    stages = _eps_schedule(spec)
-    *start, record = _ray_start(spec, lat, src, stages[0])
+    *start, s = _ray_start(spec, lat, src)
+    G = float(np.sqrt(start[1][1].max()))  # start[1] is (g, |g|^2) of the start
+    stages = _eps_schedule(spec, G)
+    record = {"scale": s, "G": G, "energy": lat.energy(*start, stages[0], src)}
     return _newton(spec.rhs, lat, src, start, stages, spec.tol, spec.max_iter, [record])
 
 
@@ -553,8 +560,8 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
     its ``_Lattice.corners``.  So the start's corner arrays are freed once
     the first step is accepted, where a caller's reference would hold them
     through the whole loop.  src is the source weights and history a list
-    whose last record is the start's, with its energy at stages[0] under
-    "energy"; the Newton step records are appended to it.
+    whose last record is the start's, with G and its energy at stages[0]
+    (``solve_dirichlet``); the Newton step records are appended to it.
     Each pass takes the gradient and the residual at the current stage eps;
     when the residual meets the stage tolerance eps moves to the next stage,
     whose first energy is appended to the trace, and the loop ends converged
@@ -584,17 +591,16 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
     step refactors without trying CG first, so capped CG work is not thrown
     away step after step.  A matrix that is not positive definite, or an
     exact step that is not a finite descent direction, gives way to the
-    gradient direction.  The Newton matrix of step k is built with the
-    smoothing eps_h = max(eps, smooth0 0.25^(k-1)), smooth0 1e-2 times the
-    steepest slope of u along any axis, at least 1e-2.  It stays positive
-    definite, so directions remain descent directions for the stage energy.
-    The line search (``_line_search``) accepts Armijo, E <= e0 + 1e-4 alpha
-    g.delta, or an energy within 1e-13 max(1, |e0|) of e0 whose slope grad
-    E.delta is at most 0.8 |g.delta| (approximate Wolfe; Hager & Zhang 2005),
-    as near tol a good step's energy drop is below the rounding of |E|.  When
-    no trial passes, a steepest-descent rescue tries a conservative gradient
-    step.  The stage energy decreases when eps does, so the trace is
-    nonincreasing up to that 1e-13, inside SolveResult's 1e-12 check.
+    gradient direction.  The Newton matrix of step k (of the whole solve) is
+    built at eps_h = max(eps, 1e-12 G, 0.1 G 0.25^(k-1)) > 0 (G = 0 only at
+    a constant, converged start), so directions descend.  The line search
+    (``_line_search``) accepts Armijo, E <= e0 + 1e-4 alpha g.delta, or an
+    energy within 1e-13 max(1, |e0|) of e0 whose slope grad E.delta is at
+    most 0.8 |g.delta| (approximate Wolfe; Hager & Zhang 2005), as near tol a
+    good step's energy drop is below the rounding of |E|.  When no trial
+    passes, a gradient-descent rescue tries a conservative gradient step.
+    The stage energy decreases when eps does, so the trace is nonincreasing
+    up to that 1e-13, inside SolveResult's 1e-12 check.
     """
     u, corners = start
     start.clear()
@@ -604,13 +610,8 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
     if debug:
         _log_record(history[-1])
 
-    # Newton-matrix smoothing scale from the steepest slope of u; it decays
-    # by 0.25 per Newton step.
-    steepest = max(float(np.abs(np.diff(u.reshape(grid.dims), axis=a)).max() / h)
-                   for a, h in enumerate(grid.spacing))
-    smooth0 = 1e-2 * max(1.0, steepest)
     stage, eps = 0, stages[0]
-    trace = [history[-1]["energy"]]
+    G, trace = history[-1]["G"], [history[-1]["energy"]]
     factor, gnorm_prev, cg_prev = None, np.inf, 0
     it, message, r0 = 0, "", None
     # The solve's cell blocks and band, taken only now: held through the
@@ -636,7 +637,7 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
             break
         it += 1
 
-        eps_h = max(eps, smooth0 * 0.25 ** (it - 1))
+        eps_h = max(eps, 1e-12 * G, 0.1 * G * 0.25 ** (it - 1))
         lat.hessian_blocks(corners, eps_h, out=blocks)
         gi = g[interior]
         gnorm = float(np.linalg.norm(gi))
@@ -668,27 +669,30 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
         e0 = trace[-1]
 
         def accept(a, e1, trial_corners):
-            return e1 <= e0 + 1e-4 * a * slope or (abs(e1 - e0) <= 1e-13 * max(1.0, abs(e0))
-                and lat.gradient(trial_corners, eps, src)[interior] @ delta <= 0.8 * abs(slope))
+            if e1 <= e0 + 1e-4 * a * slope:
+                return "armijo"
+            if abs(e1 - e0) <= 1e-13 * max(1.0, abs(e0)) and (
+                    lat.gradient(trial_corners, eps, src)[interior] @ delta <= 0.8 * abs(slope)):
+                return "slope"
 
         alpha, backtracks, step = _line_search(lat, src, u, delta, eps, 1.0, accept)
         if step is None:
-            delta, direction = -gi, "steepest-rescue"
+            delta, direction = -gi, "gradient-rescue"
             gmax = float(np.abs(gi).max())
             alpha, more, step = _line_search(lat, src, u, delta, eps,
                                              1.0 / max(1.0, gmax / lat.geo.cell_vol),
-                                             lambda a, e1, _: e1 < e0)
+                                             lambda a, e1, _: "rescue" if e1 < e0 else None)
             backtracks += more
         history.append({"stage_eps": eps, "it": it, "residual": residual,
                         "step": alpha if step is not None else 0.0, "backtracks": backtracks,
                         "direction": direction, "linear": linear, "cg_iters": cg_iters,
-                        "eps_h": eps_h})
+                        "eps_h": eps_h, "accept": step[3] if step is not None else None})
         if debug:
             _log_record(history[-1])
         if step is None:
             message = "line search stalled"
             break
-        u, corners, e1 = step
+        u, corners, e1, _ = step
         trace.append(e1)
     return SolveResult(grid.like(u), trace, residual, it, not message, message, history)
 
@@ -740,7 +744,7 @@ def _laplace_warm_start(spec: ProblemSpec, src: np.ndarray) -> np.ndarray:
     return data
 
 
-def _ray_start(spec: ProblemSpec, lat: _Lattice, src: np.ndarray, eps: float) -> tuple:
+def _ray_start(spec: ProblemSpec, lat: _Lattice, src: np.ndarray) -> tuple:
     """The start of the Newton loop: g0 + s (u2 - g0) for constant data g0, else
     u2, the p = 2 solution of ``_laplace_warm_start``; src is the solve's
     source weights.  A u2 with a non-finite value is a SolverError.
@@ -755,24 +759,21 @@ def _ray_start(spec: ProblemSpec, lat: _Lattice, src: np.ndarray, eps: float) ->
     so when q < 0 lambda = 1/s solves sum_k c_k lambda^-(p_k-1) = 1, c_k =
     vol/2^n S_k^(p_k/2) / -q, over the corners with S_k > 0: a Luxemburg root,
     taken by ``norms.log_luxemburg``.  s = 0 when q >= 0.  For constant p
-    the root is exact, so at eps = 0 the start for the source t^(p-1) f is t
-    times the start for f.  With other data the start is u2: scaling its
-    interior would bend it against the fixed boundary values.
+    the root is exact, so the start for the source t^(p-1) f is t times the
+    start for f.  With other data the start is u2: scaling its interior would
+    bend it against the fixed boundary values.
 
-    When the start's energy at eps is not at most that of u2 (rounding, or an
-    s that is not finite), s = 1 and the start is u2.
-
-    Returns (u, corners, the ``SolveResult.history`` start record {"scale": s,
-    "energy_p2": energy of u2, "energy": energy of u}), energies at eps.
+    When the start's energy at eps = 0 is not at most that of u2 (rounding,
+    or an s that is not finite), s = 1 and the start is u2.  Returns (u,
+    corners, s).
     """
     u2 = _laplace_warm_start(spec, src).reshape(-1)
     if not np.all(np.isfinite(u2)):
         raise SolverError("warm start produced non-finite values")
     g2, S = corners2 = lat.corners(u2)
-    e2 = lat.energy(u2, corners2, eps, src)
     g0 = u2[0]
     if np.any(np.delete(u2, lat.interior) != g0):
-        return u2, corners2, {"scale": 1.0, "energy_p2": e2, "energy": e2}
+        return u2, corners2, 1.0
     w = u2 - g0
     q = float(src @ w)
     s = 0.0
@@ -782,12 +783,10 @@ def _ray_start(spec: ProblemSpec, lat: _Lattice, src: np.ndarray, eps: float) ->
         log_c = np.log(lat.geo.cell_vol / lat.nc / -q) + 0.5 * p * np.log(S[keep])
         t, _ = log_luxemburg((p - 1.0)[None, :], log_c[None, :], NormConfig())
         s = float(np.exp(-t[0]))
-    if s != 1.0:
-        u, corners = g0 + s * w, (g2 * s, S * (s * s))
-        e = lat.energy(u, corners, eps, src)
-        if e <= e2:
-            return u, corners, {"scale": s, "energy_p2": e2, "energy": e}
-    return u2, corners2, {"scale": 1.0, "energy_p2": e2, "energy": e2}
+    u, corners = g0 + s * w, (g2 * s, S * (s * s))
+    if lat.energy(u, corners, 0.0, src) <= lat.energy(u2, corners2, 0.0, src):
+        return u, corners, s
+    return u2, corners2, 1.0
 
 
 def _sine_transform(x: np.ndarray) -> np.ndarray:
