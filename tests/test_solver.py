@@ -1645,16 +1645,22 @@ def test_kink_solve_converges_through_an_energy_tie():
     assert {r["accept"] for r in res.history[1:]} == {"armijo", "slope"}
 
 
-@pytest.mark.parametrize("p, max_iter, converged", [
-    (3.0, 4, True),   # the fourth and last allowed step meets tol
-    (1.5, 5, True),   # the last step, the first at the final eps, meets tol
-    (1.5, 4, False),  # stopped at the final eps, one step short of tol
-    (1.5, 2, False),  # stopped at the first eps, 1e-2 G, whose residual has
-                      # not dropped tenfold from the one that opened the stage
-])
-def test_verdict_matches_the_residual_when_the_budget_runs_out(p, max_iter, converged):
+_BUDGET_CASES = [
+    (3.0, 4, True, 16),   # the fourth and last allowed step meets tol
+    (1.5, 5, True, 16),   # the last step, the first at the final eps, meets tol
+    (1.5, 4, False, 16),  # stopped at the final eps, one step short of tol
+    (1.5, 2, False, 16),  # stopped at the first eps, 1e-2 G, whose residual has
+                          # not dropped tenfold from the one that opened the stage
+    (1.5, 6, False, 24),  # on a finer grid, likewise stopped at the final eps
+                          # one step short of tol
+]
+
+
+@pytest.mark.parametrize("p, max_iter, converged, cells", _BUDGET_CASES,
+                         ids=[f"{p}-{m}-{c}" for p, m, c, _ in _BUDGET_CASES])
+def test_verdict_matches_the_residual_when_the_budget_runs_out(p, max_iter, converged, cells):
     box = px.Box([0.0, 0.0], [1.0, 1.0])
-    f = px.GridFunction.constant(box, 16, -1.0)
+    f = px.GridFunction.constant(box, cells, -1.0)
     spec = px.ProblemSpec(box, px.constant_exponent(p, domain=box), f, 0.0, max_iter=max_iter)
     res = px.solve_dirichlet(spec)
     assert res.iterations == max_iter
