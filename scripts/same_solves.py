@@ -14,7 +14,8 @@ the step records are equal, the largest relative difference of the solution, the
 energy trace, the residual and the step records' floats, every step record float
 whose value is equal but whose type differs (np.float64 against float), and for
 report.json the largest relative difference of its float leaves and every other leaf
-that differs.
+that differs.  Then one line per family, the problem name up to its first '/', says
+how many of its problems are equal, e.g. "verify-harness: 4 of 4 equal".
 
 Each tree also solves the kink family, 42 problems with the same source and zero data
 where p < 2 and the last eps is tiny: 1d, p = 1.2, 1.3 and 1.4 on 64, 128, 256 and 512
@@ -119,6 +120,17 @@ def compare(base: dict, change: dict) -> list:
     return diffs
 
 
+def tallies(base: dict, change: dict) -> list:
+    """'family: k of n equal' per family, the problem name up to its first '/', in
+    name order; a problem on one side only counts as not equal."""
+    counts = {}
+    for name in sorted(base.keys() | change.keys()):
+        tally = counts.setdefault(name.split("/")[0], [0, 0])
+        tally[0] += name in base and name in change and not differing(base[name], change[name])
+        tally[1] += 1
+    return [f"{family}: {equal} of {total} equal" for family, (equal, total) in counts.items()]
+
+
 def rel_diff(a, b) -> float:
     """max |a - b| / max(|a|, |b|) over two float sequences, 0 where they are equal
     (NaN with NaN too), inf where their lengths differ or one is NaN."""
@@ -219,7 +231,7 @@ def main(argv=None) -> int:
     for name in sorted(base.keys() & change.keys()):
         if differing(base[name], change[name]):
             print("\n".join([f"{name}:"] + explain(base[name], change[name])))
-    print("\n".join(kink_lines(base_kink, change_kink)))
+    print("\n".join(tallies(base, change) + kink_lines(base_kink, change_kink)))
     return 1 if diffs else 0
 
 

@@ -200,10 +200,15 @@ def bracket_subsolution_mu(template: BarrierParams, field: ExponentField,
     """Bisect on mu for the sign change of the scan minimum.
 
     Returns (lo, hi) with the scan minimum negative at lo and >= 0 at hi and
-    hi - lo <= 2 * width.  Raises when the endpoints do not straddle a sign
-    change.  The annulus depends on mu only through the barrier, so its
-    samples are built and domain-checked once.
+    hi - lo <= 2 * width, or lo and hi adjacent floats when 2 * width is
+    below their spacing: the bisection stops once the midpoint is not
+    strictly between them.  Raises when width is not finite and positive, or
+    when the endpoints do not straddle a sign change.  The annulus depends on
+    mu only through the barrier, so its samples are built and domain-checked
+    once.
     """
+    if not 0 < width < np.inf:
+        raise ValueError(f"width must be finite and positive, got {width}")
     pts = _barrier_samples(template, field, resolution, n_dir)
 
     def scan_min(mu):
@@ -215,6 +220,8 @@ def bracket_subsolution_mu(template: BarrierParams, field: ExponentField,
         raise ValueError(f"no subsolution sign change on [{mu_lo}, {mu_hi}]")
     while hi - lo > 2.0 * width:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if scan_min(mid) < 0.0:
             lo = mid
         else:

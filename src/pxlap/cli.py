@@ -247,7 +247,7 @@ def _structure_record(c: dict, spec, seed: int, base) -> CheckRecord:
         from .grid import Box, GridFunction
         box = Box(domcfg[:, 0], domcfg[:, 1])
         field = cf.build_exponent(c["exponent"], box, base)
-        like = GridFunction.constant(box, int(c.get("cells", 16)), 0.0)
+        like = GridFunction.constant(box, c.get("cells", 16), 0.0)
     consts = {k: float(c.get(k, 0.0)) for k in
               ("g0", "g1", "f_src", "c0", "c1", "c2", "k1", "k2", "b")}
     bounds = st.StructureBounds.constants(

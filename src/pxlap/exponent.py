@@ -56,7 +56,7 @@ class ExponentField:
         pts = as_points(points)
         vals = np.asarray(self.evaluator(pts), dtype=float).reshape(pts.shape[0])
         lo, hi = vals.min(initial=np.inf), vals.max(initial=-np.inf)
-        if lo < self.p1 - _BOUND_TOL or hi > self.p2 + _BOUND_TOL:
+        if not (lo >= self.p1 - _BOUND_TOL and hi <= self.p2 + _BOUND_TOL):  # NaN fails too
             raise ValueError(
                 f"exponent field '{self.name}' leaves its band [{self.p1}, {self.p2}]: "
                 f"sampled range [{lo}, {hi}]"

@@ -163,8 +163,14 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, box: Box, cells, fn) -> "GridFunction":
-        """Sample fn on the lattice with `cells` cells per axis over box."""
-        cells = np.broadcast_to(np.atleast_1d(np.asarray(cells, dtype=int)), (box.n_axes,))
+        """Sample fn on the lattice with `cells` cells per axis over box: one
+        count, or one per axis; a count that is a bool or not a whole number
+        is a ValueError naming it."""
+        counts = np.atleast_1d(np.asarray(cells, dtype=object)).ravel().tolist()
+        if not all(isinstance(c, (int, float, np.integer, np.floating)) and not isinstance(c, bool)
+                   and float(c).is_integer() for c in counts):
+            raise ValueError(f"cells must be whole numbers, got {cells!r}")
+        cells = np.broadcast_to(np.array(counts, dtype=int), (box.n_axes,))
         dims = tuple(int(c) + 1 for c in cells)
         spacing = box.widths / cells
         g = cls(dims, box.lo.copy(), spacing, np.zeros(dims))

@@ -27,8 +27,7 @@ import numpy as np
 from .exponent import ExponentField, band_of_samples
 from .grid import Ball, GridFunction, row_norm
 from .norms import lt_average
-from .quadrature import (cell_corners, cell_means, center_gradients,
-                         harnack_dilate, lq_norm, midpoint_data, node_mask)
+from .quadrature import CellGeometry, harnack_dilate, lq_norm, node_mask
 
 __all__ = [
     "HarnackReport", "OscillationTrace", "WeakHarnackResult", "CaccioppoliResult",
@@ -199,27 +198,26 @@ def caccioppoli_check(u: GridFunction, gamma: float, eta: GridFunction,
     if np.any(eta.values < -1e-12):
         raise ValueError("cutoff eta must be nonnegative")
 
-    centers, vols = midpoint_data(u)
-    u_mid = cell_means(u)
-    eta_mid = np.maximum(cell_means(eta), 0.0)
-    H_mid = cell_means(H)
-    gu = row_norm(center_gradients(u))
-    ge = row_norm(center_gradients(eta))
-    p_mid = field(centers)
+    geo = CellGeometry.build(u)
+    u_mid = geo.cell_means(u.values)
+    eta_mid = np.maximum(geo.cell_means(eta.values), 0.0)
+    H_mid = geo.cell_means(H.values)
+    gu = row_norm(geo.center_gradients(u.values))
+    ge = row_norm(geo.center_gradients(eta.values))
+    p_mid = field(geo.centers())
 
     active = (eta_mid > 0) | (ge > 0)
     if not np.any(active):
         raise ValueError("cutoff eta: no cell weight inside its support")
-    support_nodes = np.unique(cell_corners(np.arange(u.values.size).reshape(u.dims))[active])
-    p_support = np.concatenate([p_mid[active],
-                                field(u.nodes()[support_nodes])])
+    support = geo.corner_sums(np.broadcast_to(active, (2**geo.n_axes, active.size))) > 0
+    p_support = np.concatenate([p_mid[active], field(u.nodes()[support])])
     p_minus, p_plus = float(p_support.min()), float(p_support.max())
 
-    umin = u.values.reshape(-1)[support_nodes].min()
+    umin = u.values.reshape(-1)[support].min()
     if umin < 1.0 - 1e-12:
         raise ValueError(f"hypothesis u >= 1 fails on supp eta (min {umin})")
 
-    w = np.where(active, vols, 0.0)
+    w = np.where(active, geo.cell_vol, 0.0)
     lhs = float(np.sum(w * u_mid ** (gamma - 1.0) * gu**p_minus * eta_mid**p_plus))
     zero_order = float(np.sum(w * u_mid ** (gamma - 1.0) * eta_mid**p_plus))
     with np.errstate(divide="ignore"):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exponent import ExponentField
 from .grid import Ball, GridFunction, row_norm
-from .quadrature import cell_means, center_gradients, midpoint_data, node_mask, power_sum_root
+from .quadrature import CellGeometry, node_mask, power_sum_root
 
 __all__ = ["NormConfig", "BracketError", "modular", "luxemburg_norm",
            "sobolev_norm", "lt_average", "dual_exponent", "log_luxemburg"]
@@ -68,12 +68,12 @@ def log_luxemburg(P: np.ndarray, log_c: np.ndarray, cfg: NormConfig) -> tuple:
     return t, step
 
 
-def _luxemburg_samples(absvals, pvals, weights, cfg: NormConfig) -> float:
+def _luxemburg_samples(absvals, pvals, weight: float, cfg: NormConfig) -> float:
     keep = absvals > 0
     if not np.any(keep):
         return 0.0
     P = pvals[keep][None, :]
-    log_c = np.log(weights[keep]) + P * np.log(absvals[keep])
+    log_c = np.log(weight) + P * np.log(absvals[keep])
     t, step = log_luxemburg(P, log_c, cfg)
     if not np.abs(step[0]) <= cfg.bisection_tol:
         # F >= 0 at t after the first step and F falls no slower than min p,
@@ -91,11 +91,11 @@ def modular(u: GridFunction, field: ExponentField, lam: float) -> float:
     overflows, rather than an infinite modular."""
     if not 0 < lam < np.inf:
         raise ValueError(f"modular scale lambda must be finite and positive, got {lam}")
-    centers, vols = midpoint_data(u)
-    absvals, p = np.abs(cell_means(u)), field(centers)
+    geo = CellGeometry.build(u)
+    absvals, p = np.abs(geo.cell_means(u.values)), field(geo.centers())
     try:
         with np.errstate(over="raise"):
-            return float(np.sum(vols * (absvals / lam) ** p))
+            return float(np.sum(geo.cell_vol * (absvals / lam) ** p))
     except FloatingPointError:
         raise ValueError(f"modular at lambda = {lam} overflows the float range") from None
 
@@ -106,8 +106,9 @@ def luxemburg_norm(u: GridFunction, field: ExponentField,
 
     Raises BracketError when the Newton solve does not converge.
     """
-    centers, vols = midpoint_data(u)
-    return _luxemburg_samples(np.abs(cell_means(u)), field(centers), vols, cfg)
+    geo = CellGeometry.build(u)
+    return _luxemburg_samples(np.abs(geo.cell_means(u.values)), field(geo.centers()),
+                              geo.cell_vol, cfg)
 
 
 def sobolev_norm(u: GridFunction, field: ExponentField,
@@ -117,11 +118,11 @@ def sobolev_norm(u: GridFunction, field: ExponentField,
     The gradient magnitude is sampled at cell centers (the gradient of the
     multilinear interpolant there) with cell-volume weights.
     """
-    centers, vols = midpoint_data(u)
-    pvals = field(centers)
-    value_part = _luxemburg_samples(np.abs(cell_means(u)), pvals, vols, cfg)
-    gmag = row_norm(center_gradients(u))
-    grad_part = _luxemburg_samples(gmag, pvals, vols, cfg)
+    geo = CellGeometry.build(u)
+    pvals = field(geo.centers())
+    value_part = _luxemburg_samples(np.abs(geo.cell_means(u.values)), pvals, geo.cell_vol, cfg)
+    gmag = row_norm(geo.center_gradients(u.values))
+    grad_part = _luxemburg_samples(gmag, pvals, geo.cell_vol, cfg)
     return value_part + grad_part
 
 

@@ -1,13 +1,15 @@
-"""Cell quadrature helpers shared by norms, solver and the check harness.
+"""Cell quadrature shared by norms, solver and the check harness.
 
-Two rules are used in the package.  The norm module integrates with the
-midpoint rule: field values at cell centers times cell volumes.  The solver
-integrates gradient terms with the vertex rule: the gradient of the
-multilinear interpolant evaluated at every cell corner, each corner carrying
-vol / 2^n of the cell.  Ball-restricted integrals weight cut cells by the
-contained volume fraction, estimated by subsampling.  This module is the
-one place where a lattice and a Ball or Box become node samples, cell
-weights, L^q norms, or a Harnack ball's 4R dilate and least exponent.
+``CellGeometry`` is the one place where a lattice becomes cells: their
+corners, centers and volume, and the gradients of the multilinear
+interpolant on them.  The norms and the checks integrate with the midpoint
+rule: the interpolant's value or gradient at the cell centers times the cell
+volume.  The solver integrates gradient terms with the vertex rule: the
+gradient at every cell corner, each corner carrying vol / 2^n of the cell.
+Ball-restricted integrals weight cut cells by the contained volume fraction,
+estimated by subsampling.  This module is also where a Ball or Box becomes
+node samples, cell weights, L^q norms, or a Harnack ball's 4R dilate and
+least exponent.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ import numpy as np
 
 from .grid import Ball, GridFunction, row_norm
 
-__all__ = ["CellGeometry", "midpoint_data", "ball_cell_weights", "lq_norm"]
+__all__ = ["CellGeometry", "ball_cell_weights", "lq_norm"]
 
 
 @dataclass
 class CellGeometry:
-    """Corner slices and per-corner gradient stencils of a uniform lattice.
+    """Corner slices, centers and per-corner gradient stencils of a uniform lattice.
 
     Corner k of every cell is the shifted slice corner_slices[k] of the nodal
     array.  Every per-corner array is corner-major, its last axis the cell
@@ -35,6 +37,7 @@ class CellGeometry:
     """
 
     dims: tuple
+    origin: np.ndarray
     spacing: np.ndarray
     corner_offsets: np.ndarray  # (2^n, n) in {0, 1}
     corner_slices: tuple        # 2^n tuples of n slices
@@ -57,7 +60,9 @@ class CellGeometry:
             G[a, k, k | bit] = 1.0 / h
             G[a, k, k & ~bit] = -1.0 / h
         vol = float(np.prod(g.spacing))
-        geo = cls(dims, g.spacing.copy(), _corner_offsets(n), _corner_slices(dims), G, vol)
+        offsets = np.array(list(itertools.product((0, 1), repeat=n)), dtype=int)
+        slices = tuple(tuple(slice(o, d - 1 + o) for o, d in zip(off, dims)) for off in offsets)
+        geo = cls(dims, g.origin.copy(), g.spacing.copy(), offsets, slices, G, vol)
         geo.node_weights = geo.corner_sums(np.ones((ncorner, geo.n_cells))) * (vol / ncorner)
         return geo
 
@@ -102,46 +107,32 @@ class CellGeometry:
         uc -= uc[0]
         return (self.grad_stencils.reshape(n * nc, nc) @ uc).reshape(n, nc, -1)
 
+    def flux_pairing(self, flux: np.ndarray) -> np.ndarray:
+        """The vertex-rule adjoint of ``corner_gradients``: the nodal vector of
+        vol/2^n sum over cells and corners k of flux_k . G_k, flux of shape
+        (n_axes, 2^n, ncells), so that flux_pairing(F) @ u is that sum of
+        F . corner_gradients(u)."""
+        n, nc = self.grad_stencils.shape[:2]
+        per_corner = self.grad_stencils.reshape(n * nc, nc).T @ flux.reshape(n * nc, -1)
+        return self.corner_sums((self.cell_vol / nc) * per_corner)
 
-def midpoint_data(g: GridFunction) -> tuple:
-    """(cell centers, cell volumes) for the midpoint rule over the grid box."""
-    axes = [g.origin[a] + g.spacing[a] * (np.arange(g.dims[a] - 1) + 0.5)
-            for a in range(g.n_axes)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=1)
-    vols = np.full(centers.shape[0], float(np.prod(g.spacing)))
-    return centers, vols
+    def centers(self) -> np.ndarray:
+        """The cell centers, (ncells, n_axes), the points of the midpoint rule."""
+        axes = [o + h * (np.arange(d - 1) + 0.5)
+                for o, h, d in zip(self.origin, self.spacing, self.dims)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
 
+    def cell_means(self, values: np.ndarray) -> np.ndarray:
+        """Mean of the corner values per cell, (ncells,): the multilinear
+        interpolant at the cell center."""
+        return self.corner_values(values).mean(axis=0)
 
-def _corner_offsets(n: int) -> np.ndarray:
-    """(2^n, n) corner offsets in {0, 1}, the corner order of CellGeometry."""
-    return np.array(list(itertools.product((0, 1), repeat=n)), dtype=int)
-
-
-def _corner_slices(dims: tuple) -> tuple:
-    """Corner k of every cell as one shifted slice of the nodal array, per
-    corner in the order of CellGeometry."""
-    return tuple(tuple(slice(o, d - 1 + o) for o, d in zip(off, dims))
-                 for off in _corner_offsets(len(dims)))
-
-
-def cell_corners(values: np.ndarray) -> np.ndarray:
-    """Nodal values per cell, (ncells, 2^n), in the corner order of CellGeometry."""
-    corners = [values[corner] for corner in _corner_slices(values.shape)]
-    return np.stack(corners, axis=-1).reshape(-1, len(corners))
-
-
-def cell_means(g: GridFunction) -> np.ndarray:
-    """Mean of the corner values per cell (the multilinear center value)."""
-    return cell_corners(g.values).mean(axis=1)
-
-
-def center_gradients(g: GridFunction) -> np.ndarray:
-    """Gradient of the multilinear interpolant at every cell center, (ncells, n):
-    along axis a, the mean of the cell's 2^(n-1) edge differences in direction a."""
-    n = g.n_axes
-    signs = 2.0 * _corner_offsets(n) - 1.0  # (2^n, n)
-    return cell_corners(g.values) @ (signs / (2 ** (n - 1) * g.spacing))
+    def center_gradients(self, values: np.ndarray) -> np.ndarray:
+        """Gradient of the multilinear interpolant at every cell center, (ncells,
+        n_axes): the mean of the corner stencils, which along axis a is the
+        mean of the cell's 2^(n-1) edge differences in direction a."""
+        return (self.grad_stencils.mean(axis=1) @ self.corner_values(values)).T
 
 
 def ball_cell_weights(g: GridFunction, ball: Ball, subdiv: int = 8) -> np.ndarray:
@@ -153,10 +144,11 @@ def ball_cell_weights(g: GridFunction, ball: Ball, subdiv: int = 8) -> np.ndarra
     the cut cells times the subdiv^(n-1) offsets of the other axes, so memory
     stays linear in the number of cut cells.
     """
-    centers, vols = midpoint_data(g)
+    geo = CellGeometry.build(g)
+    centers, vol = geo.centers(), geo.cell_vol
     half = 0.5 * np.linalg.norm(g.spacing)
     d = row_norm(centers - ball.center)
-    w = np.where(d + half <= ball.radius, vols, 0.0)
+    w = np.where(d + half <= ball.radius, vol, 0.0)
     cut = (d - half < ball.radius) & (d + half > ball.radius)
     if np.any(cut):
         n = g.n_axes
@@ -169,7 +161,7 @@ def ball_cell_weights(g: GridFunction, ball: Ball, subdiv: int = 8) -> np.ndarra
         for block in rel:
             pts = (cut_centers[:, None, :] + block).reshape(-1, n)
             inside += np.count_nonzero(ball.contains(pts).reshape(ncut, -1), axis=1)
-        w[cut] = vols[cut] * (inside / subdiv**n)
+        w[cut] = vol * (inside / subdiv**n)
     return w
 
 
@@ -229,9 +221,9 @@ def lq_norm(g: GridFunction, q: float, region) -> float:
         raise ValueError(f"integrability exponent must be positive, got {q}")
     if q == np.inf:
         return float(np.abs(g.values.reshape(-1)[node_mask(g, region)]).max())
-    centers, vols = midpoint_data(g)
+    geo = CellGeometry.build(g)
     w = (ball_cell_weights(g, region) if isinstance(region, Ball)
-         else np.where(region.contains(centers), vols, 0.0))
+         else np.where(region.contains(geo.centers()), geo.cell_vol, 0.0))
     if not np.any(w > 0):
         raise ValueError(f"{_region_name(region)}: no cell weight inside")
-    return power_sum_root(cell_means(g), w, q)
+    return power_sum_root(geo.cell_means(g.values), w, q)

@@ -215,7 +215,6 @@ class _Lattice:
     """
 
     def __init__(self, grid: GridFunction, p_node: np.ndarray):
-        self.origin = grid.origin.copy()
         self.geo = geo = CellGeometry.build(grid)
         self.nc = nc = len(geo.corner_slices)
         self.p_node = np.array(p_node, dtype=float)
@@ -250,20 +249,20 @@ class _Lattice:
         pair = (pair + pair.transpose(0, 1, 3, 2)) * np.where(a == b, 0.5, 1.0)[:, None, None]
         self.basis = np.ascontiguousarray(pair.reshape(nc * a.size, nc * nc).T)
         self.basis *= geo.cell_vol / nc
-        self.hats = None  # (NormConfig, hat norms) of the last hat_norms call
-        for arr in (geo.spacing, geo.corner_offsets, geo.grad_stencils, geo.node_weights,
-                    self.origin, self.p_node, self.p_corner, self.interior, self.basis):
+        self.hats = None  # the hat norms, once computed
+        for arr in (geo.origin, geo.spacing, geo.corner_offsets, geo.grad_stencils,
+                    geo.node_weights, self.p_node, self.p_corner, self.interior, self.basis):
             arr.flags.writeable = False
 
     def matches(self, grid: GridFunction, p_node: np.ndarray) -> bool:
-        return (self.geo.dims == grid.dims and np.array_equal(self.origin, grid.origin)
+        return (self.geo.dims == grid.dims and np.array_equal(self.geo.origin, grid.origin)
                 and np.array_equal(self.geo.spacing, grid.spacing)
                 and np.array_equal(self.p_node, p_node))
 
-    def hat_norms(self, cfg: NormConfig = NormConfig()) -> np.ndarray:
+    def hat_norms(self) -> np.ndarray:
         """Variable-exponent Sobolev norms of the hat functions phi_i of the
-        interior nodes, in the order of ``self.interior``; the last result is
-        kept and returned again for the same cfg.
+        interior nodes, in the order of ``self.interior``; computed on the
+        first call and kept.
 
         The value part has the closed form (node weight)^(1/p_i).  The
         gradient part is the Luxemburg norm lambda of |grad phi_i| under the
@@ -274,14 +273,13 @@ class _Lattice:
         the cell lattice, one column per (corner j of the hat's node, corner
         k) pair with a nonzero stencil, each slice taken with its axes in the
         order of ``self.interior``.  Then ``log_luxemburg`` solves for t =
-        log lambda for all nodes at once.  Raises SolverError when a norm is
-        not finite or its Newton step has not fallen to cfg.bisection_tol
-        within cfg.max_iter steps.
+        log lambda for all nodes at once, under the default ``NormConfig``.
+        Raises SolverError when a norm is not finite or its Newton step has not
+        fallen to its bisection_tol within its max_iter steps.
         """
-        hats = self.hats
-        if hats is not None and hats[0] == cfg:
-            return hats[1]
-        geo = self.geo
+        if self.hats is not None:
+            return self.hats
+        cfg, geo = NormConfig(), self.geo
         dims = geo.dims
         p_cells = self.p_corner.reshape((self.nc,) + geo.cell_dims)
         stencil_mag = np.linalg.norm(geo.grad_stencils, axis=0)  # (2^n k, 2^n j)
@@ -302,7 +300,7 @@ class _Lattice:
                               "Newton steps")
         hat = geo.node_weights[self.interior] ** (1.0 / self.p_node[self.interior]) + np.exp(t)
         hat.flags.writeable = False
-        self.hats = (cfg, hat)
+        self.hats = hat
         return hat
 
     def corners(self, u_flat: np.ndarray) -> tuple:
@@ -321,10 +319,7 @@ class _Lattice:
         w = np.sqrt(sq + eps**2)
         with np.errstate(divide="ignore", over="ignore"):
             coef = np.where(w > 0, np.where(w > 0, w, 1.0) ** (self.p_corner - 2.0), 0.0)
-        flux = coef * grads
-        n, nc = self.geo.n_axes, self.nc
-        per_corner = self.geo.grad_stencils.reshape(n * nc, nc).T @ flux.reshape(n * nc, -1)
-        return self.geo.corner_sums((self.geo.cell_vol / nc) * per_corner) + src
+        return self.geo.flux_pairing(coef * grads) + src
 
     def residual(self, g: np.ndarray, hat: np.ndarray) -> float:
         """Max over the interior nodes of |g_i| / hat_i, hat from ``hat_norms``."""
@@ -704,9 +699,10 @@ def _log_record(record: dict) -> None:
                " ".join(f"{k}={v}" for k, v in record.items()))
 
 
-def _laplace_warm_start(spec: ProblemSpec, src: np.ndarray) -> np.ndarray:
+def _laplace_warm_start(spec: ProblemSpec, geo: CellGeometry, src: np.ndarray) -> np.ndarray:
     """The discrete p = 2 solution with the data of spec, as a nodal array;
-    src is the solve's source weights node_weights * f.
+    geo is the geometry of its lattice and src the solve's source weights
+    node_weights * f.
 
     For p = 2 the vertex rule gives the interior operator vol sum_a T_a / h_a^2,
     a Kronecker sum of the 1d Dirichlet second differences T_a =
@@ -718,28 +714,21 @@ def _laplace_warm_start(spec: ProblemSpec, src: np.ndarray) -> np.ndarray:
     and S again, as in the classical fast Poisson solvers (Buzbee, Golub &
     Nielson 1970).  No band is assembled or factored.  The operator
     annihilates constants, so the step is taken for u - g0, g0 the datum at
-    the first node: constant data with no source comes back exactly.
+    the first node: constant data with no source comes back exactly.  The
+    residual at the lifted data is the vertex-rule energy gradient at p = 2,
+    ``CellGeometry.flux_pairing`` of its corner gradients plus src.
     """
-    grid = spec.rhs
-    cell_vol = float(np.prod(grid.spacing))
     data = spec.dirichlet_values()
     g0 = data.flat[0]
     nodal = data - g0
-    inner = tuple(slice(1, -1) for _ in grid.dims)
+    inner = tuple(slice(1, -1) for _ in geo.dims)
     nodal[inner] = 0.0
-    # The p = 2 energy gradient at the interior: the source weights plus the
-    # second differences, in which only the boundary neighbours are nonzero.
-    r = src.reshape(grid.dims)[inner].copy()
-    for a, h in enumerate(grid.spacing):
-        for o in (0, 2):  # the lower and the upper neighbour along axis a
-            nb = list(inner)
-            nb[a] = slice(o, grid.dims[a] - 2 + o)
-            r -= (cell_vol / h**2) * nodal[tuple(nb)]
+    r = (geo.flux_pairing(geo.corner_gradients(nodal)) + src).reshape(geo.dims)[inner]
     # 2 - 2 cos(t) written as 4 sin^2(t / 2), exact to rounding at small t
     eigs = [4.0 * np.sin(0.5 * np.pi * np.arange(1, N + 1) / (N + 1)) ** 2 / h**2
-            for N, h in zip(r.shape, grid.spacing)]
+            for N, h in zip(r.shape, geo.spacing)]
     r = _sine_transform(r)
-    r /= cell_vol * sum(np.ix_(*eigs))
+    r /= geo.cell_vol * sum(np.ix_(*eigs))
     data[inner] = g0 - _sine_transform(r)
     return data
 
@@ -767,7 +756,7 @@ def _ray_start(spec: ProblemSpec, lat: _Lattice, src: np.ndarray) -> tuple:
     or an s that is not finite), s = 1 and the start is u2.  Returns (u,
     corners, s).
     """
-    u2 = _laplace_warm_start(spec, src).reshape(-1)
+    u2 = _laplace_warm_start(spec, lat.geo, src).reshape(-1)
     if not np.all(np.isfinite(u2)):
         raise SolverError("warm start produced non-finite values")
     g2, S = corners2 = lat.corners(u2)

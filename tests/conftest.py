@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -6,7 +9,7 @@ from hypothesis import settings
 import pxlap as px
 import pxlap.solver as solver
 from pxlap.grid import as_points
-from pxlap.quadrature import CellGeometry, cell_corners, lq_norm, midpoint_data
+from pxlap.quadrature import CellGeometry, lq_norm
 
 # Property tests draw a fixed example sequence and have no per-example
 # deadline, so they are reproducible and do not flake on a loaded host.
@@ -81,15 +84,35 @@ def pointwise_reference(w, field, x, reg_eps=0.0):
     return s ** (p - 2.0) * (lap + (p - 2.0) * aniso + float(gp @ gw) * np.log(s))
 
 
+def midpoint_data(g):
+    """(cell centers, cell volumes) for the midpoint rule over the grid box."""
+    axes = [g.origin[a] + g.spacing[a] * (np.arange(g.dims[a] - 1) + 0.5)
+            for a in range(g.n_axes)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    centers = np.stack([m.ravel() for m in mesh], axis=1)
+    vols = np.full(centers.shape[0], float(np.prod(g.spacing)))
+    return centers, vols
+
+
+def cell_corners(values):
+    """Nodal values per cell, (ncells, 2^n), in the corner order of CellGeometry:
+    a cell-major gather of one strided view per corner offset in {0, 1}^n."""
+    offsets = itertools.product((0, 1), repeat=values.ndim)
+    corners = [values[tuple(slice(o, d - 1 + o) for o, d in zip(off, values.shape))]
+               for off in offsets]
+    return np.stack(corners, axis=-1).reshape(-1, len(corners))
+
+
 def reference_cell_means(g):
-    """Cell means as the mean of the corner values a CellGeometry gathers, taken
-    per cell over a cell-major copy, so the sums run in the same order."""
-    geo = CellGeometry.build(g)
-    return np.ascontiguousarray(geo.corner_values(g.values).T).mean(axis=1)
+    """Cell means from the cell-major gather, each cell's corner values added
+    left to right in corner order and divided by 2^n: the order in which
+    CellGeometry.cell_means adds its corner-major rows."""
+    corners = cell_corners(g.values)
+    return functools.reduce(np.add, corners.T) / corners.shape[1]
 
 
 def cell_major(geo, nodal):
-    """Nodal values per cell, (ncells, 2^n), from quadrature.cell_corners, not
+    """Nodal values per cell, (ncells, 2^n), from the cell-major gather, not
     from the geometry's corner_values."""
     return cell_corners(np.reshape(nodal, geo.dims))
 

@@ -78,10 +78,9 @@ def test_criterion_2_luxemburg_norm():
         box = px.Box([0.0], [1.0])
         vals = rng.random(129) + 0.25
         u = px.GridFunction(129, [0.0], [1.0 / 128], vals)
-        from pxlap.quadrature import cell_means, midpoint_data
-        _, vols = midpoint_data(u)
+        mid = 0.5 * (vals[:-1] + vals[1:])  # the midpoint rule on cells of width 1/128
         for p0 in (1.5, 2.0, 3.0, 4.5):
-            classical = float(np.sum(vols * np.abs(cell_means(u)) ** p0) ** (1.0 / p0))
+            classical = float(np.sum(np.abs(mid) ** p0 / 128) ** (1.0 / p0))
             lux = px.luxemburg_norm(u, px.constant_exponent(p0), cfg)
             assert abs(lux - classical) / classical <= 1e-8
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pxlap as px
+import pxlap.barriers as barriers
 from conftest import pointwise_reference
 from pxlap.barriers import annulus_samples
 
@@ -132,6 +133,40 @@ def test_bracket_threshold_2n():
     # the benchmark's bracket: resolution 0.02, width 0.004
     lo3, hi3 = px.bracket_subsolution_mu(base, f2, 2.0, 8.0, 0.02, width=0.004)
     assert lo3 <= 4.0 <= hi3 and hi3 - lo3 <= 0.008
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The operator scans the test makes, cut off after 200 so that a
+    bisection that does not stop fails the test instead of hanging it."""
+    made = []
+    pointwise = barriers.p_laplacian_pointwise
+
+    def counted(*args, **kwargs):
+        made.append(1)
+        if len(made) > 200:
+            raise RuntimeError("the bisection does not stop")
+        return pointwise(*args, **kwargs)
+
+    monkeypatch.setattr(barriers, "p_laplacian_pointwise", counted)
+    return made
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
+def test_bracket_rejects_a_width_that_is_not_finite_and_positive(width, scans):
+    base = px.BarrierParams([0.0, 0.0], 1.0, 2.0, 1.0)
+    with pytest.raises(ValueError, match="width must be finite and positive"):
+        px.bracket_subsolution_mu(base, px.constant_exponent(2.0), 2.0, 8.0, 0.05, width=width)
+
+
+def test_bracket_below_the_float_spacing_ends_at_adjacent_floats(scans):
+    # 2 * width is below the spacing of the floats near mu = 4: the bisection
+    # used to reach adjacent floats and then halve forever.
+    base = px.BarrierParams([0.0, 0.0], 1.0, 2.0, 1.0)
+    lo, hi = px.bracket_subsolution_mu(base, px.constant_exponent(2.0), 2.0, 8.0, 0.05,
+                                       width=1e-17)
+    assert hi == np.nextafter(lo, np.inf) and lo <= 4.0 <= hi
+    assert len(scans) <= 60
 
 
 # -- scans against the per-point reference ----------------------------------------

@@ -106,9 +106,10 @@ def test_verify_deterministic_bodies(tmp_path):
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
 
-def test_verify_builds_one_geometry(tmp_path, geometry_builds):
-    # the solve builds the lattice geometry; the caccioppoli and norm checks
-    # work on shifted slices of the nodal array
+def test_verify_builds_one_geometry_per_solve_and_per_cell_integral(tmp_path, geometry_builds):
+    # the solve builds the lattice geometry, which its weak residual shares;
+    # the caccioppoli check, and the Luxemburg norm, Sobolev norm and modular
+    # of the norm check, each build one to integrate over the cells
     out = tmp_path / "out"
     cfg = manufactured_config(out, [
         {"kind": "caccioppoli", "center": [0.5], "rho": 0.2, "gamma": 1.0, "cutoff": "bump"},
@@ -118,7 +119,7 @@ def test_verify_builds_one_geometry(tmp_path, geometry_builds):
     assert main(["verify", write_config(tmp_path, cfg)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert [r["status"] for r in report] == ["ok", "ok"]
-    assert len(geometry_builds) == 1
+    assert len(geometry_builds) == 5
 
 
 def test_report_schema_validates(tmp_path):
@@ -278,6 +279,17 @@ def test_structure_check_subcommand(tmp_path, capsys):
     assert "0 violation(s)" in capsys.readouterr().out
 
 
+def test_structure_check_rejects_fractional_cells(tmp_path, capsys):
+    # int() made 8.5 cells 8
+    cfg = write_config(tmp_path, {
+        "output": str(tmp_path / "out"),
+        "check": {"kind": "structure", "domain": [[0.0, 1.0]], "cells": 8.5,
+                  "exponent": {"kind": "constant", "value": 2.0}, "alpha": 1.0, "m0": 1.0},
+    })
+    assert main(["structure-check", cfg]) == 1
+    assert "cells must be whole numbers, got 8.5" in capsys.readouterr().err
+
+
 def test_structure_check_rejects_nan_b(tmp_path, capsys):
     # json reads the NaN literal; a nan b would hide every natural-growth violation
     cfg = write_config(tmp_path, {
@@ -335,12 +347,15 @@ def test_unsampled_cutoff_is_an_error_record(tmp_path):
     ("reg_eps", True, r"problem key 'reg_eps' must be a number, got True"),
     ("tol", True, r"problem key 'tol' must be a number, got True"),
     ("max_iter", True, r"problem key 'max_iter' must be a number, got True"),
+    ("cells", 16.9, r"problem: cells must be whole numbers, got 16\.9"),
+    ("cells", True, r"problem: cells must be whole numbers, got True"),
 ], ids=["negative-reg_eps", "exponent-below-one", "fractional-max_iter", "bool-reg_eps",
-        "bool-tol", "bool-max_iter"])
+        "bool-tol", "bool-max_iter", "fractional-cells", "bool-cells"])
 def test_bad_problem_value_is_a_config_error(tmp_path, capsys, key, value, message):
     # These used to end in a ValueError traceback with exit 1, the code of a
     # failed check, or to run silently: max_iter 2.5 with int(2.5) = 2, a
-    # JSON true as tol or reg_eps 1.0, and as max_iter a one-step solve.
+    # JSON true as tol or reg_eps 1.0, and as max_iter a one-step solve; cells
+    # 16.9 solved on 16 cells, and true failed on "no interior node".
     cfg = manufactured_config(tmp_path / "out", [{"kind": "norm"}])
     cfg["problem"][key] = value
     with pytest.raises(ConfigError, match=message):

@@ -50,6 +50,20 @@ def test_field_bound_violation_raises():
         f(np.array([[0.1]]))
 
 
+def test_field_with_nan_samples_raises():
+    # NaN failed neither band comparison: a solve stopped later on "hat norms
+    # ... not finite" and a norm on a bracket of (nan, nan)
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    f = px.ExponentField(lambda pts: np.where(pts[:, 0] > 0.5, np.nan, 2.0), 1.5, 3.0,
+                         name="half-nan")
+    g = px.GridFunction.constant(box, 8, -1.0)
+    message = r"^exponent field 'half-nan' leaves its band \[1\.5, 3\.0\]: sampled range \[nan, nan\]$"
+    with pytest.raises(ValueError, match=message):
+        px.solve_dirichlet(px.ProblemSpec(box, f, g, 0.0))
+    with pytest.raises(ValueError, match=message):
+        px.luxemburg_norm(g, f)
+
+
 def test_log_holder_constant_field():
     f = px.constant_exponent(3.0)
     cert = px.log_holder_estimate(f, px.Box([0.0], [1.0]), 1000)

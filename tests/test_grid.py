@@ -40,6 +40,15 @@ def test_interp_exact_on_multilinear():
         g.interp([[1.5, 0.5]])
 
 
+@pytest.mark.parametrize("cells", [2.7, True, [4, 2.5], np.nan])
+def test_from_callable_rejects_cell_counts_that_are_not_whole_numbers(cells):
+    # 2.7 was cut to 2 cells, and True taken as 1
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^cells must be whole numbers, got "):
+        px.GridFunction.from_callable(box, cells, lambda pts: pts[:, 0])
+    assert px.GridFunction.constant(box, 16.0, 0.0).dims == (17, 17)
+
+
 def test_pxgrid_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     box = px.Box([-1.0, 0.5], [2.0, 1.5])

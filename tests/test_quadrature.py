@@ -4,16 +4,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pxlap as px
-from conftest import (random_grid, reference_ball_cell_weights, reference_cell_means,
-                      reference_center_gradients, reference_corner_gradients)
-from pxlap.quadrature import (CellGeometry, ball_cell_weights, cell_means, center_gradients, lq_norm,
-                              midpoint_data)
+from conftest import (midpoint_data, random_grid, reference_ball_cell_weights,
+                      reference_cell_means, reference_center_gradients, reference_corner_gradients)
+from pxlap.quadrature import CellGeometry, ball_cell_weights, lq_norm
 
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
 def test_cell_means_match_geometry_corner_means(n_axes):
     g = random_grid(n_axes)
-    got = cell_means(g)
+    got = CellGeometry.build(g).cell_means(g.values)
     assert got.shape == (int(np.prod([d - 1 for d in g.dims])),)
     assert np.array_equal(got, reference_cell_means(g))
 
@@ -27,7 +26,7 @@ def test_corner_and_center_gradients_match_einsum(n_axes):
     assert got.shape == ref.shape == (geo.n_cells, 2**n_axes, n_axes)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     ref_c = reference_center_gradients(geo, g.values)
-    assert np.abs(center_gradients(g) - ref_c).max() <= 1e-13 * np.abs(ref_c).max()
+    assert np.abs(geo.center_gradients(g.values) - ref_c).max() <= 1e-13 * np.abs(ref_c).max()
 
 
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
@@ -40,6 +39,52 @@ def test_corner_gradients_vanish_on_constants(n_axes, c):
     grads = geo.corner_gradients(np.full(g.dims, c))
     assert grads.shape == (n_axes, 2**n_axes, geo.n_cells)
     assert np.all(grads == 0.0)
+
+
+def random_lattice(n_axes, seed):
+    """Random nodal values on a lattice of 1-6 cells per axis over a random
+    box, so the spacings differ per axis; and the generator, for more draws."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-1.0, 1.0, n_axes)
+    box = px.Box(lo, lo + rng.uniform(0.3, 2.0, n_axes))
+    g = px.GridFunction.constant(box, tuple(rng.integers(1, 7, n_axes)), 0.0)
+    return g.like(rng.standard_normal(g.dims)), rng
+
+
+@given(n_axes=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_cell_means_are_the_interpolant_at_the_centers(n_axes, seed):
+    g, _ = random_lattice(n_axes, seed)
+    geo = CellGeometry.build(g)
+    centers = geo.centers()
+    assert np.array_equal(centers, midpoint_data(g)[0])
+    ref = g.interp(centers)
+    assert np.abs(geo.cell_means(g.values) - ref).max() <= 1e-13 * np.abs(g.values).max()
+
+
+@given(n_axes=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_center_gradients_are_face_center_differences(n_axes, seed):
+    # The multilinear interpolant is affine along each axis in a cell, so its
+    # derivative along axis a at the center is the difference of its values
+    # at the two face centers across axis a over h_a.
+    g, _ = random_lattice(n_axes, seed)
+    geo = CellGeometry.build(g)
+    centers = geo.centers()
+    ref = np.stack([(g.interp(centers + 0.5 * h * e) - g.interp(centers - 0.5 * h * e)) / h
+                    for h, e in zip(g.spacing, np.eye(n_axes))], axis=1)
+    got = geo.center_gradients(g.values)
+    assert got.shape == (geo.n_cells, n_axes)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(g.values).max() / g.spacing.min()
+
+
+@given(n_axes=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_flux_pairing_is_the_vertex_rule_adjoint(n_axes, seed):
+    # flux_pairing(F) @ u = vol/2^n sum over cells and corners of F . g_k(u)
+    g, rng = random_lattice(n_axes, seed)
+    geo = CellGeometry.build(g)
+    flux = rng.standard_normal((n_axes, 2**n_axes, geo.n_cells))
+    terms = flux * geo.corner_gradients(g.values) * (geo.cell_vol / 2**n_axes)
+    got = geo.flux_pairing(flux) @ g.values.reshape(-1)
+    assert got == pytest.approx(terms.sum(), rel=1e-12, abs=1e-12 * np.abs(terms).sum())
 
 @given(n_axes=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), subdiv=st.integers(1, 9))
 def test_ball_cell_weights_match_per_cell_loop(n_axes, seed, subdiv):
@@ -78,7 +123,7 @@ def test_lq_norm_is_finite_homogeneous_and_matches_the_plain_sum(n_axes, seed, b
         c = 10.0**k
         assert lq_norm(g.like(c * g.values), q, region) == pytest.approx(c * got, rel=1e-12)
         if q <= 50:
-            plain = np.sum(w * np.abs(cell_means(g)) ** q) ** (1.0 / q)
+            plain = np.sum(w * np.abs(reference_cell_means(g)) ** q) ** (1.0 / q)
             assert got == pytest.approx(plain, rel=1e-13)
     avg = px.lt_average(g, q, ball)
     assert np.isfinite(avg)

@@ -60,6 +60,17 @@ def test_a_report_or_a_problem_on_one_side_only_is_a_difference(same):
                                                "verify-harness/0: report.json"]
 
 
+def test_tallies_count_the_equal_problems_of_each_family(same):
+    base, change = records(), records()
+    assert same.tallies(base, change) == ["solve2d-singular: 1 of 1 equal",
+                                          "verify-harness: 1 of 1 equal"]
+    change["verify-harness/0"]["residual"] *= 1.0 + 1e-15
+    change["solve2d-singular/1/0"] = records()["solve2d-singular/0/0"]  # on one side only
+    base["cos/p6.0/2d-64"] = change["cos/p6.0/2d-64"] = records()["solve2d-singular/0/0"]
+    assert same.tallies(base, change) == ["cos: 1 of 1 equal", "solve2d-singular: 1 of 2 equal",
+                                          "verify-harness: 0 of 1 equal"]
+
+
 def test_explain_equal_but_for_rounding(same):
     # the solution, the trace, the residual and one history float off by
     # rounding: the counts, the message and the step path stay equal

@@ -25,6 +25,7 @@ import pxlap.solver as solver
 from conftest import (cell_major, cell_major_idx, grid_1d, pointwise_reference,
                       reference_corner_gradients, reference_gradient, reference_hat_norms,
                       reference_warm_start)
+from pxlap.norms import log_luxemburg
 from pxlap.quadrature import CellGeometry
 from pxlap.solver import _Lattice, _lattice
 
@@ -307,7 +308,8 @@ def test_p2_solve_is_the_warm_start(monkeypatch):
 
 def warm_start(spec):
     """The p = 2 warm start of spec, as a nodal array."""
-    return solver._laplace_warm_start(spec, _lattice(spec.rhs, spec.field, spec.rhs)[1])
+    lat, src = _lattice(spec.rhs, spec.field, spec.rhs)
+    return solver._laplace_warm_start(spec, lat.geo, src)
 
 
 def ray_start(spec):
@@ -491,10 +493,11 @@ def test_long_1d_warm_start_memory_is_linear():
     box = px.Box([0.0], [1.0])
     f = px.GridFunction.constant(box, 20000, -2.0)
     spec = px.ProblemSpec(box, px.constant_exponent(2.0, domain=box), f, 0.0, reg_eps=0.0)
-    src = CellGeometry.build(f).node_weights * f.values.reshape(-1)
+    geo = CellGeometry.build(f)
+    src = geo.node_weights * f.values.reshape(-1)
     tracemalloc.start()
     try:
-        u = solver._laplace_warm_start(spec, src)
+        u = solver._laplace_warm_start(spec, geo, src)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -916,13 +919,18 @@ def test_hat_norms_constant_p_closed_form(n_axes, p):
     assert np.abs(norms - (vol ** (1.0 / p) + grad_part)).max() <= 1e-12 * grad_part
 
 
-def test_hat_norms_raise_typed_errors():
+def test_hat_norms_raise_typed_errors(monkeypatch):
     box = px.Box([0.0, 0.0], [1.0, 1.0])
     f = px.GridFunction.constant(box, 8, -1.0)
     lat = _lattice(f, px.affine_exponent(1.3, [3.0, 0.4], box), f)[0]
     assert np.all(np.isfinite(lat.hat_norms()))
-    with pytest.raises(solver.SolverError, match=r"hat norms: 49 of 49 nodes .* in 1 Newton steps"):
-        lat.hat_norms(px.NormConfig(max_iter=1))
+    # one Newton step on log lambda leaves every affine-p hat unconverged
+    with monkeypatch.context() as m:
+        m.setattr(solver, "log_luxemburg", lambda P, log_c, cfg: log_luxemburg(
+            P, log_c, dataclasses.replace(cfg, max_iter=1)))
+        with pytest.raises(solver.SolverError,
+                           match=r"hat norms: 49 of 49 nodes .* did not meet bisection_tol"):
+            _Lattice(f, lat.p_node).hat_norms()
     # the p of node (1, 1) enters the hats of (1, 1) and of its interior
     # neighbours (2, 1) and (1, 2) along the cell edges
     p_node = lat.p_node.copy()
@@ -1032,7 +1040,7 @@ def test_cached_lattice_arrays_are_read_only():
     assert lat is solver._lattice_cache
     geo = lat.geo
     arrays = [geo.spacing, geo.corner_offsets, geo.grad_stencils, geo.node_weights,
-              lat.origin, lat.p_node, lat.p_corner, lat.interior, lat.basis, lat.hat_norms()]
+              geo.origin, lat.p_node, lat.p_corner, lat.interior, lat.basis, lat.hat_norms()]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
@@ -1261,15 +1269,15 @@ def test_one_factor_per_stage_then_pcg(monkeypatch):
 
 @pytest.mark.parametrize("cells, p", [(16, 1.5), (8, 6.0)], ids=["continuation", "backtracking"])
 def test_one_corner_evaluation_per_iterate(monkeypatch, cells, p):
-    # The warm start's corner gradients, then one evaluation per line-search
-    # trial: the accepted trial's corners feed the next step's gradient and
-    # Newton matrix and the next stage's first energy.
+    # The warm start's residual and its corner gradients, then one evaluation
+    # per line-search trial: the accepted trial's corners feed the next step's
+    # gradient and Newton matrix and the next stage's first energy.
     calls = count_calls(monkeypatch, CellGeometry, "corner_gradients")
     res = px.solve_dirichlet(cos_problem(cells, p))
     assert res.converged
     recs = res.history[1:]
     assert len(recs) == res.iterations > 0
-    assert len(calls) == 1 + sum(r["backtracks"] + 1 for r in recs)
+    assert len(calls) == 2 + sum(r["backtracks"] + 1 for r in recs)
     if p == 6.0:
         assert sum(r["backtracks"] for r in recs) > 0
 
