@@ -15,7 +15,10 @@ energy trace, the residual and the step records' floats, every step record float
 whose value is equal but whose type differs (np.float64 against float), and for
 report.json the largest relative difference of its float leaves and every other leaf
 that differs.  Then one line per family, the problem name up to its first '/', says
-how many of its problems are equal, e.g. "verify-harness: 4 of 4 equal".
+how many of its problems are equal, e.g. "verify-harness: 4 of 4 equal".  Two lines
+per family, the kink family's too, give each side's Newton steps, CG iterations and
+factorizations in total, and each compared problem that takes more Newton steps on
+the working tree is named.
 
 Each tree also solves the kink family, 42 problems with the same source and zero data
 where p < 2 and the last eps is tiny: 1d, p = 1.2, 1.3 and 1.4 on 64, 128, 256 and 512
@@ -94,15 +97,41 @@ def split(run: dict) -> tuple:
     return {name: rec for name, rec in run.items() if name not in kink}, kink
 
 
+def family(name: str) -> str:
+    """The family of a problem: its name up to the first '/'."""
+    return name.split("/")[0]
+
+
+def more_steps(base: dict, change: dict) -> list:
+    """'name: a -> b Newton steps' for each problem on both sides that takes more
+    Newton steps on the change, in name order."""
+    return [f"{name}: {base[name]['iterations']} -> {change[name]['iterations']} Newton steps"
+            for name in sorted(base.keys() & change.keys())
+            if change[name]["iterations"] > base[name]["iterations"]]
+
+
 def kink_lines(base: dict, change: dict) -> list:
     """One line per side with the kink family's stalls and Newton steps in total,
     then one per kink problem that takes more steps on the change."""
     lines = [f"kink family, {side}: {sum(r['message'] != '' for r in run.values())} of "
              f"{len(run)} stall, {sum(r['iterations'] for r in run.values())} Newton steps"
              for side, run in (("base", base), ("change", change))]
-    return lines + [f"{name}: {base[name]['iterations']} -> {change[name]['iterations']} "
-                    "Newton steps" for name in sorted(base.keys() & change.keys())
-                    if change[name]["iterations"] > base[name]["iterations"]]
+    return lines + more_steps(base, change)
+
+
+def work_lines(base: dict, change: dict) -> list:
+    """Per family in name order, one line per side with its Newton steps, CG
+    iterations (the step records' cg_iters) and factorizations (steps whose
+    linear solve is "factor") in total."""
+    lines = []
+    for fam in sorted({family(name) for name in base.keys() | change.keys()}):
+        for side, run in (("base", base), ("change", change)):
+            steps = [r for name, rec in run.items() if family(name) == fam
+                     for r in rec["history"] if "it" in r]
+            lines.append(f"{fam}, {side}: {len(steps)} Newton steps, "
+                         f"{sum(r['cg_iters'] for r in steps)} CG iterations, "
+                         f"{sum(r['linear'] == 'factor' for r in steps)} factorizations")
+    return lines
 
 
 def differing(a: dict, b: dict) -> list:
@@ -125,10 +154,10 @@ def tallies(base: dict, change: dict) -> list:
     name order; a problem on one side only counts as not equal."""
     counts = {}
     for name in sorted(base.keys() | change.keys()):
-        tally = counts.setdefault(name.split("/")[0], [0, 0])
+        tally = counts.setdefault(family(name), [0, 0])
         tally[0] += name in base and name in change and not differing(base[name], change[name])
         tally[1] += 1
-    return [f"{family}: {equal} of {total} equal" for family, (equal, total) in counts.items()]
+    return [f"{fam}: {equal} of {total} equal" for fam, (equal, total) in counts.items()]
 
 
 def rel_diff(a, b) -> float:
@@ -231,7 +260,8 @@ def main(argv=None) -> int:
     for name in sorted(base.keys() & change.keys()):
         if differing(base[name], change[name]):
             print("\n".join([f"{name}:"] + explain(base[name], change[name])))
-    print("\n".join(tallies(base, change) + kink_lines(base_kink, change_kink)))
+    print("\n".join(tallies(base, change) + work_lines(runs["base"], runs["change"])
+                    + more_steps(base, change) + kink_lines(base_kink, change_kink)))
     return 1 if diffs else 0
 
 

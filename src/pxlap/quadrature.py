@@ -144,17 +144,21 @@ def ball_cell_weights(g: GridFunction, ball: Ball, subdiv: int = 8) -> np.ndarra
     the cut cells times the subdiv^(n-1) offsets of the other axes, so memory
     stays linear in the number of cut cells.
     """
-    geo = CellGeometry.build(g)
+    return _ball_weights(CellGeometry.build(g), ball, subdiv)
+
+
+def _ball_weights(geo: CellGeometry, ball: Ball, subdiv: int = 8) -> np.ndarray:
+    """``ball_cell_weights`` on the lattice of geo."""
     centers, vol = geo.centers(), geo.cell_vol
-    half = 0.5 * np.linalg.norm(g.spacing)
+    half = 0.5 * np.linalg.norm(geo.spacing)
     d = row_norm(centers - ball.center)
     w = np.where(d + half <= ball.radius, vol, 0.0)
     cut = (d - half < ball.radius) & (d + half > ball.radius)
     if np.any(cut):
-        n = g.n_axes
+        n = geo.n_axes
         offs = [(np.arange(subdiv) + 0.5) / subdiv - 0.5 for _ in range(n)]
         mesh = np.meshgrid(*offs, indexing="ij")
-        rel = (np.stack([m.ravel() for m in mesh], axis=1) * g.spacing).reshape(subdiv, -1, n)
+        rel = (np.stack([m.ravel() for m in mesh], axis=1) * geo.spacing).reshape(subdiv, -1, n)
         cut_centers = centers[cut]
         ncut = cut_centers.shape[0]
         inside = np.zeros(ncut, dtype=np.int64)
@@ -222,7 +226,7 @@ def lq_norm(g: GridFunction, q: float, region) -> float:
     if q == np.inf:
         return float(np.abs(g.values.reshape(-1)[node_mask(g, region)]).max())
     geo = CellGeometry.build(g)
-    w = (ball_cell_weights(g, region) if isinstance(region, Ball)
+    w = (_ball_weights(geo, region) if isinstance(region, Ball)
          else np.where(region.contains(geo.centers()), geo.cell_vol, 0.0))
     if not np.any(w > 0):
         raise ValueError(f"{_region_name(region)}: no cell weight inside")

@@ -140,8 +140,9 @@ class SolveResult:
     energy_trace must be nonincreasing.  history holds dicts of plain Python
     values: the start record (scale, G, energy), then one record per Newton
     step (stage_eps, it, residual, step, backtracks, direction, linear,
-    cg_iters, eps_h, and accept: the line-search test that passed, "armijo",
-    "slope", "rescue" or None); the ``pxlap`` debug log is a view of it.
+    cg_iters, eta: the forcing term CG ran to or None when no CG ran, eps_h,
+    and accept: the line-search test that passed, "armijo", "slope", "rescue"
+    or None); the ``pxlap`` debug log is a view of it.
     """
 
     solution: GridFunction
@@ -558,11 +559,11 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
     whose last record is the start's, with G and its energy at stages[0]
     (``solve_dirichlet``); the Newton step records are appended to it.
     Each pass takes the gradient and the residual at the current stage eps;
-    when the residual meets the stage tolerance eps moves to the next stage,
+    when the residual meets the stage target eps moves to the next stage,
     whose first energy is appended to the trace, and the loop ends converged
-    at the last stage.  The last stage's tolerance is tol; an earlier stage
-    only starts the next one, so it ends at max(tol, _STAGE_DROP r0), r0 the
-    residual of the pass that opened it (the start's for the first stage).
+    at the last stage.  The last stage's target is tol; an earlier stage
+    only starts the next one, so its target is max(tol, _STAGE_DROP r0), r0
+    the residual of the pass that opened it (the start's for the first stage).
     Otherwise it ends when max_iter Newton steps have been taken, or takes
     one more step.  Each iterate's corner gradients come from the
     line-search trial that accepts it and feed the next gradient and Newton
@@ -577,8 +578,12 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
     share nothing they write.  Each later step of the stage is solved by CG
     (``_pcg``) preconditioned with that stale factor, its products taken from
     the cell blocks (``_Lattice.hessian_vec``), to the Eisenstat-Walker
-    (choice 2) forcing tolerance eta ||g||, eta = min(_ETA_MAX, 0.9 (||g_k|| /
-    ||g_k-1||)^2).  When CG does not meet that tolerance within _CG_CAP
+    (choice 2) forcing tolerance eta ||g||, eta = min(_ETA_MAX, max(0.9
+    (||g_k|| / ||g_k-1||)^2, 0.5 target / residual)).  The second term is
+    the safeguard of Eisenstat & Walker (1996) and Kelley (1995, ch. 6): it
+    binds only once the residual is within 25 times the stage target, and
+    then stops CG from solving to an accuracy that the stage's test never
+    reads.  When CG does not meet that tolerance within _CG_CAP
     iterations, meets nonpositive curvature, or returns a direction that is
     not a finite descent direction, the current matrix is factored and the
     step solved exactly.  When the previous step's CG took more than _CG_NEAR
@@ -619,7 +624,8 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
         residual = lat.residual(g, hat)
         r0 = residual if r0 is None else r0
         last = stage == len(stages) - 1
-        if residual <= (tol if last else max(tol, _STAGE_DROP * r0)):
+        target = tol if last else max(tol, _STAGE_DROP * r0)
+        if residual <= target:
             if last:
                 break
             stage += 1
@@ -640,9 +646,10 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
         def descends(d):
             return d is not None and bool(np.all(np.isfinite(d))) and float(d @ gi) < 0.0
 
-        delta, linear, cg_iters = None, "pcg", 0
+        delta, linear, cg_iters, eta = None, "pcg", 0, None
         if factor is not None and cg_prev <= _CG_NEAR:
-            eta = min(_ETA_MAX, 0.9 * (gnorm / gnorm_prev) ** 2)
+            eta = float(min(_ETA_MAX, max(0.9 * (gnorm / gnorm_prev) ** 2,
+                                          0.5 * target / residual)))
             delta, cg_iters = _pcg(
                 lambda x: lat.hessian_vec(blocks, x),
                 lambda r: sla.cho_solve_banded((factor, True), r, check_finite=False),
@@ -681,7 +688,8 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
         history.append({"stage_eps": eps, "it": it, "residual": residual,
                         "step": alpha if step is not None else 0.0, "backtracks": backtracks,
                         "direction": direction, "linear": linear, "cg_iters": cg_iters,
-                        "eps_h": eps_h, "accept": step[3] if step is not None else None})
+                        "eta": eta, "eps_h": eps_h,
+                        "accept": step[3] if step is not None else None})
         if debug:
             _log_record(history[-1])
         if step is None:

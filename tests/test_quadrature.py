@@ -130,6 +130,19 @@ def test_lq_norm_is_finite_homogeneous_and_matches_the_plain_sum(n_axes, seed, b
     assert avg <= np.abs(g.values.reshape(-1)[ball.contains(nodes)]).max()
 
 
+@pytest.mark.parametrize("n_axes", [1, 2, 3])
+def test_lq_norm_over_a_ball_builds_one_geometry(n_axes, geometry_builds):
+    # the cell means and the ball's cut-cell weights read one geometry
+    g = random_grid(n_axes)
+    ball = px.Ball([0.3, 0.8, 0.1][:n_axes], 0.6)
+    got = lq_norm(g, 1.0, ball)
+    assert geometry_builds == [g.dims]
+    w = ball_cell_weights(g, ball)
+    assert np.any((w > 0) & (w < CellGeometry.build(g).cell_vol))  # some cells are cut
+    plain = np.sum(w * np.abs(reference_cell_means(g)))
+    assert got == pytest.approx(plain, rel=1e-13)
+
+
 def test_lq_norm_rejects_a_region_the_lattice_does_not_sample():
     # The ball of radius 0.002 at the node (0.5, 0.5) of the 1/8 lattice holds
     # that node but none of the cell subsamples; the box holds neither a node

@@ -159,3 +159,28 @@ def test_kink_family_is_reported_not_compared(same):
         "kink family, base: 1 of 2 stall, 230 Newton steps",
         "kink family, change: 0 of 2 stall, 70 Newton steps",
         "kink/p1.2/1d-128/eps1e-10-tol1e-10: 30 -> 31 Newton steps"]
+
+
+def test_work_lines_total_each_family_and_side(same):
+    # Newton steps, CG iterations and factorizations summed over each family's
+    # step records; the start record, which has no "it", is not a step
+    base, change = records(), records()
+    rec = change["solve2d-singular/0/0"]
+    rec["iterations"] = 2
+    rec["history"].append({**rec["history"][1], "it": 2, "linear": "pcg", "cg_iters": 3})
+    change["cos/p6.0/2d-64"] = copy.deepcopy(rec)  # on the change only
+    assert same.work_lines(base, change) == [
+        "cos, base: 0 Newton steps, 0 CG iterations, 0 factorizations",
+        "cos, change: 2 Newton steps, 3 CG iterations, 1 factorizations",
+        "solve2d-singular, base: 1 Newton steps, 0 CG iterations, 1 factorizations",
+        "solve2d-singular, change: 2 Newton steps, 3 CG iterations, 1 factorizations",
+        "verify-harness, base: 1 Newton steps, 0 CG iterations, 1 factorizations",
+        "verify-harness, change: 1 Newton steps, 0 CG iterations, 1 factorizations"]
+
+
+def test_more_steps_names_each_compared_problem_that_takes_more(same):
+    base, change = records(), records()
+    change["solve2d-singular/0/0"]["iterations"] = 3
+    change["verify-harness/0"]["iterations"] = 0  # fewer steps: not named
+    change["cos/p6.0/2d-64"] = records()["solve2d-singular/0/0"]  # on one side only
+    assert same.more_steps(base, change) == ["solve2d-singular/0/0: 1 -> 3 Newton steps"]

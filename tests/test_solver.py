@@ -1267,6 +1267,61 @@ def test_one_factor_per_stage_then_pcg(monkeypatch):
     assert len(factors) == len(firsts)  # one per stage, none for the warm start
 
 
+def stage_targets(spec, res):
+    """The stage target of each Newton step record of a solve: tol at the last
+    stage, max(tol, 0.1 r0) before it, r0 the residual of the stage's first step."""
+    stages, opened = stages_of(spec, res), {}
+    for r in res.history[1:]:
+        opened.setdefault(r["stage_eps"], r["residual"])
+    return [spec.tol if r["stage_eps"] == stages[-1]
+            else max(spec.tol, solver._STAGE_DROP * opened[r["stage_eps"]])
+            for r in res.history[1:]]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cos_problem(),
+    lambda: cos_problem(p=6.0),
+    lambda: affine_cube(6),
+], ids=["continuation", "p6-refactor", "3d-affine"])
+def test_forcing_term_is_floored_at_the_stage_target(make):
+    # CG runs to eta = min(_ETA_MAX, max(0.9 (||g_k|| / ||g_k-1||)^2,
+    # 0.5 target / residual)), target the stage's: CG need not solve past
+    # what the stage's test reads.  So no eta is above the cap or below
+    # min(_ETA_MAX, 0.5 target / residual); before the last stage, where the
+    # target is at least a tenth of the stage's first residual r0, that is
+    # the cap itself while the residual is below 2.5 r0.  A step that ran no
+    # CG, the first of each stage and one after a CG solve of more than
+    # _CG_NEAR iterations, records None.
+    spec = make()
+    res = px.solve_dirichlet(spec)
+    assert res.converged and res.residual <= spec.tol
+    recs = res.history[1:]
+    for i, (r, target) in enumerate(zip(recs, stage_targets(spec, res), strict=True)):
+        ran = r["linear"] == "pcg" or r["cg_iters"] > 0
+        assert (r["eta"] is not None) == ran
+        if i == 0 or r["stage_eps"] != recs[i - 1]["stage_eps"]:
+            assert r["eta"] is None
+        if ran:
+            assert min(solver._ETA_MAX, 0.5 * target / r["residual"]) <= r["eta"]
+            assert r["eta"] <= solver._ETA_MAX and type(r["eta"]) is float
+    assert any(r["eta"] is not None for r in recs)
+    assert json.loads(json.dumps(res.history)) == res.history
+
+
+def test_last_step_runs_at_the_floor():
+    # 16^2 cells at p = 3: the last step starts at residual 5.6e-6 against
+    # tol 1e-7, where 0.9 (||g_k|| / ||g_k-1||)^2 asks CG for less than
+    # 0.5 tol / residual = 8.9e-3.  CG runs to the floor, 4 iterations
+    # where the unfloored term took 5, and the step still meets tol.
+    spec = cos_problem(p=3.0)
+    res = px.solve_dirichlet(spec)
+    last = res.history[-1]
+    assert last["linear"] == "pcg" and last["stage_eps"] == spec.reg_eps
+    assert last["eta"] == 0.5 * spec.tol / last["residual"] < solver._ETA_MAX
+    assert res.converged and res.iterations == last["it"]
+    assert px.weak_residual(res.solution, spec) == res.residual <= spec.tol
+
+
 @pytest.mark.parametrize("cells, p", [(16, 1.5), (8, 6.0)], ids=["continuation", "backtracking"])
 def test_one_corner_evaluation_per_iterate(monkeypatch, cells, p):
     # The warm start's residual and its corner gradients, then one evaluation
@@ -1527,7 +1582,8 @@ def steep_ramp_problem():
 def test_debug_log_is_a_view_of_the_history(caplog):
     # The one reader of the pxlap debug text: a start line, then a newton
     # line per step, each carrying its history record's fields and values,
-    # all plain Python ints, floats and strings.
+    # all plain Python ints, floats and strings, or None (the eta of a step
+    # that ran no CG).
     caplog.set_level(logging.DEBUG, logger="pxlap")
     for spec in (cos_problem(), steep_ramp_problem()):
         caplog.clear()
@@ -1537,8 +1593,10 @@ def test_debug_log_is_a_view_of_the_history(caplog):
         for words, record in zip(lines, res.history, strict=True):
             fields = dict(kv.split("=") for kv in words[1:])
             assert list(fields) == list(record)
-            assert {k: type(v)(fields[k]) for k, v in record.items()} == record
-            assert {type(v) for v in record.values()} <= {int, float, str}
+            assert {k: None if fields[k] == "None" else type(v)(fields[k])
+                    for k, v in record.items()} == record
+            assert {type(v) for v in record.values()} <= {int, float, str, type(None)}
+        assert any(r.get("eta") is None for r in res.history[1:])
 
 
 @pytest.mark.parametrize("spec, lo, hi, steps, cuts", [
