@@ -154,8 +154,13 @@ class GridFunction:
             raise ValueError(f"need at least 2 nodes per axis, got dims={self.dims}")
         if len(self.dims) != self.origin.size or len(self.dims) != self.spacing.size:
             raise ValueError("dims, origin and spacing must agree in length")
-        if not np.all(self.spacing > 0):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError(f"origin must be finite, got {self.origin}")
+        with np.errstate(over="ignore"):
+            last = self.origin + self.spacing * (np.asarray(self.dims) - 1)
+        if not (np.all(self.spacing > 0) and np.all(np.isfinite(last))):
+            raise ValueError(f"spacing must be positive and reach a finite last node, "
+                             f"got {self.spacing}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid values must be finite")
 
@@ -278,4 +283,7 @@ def read_gridfunction(path) -> GridFunction:
         want = int(np.prod(dims))
         if vals.size != want:
             raise ValueError(f"{path}: expected {want} values, found {vals.size}")
-    return GridFunction(dims, origin, spacing, vals.reshape(dims))
+    try:
+        return GridFunction(dims, origin, spacing, vals.reshape(dims))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

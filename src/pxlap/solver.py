@@ -188,7 +188,12 @@ class _Lattice:
     enters only through w = sqrt(|g|^2 + eps^2) and f only through the
     source weights src = node_weights * f, so ``energy`` and ``gradient``
     take both, and the iterate's ``corners``, as arguments: one instance
-    serves every stage and every source.
+    serves every stage and every source.  The energy density w^p / p, the
+    flux |g|^(p-2) g and the Newton matrix all read one coefficient c1 =
+    w^(p-2) per corner (``flux_coef``).  ``at_eps`` appends it, with its
+    eps, to an iterate's corners, which then carry it: energy, gradient and
+    the blocks at eps_h = eps read it and take no power of their own.  It
+    lives and is freed with the corners, never on the instance.
 
     Every per-corner array is corner-major like ``CellGeometry``'s, the cell
     index last: p_corner and |g|^2 are (2^n, ncells), the corner gradients
@@ -310,17 +315,38 @@ class _Lattice:
         grads = self.geo.corner_gradients(u_flat)
         return grads, np.einsum("akc,akc->kc", grads, grads)
 
+    def at_eps(self, corners: tuple, eps: float) -> tuple:
+        """(g, |g|^2, eps, c1): corners with their coefficient c1 at eps
+        (``flux_coef``), or corners themselves when they carry it at eps."""
+        if len(corners) == 4 and corners[2] == eps:
+            return corners
+        return corners[:2] + (eps, self.flux_coef(corners[1], eps))
+
+    def flux_coef(self, sq: np.ndarray, eps: float) -> np.ndarray:
+        """c1 = w^(p-2), w = sqrt(|g|^2 + eps^2), and 0 where w = 0: the
+        coefficient of the flux c1 g, of the energy density c1 w^2 / p and of
+        the Newton matrix, (2^n, ncells)."""
+        w = sq + eps**2
+        np.sqrt(w, out=w)
+        if eps**2 > 0.0:  # then w > 0 everywhere
+            return np.power(w, self.p_corner - 2.0, out=w)
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(w > 0, np.where(w > 0, w, 1.0) ** (self.p_corner - 2.0), 0.0)
+
     def energy(self, u_flat: np.ndarray, corners: tuple, eps: float, src: np.ndarray) -> float:
-        w = np.sqrt(corners[1] + eps**2)
-        dens = np.where(w > 0, w**self.p_corner, 0.0) / self.p_corner
+        """The energy at eps of u with its corners: vol/2^n sum c1 w^2 / p + src . u,
+        c1 from ``at_eps``, so corners that carry c1 at eps take no power."""
+        _, sq, _, c1 = self.at_eps(corners, eps)
+        dens = sq + eps**2
+        dens *= c1
+        dens /= self.p_corner
         return float(self.geo.cell_vol / self.nc * dens.sum() + src @ u_flat)
 
     def gradient(self, corners: tuple, eps: float, src: np.ndarray) -> np.ndarray:
-        grads, sq = corners
-        w = np.sqrt(sq + eps**2)
-        with np.errstate(divide="ignore", over="ignore"):
-            coef = np.where(w > 0, np.where(w > 0, w, 1.0) ** (self.p_corner - 2.0), 0.0)
-        return self.geo.flux_pairing(coef * grads) + src
+        """The energy gradient at eps, the flux c1 g paired with the hats plus
+        src; c1 from ``at_eps``, so corners that carry it at eps take no power."""
+        grads, _, _, c1 = self.at_eps(corners, eps)
+        return self.geo.flux_pairing(c1 * grads) + src
 
     def residual(self, g: np.ndarray, hat: np.ndarray) -> float:
         """Max over the interior nodes of |g_i| / hat_i, hat from ``hat_norms``."""
@@ -333,17 +359,16 @@ class _Lattice:
         The pointwise Hessian of w^p / p in the gradient g is M = c1 I + c2 g g^T
         with c1 = w^(p-2) and c2 = (p-2) c1 / w^2, so each cell block is
         sum_k G_k^T M_k G_k: one product of the fixed ``basis`` with the upper
-        triangles of the M_k, (2^n n(n+1)/2, ncells).  eps_h > 0 (else a
-        ValueError) keeps c2 finite where g = 0 and the matrix positive
-        definite.  The blocks are written into out, a C-contiguous array of
-        that shape, when given, and into a new array otherwise.
+        triangles of the M_k, (2^n n(n+1)/2, ncells).  c1 is the one corners
+        carry when they carry it at eps_h (``at_eps``), else computed.  eps_h
+        > 0 (else a ValueError) keeps c2 finite where g = 0 and the matrix
+        positive definite.  The blocks are written into out, a C-contiguous
+        array of that shape, when given, and into a new array otherwise.
         """
         if not eps_h > 0.0:
             raise ValueError(f"hessian_blocks needs eps_h > 0, got {eps_h}")
-        grads, sq = corners
-        w2 = sq + eps_h**2
-        c1 = np.sqrt(w2) ** (self.p_corner - 2.0)
-        c2 = (self.p_corner - 2.0) * c1 / w2
+        grads, sq, _, c1 = self.at_eps(corners, eps_h)
+        c2 = (self.p_corner - 2.0) * c1 / (sq + eps_h**2)
         n, nc, ncells = grads.shape
         coef = np.empty((nc, n * (n + 1) // 2, ncells))
         for j, (a, b) in enumerate(self.upper):
@@ -476,16 +501,18 @@ def _line_search(lat: _Lattice, src: np.ndarray, u: np.ndarray, delta: np.ndarra
     """Halve alpha until the trial u + alpha delta passes accept(alpha, e1, corners).
 
     delta moves the interior nodes; e1 and corners are the trial's energy at
-    eps and its ``_Lattice.corners``; accept returns the name of the test it
-    passed, or None.  A trial with a non-finite value or energy is rejected,
-    the first without being evaluated.  At most 60 trials.  Returns (alpha,
+    eps and its ``_Lattice.corners`` with c1 at eps (``_Lattice.at_eps``),
+    which the energy and, once accepted, the Newton loop read; accept
+    returns the name of the test it passed, or None.  A trial with a
+    non-finite value or energy is rejected, the first without being
+    evaluated.  At most 60 trials.  Returns (alpha,
     halvings, step), step (trial, corners, e1, name) or None if none passed.
     """
     for halvings in range(60):
         trial = u.copy()
         trial[lat.interior] += alpha * delta
         if np.all(np.isfinite(trial)):
-            corners = lat.corners(trial)
+            corners = lat.at_eps(lat.corners(trial), eps)
             e1 = lat.energy(trial, corners, eps, src)
             if np.isfinite(e1) and (name := accept(alpha, e1, corners)):
                 return alpha, halvings, (trial, corners, e1, name)
@@ -543,6 +570,7 @@ def solve_dirichlet(spec: ProblemSpec) -> SolveResult:
     *start, s = _ray_start(spec, lat, src)
     G = float(np.sqrt(start[1][1].max()))  # start[1] is (g, |g|^2) of the start
     stages = _eps_schedule(spec, G)
+    start[1] = lat.at_eps(start[1], stages[0])
     record = {"scale": s, "G": G, "energy": lat.energy(*start, stages[0], src)}
     return _newton(spec.rhs, lat, src, start, stages, spec.tol, spec.max_iter, [record])
 
@@ -553,11 +581,12 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
 
     start is the list [u, corners], which the loop empties: u is a flat nodal
     array on the lattice of grid that carries the Dirichlet data and corners
-    its ``_Lattice.corners``.  So the start's corner arrays are freed once
-    the first step is accepted, where a caller's reference would hold them
-    through the whole loop.  src is the source weights and history a list
-    whose last record is the start's, with G and its energy at stages[0]
-    (``solve_dirichlet``); the Newton step records are appended to it.
+    its ``_Lattice.corners``, with or without c1 at stages[0].  So the
+    start's corner arrays and c1 are freed once the first step is accepted,
+    where a caller's reference would hold them through the whole loop.  src
+    is the source weights and history a list whose last record is the
+    start's, with G and its energy at stages[0] (``solve_dirichlet``); the
+    Newton step records are appended to it.
     Each pass takes the gradient and the residual at the current stage eps;
     when the residual meets the stage target eps moves to the next stage,
     whose first energy is appended to the trace, and the loop ends converged
@@ -565,9 +594,11 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
     only starts the next one, so its target is max(tol, _STAGE_DROP r0), r0
     the residual of the pass that opened it (the start's for the first stage).
     Otherwise it ends when max_iter Newton steps have been taken, or takes
-    one more step.  Each iterate's corner gradients come from the
-    line-search trial that accepts it and feed the next gradient and Newton
-    matrix.
+    one more step.  Each iterate's corner gradients and its c1 = w^(p-2) at
+    the stage eps (``_Lattice.at_eps``) come from the line-search trial that
+    accepts it: the trial's energy took that one power, and the next
+    gradient, slope test and Newton matrix at eps_h = eps read it.  A stage
+    change takes c1 at the new eps before the stage's first energy.
 
     The first step of a stage factors the Newton matrix, kept as its lower
     band (``_Lattice.band``, ``_Lattice.band_rows`` rows: LAPACK dpbtrf and
@@ -630,6 +661,7 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
                 break
             stage += 1
             eps = stages[stage]
+            corners = lat.at_eps(corners, eps)
             trace.append(lat.energy(u, corners, eps, src))
             factor, r0 = None, None
             continue

@@ -218,10 +218,9 @@ def _check(pair: FluxPair, bounds: StructureBounds, field: ExponentField,
 
     def record(name, lhs, rhs, slack):
         report.max_slack[name] = float(slack.max(initial=-np.inf))
-        for i in np.nonzero(_violated(slack, lhs, rhs))[0]:
-            report.violations.append(Violation(name, int(i), pts[i], float(s[i]),
-                                               xi[i], float(lhs[i]), float(rhs[i]),
-                                               float(slack[i])))
+        i = np.flatnonzero(_violated(slack, lhs, rhs))
+        report.violations += map(Violation, [name] * i.size, i.tolist(), pts[i], s[i].tolist(),
+                                 xi[i], lhs[i].tolist(), rhs[i].tolist(), slack[i].tolist())
 
     if "1" in conditions:
         lhs = A[:, 0] * xi[:, 0]

@@ -77,6 +77,22 @@ def test_pxgrid_rejects_malformed(tmp_path):
         px.read_gridfunction(path)
 
 
+@pytest.mark.parametrize("origin, spacing, field", [
+    ([np.nan, 0.0], [0.5, 0.5], "origin"), ([0.0, -np.inf], [0.5, 0.5], "origin"),
+    ([0.0, 0.0], [0.5, np.inf], "spacing"), ([0.0, 0.0], [np.nan, 0.5], "spacing"),
+    ([0.0, 0.0], [0.5, 1e308], "spacing")])
+def test_lattice_must_be_finite(tmp_path, origin, spacing, field):
+    # A NaN origin built NaN nodes, and an infinite spacing (or one whose
+    # last node overflows) a box whose hi is inf.
+    with pytest.raises(ValueError, match=rf"^{field} must be "):
+        px.GridFunction((3, 3), origin, spacing, np.zeros((3, 3)))
+    path = tmp_path / "bad.pxgrid"
+    path.write_text("PXGRID v1 2 3 3 " + " ".join(map(repr, origin + spacing)) + "\n"
+                    + " ".join(["0"] * 9) + "\n")
+    with pytest.raises(ValueError, match=rf"^{path}: {field} must be "):
+        px.read_gridfunction(path)
+
+
 def test_boundary_mask_1d_2d():
     g = grid_1d(0.0, 1.0, 4, lambda x: x)
     assert list(g.boundary_mask()) == [True, False, False, False, True]

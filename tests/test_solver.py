@@ -853,6 +853,86 @@ def test_dirty_buffers_give_the_same_blocks_and_band(nodes, kind, eps_h, seed):
     assert np.array_equal(bits(got[rows:]), bits(np.zeros((3, band.shape[1]))))
     assert np.array_equal(bits(band[rows:]), bits(np.zeros_like(band[rows:])))
 
+
+@given(nodes=st.lists(st.integers(3, 9), min_size=1, max_size=3),
+       kind=st.sampled_from(["affine", "radial"]), eps=st.sampled_from([0.0, 1e-12, 1e-6, 1e-1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_carried_coefficient_gives_the_fresh_gradient_and_blocks(nodes, kind, eps, seed):
+    # An iterate's corners carry c1 = w^(p-2) at the stage eps (at_eps).  The
+    # gradient from it must be bit for bit the one of the flux coefficient
+    # taken afresh, and the Newton blocks at eps_h = eps those of
+    # sqrt(|g|^2 + eps_h^2)^(p-2); at another eps_h the carried c1 is not read.
+    rng = np.random.default_rng(seed)
+    n = len(nodes)
+    f = px.GridFunction.constant(px.Box(np.zeros(n), np.ones(n)),
+                                 tuple(d - 1 for d in nodes), 0.0)
+    f = f.like(rng.uniform(-2.0, 1.0, f.dims))
+    lat, src = _lattice(f, random_exponent(kind, n, rng), f)
+    u = rng.standard_normal(f.values.size)
+    u[: u.size // 2] = 0.5  # corners with g = 0
+    grads, sq = lat.corners(u)
+    carried = lat.at_eps((grads, sq), eps)
+    assert carried[0] is grads and carried[1] is sq and carried[2] == eps
+    assert lat.at_eps(carried, eps) is carried
+
+    w = np.sqrt(sq + eps**2)
+    with np.errstate(divide="ignore"):
+        coef = np.where(w > 0, np.where(w > 0, w, 1.0) ** (lat.p_corner - 2.0), 0.0)
+    fresh = lat.geo.flux_pairing(coef * grads) + src
+    assert np.array_equal(bits(lat.gradient(carried, eps, src)), bits(fresh))
+    assert np.array_equal(bits(lat.gradient((grads, sq), eps, src)), bits(fresh))
+    if eps > 0.0:
+        w2 = sq + eps**2
+        c1 = np.sqrt(w2) ** (lat.p_corner - 2.0)
+        assert np.array_equal(bits(carried[3]), bits(c1))
+        assert np.array_equal(bits(lat.hessian_blocks(carried, eps)),
+                              bits(lat.hessian_blocks((grads, sq), eps)))
+    # a wrong c1 carried at eps is not read at another eps_h
+    spoiled = (grads, sq, eps, np.zeros_like(sq))
+    assert np.array_equal(bits(lat.hessian_blocks(spoiled, 1e-3)),
+                          bits(lat.hessian_blocks((grads, sq), 1e-3)))
+
+
+@given(nodes=st.lists(st.integers(3, 9), min_size=1, max_size=3),
+       kind=st.sampled_from(["affine", "radial"]), eps_h=st.sampled_from([1e-12, 1e-6, 1e-1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_cell_blocks_are_exactly_symmetric(nodes, kind, eps_h, seed):
+    # basis rows (j, l) and (l, j) are equal bit for bit, so the GEMM gives
+    # equal block entries: hessian_vec, which reads the full blocks, applies
+    # the same symmetric matrix as the band, which reads one triangle.
+    rng = np.random.default_rng(seed)
+    n = len(nodes)
+    f = px.GridFunction.constant(px.Box(np.zeros(n), np.ones(n)),
+                                 tuple(d - 1 for d in nodes), 0.0)
+    lat = _lattice(f, random_exponent(kind, n, rng), f)[0]
+    blocks = lat.hessian_blocks(lat.corners(rng.standard_normal(f.values.size)), eps_h)
+    assert np.array_equal(bits(blocks), bits(blocks.transpose(1, 0, 2)))
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 6.0])
+@pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-2])
+@pytest.mark.parametrize("n_axes", [1, 2, 3])
+def test_energy_from_the_coefficient_is_the_power_form(n_axes, eps, p):
+    # The energy density is c1 w^2 / p with c1 = w^(p-2), which is w^p / p up
+    # to a few rounding errors per corner, and 0 at corners where w = 0.
+    rng = np.random.default_rng(int(10 * p) + n_axes)
+    box = px.Box(np.zeros(n_axes), np.ones(n_axes))
+    f = px.GridFunction.constant(box, (24, 12, 6)[n_axes - 1], 0.0)
+    f = f.like(rng.uniform(-2.0, 1.0, f.dims))
+    lat, src = _lattice(f, px.affine_exponent(p, np.zeros(n_axes), box), f)
+    u = rng.standard_normal(f.values.size)
+    u[: u.size // 2] = 0.5  # corners with g = 0
+    corners = lat.corners(u)
+    assert np.any(corners[1] == 0.0)
+    w = np.sqrt(corners[1] + eps**2)
+    terms = np.concatenate([lat.geo.cell_vol / lat.nc
+                            * np.where(w > 0, w**lat.p_corner, 0.0).ravel() / lat.p_corner.ravel(),
+                            src * u])
+    e = lat.energy(u, corners, eps, src)
+    assert np.isfinite(e)
+    assert abs(e - terms.sum()) <= 8 * np.finfo(float).eps * np.abs(terms).sum()
+
+
 # -- hat norms --------------------------------------------------------------------
 
 def exponent_in_band(kind, box):
@@ -1335,6 +1415,26 @@ def test_one_corner_evaluation_per_iterate(monkeypatch, cells, p):
     assert len(calls) == 2 + sum(r["backtracks"] + 1 for r in recs)
     if p == 6.0:
         assert sum(r["backtracks"] for r in recs) > 0
+
+
+@pytest.mark.parametrize("cells, p", [(16, 1.5), (8, 6.0)], ids=["continuation", "backtracking"])
+def test_one_power_per_accepted_iterate(monkeypatch, cells, p):
+    # c1 = w^(p-2) is taken once per line-search trial at the stage eps and
+    # travels with the trial's corners, so the accepted iterate's gradient,
+    # its slope test and its Newton matrix at eps_h = eps take no power of
+    # their own.  Besides: the ray start's two energies at eps = 0, the
+    # start at the first stage eps, each later stage's first energy, and
+    # each Newton matrix at an eps_h above the stage eps.
+    calls = count_calls(monkeypatch, _Lattice, "flux_coef")
+    spec = cos_problem(cells, p)
+    res = px.solve_dirichlet(spec)
+    assert res.converged
+    recs = res.history[1:]
+    stages = stages_of(spec, res)
+    own = sum(r["eps_h"] != r["stage_eps"] for r in recs)
+    if p == 1.5:  # the late steps of a stage reuse the carried c1
+        assert own < len(recs)
+    assert len(calls) == 2 + 1 + sum(r["backtracks"] + 1 for r in recs) + len(stages) - 1 + own
 
 
 def test_start_corners_are_freed_after_the_first_step(monkeypatch):

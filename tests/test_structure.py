@@ -97,6 +97,29 @@ def test_check_matches_grid_coefficient_reference(n_axes, natural_growth):
     assert rep.max_slack == pytest.approx(max_slack, rel=1e-12)
 
 
+@pytest.mark.parametrize("natural_growth", [False, True])
+def test_violation_records_are_the_samples_they_name(natural_growth):
+    # Each condition's records are gathered at once from its violating
+    # indices; they must hold what a per-sample loop read: the condition's
+    # sides and slack as Python floats, x and xi as the sample's rows, in
+    # the reference's list and order.  With k1 = 0, (2) fails at every
+    # sample with A != 0.
+    like, field, _, pair = _all_coefficient_case(2)
+    bounds = dataclasses.replace(_all_coefficient_case(2)[2], k1=0.0)
+    samples = px.structure_sample_lattice(like, 1.0, seed=3)
+    check = px.check_conditions_natural_growth if natural_growth else px.check_conditions
+    rep = check(pair, bounds, field, samples)
+    violations, _ = reference_structure_check(pair, bounds, field, samples, natural_growth)
+    assert [(v.condition, v.index) for v in rep.violations] == violations
+    assert sum(v.condition == "2" for v in rep.violations) > samples.size // 2
+    for v in rep.violations:
+        i = v.index
+        assert type(i) is int and all(type(f) is float for f in (v.s, v.lhs, v.rhs, v.slack))
+        assert np.array_equal(v.x, samples.points[i]) and np.array_equal(v.xi, samples.gradients[i])
+        assert v.s == samples.states[i]
+        assert v.slack == (v.rhs - v.lhs if v.condition == "1" else v.lhs - v.rhs) > 0
+
+
 def test_structure_check_makes_no_interp_call(monkeypatch):
     like, field, bounds, pair = _all_coefficient_case(2)
     samples = px.structure_sample_lattice(like, 1.0)
