@@ -603,35 +603,42 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
     The first step of a stage factors the Newton matrix, kept as its lower
     band (``_Lattice.band``, ``_Lattice.band_rows`` rows: LAPACK dpbtrf and
     dpbtrs with lower=True take the sub-diagonal count from the array's
-    shape), and solves exactly.  The cell blocks and the band are two arrays
-    of the solve, refilled at every step, and the band is factored in place,
-    so a refactor overwrites the factor it replaces and concurrent solves
-    share nothing they write.  Each later step of the stage is solved by CG
-    (``_pcg``) preconditioned with that stale factor, its products taken from
-    the cell blocks (``_Lattice.hessian_vec``), to the Eisenstat-Walker
-    (choice 2) forcing tolerance eta ||g||, eta = min(_ETA_MAX, max(0.9
-    (||g_k|| / ||g_k-1||)^2, 0.5 target / residual)).  The second term is
-    the safeguard of Eisenstat & Walker (1996) and Kelley (1995, ch. 6): it
-    binds only once the residual is within 25 times the stage target, and
-    then stops CG from solving to an accuracy that the stage's test never
-    reads.  When CG does not meet that tolerance within _CG_CAP
-    iterations, meets nonpositive curvature, or returns a direction that is
-    not a finite descent direction, the current matrix is factored and the
-    step solved exactly.  When the previous step's CG took more than _CG_NEAR
-    iterations (a capped one included), the factor has gone stale and the
-    step refactors without trying CG first, so capped CG work is not thrown
-    away step after step.  A matrix that is not positive definite, or an
-    exact step that is not a finite descent direction, gives way to the
-    gradient direction.  The Newton matrix of step k (of the whole solve) is
-    built at eps_h = max(eps, 1e-12 G, 0.1 G 0.25^(k-1)) > 0 (G = 0 only at
-    a constant, converged start), so directions descend.  The line search
-    (``_line_search``) accepts Armijo, E <= e0 + 1e-4 alpha g.delta, or an
-    energy within 1e-13 max(1, |e0|) of e0 whose slope grad E.delta is at
+    shape), and solves exactly, but for a last stage at eps > 0 (below).  The
+    cell blocks and the band are two arrays of the solve, refilled at every
+    step, and the band is factored in place, so a refactor overwrites the
+    factor it replaces and concurrent solves share nothing they write.  Each
+    later step of the stage is solved by CG (``_pcg``) preconditioned with
+    that stale factor, its products taken from the cell blocks
+    (``_Lattice.hessian_vec``), to the Eisenstat-Walker (choice 2) forcing
+    tolerance eta ||g||, eta = min(_ETA_MAX, max(0.9 (||g_k|| / ||g_k-1||)^2,
+    0.5 target / residual)).  The second term is the safeguard of Eisenstat &
+    Walker (1996) and Kelley (1995, ch. 6): it binds only once the residual is
+    within 25 times the stage target, and then stops CG from solving to an
+    accuracy that the stage's test never reads.  When CG does not meet that
+    tolerance within _CG_CAP iterations, meets nonpositive curvature, or
+    returns a direction that is not a finite descent direction, the current
+    matrix is factored and the step solved exactly.  When the previous step's
+    CG took more than _CG_NEAR iterations (a capped one included), the factor
+    has gone stale and the step refactors without trying CG first, so capped
+    CG work is not thrown away step after step.  A last stage at eps > 0 keeps
+    the factor of the stage before it, and its first step is solved like a
+    later one, by CG on that factor under the same rules (a lagged
+    preconditioner; Knoll & Keyes, J. Comput. Phys. 2004): that stage opens
+    near tol (a median 58 tol over 24 solves on 64^2 cells at p = 1.5), where
+    the forcing term is loose, and mostly ends in one step, which a fresh
+    factor would serve alone.  At eps = 0 the last stage solves the non-smooth
+    problem, and its first step factors.  A matrix that is not positive
+    definite, or an exact step that is not a finite descent direction, gives
+    way to the gradient direction.  The Newton matrix of step k (of the whole
+    solve) is built at eps_h = max(eps, 1e-12 G, 0.1 G 0.25^(k-1)) > 0 (G = 0
+    only at a constant, converged start), so directions descend.  The line
+    search (``_line_search``) accepts Armijo, E <= e0 + 1e-4 alpha g.delta, or
+    an energy within 1e-13 max(1, |e0|) of e0 whose slope grad E.delta is at
     most 0.8 |g.delta| (approximate Wolfe; Hager & Zhang 2005), as near tol a
     good step's energy drop is below the rounding of |E|.  When no trial
-    passes, a gradient-descent rescue tries a conservative gradient step.
-    The stage energy decreases when eps does, so the trace is nonincreasing
-    up to that 1e-13, inside SolveResult's 1e-12 check.
+    passes, a gradient-descent rescue tries a conservative gradient step.  The
+    stage energy decreases when eps does, so the trace is nonincreasing up to
+    that 1e-13, inside SolveResult's 1e-12 check.
     """
     u, corners = start
     start.clear()
@@ -663,7 +670,9 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
             eps = stages[stage]
             corners = lat.at_eps(corners, eps)
             trace.append(lat.energy(u, corners, eps, src))
-            factor, r0 = None, None
+            r0 = None
+            if not (stage == len(stages) - 1 and eps > 0.0):  # else CG opens on it
+                factor = None
             continue
         if it == max_iter:
             message = f"iteration budget exhausted (residual {residual:.3e})"
@@ -756,14 +765,18 @@ def _laplace_warm_start(spec: ProblemSpec, geo: CellGeometry, src: np.ndarray) -
     annihilates constants, so the step is taken for u - g0, g0 the datum at
     the first node: constant data with no source comes back exactly.  The
     residual at the lifted data is the vertex-rule energy gradient at p = 2,
-    ``CellGeometry.flux_pairing`` of its corner gradients plus src.
+    ``CellGeometry.flux_pairing`` of its corner gradients plus src.  For
+    constant data the lifted array is zero, its pairing exact +0.0, and the
+    residual src + 0.0 (which turns a -0.0 of src into +0.0, as the pairing
+    does), so no corner is evaluated.
     """
     data = spec.dirichlet_values()
     g0 = data.flat[0]
     nodal = data - g0
     inner = tuple(slice(1, -1) for _ in geo.dims)
     nodal[inner] = 0.0
-    r = (geo.flux_pairing(geo.corner_gradients(nodal)) + src).reshape(geo.dims)[inner]
+    r = src + (geo.flux_pairing(geo.corner_gradients(nodal)) if np.any(nodal) else 0.0)
+    r = r.reshape(geo.dims)[inner]
     # 2 - 2 cos(t) written as 4 sin^2(t / 2), exact to rounding at small t
     eigs = [4.0 * np.sin(0.5 * np.pi * np.arange(1, N + 1) / (N + 1)) ** 2 / h**2
             for N, h in zip(r.shape, geo.spacing)]
@@ -793,7 +806,11 @@ def _ray_start(spec: ProblemSpec, lat: _Lattice, src: np.ndarray) -> tuple:
     bend it against the fixed boundary values.
 
     When the start's energy at eps = 0 is not at most that of u2 (rounding,
-    or an s that is not finite), s = 1 and the start is u2.  Returns (u,
+    or an s that is not finite), s = 1 and the start is u2.  Along the ray
+    that energy is vol/2^n sum_k a_k s^p_k + s q plus a constant, a_k =
+    S_k^(p_k/2) / p_k, so the test is vol/2^n sum_k a_k (s^p_k - 1) + (s - 1)
+    q <= 0: one pass over the kept corners, a_k the exp of the 0.5 p_k log
+    S_k that the root already takes, and no energy evaluation.  Returns (u,
     corners, s).
     """
     u2 = _laplace_warm_start(spec, lat.geo, src).reshape(-1)
@@ -805,16 +822,23 @@ def _ray_start(spec: ProblemSpec, lat: _Lattice, src: np.ndarray) -> tuple:
         return u2, corners2, 1.0
     w = u2 - g0
     q = float(src @ w)
+    keep = S > 0.0
+    p = lat.p_corner[keep]
+    half = 0.5 * p * np.log(S[keep])  # log S^(p/2)
+    vol = lat.geo.cell_vol / lat.nc
     s = 0.0
     if q < 0.0:
-        keep = S > 0.0
-        p = lat.p_corner[keep]
-        log_c = np.log(lat.geo.cell_vol / lat.nc / -q) + 0.5 * p * np.log(S[keep])
-        t, _ = log_luxemburg((p - 1.0)[None, :], log_c[None, :], NormConfig())
+        t, _ = log_luxemburg((p - 1.0)[None, :], (np.log(vol / -q) + half)[None, :],
+                             NormConfig())
         s = float(np.exp(-t[0]))
-    u, corners = g0 + s * w, (g2 * s, S * (s * s))
-    if lat.energy(u, corners, 0.0, src) <= lat.energy(u2, corners2, 0.0, src):
-        return u, corners, s
+    # a = S^(p/2) / p and s^p - 1, both in place: two more temporaries of the
+    # kept corners' size raised the peak RSS of a 64^2 solve by 0.8 MB.
+    a = np.exp(half, out=half)
+    a /= p
+    ds = np.power(s, p, out=p)
+    ds -= 1.0
+    if vol * float(a @ ds) + (s - 1.0) * q <= 0.0:
+        return g0 + s * w, (g2 * s, S * (s * s)), s
     return u2, corners2, 1.0
 
 

@@ -16,6 +16,9 @@ case at the price of a smaller ellipticity constant alpha e^(-(b/alpha) M0).
 
 from __future__ import annotations
 
+import bisect
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -142,11 +145,61 @@ class Violation:
     slack: float
 
 
+class _Violations(Sequence):
+    """The Violation records of a check, condition by condition in sample
+    order, as a read-only sequence.  Each condition keeps the columns of its
+    violating samples, and a record is built when it is read: a record costs
+    about 3 us to build, so a report over tens of thousands of violating
+    samples would cost far more than the check, while a reader of its count,
+    or of its first records, needs no others built.  x and xi are rows of
+    the condition's own copies of the sample arrays, and the other fields
+    Python ints and floats."""
+
+    def __init__(self):
+        self._parts, self._ends = [], []  # the columns per condition, and their cumulative counts
+
+    def _add(self, name: str, i: np.ndarray, x, s, xi, lhs, rhs, slack) -> None:
+        if i.size:
+            self._parts.append((name, i, x, s, xi, lhs, rhs, slack))
+            self._ends.append(len(self) + i.size)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(len(self)))]
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("violation index out of range")
+        part = bisect.bisect_right(self._ends, k)
+        name, i, x, s, xi, lhs, rhs, slack = self._parts[part]
+        j = k - (self._ends[part - 1] if part else 0)
+        return Violation(name, int(i[j]), x[j], float(s[j]), xi[j], float(lhs[j]), float(rhs[j]),
+                         float(slack[j]))
+
+    def __iter__(self):
+        for name, i, x, s, xi, lhs, rhs, slack in self._parts:
+            yield from map(Violation, [name] * i.size, i.tolist(), x, s.tolist(), xi,
+                           lhs.tolist(), rhs.tolist(), slack.tolist())
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class StructureReport:
+    """The outcome of a structure check: violations is a read-only sequence
+    of Violation records (``_Violations``), empty when every condition holds."""
+
     n_samples: int
     conditions: tuple
-    violations: list = dc_field(default_factory=list)
+    violations: Sequence = dc_field(default_factory=_Violations)
     max_slack: dict = dc_field(default_factory=dict)
 
     @property
@@ -219,8 +272,7 @@ def _check(pair: FluxPair, bounds: StructureBounds, field: ExponentField,
     def record(name, lhs, rhs, slack):
         report.max_slack[name] = float(slack.max(initial=-np.inf))
         i = np.flatnonzero(_violated(slack, lhs, rhs))
-        report.violations += map(Violation, [name] * i.size, i.tolist(), pts[i], s[i].tolist(),
-                                 xi[i], lhs[i].tolist(), rhs[i].tolist(), slack[i].tolist())
+        report.violations._add(name, i, pts[i], s[i], xi[i], lhs[i], rhs[i], slack[i])
 
     if "1" in conditions:
         lhs = A[:, 0] * xi[:, 0]

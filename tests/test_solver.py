@@ -420,6 +420,83 @@ def test_ray_start_moves_with_constant_data(n, p, c, seed):
                                atol=1e-9 * (abs(c) + np.abs(zero).max()))
 
 
+def two_energy_candidates(spec, lat, src):
+    """The candidates of the ray start by its first rule, each as ((u,
+    corners, s), energy at eps = 0): the ray point first, then u2.  That rule
+    took the warm start's residual from the pairing of the lifted data's
+    corner gradients, and evaluated both energies in full; it kept the ray
+    point when its energy was at most u2's.  Nonconstant data have u2 alone,
+    with energy None."""
+    geo = lat.geo
+    data = spec.dirichlet_values()
+    g0 = data.flat[0]
+    nodal = data - g0
+    inner = tuple(slice(1, -1) for _ in geo.dims)
+    nodal[inner] = 0.0
+    r = (geo.flux_pairing(geo.corner_gradients(nodal)) + src).reshape(geo.dims)[inner]
+    eigs = [4.0 * np.sin(0.5 * np.pi * np.arange(1, N + 1) / (N + 1)) ** 2 / h**2
+            for N, h in zip(r.shape, geo.spacing)]
+    r = solver._sine_transform(r)
+    r /= geo.cell_vol * sum(np.ix_(*eigs))
+    data[inner] = g0 - solver._sine_transform(r)
+    u2 = data.reshape(-1)
+    g2, S = corners2 = lat.corners(u2)
+    if np.any(np.delete(u2, lat.interior) != g0):
+        return [((u2, corners2, 1.0), None)]
+    w = u2 - g0
+    q = float(src @ w)
+    s = 0.0
+    if q < 0.0:
+        keep = S > 0.0
+        p = lat.p_corner[keep]
+        log_c = np.log(geo.cell_vol / lat.nc / -q) + 0.5 * p * np.log(S[keep])
+        t, _ = log_luxemburg((p - 1.0)[None, :], log_c[None, :], px.NormConfig())
+        s = float(np.exp(-t[0]))
+    u, corners = g0 + s * w, (g2 * s, S * (s * s))
+    return [((u, corners, s), lat.energy(u, corners, 0.0, src)),
+            ((u2, corners2, 1.0), lat.energy(u2, corners2, 0.0, src))]
+
+
+def same_start(a, b):
+    """Whether two starts (u, (g, |g|^2), s) are equal byte for byte."""
+    (u, (g, sq), s), (v, (h, tq), t) = a, b
+    return type(s) is type(t) is float and s.hex() == t.hex() and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in ((u, v), (g, h), (sq, tq)))
+
+
+@given(cells=st.lists(st.integers(2, 16), min_size=1, max_size=3),
+       p=st.one_of(st.just(2.0), st.floats(1.1, 6.0)),
+       data=st.sampled_from(["zero", "constant", "ramp"]), seed=st.integers(0, 2**32 - 1))
+def test_ray_start_keeps_the_bytes_of_the_two_energy_rule(cells, p, data, seed):
+    # The ray point is kept by one pass over the kept corners, not by two
+    # energies at eps = 0, and the warm start of constant data skips the
+    # pairing of a zero array; the start (u, corners, s) keeps its bytes.
+    # The rules part only on a tie: at p = 2, s is 1 to rounding and the
+    # two energies are equal but for the rounding of their terms, which the
+    # first rule read as a rise (1d, 2 cells: s = 1 - 2^-52, energies
+    # -0.08167218009691367 and -0.0816721800969137, so it kept u2).  The
+    # start is then the other candidate.
+    rng = np.random.default_rng(seed)
+    n = len(cells)
+    lo = rng.uniform(-1.0, 1.0, n)
+    box = px.Box(lo, lo + rng.uniform(0.1, 3.0, n))
+    f = px.GridFunction.constant(box, tuple(cells), 0.0)
+    f = f.like(rng.uniform(-2.0, 1.0, f.dims) * (rng.random(f.dims) < 0.9))  # -0.0 too
+    slope = rng.uniform(-5.0, 5.0, n)
+    dirichlet = {"zero": 0.0, "constant": float(rng.uniform(-10.0, 10.0)),
+                 "ramp": lambda pts: 0.5 + pts @ slope}[data]
+    spec = px.ProblemSpec(box, px.constant_exponent(p, domain=box), f, dirichlet)
+    lat, src = _lattice(f, spec.field, f)
+    got = solver._ray_start(spec, lat, src)
+    candidates = two_energy_candidates(spec, lat, src)
+    assert len(candidates) == (1 if data == "ramp" else 2)
+    pick = 1 if len(candidates) == 2 and candidates[0][1] > candidates[1][1] else 0
+    if not same_start(got, candidates[pick][0]):
+        (_, e_ray), ((u2, _, _), e2) = candidates
+        assert p == 2.0 and abs(e_ray - e2) <= 1e-15 * (abs(e2) + float(np.abs(src) @ np.abs(u2)))
+        assert same_start(got, candidates[1 - pick][0])
+
+
 @pytest.mark.parametrize("n_axes", [1, 2, 3])
 def test_constant_data_is_its_own_start(n_axes):
     # At reg_eps = 0 the flux |g|^(p-1) of a rounding-sized corner gradient is
@@ -1329,9 +1406,12 @@ def test_single_stage_keeps_its_iteration_count(make, iterations):
     assert recs[0]["eps_h"] == 0.1 * res.history[0]["G"] > spec.reg_eps
 
 
-def test_one_factor_per_stage_then_pcg(monkeypatch):
+def assert_one_factor_per_stage(monkeypatch, spec):
+    """Each stage's first step factors the Newton matrix and the later steps
+    run CG on that factor, but for a last stage at reg_eps > 0: it opens on
+    the factor of the stage before it and runs CG to an eta.  Returns the
+    step records."""
     factors = count_calls(monkeypatch, solver.sla, "cholesky_banded")
-    spec = cos_problem()
     res = px.solve_dirichlet(spec)
     assert res.converged and res.residual <= spec.tol
     assert_nonincreasing(res.energy_trace)
@@ -1339,12 +1419,61 @@ def test_one_factor_per_stage_then_pcg(monkeypatch):
     assert len(recs) == res.iterations
     stages = [r["stage_eps"] for r in recs]
     firsts = [i for i in range(len(recs)) if i == 0 or stages[i] != stages[i - 1]]
-    assert len(set(stages)) == len(firsts) == len(stages_of(spec, res))
+    assert len(set(stages)) == len(firsts) == len(stages_of(spec, res)) > 1
+    assert stages[-1] == spec.reg_eps
+    carried = [firsts[-1]] if spec.reg_eps > 0.0 else []
     for i, r in enumerate(recs):
+        fresh = i in firsts and i not in carried
         assert r["direction"] == "newton"
-        assert r["linear"] == ("factor" if i in firsts else "pcg")
-        assert r["cg_iters"] == 0 if i in firsts else 1 <= r["cg_iters"] <= solver._CG_CAP
-    assert len(factors) == len(firsts)  # one per stage, none for the warm start
+        assert r["linear"] == ("factor" if fresh else "pcg")
+        assert r["cg_iters"] == 0 if fresh else 1 <= r["cg_iters"] <= solver._CG_CAP
+        assert (r["eta"] is None) == fresh
+    # one per stage but a carried one, none for the warm start
+    assert len(factors) == len(firsts) - len(carried)
+    return recs
+
+
+def test_one_factor_per_stage_then_pcg(monkeypatch):
+    assert_one_factor_per_stage(monkeypatch, cos_problem())
+
+
+def test_zero_reg_eps_last_stage_factors_on_entry(monkeypatch):
+    # At reg_eps = 0 the last stage solves the non-smooth problem, so its
+    # first step factors, although the step before it ran no CG at all.
+    spec = cos_problem(8, 1.1, reg_eps=0.0)
+    recs = assert_one_factor_per_stage(monkeypatch, spec)
+    assert recs[-1]["stage_eps"] == 0.0 != recs[-2]["stage_eps"]
+    assert recs[-1]["linear"] == "factor" and recs[-2]["cg_iters"] == 0
+
+
+def test_failed_cg_on_the_carried_factor_refactors(monkeypatch):
+    # The last stage's first step runs CG on the previous stage's factor.
+    # When that CG fails, the step factors the current matrix and solves
+    # exactly, and the next step refactors without CG, as after any capped
+    # CG solve.
+    spec = cos_problem()
+    plain = px.solve_dirichlet(spec).history[1:]
+    first = next(i for i, r in enumerate(plain) if r["stage_eps"] == spec.reg_eps)
+    assert first > 0 and plain[first]["linear"] == "pcg"
+    before = sum(r["eta"] is not None for r in plain[:first])  # the CG runs before it
+    pcg, calls = solver._pcg, []
+
+    def fail_once(*args):
+        calls.append(1)
+        return (None, solver._CG_CAP) if len(calls) == before + 1 else pcg(*args)
+
+    monkeypatch.setattr(solver, "_pcg", fail_once)
+    factors = count_calls(monkeypatch, solver.sla, "cholesky_banded")
+    res = px.solve_dirichlet(spec)
+    assert res.converged and res.residual <= spec.tol
+    recs = res.history[1:]
+    assert recs[:first] == plain[:first]
+    r, after = recs[first], recs[first + 1]
+    assert r["stage_eps"] == spec.reg_eps and r["direction"] == "newton"
+    assert r["linear"] == "factor" and r["cg_iters"] == solver._CG_CAP
+    assert r["eta"] == plain[first]["eta"] is not None
+    assert after["linear"] == "factor" and after["cg_iters"] == 0 and after["eta"] is None
+    assert len(factors) == sum(r["linear"] == "factor" for r in recs)
 
 
 def stage_targets(spec, res):
@@ -1370,8 +1499,9 @@ def test_forcing_term_is_floored_at_the_stage_target(make):
     # min(_ETA_MAX, 0.5 target / residual); before the last stage, where the
     # target is at least a tenth of the stage's first residual r0, that is
     # the cap itself while the residual is below 2.5 r0.  A step that ran no
-    # CG, the first of each stage and one after a CG solve of more than
-    # _CG_NEAR iterations, records None.
+    # CG records None: the first of each stage, but that of a last stage at
+    # reg_eps > 0, which runs CG on the previous stage's factor, and one
+    # after a CG solve of more than _CG_NEAR iterations.
     spec = make()
     res = px.solve_dirichlet(spec)
     assert res.converged and res.residual <= spec.tol
@@ -1380,7 +1510,7 @@ def test_forcing_term_is_floored_at_the_stage_target(make):
         ran = r["linear"] == "pcg" or r["cg_iters"] > 0
         assert (r["eta"] is not None) == ran
         if i == 0 or r["stage_eps"] != recs[i - 1]["stage_eps"]:
-            assert r["eta"] is None
+            assert (r["eta"] is None) == (i == 0 or not r["stage_eps"] == spec.reg_eps > 0.0)
         if ran:
             assert min(solver._ETA_MAX, 0.5 * target / r["residual"]) <= r["eta"]
             assert r["eta"] <= solver._ETA_MAX and type(r["eta"]) is float
@@ -1404,15 +1534,16 @@ def test_last_step_runs_at_the_floor():
 
 @pytest.mark.parametrize("cells, p", [(16, 1.5), (8, 6.0)], ids=["continuation", "backtracking"])
 def test_one_corner_evaluation_per_iterate(monkeypatch, cells, p):
-    # The warm start's residual and its corner gradients, then one evaluation
-    # per line-search trial: the accepted trial's corners feed the next step's
-    # gradient and Newton matrix and the next stage's first energy.
+    # The warm start's corner gradients, then one evaluation per line-search
+    # trial: the accepted trial's corners feed the next step's gradient and
+    # Newton matrix and the next stage's first energy.  The data are zero, so
+    # the warm start's residual is the source alone and takes no corner.
     calls = count_calls(monkeypatch, CellGeometry, "corner_gradients")
     res = px.solve_dirichlet(cos_problem(cells, p))
     assert res.converged
     recs = res.history[1:]
     assert len(recs) == res.iterations > 0
-    assert len(calls) == 2 + sum(r["backtracks"] + 1 for r in recs)
+    assert len(calls) == 1 + sum(r["backtracks"] + 1 for r in recs)
     if p == 6.0:
         assert sum(r["backtracks"] for r in recs) > 0
 
@@ -1422,9 +1553,10 @@ def test_one_power_per_accepted_iterate(monkeypatch, cells, p):
     # c1 = w^(p-2) is taken once per line-search trial at the stage eps and
     # travels with the trial's corners, so the accepted iterate's gradient,
     # its slope test and its Newton matrix at eps_h = eps take no power of
-    # their own.  Besides: the ray start's two energies at eps = 0, the
-    # start at the first stage eps, each later stage's first energy, and
-    # each Newton matrix at an eps_h above the stage eps.
+    # their own.  Besides: the start at the first stage eps, each later
+    # stage's first energy, and each Newton matrix at an eps_h above the
+    # stage eps.  The ray start takes none: it compares the ray point with
+    # the warm start by the powers its root already took.
     calls = count_calls(monkeypatch, _Lattice, "flux_coef")
     spec = cos_problem(cells, p)
     res = px.solve_dirichlet(spec)
@@ -1434,7 +1566,7 @@ def test_one_power_per_accepted_iterate(monkeypatch, cells, p):
     own = sum(r["eps_h"] != r["stage_eps"] for r in recs)
     if p == 1.5:  # the late steps of a stage reuse the carried c1
         assert own < len(recs)
-    assert len(calls) == 2 + 1 + sum(r["backtracks"] + 1 for r in recs) + len(stages) - 1 + own
+    assert len(calls) == 1 + sum(r["backtracks"] + 1 for r in recs) + len(stages) - 1 + own
 
 
 def test_start_corners_are_freed_after_the_first_step(monkeypatch):

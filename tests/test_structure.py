@@ -120,6 +120,52 @@ def test_violation_records_are_the_samples_they_name(natural_growth):
         assert v.slack == (v.rhs - v.lhs if v.condition == "1" else v.lhs - v.rhs) > 0
 
 
+def test_k1_zero_report_equals_records_built_one_by_one():
+    # The report builds a record when it is read.  Each one read, by
+    # iteration, index or slice, equals the Violation built here per sample
+    # from the conditions' sides: field by field, in type and value, and it
+    # stays frozen.  With k1 = 0, (2) fails at most samples and (1) and (3)
+    # at some, so the records run over three conditions.
+    like, field, _, pair = _all_coefficient_case(2)
+    bounds = dataclasses.replace(_all_coefficient_case(2)[2], k1=0.0)
+    samples = px.structure_sample_lattice(like, 1.0, seed=3)
+    rep = px.check_conditions(pair, bounds, field, samples)
+    pts, s, xi = samples.points, samples.states, samples.gradients
+    p, A, B = field(pts), pair.A(pts, s, xi), pair.B(pts, s, xi)
+    xin, abs_s = np.linalg.norm(xi, axis=1), np.abs(s)
+    b = bounds
+    sides = [("1", np.sum(A * xi, axis=1), b.alpha * xin**p - b.c0 * abs_s**p - b.g0),
+             ("2", np.linalg.norm(A, axis=1),
+              b.g1 + b.c1 * abs_s ** (p - 1.0) + b.k1 * xin ** (p - 1.0)),
+             ("3", np.abs(B), b.f_src + b.c2 * abs_s ** (p - 1.0) + b.k2 * xin ** (p - 1.0))]
+    ref = []
+    for name, lhs, rhs in sides:
+        slack = rhs - lhs if name == "1" else lhs - rhs
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        for i in range(samples.size):
+            if slack[i] > 1e-12 + 1e-12 * scale[i]:
+                ref.append(px.structure.Violation(
+                    name, i, pts[i].copy(), float(s[i]), xi[i].copy(), float(lhs[i]),
+                    float(rhs[i]), float(slack[i])))
+    assert {v.condition for v in ref} == {"1", "2", "3"}
+    fields = [f.name for f in dataclasses.fields(px.structure.Violation)]
+    assert fields == ["condition", "index", "x", "s", "xi", "lhs", "rhs", "slack"]
+    assert len(rep.violations) == len(ref) and not rep.ok
+    picks = [0, len(ref) // 2, len(ref) - 1, -1]
+    for got in (list(rep.violations), [rep.violations[k] for k in range(len(ref))],
+                rep.violations[::-1][::-1]):
+        for v, r in zip(got, ref, strict=True):
+            for name in fields:
+                a, b = getattr(v, name), getattr(r, name)
+                assert type(a) is type(b)
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+    assert [rep.violations[k].index for k in picks] == [ref[k].index for k in picks]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.violations[0].slack = 0.0
+    with pytest.raises(IndexError):
+        rep.violations[len(ref)]
+
+
 def test_structure_check_makes_no_interp_call(monkeypatch):
     like, field, bounds, pair = _all_coefficient_case(2)
     samples = px.structure_sample_lattice(like, 1.0)
