@@ -109,12 +109,17 @@ def build_scalar_field(cfg, box: Box, cells, base: Path | None = None) -> GridFu
 def build_problem(cfg: dict, base: Path | None = None) -> ProblemSpec:
     """The ProblemSpec of a config's problem section.  A missing key, or a
     value that the exponent field or ProblemSpec rejects, is a ConfigError
-    naming the key."""
+    naming the key; so is cells off the lattice of an rhs PXGRID file, on
+    which field data are then sampled."""
     try:
         dom = np.asarray(cfg["domain"], dtype=float)
         box = Box(dom[:, 0], dom[:, 1])
-        cells = cfg.get("cells", 64)
-        rhs = build_scalar_field(cfg.get("rhs", 0.0), box, cells, base)
+        cells, rhscfg = cfg.get("cells", 64), cfg.get("rhs", 0.0)
+        rhs = build_scalar_field(rhscfg, box, cells, base)
+        if isinstance(rhscfg, dict) and "file" in rhscfg:  # the data go on its lattice
+            key, cells = cells, [d - 1 for d in rhs.dims]
+            if "cells" in cfg and GridFunction.constant(box, key, 0.0).dims != rhs.dims:
+                raise ConfigError(f"problem key 'cells' is {key!r} but the rhs file has {cells}")
         try:
             field = build_exponent(cfg["exponent"], box, base)
         except ValueError as e:

@@ -273,17 +273,18 @@ def read_gridfunction(path) -> GridFunction:
         head = fh.readline().split()
         if len(head) < 3 or head[0] != "PXGRID" or head[1] != "v1":
             raise ValueError(f"{path}: not a PXGRID v1 file")
+        body = fh.read()
+    try:  # every error below names the file
         n = int(head[2])
         if len(head) != 3 + 3 * n:
-            raise ValueError(f"{path}: malformed PXGRID header")
+            raise ValueError("malformed PXGRID header")
         dims = tuple(int(t) for t in head[3 : 3 + n])
         origin = np.array([float(t) for t in head[3 + n : 3 + 2 * n]])
         spacing = np.array([float(t) for t in head[3 + 2 * n : 3 + 3 * n]])
-        vals = np.array(fh.read().split(), dtype=float)
+        vals = np.array(body.split(), dtype=float)
         want = int(np.prod(dims))
         if vals.size != want:
-            raise ValueError(f"{path}: expected {want} values, found {vals.size}")
-    try:
+            raise ValueError(f"expected {want} values, found {vals.size}")
         return GridFunction(dims, origin, spacing, vals.reshape(dims))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None

@@ -24,17 +24,19 @@ __all__ = ["NormConfig", "BracketError", "modular", "luxemburg_norm",
 
 @dataclass(frozen=True)
 class NormConfig:
-    """Stopping rule of ``log_luxemburg``: bisection_tol bounds the last Newton
-    step in log lambda, a relative tolerance on lambda; max_iter caps the steps."""
+    """Stopping rule of ``log_luxemburg``: bisection_tol (finite, > 0) bounds the
+    last Newton step in log lambda, a relative tolerance on lambda; max_iter (an
+    integer >= 1, not a bool) caps the steps.  Else a ValueError naming the field."""
 
     bisection_tol: float = 1e-10
     max_iter: int = 200
 
     def __post_init__(self):
-        if not self.bisection_tol > 0:
-            raise ValueError(f"bisection_tol must be positive, got {self.bisection_tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if isinstance(self.bisection_tol, bool) or not 0 < self.bisection_tol < np.inf:
+            raise ValueError(f"bisection_tol must be finite and > 0, got {self.bisection_tol!r}")
+        m = self.max_iter
+        if isinstance(m, bool) or not (isinstance(m, (int, np.integer)) and m >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {m!r}")
 
 
 class BracketError(RuntimeError):

@@ -180,28 +180,28 @@ class _Lattice:
     """The discrete operator of one lattice and nodal p: its data and its action.
 
     Holds the cell geometry, p at the nodes and at the cell corners, the
-    interior nodes, the band layout of the Newton matrix and the fixed basis
-    of ``hessian_blocks``; the hat norms are computed the first time they are
-    asked for.  It is built by ``_lattice``, which keeps the last one, so a
-    solve, the weak residual of its solution and any later solve or energy
-    on the same lattice and p share it.  Its arrays are read-only.  eps
-    enters only through w = sqrt(|g|^2 + eps^2) and f only through the
-    source weights src = node_weights * f, so ``energy`` and ``gradient``
-    take both, and the iterate's ``corners``, as arguments: one instance
-    serves every stage and every source.  The energy density w^p / p, the
-    flux |g|^(p-2) g and the Newton matrix all read one coefficient c1 =
-    w^(p-2) per corner (``flux_coef``).  ``at_eps`` appends it, with its
-    eps, to an iterate's corners, which then carry it: energy, gradient and
-    the blocks at eps_h = eps read it and take no power of their own.  It
-    lives and is freed with the corners, never on the instance.
+    interior nodes, the diagonal layout of the Newton matrix and the fixed
+    basis of ``newton_diagonals``; the hat norms are computed the first time
+    they are asked for.  It is built by ``_lattice``, which keeps the last
+    one, so a solve, the weak residual of its solution and any later solve or
+    energy on the same lattice and p share it.  Its arrays are read-only.  eps
+    enters only through w = sqrt(|g|^2 + eps^2) and f only through the source
+    weights src = node_weights * f, so ``energy`` and ``gradient`` take both,
+    and the iterate's ``corners``, as arguments: one instance serves every
+    stage and every source.  The energy density w^p / p, the flux |g|^(p-2) g
+    and the Newton matrix all read one coefficient c1 = w^(p-2) per corner
+    (``flux_coef``).  ``at_eps`` appends it, with its eps, to an iterate's
+    corners, which then carry it: energy, gradient and the Newton matrix at
+    eps_h = eps read it and take no power of their own.  It lives and is freed
+    with the corners, never on the instance.
 
     Every per-corner array is corner-major like ``CellGeometry``'s, the cell
     index last: p_corner and |g|^2 are (2^n, ncells), the corner gradients
-    (n, 2^n, ncells), the Hessian coefficients (2^n, n(n+1)/2, ncells) and
-    the cell blocks (2^n, 2^n, ncells).  So each elementwise pass of a Newton
-    step runs over contiguous rows of ncells entries, and each product with
-    a fixed matrix (the stencils, ``basis``) is one GEMM with that matrix on
-    the left.
+    (n, 2^n, ncells), the Hessian coefficients (2^n, n(n+1)/2, ncells) and the
+    kept block entries (len(pairs), ncells).  So each elementwise pass of a
+    Newton step runs over contiguous rows of ncells entries, and each product
+    with a fixed matrix (the stencils, ``basis``) is one GEMM with that matrix
+    on the left.
 
     The unknowns are the interior nodes in lexicographic order, longest axis
     outermost (``interior``; the residual and the hat norms follow it too):
@@ -212,12 +212,14 @@ class _Lattice:
     LAPACK's dpbtrf factors it fastest.  band_rows is bandwidth + 1, or more
     where zero rows past the bandwidth let dpbtrf take its blocked algorithm
     (``_band_rows``); the Cholesky factor of a band keeps its envelope, so
-    those rows stay zero in the factor too.  A block entry (j, l)
-    of a cell couples the unknowns r and c of its corners j and l; c - r is
-    the same for every cell, and the cells whose corners j and l are both
-    interior form one box.  So ``pairs`` keeps each (j, l) with c - r >= 0
-    and a box that is not empty, as its band row c - r, the slice of that
-    row its corner j unknowns fill and the slice of its box of cells.
+    those rows stay zero in the factor too.  A block entry (j, l) of a cell
+    couples the unknowns r and c of its corners j and l; c - r is the same for
+    every cell, and the cells whose corners j and l are both interior form one
+    box.  So ``pairs`` keeps each (j, l) with c - r >= 0 and a nonempty box,
+    as the index of its band row c - r in ``diags`` (0 first; 2, 5 or 14 in
+    1d, 2d or 3d), the slices of that row its corner j unknowns fill and of
+    its box of cells; ``basis`` keeps their rows, and ``newton_diagonals``
+    the Newton matrix as those diagonals.
     """
 
     def __init__(self, grid: GridFunction, p_node: np.ndarray):
@@ -233,27 +235,28 @@ class _Lattice:
         # runs from 1 - lo to N - hi, lo and hi the pair's least and greatest offset.
         inner, offsets = np.array(self.unknowns), geo.corner_offsets[:, self.axes]
         strides = np.cumprod((1,) + self.unknowns[:0:-1])[::-1]
-        pairs = []  # (j, l, (the corner j unknowns..., c - r), the cells)
+        pairs = []  # (basis row (j, l), c - r, the corner j unknowns, the cells)
         for j, oj in enumerate(offsets):
             for l, ol in enumerate(offsets):
                 lo, hi = np.minimum(oj, ol), np.maximum(oj, ol)
                 diag = int(strides @ (ol - oj))
                 if diag >= 0 and np.all(hi - lo < inner):
-                    pairs.append((j, l, tuple(map(slice, oj - lo, inner + oj - hi)) + (diag,),
+                    pairs.append((j * nc + l, diag, tuple(map(slice, oj - lo, inner + oj - hi)),
                                   tuple(map(slice, 1 - lo, inner + 1 - hi))))
-        self.pairs = tuple(pairs)
-        self.bandwidth = max((at[-1] for _, _, at, _ in pairs), default=0)
+        self.diags = tuple(sorted({0}.union(d for _, d, _, _ in pairs)))  # their band rows
+        self.pairs = tuple((self.diags.index(d), at, box) for _, d, at, box in pairs)
+        self.bandwidth = self.diags[-1]
         self.band_rows = _band_rows(self.bandwidth)
         # basis[(j, l), (k, ab)]: corner k's share of the cell block entry
         # (j, l) per entry ab, a <= b, of the pointwise Hessian, vol / 2^n
         # (G_ka^T G_kb + G_kb^T G_ka) for a < b and vol / 2^n G_ka^T G_ka for
-        # a = b.
+        # a = b; only the rows of the kept pairs.
         G = geo.grad_stencils  # (n a, 2^n k, 2^n j)
         a, b = np.triu_indices(geo.n_axes)
         self.upper = tuple(zip(a.tolist(), b.tolist()))  # the ab, in basis's order
         pair = np.einsum("akj,akl->kajl", G[a], G[b])
         pair = (pair + pair.transpose(0, 1, 3, 2)) * np.where(a == b, 0.5, 1.0)[:, None, None]
-        self.basis = np.ascontiguousarray(pair.reshape(nc * a.size, nc * nc).T)
+        self.basis = np.ascontiguousarray(pair.reshape(nc * a.size, -1).T[[r[0] for r in pairs]])
         self.basis *= geo.cell_vol / nc
         self.hats = None  # the hat norms, once computed
         for arr in (geo.origin, geo.spacing, geo.corner_offsets, geo.grad_stencils,
@@ -352,21 +355,23 @@ class _Lattice:
         """Max over the interior nodes of |g_i| / hat_i, hat from ``hat_norms``."""
         return float(np.max(np.abs(g[self.interior]) / hat))
 
-    def hessian_blocks(self, corners: tuple, eps_h: float,
-                       out: np.ndarray | None = None) -> np.ndarray:
-        """The (2^n, 2^n, ncells) cell blocks of the energy Hessian at smoothing eps_h.
+    def newton_diagonals(self, corners: tuple, eps_h: float,
+                         out: np.ndarray | None = None) -> np.ndarray:
+        """The lower diagonals of the interior Newton matrix at smoothing eps_h.
 
         The pointwise Hessian of w^p / p in the gradient g is M = c1 I + c2 g g^T
         with c1 = w^(p-2) and c2 = (p-2) c1 / w^2, so each cell block is
-        sum_k G_k^T M_k G_k: one product of the fixed ``basis`` with the upper
-        triangles of the M_k, (2^n n(n+1)/2, ncells).  c1 is the one corners
-        carry when they carry it at eps_h (``at_eps``), else computed.  eps_h
-        > 0 (else a ValueError) keeps c2 finite where g = 0 and the matrix
-        positive definite.  The blocks are written into out, a C-contiguous
-        array of that shape, when given, and into a new array otherwise.
+        sum_k G_k^T M_k G_k: the kept pairs' entries are one product of the
+        fixed ``basis`` with the upper triangles of the M_k, (2^n n(n+1)/2,
+        ncells).  c1 is the one corners carry when they carry it at eps_h
+        (``at_eps``), else computed.  eps_h > 0 (else a ValueError) keeps c2
+        finite where g = 0 and the matrix positive definite.  Row i holds the
+        entries (r + diags[i], r) at r, 0 where the nodes share no cell: each
+        of ``pairs`` adds its box of cells into a slice of its row, in order
+        from zero.  Into out, a C-contiguous (len(diags), m) array, if given.
         """
         if not eps_h > 0.0:
-            raise ValueError(f"hessian_blocks needs eps_h > 0, got {eps_h}")
+            raise ValueError(f"newton_diagonals needs eps_h > 0, got {eps_h}")
         grads, sq, _, c1 = self.at_eps(corners, eps_h)
         c2 = (self.p_corner - 2.0) * c1 / (sq + eps_h**2)
         n, nc, ncells = grads.shape
@@ -377,36 +382,32 @@ class _Lattice:
             np.multiply(c2, col, out=col)
             if a == b:
                 np.add(col, c1, out=col)
+        cells = (self.basis @ coef.reshape(-1, ncells)).reshape((-1,) + self.geo.cell_dims)
         if out is None:
-            out = np.empty((nc, nc, ncells))
-        np.matmul(self.basis, coef.reshape(-1, ncells), out=out.reshape(nc * nc, ncells))
+            out = np.empty((len(self.diags), self.interior.size))
+        out.fill(0.0)
+        rows = out.reshape((len(self.diags),) + self.unknowns)
+        for block, (d, at, box) in zip(cells, self.pairs):
+            rows[(d,) + at] += block.transpose(self.axes)[box]
         return out
 
-    def hessian_vec(self, blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Product of the interior Newton matrix with x, straight from its cell blocks.
+    def hessian_vec(self, diagonals: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The interior Newton matrix times x (both in the order of ``interior``) from
+        ``newton_diagonals``: each diagonal below the main one acts at its two places."""
+        y = diagonals[0] * x
+        for d, row in zip(self.diags[1:], diagonals[1:]):  # 0 < d < m
+            y[d:] += row[:-d] * x[:-d]
+            y[:-d] += row[:-d] * x[d:]
+        return y
 
-        x and the result follow ``interior``; boundary nodes carry 0, so only
-        interior-interior couplings contribute.
-        """
-        full = np.zeros(self.p_node.size)
-        full[self.interior] = x
-        y = np.einsum("jlc,lc->jc", blocks, self.geo.corner_values(full))
-        return self.geo.corner_sums(y)[self.interior]
-
-    def band(self, blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Sum the (2^n, 2^n, ncells) cell blocks into the lower band storage:
-        out, a Fortran-ordered (k, m) array with k > bandwidth whose old
-        contents are overwritten, when given, else a new one with band_rows
-        rows.  Rows past the bandwidth are zero.  Each of ``pairs`` adds its
-        box of blocks to one slice of its band row, seen as an array over the
-        unknowns' lattice."""
+    def band(self, diagonals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The lower band storage of the Newton matrix from ``newton_diagonals``:
+        row diags[i] is diagonal i, the others 0.  Into out, a Fortran-ordered
+        (k, m) array with k > bandwidth, if given, else one of band_rows rows."""
         if out is None:
             out = np.empty((self.band_rows, self.interior.size), order="F")
         out.fill(0.0)
-        rows = out.T.reshape(self.unknowns + (out.shape[0],), copy=False)
-        cells = blocks.reshape(blocks.shape[:2] + self.geo.cell_dims)
-        for j, l, at, box in self.pairs:
-            rows[at] += cells[j, l].transpose(self.axes)[box]
+        out[self.diags, :] = diagonals
         return out
 
 
@@ -600,15 +601,16 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
     gradient, slope test and Newton matrix at eps_h = eps read it.  A stage
     change takes c1 at the new eps before the stage's first energy.
 
-    The first step of a stage factors the Newton matrix, kept as its lower
-    band (``_Lattice.band``, ``_Lattice.band_rows`` rows: LAPACK dpbtrf and
-    dpbtrs with lower=True take the sub-diagonal count from the array's
-    shape), and solves exactly, but for a last stage at eps > 0 (below).  The
-    cell blocks and the band are two arrays of the solve, refilled at every
-    step, and the band is factored in place, so a refactor overwrites the
-    factor it replaces and concurrent solves share nothing they write.  Each
-    later step of the stage is solved by CG (``_pcg``) preconditioned with
-    that stale factor, its products taken from the cell blocks
+    The first step of a stage copies the Newton matrix, assembled once per
+    step as its lower diagonals (``_Lattice.newton_diagonals``), into the
+    lower band (``_Lattice.band``, ``_Lattice.band_rows`` rows: LAPACK dpbtrf
+    and dpbtrs with lower=True take the sub-diagonal count from the array's
+    shape), factors it and solves exactly, but for a last stage at eps > 0
+    (below).  The diagonals and the band are two arrays of the solve, refilled
+    at every step, and the band is factored in place, so a refactor overwrites
+    the factor it replaces and concurrent solves share nothing they write.
+    Each later step of the stage is solved by CG (``_pcg``) preconditioned
+    with that stale factor, its products taken from the diagonals
     (``_Lattice.hessian_vec``), to the Eisenstat-Walker (choice 2) forcing
     tolerance eta ||g||, eta = min(_ETA_MAX, max(0.9 (||g_k|| / ||g_k-1||)^2,
     0.5 target / residual)).  The second term is the safeguard of Eisenstat &
@@ -652,10 +654,10 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
     G, trace = history[-1]["G"], [history[-1]["energy"]]
     factor, gnorm_prev, cg_prev = None, np.inf, 0
     it, message, r0 = 0, "", None
-    # The solve's cell blocks and band, taken only now: held through the
-    # start and the hat norms they raised the peak RSS of a 64^2 solve by
-    # about 1 MB.
-    blocks = np.empty((lat.nc,) + lat.p_corner.shape)
+    # The solve's Newton diagonals and band, taken only now: held through
+    # the start and the hat norms they raised the peak RSS of a 64^2 solve
+    # by about 1 MB.
+    diagonals = np.empty((len(lat.diags), interior.size))
     band = np.empty((lat.band_rows, interior.size), order="F")
     while True:
         g = lat.gradient(corners, eps, src)
@@ -680,7 +682,7 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
         it += 1
 
         eps_h = max(eps, 1e-12 * G, 0.1 * G * 0.25 ** (it - 1))
-        lat.hessian_blocks(corners, eps_h, out=blocks)
+        lat.newton_diagonals(corners, eps_h, out=diagonals)
         gi = g[interior]
         gnorm = float(np.linalg.norm(gi))
 
@@ -692,12 +694,12 @@ def _newton(grid: GridFunction, lat: _Lattice, src: np.ndarray, start: list,
             eta = float(min(_ETA_MAX, max(0.9 * (gnorm / gnorm_prev) ** 2,
                                           0.5 * target / residual)))
             delta, cg_iters = _pcg(
-                lambda x: lat.hessian_vec(blocks, x),
+                lambda x: lat.hessian_vec(diagonals, x),
                 lambda r: sla.cho_solve_banded((factor, True), r, check_finite=False),
                 -gi, eta)
         if not descends(delta):
             try:
-                factor = sla.cholesky_banded(lat.band(blocks, out=band), lower=True,
+                factor = sla.cholesky_banded(lat.band(diagonals, out=band), lower=True,
                                              overwrite_ab=True, check_finite=False)
                 linear = "factor"
                 delta = sla.cho_solve_banded((factor, True), -gi, check_finite=False)

@@ -202,7 +202,7 @@ def reference_warm_start(spec):
     u = spec.dirichlet_values().reshape(-1).copy()
     u[interior] = 0.0
     corners = lap.corners(u)
-    H = lap.band(lap.hessian_blocks(corners, 1.0))  # at p = 2 eps_h does not enter
+    H = lap.band(lap.newton_diagonals(corners, 1.0))  # at p = 2 eps_h does not enter
     factor = sla.cholesky_banded(H, lower=True, overwrite_ab=True, check_finite=False)
     u[interior] -= sla.cho_solve_banded((factor, True), lap.gradient(corners, 0.0, src)[interior],
                                         check_finite=False)

@@ -363,3 +363,37 @@ def test_bad_problem_value_is_a_config_error(tmp_path, capsys, key, value, messa
     assert main(["verify", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("pxlap: config error: ") and key in err
+
+
+@pytest.mark.parametrize("cells", [None, 48, [48, 48]], ids=["no-cells", "48", "list"])
+def test_field_dirichlet_is_sampled_on_the_rhs_file_lattice(tmp_path, cells):
+    # With no cells key the ramp data went on 64 cells, the rhs file has 48:
+    # the solve raised "dirichlet grid does not match the rhs lattice", and
+    # verify recorded every solution check as an error.
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    px.write_gridfunction(px.GridFunction.constant(box, 48, -1.0), tmp_path / "rhs.pxgrid")
+    cfg = manufactured_config(tmp_path / "out", [{"kind": "max-principle", "margin": 0.1}])
+    cfg["problem"].update(domain=[[0.0, 1.0], [0.0, 1.0]], rhs={"file": "rhs.pxgrid"},
+                          dirichlet={"kind": "ramp", "axis": 0, "threshold": 0.5},
+                          exponent={"kind": "constant", "value": 2.5}, reg_eps=1e-8, tol=1e-7)
+    del cfg["problem"]["cells"]
+    if cells is not None:
+        cfg["problem"]["cells"] = cells
+    spec = build_problem(cfg["problem"], tmp_path)
+    assert spec.dirichlet.same_lattice(spec.rhs) and spec.rhs.dims == (49, 49)
+    assert px.solve_dirichlet(spec).converged
+    assert main(["verify", write_config(tmp_path, cfg)]) == 0
+
+
+@pytest.mark.parametrize("cells", [64, [48, 32], 47.5])
+def test_cells_that_disagree_with_the_rhs_file_is_a_config_error(tmp_path, capsys, cells):
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    px.write_gridfunction(px.GridFunction.constant(box, 48, -1.0), tmp_path / "rhs.pxgrid")
+    cfg = manufactured_config(tmp_path / "out", [{"kind": "norm"}])
+    cfg["problem"].update(domain=[[0.0, 1.0], [0.0, 1.0]], rhs={"file": "rhs.pxgrid"},
+                          cells=cells)
+    with pytest.raises(ConfigError, match=r"(problem key 'cells' is .* but the rhs file has "
+                                          r"\[48, 48\]$|problem: cells must be whole numbers)"):
+        build_problem(cfg["problem"], tmp_path)
+    assert main(["verify", write_config(tmp_path, cfg)]) == 2
+    assert "cells" in capsys.readouterr().err

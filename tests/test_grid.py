@@ -77,6 +77,19 @@ def test_pxgrid_rejects_malformed(tmp_path):
         px.read_gridfunction(path)
 
 
+@pytest.mark.parametrize("header, token", [
+    ("PXGRID v1 2.5 3 3 0 0 0.5 0.5", "2.5"), ("PXGRID v1 x 3", "x"),
+    ("PXGRID v1 2 3 3.0 0 0 0.5 0.5", "3.0"), ("PXGRID v1 2 3 3 zero 0 0.5 0.5", "zero"),
+    ("PXGRID v1 2 3 3 0 0 0.5 half", "half")])
+def test_pxgrid_header_token_that_does_not_parse_names_the_file(tmp_path, header, token):
+    # These raised a bare "invalid literal for int() with base 10: '2.5'" or
+    # "could not convert string to float: 'zero'", without the file.
+    path = tmp_path / "bad.pxgrid"
+    path.write_text(header + "\n" + " ".join(["0"] * 9) + "\n")
+    with pytest.raises(ValueError, match=rf"^{path}: .*'{token}'"):
+        px.read_gridfunction(path)
+
+
 @pytest.mark.parametrize("origin, spacing, field", [
     ([np.nan, 0.0], [0.5, 0.5], "origin"), ([0.0, -np.inf], [0.5, 0.5], "origin"),
     ([0.0, 0.0], [0.5, np.inf], "spacing"), ([0.0, 0.0], [np.nan, 0.5], "spacing"),

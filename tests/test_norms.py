@@ -229,3 +229,21 @@ def test_lt_average_errors():
         px.lt_average(g, 0.0, px.Ball([0.5], 0.3))
     with pytest.raises(ValueError):
         px.lt_average(g, 1.0, px.Ball([10.0], 0.01))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bisection_tol", np.inf), ("bisection_tol", np.nan), ("bisection_tol", 0.0),
+    ("bisection_tol", -1e-10), ("bisection_tol", True),
+    ("max_iter", 2.5), ("max_iter", True), ("max_iter", 0), ("max_iter", 200.0),
+])
+def test_norm_config_rejects_bad_fields(field, value):
+    # An infinite bisection_tol stopped log_luxemburg after one Newton step
+    # and gave a norm 0.8% low on this lattice, silently; max_iter = 2.5
+    # failed later in range() and True ran one step.
+    box = px.Box([0.0, 0.0], [1.0, 1.0])
+    g = px.GridFunction.from_callable(box, 4, lambda pts: 1.0 + pts[:, 0] + pts[:, 1] ** 2)
+    f = px.affine_exponent(1.5, [1.0, 0.5], box)
+    assert px.luxemburg_norm(g, f) == pytest.approx(1.9488, rel=1e-4)
+    with pytest.raises(ValueError, match=rf"^{field} must be "):
+        px.NormConfig(**{field: value})
+    assert px.NormConfig(bisection_tol=1e-3, max_iter=np.int64(3)).max_iter == 3

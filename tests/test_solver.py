@@ -658,7 +658,7 @@ def random_state(n_axes, seed=0):
 def newton_matrix(lat, u_flat, reg_eps, eps_h=None):
     """The band Newton matrix at u, smoothed as solve_dirichlet smooths it."""
     eps_h = max(reg_eps, eps_h if eps_h is not None else 0.0)
-    return lat.band(lat.hessian_blocks(lat.corners(u_flat), eps_h))
+    return lat.band(lat.newton_diagonals(lat.corners(u_flat), eps_h))
 
 
 def gradient_at(lat, src, u_flat, eps):
@@ -704,7 +704,7 @@ def test_hessian_matches_reference_assembly(n_axes, reg_eps, eps_h):
 def test_thin_lattice_band_matches_reference_assembly(cells, bandwidth):
     # An axis with a single interior node (2 cells) or none (1 cell): the
     # corner pairs that differ along it have no cell with both corners
-    # interior and fill nothing, so the band and the block products hold
+    # interior and fill nothing, so the band and the diagonal products hold
     # only the couplings along the other axes.
     n = len(cells)
     box = px.Box([0.0] * n, [1.0] * n)
@@ -718,7 +718,7 @@ def test_thin_lattice_band_matches_reference_assembly(cells, bandwidth):
     scale = np.abs(ref).max(initial=0.0)
     assert np.abs(band_to_dense(H) - ref).max(initial=0.0) <= 1e-12 * scale
     x = rng.standard_normal(lat.interior.size)
-    y = lat.hessian_vec(lat.hessian_blocks(lat.corners(u), 1e-3), x)
+    y = lat.hessian_vec(lat.newton_diagonals(lat.corners(u), 1e-3), x)
     assert np.abs(y - ref @ x).max(initial=0.0) <= 1e-12 * scale * np.abs(x).sum()
 
 
@@ -764,10 +764,10 @@ def test_padded_band_factor_matches_the_unpadded_one():
     lat = _lattice(f, px.affine_exponent(1.3, [1.0, 0.6, 0.3], box), f)[0]
     assert (lat.bandwidth, lat.band_rows) == (57, 66)
     u = np.random.default_rng(8).standard_normal(f.values.size)
-    blocks = lat.hessian_blocks(lat.corners(u), 1e-3)
+    diagonals = lat.newton_diagonals(lat.corners(u), 1e-3)
     rows = lat.bandwidth + 1
-    padded = solver.sla.cholesky_banded(lat.band(blocks), lower=True, check_finite=False)
-    plain = lat.band(blocks, out=np.empty((rows, lat.interior.size), order="F"))
+    padded = solver.sla.cholesky_banded(lat.band(diagonals), lower=True, check_finite=False)
+    plain = lat.band(diagonals, out=np.empty((rows, lat.interior.size), order="F"))
     plain = solver.sla.cholesky_banded(plain, lower=True, check_finite=False)
     assert padded.shape == (66, lat.interior.size) and np.all(padded[rows:] == 0.0)
     assert np.abs(padded[:rows] - plain).max() <= 1e-13 * np.abs(plain).max()
@@ -783,8 +783,9 @@ def test_block_matvec_matches_band(n_axes, eps_h):
     lat, _, u = random_state(n_axes, seed=5)
     x = np.random.default_rng(n_axes).standard_normal(lat.interior.size)
     ref = band_to_dense(newton_matrix(lat, u, 1e-3, eps_h)) @ x
-    blocks = lat.hessian_blocks(lat.corners(u), max(1e-3, eps_h if eps_h is not None else 0.0))
-    y = lat.hessian_vec(blocks, x)
+    diagonals = lat.newton_diagonals(lat.corners(u),
+                                     max(1e-3, eps_h if eps_h is not None else 0.0))
+    y = lat.hessian_vec(diagonals, x)
     assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -831,7 +832,7 @@ def random_exponent(kind, n, rng):
 def test_derivatives_agree_on_random_fields(n, kind, eps_h, seed):
     # A rough iterate with flat patches, where whole cells have zero corner
     # gradients, under affine and radial p in [1.2, 5]:
-    # - the Newton blocks match the pointwise-Hessian reference assembly;
+    # - the Newton matrix matches the pointwise-Hessian reference assembly;
     # - the gradient matches a central difference of the energy, which is
     #   even in the step at a zero corner gradient, so exact there;
     # - hessian_vec matches a central difference of the gradient along a
@@ -859,7 +860,7 @@ def test_derivatives_agree_on_random_fields(n, kind, eps_h, seed):
     assert np.any(corners[1] == 0.0)
 
     eps_m = max(eps_h, 1e-12)
-    H = band_to_dense(lat.band(lat.hessian_blocks(corners, eps_m)))
+    H = band_to_dense(lat.band(lat.newton_diagonals(corners, eps_m)))
     ref = reference_hessian(lat, u, 0.0, eps_m).toarray()
     assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -876,7 +877,7 @@ def test_derivatives_agree_on_random_fields(n, kind, eps_h, seed):
     x = np.zeros_like(u)
     x[interior] = rng.standard_normal(interior.size)
     x[np.unique(cell_major_idx(lat.geo)[(corners[1] == 0.0).any(axis=0)])] = 0.0
-    hv = lat.hessian_vec(lat.hessian_blocks(corners, eps_m), x[interior])
+    hv = lat.hessian_vec(lat.newton_diagonals(corners, eps_m), x[interior])
     fd = (gradient_at(lat, src, u + step * x, eps_h)
           - gradient_at(lat, src, u - step * x, eps_h))[interior] / (2.0 * step)
     assert np.abs(hv - fd).max() <= 1e-6 * np.abs(hv).max()
@@ -891,9 +892,10 @@ def bits(a):
        kind=st.sampled_from(["affine", "radial"]), eps_h=st.sampled_from([1e-12, 1e-6, 1e-1]),
        seed=st.integers(0, 2**32 - 1))
 def test_dirty_buffers_give_the_same_blocks_and_band(nodes, kind, eps_h, seed):
-    # The Newton loop refills one block array and one band per solve.  Filled
-    # with NaN, or holding the band factor of the previous step, they must
-    # come out bit for bit as a fresh fill, and the band as a view of out.
+    # The Newton loop refills one array of Newton diagonals and one band per
+    # solve.  Filled with NaN, or holding the band factor of the previous
+    # step, they must come out bit for bit as a fresh fill, and the band as a
+    # view of out.
     rng = np.random.default_rng(seed)
     n = len(nodes)
     f = px.GridFunction.constant(px.Box(np.zeros(n), np.ones(n)),
@@ -902,9 +904,9 @@ def test_dirty_buffers_give_the_same_blocks_and_band(nodes, kind, eps_h, seed):
     lat = _lattice(f, random_exponent(kind, n, rng), f)[0]
     corners = lat.corners(rng.standard_normal(f.values.size))
 
-    fresh = lat.hessian_blocks(corners, eps_h)
+    fresh = lat.newton_diagonals(corners, eps_h)
     out = np.full_like(fresh, np.nan)
-    assert lat.hessian_blocks(corners, eps_h, out=out) is out
+    assert lat.newton_diagonals(corners, eps_h, out=out) is out
     assert np.array_equal(bits(out), bits(fresh))
 
     band = lat.band(fresh)
@@ -937,7 +939,7 @@ def test_dirty_buffers_give_the_same_blocks_and_band(nodes, kind, eps_h, seed):
 def test_carried_coefficient_gives_the_fresh_gradient_and_blocks(nodes, kind, eps, seed):
     # An iterate's corners carry c1 = w^(p-2) at the stage eps (at_eps).  The
     # gradient from it must be bit for bit the one of the flux coefficient
-    # taken afresh, and the Newton blocks at eps_h = eps those of
+    # taken afresh, and the Newton diagonals at eps_h = eps those of
     # sqrt(|g|^2 + eps_h^2)^(p-2); at another eps_h the carried c1 is not read.
     rng = np.random.default_rng(seed)
     n = len(nodes)
@@ -962,28 +964,86 @@ def test_carried_coefficient_gives_the_fresh_gradient_and_blocks(nodes, kind, ep
         w2 = sq + eps**2
         c1 = np.sqrt(w2) ** (lat.p_corner - 2.0)
         assert np.array_equal(bits(carried[3]), bits(c1))
-        assert np.array_equal(bits(lat.hessian_blocks(carried, eps)),
-                              bits(lat.hessian_blocks((grads, sq), eps)))
+        assert np.array_equal(bits(lat.newton_diagonals(carried, eps)),
+                              bits(lat.newton_diagonals((grads, sq), eps)))
     # a wrong c1 carried at eps is not read at another eps_h
     spoiled = (grads, sq, eps, np.zeros_like(sq))
-    assert np.array_equal(bits(lat.hessian_blocks(spoiled, 1e-3)),
-                          bits(lat.hessian_blocks((grads, sq), 1e-3)))
+    assert np.array_equal(bits(lat.newton_diagonals(spoiled, 1e-3)),
+                          bits(lat.newton_diagonals((grads, sq), 1e-3)))
 
 
-@given(nodes=st.lists(st.integers(3, 9), min_size=1, max_size=3),
-       kind=st.sampled_from(["affine", "radial"]), eps_h=st.sampled_from([1e-12, 1e-6, 1e-1]),
-       seed=st.integers(0, 2**32 - 1))
-def test_cell_blocks_are_exactly_symmetric(nodes, kind, eps_h, seed):
-    # basis rows (j, l) and (l, j) are equal bit for bit, so the GEMM gives
-    # equal block entries: hessian_vec, which reads the full blocks, applies
-    # the same symmetric matrix as the band, which reads one triangle.
+def block_and_pair_band(lat, corners, eps_h):
+    """The band of the Newton matrix as (2^n, 2^n, ncells) cell blocks once
+    gave it: every block entry (j, l) from one GEMM with the basis of all
+    2^n x 2^n corner pairs, then each pair with c - r >= 0 and a box of
+    cells with both corners interior added into its band row, in (j, l)
+    order from zero."""
+    geo, nc, n = lat.geo, lat.nc, lat.geo.n_axes
+    G = geo.grad_stencils
+    a, b = np.triu_indices(n)
+    pair = np.einsum("akj,akl->kajl", G[a], G[b])
+    pair = (pair + pair.transpose(0, 1, 3, 2)) * np.where(a == b, 0.5, 1.0)[:, None, None]
+    basis = np.ascontiguousarray(pair.reshape(nc * a.size, nc * nc).T)
+    basis *= geo.cell_vol / nc
+    grads, sq, _, c1 = lat.at_eps(corners, eps_h)
+    c2 = (lat.p_corner - 2.0) * c1 / (sq + eps_h**2)
+    coef = np.empty((nc, a.size, sq.shape[1]))
+    for col, (x, y) in zip(coef.transpose(1, 0, 2), zip(a.tolist(), b.tolist())):
+        np.multiply(grads[x], grads[y], out=col)
+        np.multiply(c2, col, out=col)
+        if x == y:
+            np.add(col, c1, out=col)
+    blocks = np.empty((nc, nc, sq.shape[1]))
+    np.matmul(basis, coef.reshape(-1, sq.shape[1]), out=blocks.reshape(nc * nc, -1))
+    cells = blocks.reshape((nc, nc) + geo.cell_dims)
+
+    inner = np.array(lat.unknowns)
+    offsets = geo.corner_offsets[:, lat.axes]
+    strides = np.cumprod((1,) + lat.unknowns[:0:-1])[::-1]
+    band = np.zeros((lat.band_rows, lat.interior.size), order="F")
+    rows = band.T.reshape(lat.unknowns + (lat.band_rows,))
+    for j, oj in enumerate(offsets):
+        for l, ol in enumerate(offsets):
+            lo, hi = np.minimum(oj, ol), np.maximum(oj, ol)
+            diag = int(strides @ (ol - oj))
+            if diag >= 0 and np.all(hi - lo < inner):
+                at = tuple(map(slice, oj - lo, inner + oj - hi)) + (diag,)
+                box = tuple(map(slice, 1 - lo, inner + 1 - hi))
+                rows[at] += cells[j, l].transpose(lat.axes)[box]
+    return band
+
+
+@given(nodes=st.lists(st.integers(2, 9), min_size=1, max_size=3),
+       widths=st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=3, max_size=3),
+       eps_h=st.sampled_from([1e-12, 1e-6, 1e-1]), seed=st.integers(0, 2**32 - 1))
+def test_newton_diagonals_give_the_block_and_pair_band(nodes, widths, eps_h, seed):
+    # On 1d-3d lattices, anisotropic in node counts and spacings, thin (an
+    # axis of one interior node) or with no interior node at all:
+    # - the band is bit for bit the one that the cell blocks assembled;
+    # - hessian_vec, which reads each diagonal below the main one at two
+    #   places, is the dense symmetric matrix of that band times x;
+    # - x.Hy equals y.Hx to rounding.
     rng = np.random.default_rng(seed)
     n = len(nodes)
-    f = px.GridFunction.constant(px.Box(np.zeros(n), np.ones(n)),
-                                 tuple(d - 1 for d in nodes), 0.0)
-    lat = _lattice(f, random_exponent(kind, n, rng), f)[0]
-    blocks = lat.hessian_blocks(lat.corners(rng.standard_normal(f.values.size)), eps_h)
-    assert np.array_equal(bits(blocks), bits(blocks.transpose(1, 0, 2)))
+    box = px.Box(np.zeros(n), np.array(widths[:n]))
+    f = px.GridFunction.constant(box, tuple(d - 1 for d in nodes), 0.0)
+    field = px.affine_exponent(1.2, rng.uniform(0.0, 3.0, n) / np.array(widths[:n]) / n, box)
+    lat = _lattice(f, field, f)[0]
+    u = rng.standard_normal(f.values.size)
+    u[: u.size // 3] = 0.5  # corners with g = 0
+    corners = lat.corners(u)
+    diagonals = lat.newton_diagonals(corners, eps_h)
+    m = lat.interior.size
+    assert diagonals.shape == (len(lat.diags), m) and lat.diags[0] == 0
+    band = lat.band(diagonals)
+    assert np.array_equal(bits(band), bits(block_and_pair_band(lat, corners, eps_h)))
+
+    H = band_to_dense(band)
+    x, y = rng.standard_normal((2, m))
+    hx, hy = lat.hessian_vec(diagonals, x), lat.hessian_vec(diagonals, y)
+    scale = np.abs(H).max(initial=0.0)
+    assert np.abs(hx - H @ x).max(initial=0.0) <= 1e-13 * scale * np.abs(x).sum()
+    assert abs(x @ hy - y @ hx) <= 1e-13 * scale * np.abs(x).sum() * np.abs(y).sum()
 
 
 @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 6.0])
@@ -1409,8 +1469,10 @@ def test_single_stage_keeps_its_iteration_count(make, iterations):
 def assert_one_factor_per_stage(monkeypatch, spec):
     """Each stage's first step factors the Newton matrix and the later steps
     run CG on that factor, but for a last stage at reg_eps > 0: it opens on
-    the factor of the stage before it and runs CG to an eta.  Returns the
-    step records."""
+    the factor of the stage before it and runs CG to an eta.  A rung whose
+    target the iterate meets on entry takes no step and no factor, so the
+    rule is checked on the stages that take a step.  Returns the step
+    records."""
     factors = count_calls(monkeypatch, solver.sla, "cholesky_banded")
     res = px.solve_dirichlet(spec)
     assert res.converged and res.residual <= spec.tol
@@ -1419,9 +1481,9 @@ def assert_one_factor_per_stage(monkeypatch, spec):
     assert len(recs) == res.iterations
     stages = [r["stage_eps"] for r in recs]
     firsts = [i for i in range(len(recs)) if i == 0 or stages[i] != stages[i - 1]]
-    assert len(set(stages)) == len(firsts) == len(stages_of(spec, res)) > 1
-    assert stages[-1] == spec.reg_eps
-    carried = [firsts[-1]] if spec.reg_eps > 0.0 else []
+    assert len(set(stages)) == len(firsts) > 1
+    assert set(stages) <= set(stages_of(spec, res))
+    carried = [firsts[-1]] if stages[-1] == spec.reg_eps > 0.0 else []
     for i, r in enumerate(recs):
         fresh = i in firsts and i not in carried
         assert r["direction"] == "newton"
@@ -1434,16 +1496,25 @@ def assert_one_factor_per_stage(monkeypatch, spec):
 
 
 def test_one_factor_per_stage_then_pcg(monkeypatch):
-    assert_one_factor_per_stage(monkeypatch, cos_problem())
+    spec = cos_problem()
+    recs = assert_one_factor_per_stage(monkeypatch, spec)
+    assert recs[-1]["stage_eps"] == spec.reg_eps  # the carried factor is used
 
 
 def test_zero_reg_eps_last_stage_factors_on_entry(monkeypatch):
     # At reg_eps = 0 the last stage solves the non-smooth problem, so its
-    # first step factors, although the step before it ran no CG at all.
-    spec = cos_problem(8, 1.1, reg_eps=0.0)
+    # first step factors, although the step before it ran no CG at all (1d,
+    # 64 cells, p = 1.3; every stage takes a step).  At 8^2 cells and
+    # p = 1.1 the iterate meets tol on entering that stage, so 5 of the 6
+    # stages take a step, each under the same rule.
+    spec = cos_problem(64, 1.3, n_axes=1, reg_eps=0.0)
     recs = assert_one_factor_per_stage(monkeypatch, spec)
+    assert len({r["stage_eps"] for r in recs}) == len(stages_of(spec, px.solve_dirichlet(spec)))
     assert recs[-1]["stage_eps"] == 0.0 != recs[-2]["stage_eps"]
     assert recs[-1]["linear"] == "factor" and recs[-2]["cg_iters"] == 0
+    spec = cos_problem(8, 1.1, reg_eps=0.0)
+    recs = assert_one_factor_per_stage(monkeypatch, spec)
+    assert recs[-1]["stage_eps"] != 0.0
 
 
 def test_failed_cg_on_the_carried_factor_refactors(monkeypatch):
@@ -1574,19 +1645,19 @@ def test_start_corners_are_freed_after_the_first_step(monkeypatch):
     # step is accepted nothing holds the start's corner gradients: by the
     # second Newton step they are gone.
     refs, alive = [], []
-    ray_start, hessian_blocks = solver._ray_start, _Lattice.hessian_blocks
+    ray_start, newton_diagonals = solver._ray_start, _Lattice.newton_diagonals
 
     def start(*args):
         out = ray_start(*args)
         refs.append(weakref.ref(out[1][0]))
         return out
 
-    def blocks(self, *args, **kwargs):
+    def diagonals(self, *args, **kwargs):
         alive.append(refs[0]() is not None)
-        return hessian_blocks(self, *args, **kwargs)
+        return newton_diagonals(self, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_ray_start", start)
-    monkeypatch.setattr(_Lattice, "hessian_blocks", blocks)
+    monkeypatch.setattr(_Lattice, "newton_diagonals", diagonals)
     res = px.solve_dirichlet(cos_problem(6, 3.0, n_axes=3))
     assert res.converged and res.iterations >= 2
     assert alive[:2] == [True, False]
@@ -1717,7 +1788,8 @@ def test_negative_curvature_in_cg_forces_refactor(monkeypatch):
     # after a stage's first refactors and solves exactly, and the solve
     # converges as with one factorization per step.
     real = _Lattice.hessian_vec
-    monkeypatch.setattr(_Lattice, "hessian_vec", lambda self, blocks, x: -real(self, blocks, x))
+    monkeypatch.setattr(_Lattice, "hessian_vec",
+                        lambda self, diagonals, x: -real(self, diagonals, x))
     pcg, returned = solver._pcg, []
 
     def recorded(*args):
